@@ -18,6 +18,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import net, tiler
 
 DATA_ENV = "NANOTILE_DATA_DIR"
@@ -79,17 +81,26 @@ DEFAULT_POWER = PowerParams(k_fc=4.980901637306903e-10, k_cl=2.4904508186534516e
 def plan_cycles(plan: tiler.TilePlan, calib: CalibParams) -> float:
     """Planner objective for one tile plan: double-buffered pipeline time plus
     dispatch and descriptor overheads."""
-    node = plan.node
+    work = None if plan.node.kind == "ew" else plan.mac_work_units()
+    return float(pipeline_cycles(plan.node, work, plan.total_l2l1_bytes,
+                                 plan.dispatch_forks(), plan.n_transfers, calib))
+
+
+def pipeline_cycles(node: tiler.NodeKernel, work_units, l2l1_bytes, forks,
+                    transfers, calib: CalibParams):
+    """plan_cycles from a plan's MAC work units, L2->L1 bytes, fork/join
+    sections and DMA descriptors; elementwise when these are numpy arrays
+    over a grid of candidate plans."""
     if node.kind == "ew":
         body = node.body
         compute = 2 * 2 * body.k_in * body.h_in * body.w_in / calib.ew_bytes_per_cycle
     else:
         eta = calib.eta_for(node.body.kh, node.body.kw)
-        compute = plan.mac_work_units() / (calib.cores * eta)
-    dma = plan.total_l2l1_bytes / 8.0            # cluster DMA, 8 bytes/cycle
-    return (max(compute, dma)
-            + calib.dispatch_cycles * plan.dispatch_forks()
-            + calib.dma_setup_cycles * plan.n_transfers)
+        compute = work_units / (calib.cores * eta)
+    dma = l2l1_bytes / 8.0                       # cluster DMA, 8 bytes/cycle
+    return (np.maximum(compute, dma)
+            + calib.dispatch_cycles * forks
+            + calib.dma_setup_cycles * transfers)
 
 
 def _node_of(schedule: tiler.TileSchedule, row_name: str) -> tiler.TilePlan:

@@ -82,11 +82,6 @@ def sat_add(a: Q412, b: Q412) -> Q412:
     return Q412(min(max(a.raw + b.raw, QMIN), QMAX))
 
 
-def bias_acc(b: Q412) -> Acc32:
-    """Bias pre-shifted into the accumulator scale (exact, no rounding)."""
-    return Acc32(b.raw << FRAC_BITS)
-
-
 def dot_headroom_ok(length: int, max_abs_a: float = 8.0, max_abs_b: float = 8.0) -> bool:
     """Whether `length` products of values bounded by the given magnitudes are
     guaranteed to fit a 32-bit accumulator."""

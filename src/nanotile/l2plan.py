@@ -7,15 +7,20 @@ just before their layer and released just after it; feature-map lifetimes
 follow the residual bypasses, which is why each residual block holds three
 tensors at once.  Elementwise nodes run in place and allocate nothing.
 
-plan_two_stack searches every stack assignment of the activation buffers
-(weights ride on their layer's output stack) and keeps the one with the
-smallest peak total occupancy.  plan_single_stack runs the same lifetime
-rules with one stack, which is what makes the two-stack layout worthwhile.
+plan_two_stack picks the stack assignment of the activation buffers (weights
+ride on their layer's output stack) with the smallest peak total occupancy,
+then the smaller larger-stack peak, then the first in allocation-order bits.
+It finds it by a depth-first search over the buffers in allocation order with
+the input pinned to stack 0 (swapping the stacks changes no peak, so the
+first winner starts with 0) and with branches cut once their running peaks
+reach the best found (peaks never fall, and a tie loses to the earlier
+assignment): the result is the one scoring every assignment would keep.
+plan_single_stack runs the same lifetime rules with one stack, which is what
+makes the two-stack layout worthwhile.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import net, tiler
@@ -106,77 +111,137 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
                       weights, consumes)
 
 
-def _simulate(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int,
-              record: bool) -> tuple[int, tuple[int, ...], list, list]:
-    stacks: list[list[str]] = [[] for _ in range(n_stacks)]
-    occ = [0] * n_stacks
-    peak_total = 0
-    peaks = [0] * n_stacks
-    events: list[AllocEvent] = []
-    occupancy: list[tuple[int, ...]] = []
+class _StackSim:
+    """Stack occupancy while the node order executes, one step at a time."""
 
-    def bump():
-        nonlocal peak_total
-        peak_total = max(peak_total, sum(occ))
-        for s in range(n_stacks):
-            peaks[s] = max(peaks[s], occ[s])
+    def __init__(self, life: _Lifetimes, n_stacks: int, record: bool):
+        self.life = life
+        self.record = record
+        self.stacks: list[list[str]] = [[] for _ in range(n_stacks)]
+        self.occ = [0] * n_stacks
+        self.peak = 0
+        self.peaks = [0] * n_stacks
+        self.events: list[AllocEvent] = []
+        self.occupancy: list[tuple[int, ...]] = []
 
-    def alloc(step, name, size, stack):
-        stacks[stack].append(name)
-        occ[stack] += size
-        if record:
-            events.append(AllocEvent(step, "alloc", name, stack, size))
-        bump()
+    def fork(self) -> _StackSim:
+        """An independent copy, built field by field (copy.copy is slower in
+        the search's inner loop)."""
+        twin = _StackSim.__new__(_StackSim)
+        twin.life, twin.record, twin.peak = self.life, self.record, self.peak
+        twin.stacks = [list(s) for s in self.stacks]
+        twin.occ, twin.peaks = list(self.occ), list(self.peaks)
+        twin.events, twin.occupancy = list(self.events), list(self.occupancy)
+        return twin
 
-    # input frame sits in L2 before the first node runs
-    if life.buffers:
-        alloc(-1, net.INPUT_TENSOR, life.sizes[net.INPUT_TENSOR],
-              stack_of[net.INPUT_TENSOR])
-    n = len(life.nodes)
-    for i in range(n + 1):
-        if i < n:
+    @property
+    def key(self) -> tuple[int, int]:
+        """(peak total, max stack peak): both only grow as steps run."""
+        return self.peak, max(self.peaks)
+
+    def _bump(self):
+        self.peak = max(self.peak, sum(self.occ))
+        for s, o in enumerate(self.occ):
+            self.peaks[s] = max(self.peaks[s], o)
+
+    def alloc(self, step: int, name: str, size: int, stack: int):
+        self.stacks[stack].append(name)
+        self.occ[stack] += size
+        if self.record:
+            self.events.append(AllocEvent(step, "alloc", name, stack, size))
+        self._bump()
+
+    def _free_top(self, step: int, stack: int, size: int):
+        name = self.stacks[stack].pop()
+        self.occ[stack] -= size
+        if self.record:
+            self.events.append(AllocEvent(step, "free", name, stack, size))
+
+    def step(self, i: int, stack_of: dict[str, int]):
+        """Run node i (i == len(nodes) is the mission end): allocate its
+        output, stage and release its weights, then free what is dead."""
+        life = self.life
+        if i < len(life.nodes):
             node = life.nodes[i]
             out_buf = node.output if node.kind != "ew" else None
             if out_buf is not None:
-                alloc(i, out_buf, life.sizes[out_buf], stack_of[out_buf])
+                self.alloc(i, out_buf, life.sizes[out_buf], stack_of[out_buf])
             if i in life.weights:
                 wname, wsize = life.weights[i]
                 wstack = stack_of[out_buf] if out_buf else stack_of[life.alias[node.input]]
-                stacks[wstack].append(wname)
-                occ[wstack] += wsize
-                if record:
-                    events.append(AllocEvent(i, "alloc", wname, wstack, wsize))
-                bump()
+                self.alloc(i, wname, wsize, wstack)
                 # layer executes here; weights released right after
-                stacks[wstack].pop()
-                occ[wstack] -= wsize
-                if record:
-                    events.append(AllocEvent(i, "free", wname, wstack, wsize))
+                self._free_top(i, wstack, wsize)
         # release whatever is dead and exposed, most recent first
-        for s in range(n_stacks):
-            while stacks[s] and life.last_use[stacks[s][-1]] <= i:
-                name = stacks[s].pop()
-                occ[s] -= life.sizes[name]
-                if record:
-                    events.append(AllocEvent(i, "free", name, s, life.sizes[name]))
-        if record:
-            occupancy.append(tuple(occ))
-    return peak_total, tuple(peaks), events, occupancy
+        for s, stack in enumerate(self.stacks):
+            while stack and life.last_use[stack[-1]] <= i:
+                self._free_top(i, s, life.sizes[stack[-1]])
+        if self.record:
+            self.occupancy.append(tuple(self.occ))
+
+
+def _simulate(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int,
+              record: bool) -> tuple[int, tuple[int, ...], list, list]:
+    sim = _StackSim(life, n_stacks, record)
+    # input frame sits in L2 before the first node runs
+    if life.buffers:
+        sim.alloc(-1, net.INPUT_TENSOR, life.sizes[net.INPUT_TENSOR],
+                  stack_of[net.INPUT_TENSOR])
+    for i in range(len(life.nodes) + 1):
+        sim.step(i, stack_of)
+    return sim.peak, tuple(sim.peaks), sim.events, sim.occupancy
+
+
+def _search_two_stack(life: _Lifetimes) -> dict[str, int]:
+    """Stack assignment minimising (peak, max stack peak, bits), where bits
+    lists each buffer's stack in allocation order.
+
+    Depth-first over the buffers in allocation order, 0 before 1, so leaves
+    come in bits order; each prefix's steps are simulated once.  Swapping
+    the two stacks changes neither peak, so the smallest winning bits start
+    with 0 and the input buffer is pinned to stack 0.  A branch whose running
+    key already reaches the best leaf's is cut: the key never falls as steps
+    run, and a tie loses to the earlier leaf on bits.
+    """
+    if not life.buffers:
+        return {}
+    first, rest = life.buffers[0], life.buffers[1:]
+    # each buffer decides the steps from its allocation up to the next one's
+    ends = [life.alloc_step[b] for b in rest] + [len(life.nodes) + 1]
+    stack_of = {first: 0}
+    root = _StackSim(life, 2, record=False)
+    root.alloc(-1, first, life.sizes[first], 0)
+    for i in range(ends[0]):
+        root.step(i, stack_of)
+    best_key, best = None, None
+
+    def descend(k: int, sim: _StackSim):
+        nonlocal best_key, best
+        if k == len(rest):
+            best_key, best = sim.key, dict(stack_of)
+            return
+        buf = rest[k]
+        for bit in (0, 1):
+            branch = sim.fork()
+            stack_of[buf] = bit
+            for i in range(life.alloc_step[buf], ends[k + 1]):
+                branch.step(i, stack_of)
+            if best_key is None or branch.key < best_key:
+                descend(k + 1, branch)
+        del stack_of[buf]
+
+    descend(0, root)
+    return best
 
 
 def plan_two_stack(graph: net.NetworkGraph) -> L2AllocPlan:
-    """Exhaustive stack assignment minimizing peak total occupancy."""
+    """Stack assignment minimizing peak total occupancy, then the larger stack
+    peak, then the assignment bits in allocation order; the pruned search in
+    _search_two_stack returns what scoring every assignment would."""
     life = _lifetimes(graph)
     if len(life.buffers) > MAX_SEARCH_BUFFERS:
         raise ValueError(f"{len(life.buffers)} buffers: assignment search too large")
-    best = None
-    for bits in itertools.product((0, 1), repeat=len(life.buffers)):
-        stack_of = dict(zip(life.buffers, bits))
-        peak, peaks, _, _ = _simulate(life, stack_of, 2, record=False)
-        key = (peak, max(peaks), bits)
-        if best is None or key < best[0]:
-            best = (key, stack_of)
-    stack_of = best[1]
+    stack_of = _search_two_stack(life)
     peak, peaks, events, occupancy = _simulate(life, stack_of, 2, record=True)
     names = [n.name for n in life.nodes] + ["end"]
     return L2AllocPlan(2, events, names, stack_of, dict(life.sizes),

@@ -118,14 +118,6 @@ class NetworkGraph:
     def param_layers(self) -> list[LayerSpec]:
         return [l for l in self.layers if l.has_params]
 
-    def producer_step(self, tensor: str) -> int:
-        if tensor == INPUT_TENSOR:
-            return -1
-        for i, spec in enumerate(self.layers):
-            if spec.output == tensor:
-                return i
-        raise KeyError(tensor)
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
@@ -322,6 +314,9 @@ def load_weights(path: str, graph: NetworkGraph | None = None) -> WeightStore:
         b = np.frombuffer(view, dtype="<i2", count=n_b, offset=offset).astype(np.int16)
         offset += 2 * n_b
         records.append((kind_code, k_in, k_out, kh, kw, stride, w, b))
+    if offset != len(data):
+        raise ShapeMismatchError(f"{len(data) - offset} trailing bytes after "
+                                 f"the last of {n_layers} records")
     if graph is not None:
         params = graph.param_layers()
         if len(params) != len(records):

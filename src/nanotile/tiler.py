@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import net
 
 DEFAULT_L1_BUDGET = 60 * 1024   # 4 KB of the 64 KB scratchpad reserved for runtime
@@ -110,8 +112,10 @@ def node_kernels(graph: net.NetworkGraph) -> list[NodeKernel]:
                 fused.append(join)
                 tail = join
                 if not join.fused_relu:
-                    relu_row = next(r for r in rows
-                                    if r.kind == net.RELU and r.inputs == (join.name,))
+                    relu_row = next((r for r in rows if r.kind == net.RELU
+                                     and r.inputs == (join.name,)), None)
+                    if relu_row is None:
+                        raise ValueError(f"{join.name}: join without a following ReLU")
                     fused.append(relu_row)
                     tail = relu_row
                 name = f"{spec.name}+add+relu"
@@ -303,82 +307,78 @@ class TilePlan:
         return sum(self.transfer_bytes().values())
 
 
-def _conv_buffers(node: NodeKernel, scheme: str, h_tile: int,
-                  ci_tile: int, co_tile: int) -> dict[str, BufferSpec]:
-    body = node.body
-    pad = body.kw // 2
-    n_h = _ceil_div(node.h_out, h_tile) if scheme == SPATIAL else 1
-    n_ci = _ceil_div(body.k_in, ci_tile)
-    n_co = _ceil_div(body.k_out, co_tile)
-    bufs: dict[str, BufferSpec] = {}
-    w_padded = body.w_in + 2 * pad
+def _extents(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile):
+    """Normalised tile extents and tile counts for one scheme.
 
+    Returns (h_tile, ci_tile, co_tile, n_h, n_ci, n_co).  Extents are ints or
+    broadcasting numpy arrays, so one formula serves a single plan and a
+    whole search grid.
+    """
+    body = node.body
+    if node.kind == "conv":
+        n_h = _ceil_div(node.h_out, h_tile) if scheme == SPATIAL else 1
+        return (h_tile, ci_tile, co_tile, n_h,
+                _ceil_div(body.k_in, ci_tile), _ceil_div(body.k_out, co_tile))
+    if node.kind == "ew":
+        if scheme == SPATIAL:
+            return h_tile, body.k_in, body.k_in, _ceil_div(body.h_in, h_tile), 1, 1
+        return body.h_in, ci_tile, ci_tile, 1, _ceil_div(body.k_in, ci_tile), 1
+    return 1, ci_tile, 1, 1, _ceil_div(body.k_in, ci_tile), 1
+
+
+def _buffer_terms(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile,
+                  n_h, n_ci, n_co) -> list[tuple]:
+    """L1 buffers as (stream, one-copy bytes, double-buffered, present) rows.
+
+    Takes the output of _extents, so the same formulas size one plan and
+    every plan of a search grid.
+    """
+    body = node.body
+    if node.kind == "fc":
+        db = n_ci > 1
+        return [("in", _align4(2 * ci_tile), db, True),
+                ("weights", _align4(2 * (ci_tile + 1)), db, True),
+                ("acc", 4, False, True), ("out", 4, False, True)]
+    if node.kind == "ew":
+        if scheme == SPATIAL:
+            return [("io", _align4(2 * body.k_in * h_tile * body.w_in), n_h > 1, True)]
+        return [("io", _align4(2 * ci_tile * body.h_in * body.w_in), n_ci > 1, True)]
+    w_padded = body.w_in + 2 * (body.kw // 2)
     if scheme == SPATIAL:
-        conv_h = 2 * h_tile if node.fused_pool else h_tile
-        conv_h = min(conv_h, body.conv_h_out)
+        conv_h = np.minimum(2 * h_tile if node.fused_pool else h_tile, body.conv_h_out)
         stripe_rows = (conv_h - 1) * body.stride + body.kh
-        bufs["in"] = BufferSpec(_align4(2 * ci_tile * stripe_rows * w_padded),
-                                double=n_h * n_ci > 1)
-        bufs["weights"] = BufferSpec(
-            _align4(2 * (body.k_out * body.k_in * body.kh * body.kw + body.k_out)))
-        bufs["out"] = BufferSpec(_align4(2 * body.k_out * h_tile * node.w_out),
-                                 double=n_h > 1)
-        if n_ci > 1:
-            bufs["acc"] = BufferSpec(_align4(4 * body.k_out * conv_h * body.conv_w_out))
-        if node.fused_pool:
+        return [
+            ("in", _align4(2 * ci_tile * stripe_rows * w_padded), n_h * n_ci > 1, True),
+            ("weights", _align4(2 * (body.k_out * body.k_in * body.kh * body.kw
+                                     + body.k_out)), False, True),
+            ("out", _align4(2 * body.k_out * h_tile * node.w_out), n_h > 1, True),
+            ("acc", _align4(4 * body.k_out * conv_h * body.conv_w_out), False, n_ci > 1),
             # conv rows for one channel staged before pooling
-            bufs["pool"] = BufferSpec(_align4(2 * conv_h * body.conv_w_out))
-        if node.fused_add:
-            bufs["addend"] = BufferSpec(_align4(2 * body.k_out * h_tile * node.w_out),
-                                        double=n_h > 1)
-    else:
-        h_padded = body.h_in + 2 * (body.kh // 2)
-        bufs["in"] = BufferSpec(_align4(2 * ci_tile * h_padded * w_padded),
-                                double=n_ci * n_co > 1)
-        bufs["weights"] = BufferSpec(
-            _align4(2 * (co_tile * ci_tile * body.kh * body.kw + co_tile)),
-            double=n_ci * n_co > 1)
-        bufs["out"] = BufferSpec(_align4(2 * co_tile * node.h_out * node.w_out),
-                                 double=n_co > 1)
-        if n_ci > 1:
-            bufs["acc"] = BufferSpec(
-                _align4(4 * co_tile * body.conv_h_out * body.conv_w_out))
-        if node.fused_pool:
-            bufs["pool"] = BufferSpec(_align4(2 * body.conv_h_out * body.conv_w_out))
-        if node.fused_add:
-            bufs["addend"] = BufferSpec(_align4(2 * co_tile * node.h_out * node.w_out),
-                                        double=n_co > 1)
-    return bufs
+            ("pool", _align4(2 * conv_h * body.conv_w_out), False, node.fused_pool),
+            ("addend", _align4(2 * body.k_out * h_tile * node.w_out), n_h > 1,
+             node.fused_add),
+        ]
+    h_padded = body.h_in + 2 * (body.kh // 2)
+    return [
+        ("in", _align4(2 * ci_tile * h_padded * w_padded), n_ci * n_co > 1, True),
+        ("weights", _align4(2 * (co_tile * ci_tile * body.kh * body.kw + co_tile)),
+         n_ci * n_co > 1, True),
+        ("out", _align4(2 * co_tile * node.h_out * node.w_out), n_co > 1, True),
+        ("acc", _align4(4 * co_tile * body.conv_h_out * body.conv_w_out), False, n_ci > 1),
+        ("pool", _align4(2 * body.conv_h_out * body.conv_w_out), False, node.fused_pool),
+        ("addend", _align4(2 * co_tile * node.h_out * node.w_out), n_co > 1,
+         node.fused_add),
+    ]
 
 
 def _make_plan(node, scheme, h_tile, ci_tile, co_tile, budget):
-    body = node.body
-    if node.kind == "conv":
-        bufs = _conv_buffers(node, scheme, h_tile, ci_tile, co_tile)
-        n_h = _ceil_div(node.h_out, h_tile) if scheme == SPATIAL else 1
-        n_ci = _ceil_div(body.k_in, ci_tile)
-        n_co = _ceil_div(body.k_out, co_tile)
-        if node.fused_pool and n_ci > 1:
-            return None  # pooled epilogue requires a single-pass accumulation
-    elif node.kind == "ew":
-        if scheme == SPATIAL:
-            tile = _align4(2 * body.k_in * h_tile * body.w_in)
-            bufs = {"io": BufferSpec(tile, double=_ceil_div(body.h_in, h_tile) > 1)}
-            n_h, n_ci, n_co = _ceil_div(body.h_in, h_tile), 1, 1
-            ci_tile = body.k_in
-        else:
-            tile = _align4(2 * ci_tile * body.h_in * body.w_in)
-            bufs = {"io": BufferSpec(tile, double=_ceil_div(body.k_in, ci_tile) > 1)}
-            n_h, n_ci, n_co = 1, _ceil_div(body.k_in, ci_tile), 1
-            h_tile = body.h_in
-        co_tile = ci_tile
-    else:  # fc
-        n_ci = _ceil_div(body.k_in, ci_tile)
-        db = n_ci > 1
-        bufs = {"in": BufferSpec(_align4(2 * ci_tile), double=db),
-                "weights": BufferSpec(_align4(2 * (ci_tile + 1)), double=db),
-                "acc": BufferSpec(4), "out": BufferSpec(4)}
-        n_h, n_co, h_tile, co_tile = 1, 1, 1, 1
+    extents = _extents(node, scheme, h_tile, ci_tile, co_tile)
+    h_tile, ci_tile, co_tile, n_h, n_ci, n_co = extents
+    if node.fused_pool and n_ci > 1:
+        return None  # pooled epilogue requires a single-pass accumulation
+    bufs = {stream: BufferSpec(int(size), bool(double))
+            for stream, size, double, present in _buffer_terms(node, scheme, *extents)
+            if present}
     plan = TilePlan(node, scheme, h_tile, n_h, ci_tile, n_ci, co_tile, n_co,
                     bufs, budget)
     if plan.footprint > budget:
@@ -430,26 +430,130 @@ def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[Til
     return plans
 
 
+def _grid_axes(node: NodeKernel, scheme: str):
+    """The (h_tile, ci_tile, co_tile) extents enumerate_tilings visits for one
+    scheme, as broadcasting arrays whose row-major order is its order; None
+    when the scheme does not apply to the node kind."""
+    body = node.body
+    if node.kind == "conv":
+        ci = np.arange(1, body.k_in + 1)[None, :]
+        if scheme == SPATIAL:
+            return np.arange(1, node.h_out + 1)[:, None], ci, body.k_out
+        return node.h_out, ci, np.arange(1, body.k_out + 1)[:, None]
+    if node.kind == "ew":
+        if scheme == SPATIAL:
+            return np.arange(1, body.h_in + 1), body.k_in, body.k_in
+        ci = np.arange(1, body.k_in + 1)
+        return body.h_in, ci, ci
+    if scheme == FEATUREWISE:
+        return 1, np.arange(1, body.k_in + 1), 1
+    return None
+
+
+def _chunk_sum(total: int, size, f):
+    """Sum of f(chunk length) over _chunks(total, size), size an int or array."""
+    n = _ceil_div(total, size)
+    return (n - 1) * f(size) + f(total - (n - 1) * size)
+
+
+def _worker_slots(span):
+    """span / worker_efficiency(span): the span padded to a whole core count."""
+    return CORES * _ceil_div(span, CORES)
+
+
+def _worker_forks(span):
+    return _ceil_div(span, CORES)
+
+
+def _grid_cycles(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile,
+                 n_h, n_ci, n_co, calib) -> np.ndarray:
+    """cost.plan_cycles of every plan in a grid, from array twins of
+    TilePlan.mac_work_units, total_l2l1_bytes, dispatch_forks and
+    n_transfers.  Channel chunks cost by length alone, so their sums have a
+    closed form; stripe geometry depends on position (padding, pooled rows),
+    so each stripe height is scored once through the TilePlan it yields."""
+    from . import cost as cost_mod
+    body = node.body
+    if node.kind == "fc":
+        work = _chunk_sum(body.k_in, ci_tile, _worker_slots)
+        l2l1 = 2 * body.k_in + 2 * (body.k_in * body.k_out + body.k_out) + 2
+        forks, transfers = n_ci, 2 * n_ci + 1
+    elif node.kind == "ew":
+        work = None
+        l2l1 = 2 * 2 * body.k_in * body.h_in * body.w_in
+        if scheme == SPATIAL:
+            forks, transfers = n_h, 2 * n_h
+        else:
+            forks = _chunk_sum(body.k_out, co_tile, _worker_forks) * n_h
+            transfers = 2 * n_ci
+    else:
+        if scheme == SPATIAL:
+            stripes = [TilePlan(node, SPATIAL, int(h), int(n), body.k_in, 1,
+                                body.k_out, 1, {}, 0)
+                       for h, n in zip(h_tile.ravel(), n_h.ravel())]
+            work = np.array([p.mac_work_units() for p in stripes])[:, None]
+            l2l1 = np.array([p.total_l2l1_bytes for p in stripes])[:, None]
+            forks = n_h
+        else:
+            work = (body.k_in * body.kh * body.kw * body.conv_h_out * body.conv_w_out
+                    * _chunk_sum(body.k_out, co_tile, _worker_slots))
+            out_bytes = 2 * body.k_out * node.h_out * node.w_out
+            l2l1 = (out_bytes * (2 if node.fused_add else 1)
+                    + 2 * body.k_in * body.h_in * body.w_in * n_co
+                    + 2 * (body.k_out * body.k_in * body.kh * body.kw + body.k_out))
+            forks = _chunk_sum(body.k_out, co_tile, _worker_forks)
+        transfers = (n_h * n_ci * n_co + n_h * n_co
+                     + (1 if scheme == SPATIAL else n_ci * n_co)
+                     + (n_h * n_co if node.fused_add else 0))
+    return cost_mod.pipeline_cycles(node, work, l2l1, forks, transfers, calib)
+
+
 def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
                calib=None) -> TilePlan:
-    """Min-cost feasible plan; ties broken by fewer tiles, larger stripes,
-    then spatial over feature-wise."""
+    """Min-cost feasible plan, equal to sorting every enumerate_tilings plan
+    of both schemes by (est_cycles, n_tiles, -h_tile, spatial first) with a
+    stable sort.  Past that key the enumeration order decides: spatial
+    before feature-wise, then h_tile or co_tile ascending, then ci_tile
+    ascending, so among otherwise equal plans the smallest ci_tile wins.
+
+    Each scheme's whole grid is scored at once as numpy arrays (footprint
+    and cycles; DORY, Burrello et al. 2021, casts the same search as a small
+    constrained optimisation).  Only the feasible candidates within 1e-9
+    relative of the array minimum become TilePlans, and cost.plan_cycles
+    rescores those, so the chosen plan and its est_cycles are exactly the
+    exhaustive search's.
+    """
     from . import cost as cost_mod
     calib = calib or cost_mod.DEFAULT_CALIB
-    candidates: list[TilePlan] = []
-    errors = []
+    scored = []
     for scheme in (SPATIAL, FEATUREWISE):
-        try:
-            candidates.extend(enumerate_tilings(node, l1_budget, scheme))
-        except InfeasibleError as e:
-            errors.append(e)
-    if not candidates:
-        raise InfeasibleError(str(errors[0]))
-    for p in candidates:
-        p.est_cycles = cost_mod.plan_cycles(p, calib)
-    candidates.sort(key=lambda p: (p.est_cycles, p.n_tiles, -p.h_tile,
-                                   0 if p.scheme == SPATIAL else 1))
-    return candidates[0]
+        axes = _grid_axes(node, scheme)
+        if axes is None:
+            continue
+        extents = _extents(node, scheme, *axes)
+        footprint = sum(np.where(present, size * (1 + double), 0)
+                        for _, size, double, present
+                        in _buffer_terms(node, scheme, *extents))
+        n_ci = extents[4]
+        feasible = footprint <= l1_budget
+        if node.fused_pool:
+            feasible = feasible & (n_ci == 1)
+        cycles = np.where(feasible, _grid_cycles(node, scheme, *extents, calib), np.inf)
+        shape = np.broadcast_shapes(*(np.shape(a) for a in axes), cycles.shape)
+        scored.append((scheme, [np.broadcast_to(a, shape).ravel() for a in axes],
+                       np.broadcast_to(cycles, shape).ravel()))
+    best = min((cycles.min() for _, _, cycles in scored), default=np.inf)
+    if not np.isfinite(best):
+        raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
+                              f"({SPATIAL})")
+    candidates = []
+    for scheme, axes, cycles in scored:
+        for i in np.flatnonzero(cycles <= best * (1 + 1e-9)):
+            plan = _make_plan(node, scheme, *(int(a[i]) for a in axes), l1_budget)
+            plan.est_cycles = cost_mod.plan_cycles(plan, calib)
+            candidates.append(plan)
+    return min(candidates, key=lambda p: (p.est_cycles, p.n_tiles, -p.h_tile,
+                                          0 if p.scheme == SPATIAL else 1))
 
 
 @dataclass

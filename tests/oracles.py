@@ -2,12 +2,16 @@
 
 Deliberately structured differently from the engine: convolution is a
 shift-and-add over kernel offsets with int64 einsum (the engine uses
-im2col + float64 GEMM), and the graph walk below is its own loop.
+im2col + float64 GEMM), and the graph walk below is its own loop.  The two
+planners are their exhaustive forms: every tile plan scored and sorted, every
+stack assignment simulated.
 """
+
+import itertools
 
 import numpy as np
 
-from nanotile import fxp, net
+from nanotile import cost, fxp, l2plan, net, tiler
 
 
 def naive_conv_acc(x, w, b, stride):
@@ -75,3 +79,39 @@ def naive_infer(graph, store, image):
 def random_image(seed):
     rng = np.random.default_rng(seed ^ 0x5EED)
     return fxp.quantize_array(rng.uniform(0.0, 1.0, net.INPUT_SHAPE))
+
+
+def exhaustive_plan_layer(node, l1_budget, calib=cost.DEFAULT_CALIB):
+    """Every enumerate_tilings plan of both schemes, scored and stable-sorted
+    by (est_cycles, n_tiles, -h_tile, spatial first)."""
+    candidates, errors = [], []
+    for scheme in (tiler.SPATIAL, tiler.FEATUREWISE):
+        try:
+            candidates.extend(tiler.enumerate_tilings(node, l1_budget, scheme))
+        except tiler.InfeasibleError as e:
+            errors.append(e)
+    if not candidates:
+        raise tiler.InfeasibleError(str(errors[0]))
+    for p in candidates:
+        p.est_cycles = cost.plan_cycles(p, calib)
+    candidates.sort(key=lambda p: (p.est_cycles, p.n_tiles, -p.h_tile,
+                                   0 if p.scheme == tiler.SPATIAL else 1))
+    return candidates[0]
+
+
+def exhaustive_two_stack(graph):
+    """Simulate every stack assignment; keep the smallest
+    (peak, max stack peak, bits)."""
+    life = l2plan._lifetimes(graph)
+    best = None
+    for bits in itertools.product((0, 1), repeat=len(life.buffers)):
+        stack_of = dict(zip(life.buffers, bits))
+        peak, peaks, _, _ = l2plan._simulate(life, stack_of, 2, record=False)
+        key = (peak, max(peaks), bits)
+        if best is None or key < best[0]:
+            best = (key, stack_of)
+    stack_of = best[1]
+    peak, peaks, events, occupancy = l2plan._simulate(life, stack_of, 2, record=True)
+    names = [n.name for n in life.nodes] + ["end"]
+    return l2plan.L2AllocPlan(2, events, names, stack_of, dict(life.sizes),
+                              peak, peaks, occupancy)

@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from nanotile import l2plan, net
+import oracles
+from nanotile import l2plan, net, tiler
 
 KB = 1024
 
@@ -106,6 +107,24 @@ def test_early_free_of_bypass_tensor_detected(graph, two):
     tampered = dataclasses.replace(two, events=out)
     violations = l2plan.validate_plan(tampered, graph)
     assert any("conv_3" in v for v in violations)
+
+
+def node_boundary_prefixes(graph):
+    """The graph cut after each node kernel's last row, empty prefix included."""
+    row = {spec.name: i for i, spec in enumerate(graph.layers)}
+    ends = {0} | {max(row[r.name] for r in node.rows) + 1
+                  for node in tiler.node_kernels(graph)}
+    return [net.NetworkGraph(graph.layers[:k], dict(graph.tensors))
+            for k in sorted(ends)]
+
+
+def test_search_equals_exhaustive_oracle(graph, two):
+    assert two == oracles.exhaustive_two_stack(graph)
+    prefixes = node_boundary_prefixes(graph)
+    assert len(prefixes) == 14
+    for prefix in prefixes:
+        assert l2plan.plan_two_stack(prefix) == oracles.exhaustive_two_stack(prefix), \
+            prefix.layers[-1].name if prefix.layers else "empty"
 
 
 def test_single_layer_graph_peak():

@@ -105,6 +105,16 @@ def test_weight_file_errors(tmp_path, graph):
         net.load_weights(str(bad), graph)
 
 
+def test_weight_file_trailing_bytes(tmp_path, graph):
+    p = tmp_path / "w.pdrn"
+    net.save_weights(net.random_store(graph, seed=0), graph, str(p))
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(net.WeightFileError, match="^1 trailing bytes"):
+        net.load_weights(str(p), graph)
+    with pytest.raises(net.ShapeMismatchError):
+        net.load_weights(str(p))
+
+
 def _write_pgm(path, img):
     h, w = img.shape
     path.write_bytes(b"P5\n# test frame\n%d %d\n255\n" % (w, h) +

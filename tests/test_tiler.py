@@ -1,6 +1,15 @@
+import re
+
 import pytest
 
+import oracles
 from nanotile import cost, net, tiler
+
+KB = 1024
+# conv_1+pool fits from 14176 bytes and conv_2, the last node to fit, from
+# 15860: each edge is tested from both sides
+ORACLE_BUDGETS = [8 * KB, 14175, 14176, 15859, 15860, 16 * KB, 32 * KB,
+                  60 * KB, 64 * KB]
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +100,45 @@ def test_planner_equals_enumeration_minimum(nodes):
             except tiler.InfeasibleError:
                 pass
         assert chosen.est_cycles == pytest.approx(best)
+
+
+@pytest.mark.parametrize("budget", ORACLE_BUDGETS)
+def test_planner_equals_exhaustive_oracle(graph, budget):
+    plans, first_error = [], None
+    for node in tiler.node_kernels(graph):
+        try:
+            want = oracles.exhaustive_plan_layer(node, budget)
+        except tiler.InfeasibleError as e:
+            with pytest.raises(tiler.InfeasibleError) as got:
+                tiler.plan_layer(node, budget)
+            assert str(got.value) == str(e)
+            first_error = first_error or f"{node.name}: {e}"
+            continue
+        got = tiler.plan_layer(node, budget)
+        assert got == want, node.name           # est_cycles included, with ==
+        assert got.footprint == want.footprint
+        plans.append(want)
+    if first_error is None:
+        assert tiler.plan_network(graph, budget).plans == plans
+    else:
+        with pytest.raises(tiler.InfeasibleError) as got:
+            tiler.plan_network(graph, budget)
+        assert str(got.value) == first_error
+
+
+def test_network_feasibility_edges(graph):
+    for budget, culprit in ((14175, "conv_1+pool"), (15859, "conv_2")):
+        with pytest.raises(tiler.InfeasibleError, match=f"^{re.escape(culprit)}: "):
+            tiler.plan_network(graph, budget)
+    tiler.plan_network(graph, 15860)
+
+
+def test_join_without_following_relu_raises_value_error(graph):
+    # cut after add_1: the join is not ReLU-fused and its ReLU row is gone
+    cut = [r.name for r in graph.layers].index("add_1") + 1
+    prefix = net.NetworkGraph(graph.layers[:cut], dict(graph.tensors))
+    with pytest.raises(ValueError, match="add_1: join without a following ReLU"):
+        tiler.node_kernels(prefix)
 
 
 def test_stripe_overlap_is_kernel_minus_stride(schedule):
