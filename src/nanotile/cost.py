@@ -9,6 +9,15 @@ six free parameters are fitted to shipped measurement tables (per-layer
 times, cycle breakdown); the two power coefficients are solved exactly from
 the two measured operating corners.  Cycle counts are frequency independent;
 times scale as 1/f.
+
+There is one cycle formula, RowLoad.exec_cycles: the report sums it per
+graph row, and the tiling planner minimises the same sum per node kernel
+(plan_cycles is layer_cycles(plan).exec_cl), so a plan's est_cycles is the
+number the report prints.  The model has no L2->L1 bandwidth term: at 8
+bytes per cluster cycle, the DMA time of a plan never exceeded its compute
+time on any of the 808,761 feasible tile plans at every budget from 8 to
+64 KB in 1 KB steps.  A max(compute, bytes / 8) pipeline bound would change
+no cost, so only the per-descriptor setup cost is modelled.
 """
 
 from __future__ import annotations
@@ -17,8 +26,6 @@ import csv
 import os
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import net, tiler
 
@@ -36,11 +43,7 @@ class CalibParams:
     dispatch_cycles: float     # per fork/join parallel section
     dma_setup_cycles: float    # per L2<->L1 descriptor, not hidden by overlap
     l3l2_bytes_per_fcycle: float
-    cores: int = 8
     eta_peak_per_core: float = 0.64   # measured inner-kernel peak, reference only
-
-    def eta_for(self, kh: int, kw: int) -> float:
-        return self.eta_main if max(kh, kw) >= 3 else self.eta_narrow
 
 
 @dataclass(frozen=True)
@@ -78,78 +81,65 @@ DEFAULT_CALIB = CalibParams(
 DEFAULT_POWER = PowerParams(k_fc=4.980901637306903e-10, k_cl=2.4904508186534516e-10)
 
 
-def plan_cycles(plan: tiler.TilePlan, calib: CalibParams) -> float:
-    """Planner objective for one tile plan: double-buffered pipeline time plus
-    dispatch and descriptor overheads."""
-    work = None if plan.node.kind == "ew" else plan.mac_work_units()
-    return float(pipeline_cycles(plan.node, work, plan.total_l2l1_bytes,
-                                 plan.dispatch_forks(), plan.n_transfers, calib))
+@dataclass(frozen=True)
+class RowLoad:
+    """One graph row's share of its node kernel: the quantities the cycle
+    formula and the calibration read.  Numeric fields are ints, floats or
+    numpy arrays over a grid of candidate plans."""
+
+    name: str
+    group: str            # "main" | "narrow" (MAC bound) or "ew" (byte bound)
+    work: object = 0      # MAC work units per core
+    bytes: object = 0     # elementwise bytes through the cluster
+    forks: object = 0     # fork/join parallel sections
+    transfers: object = 0  # L2<->L1 DMA descriptors
+    w_bytes: int = 0      # weights staged L3->L2
+
+    def exec_cycles(self, calib: CalibParams):
+        eta = calib.eta_main if self.group == "main" else calib.eta_narrow
+        return (self.work / eta + self.bytes / calib.ew_bytes_per_cycle
+                + self.forks * calib.dispatch_cycles
+                + self.transfers * calib.dma_setup_cycles)
 
 
-def pipeline_cycles(node: tiler.NodeKernel, work_units, l2l1_bytes, forks,
-                    transfers, calib: CalibParams):
-    """plan_cycles from a plan's MAC work units, L2->L1 bytes, fork/join
-    sections and DMA descriptors; elementwise when these are numpy arrays
-    over a grid of candidate plans."""
-    if node.kind == "ew":
-        body = node.body
-        compute = 2 * 2 * body.k_in * body.h_in * body.w_in / calib.ew_bytes_per_cycle
-    else:
-        eta = calib.eta_for(node.body.kh, node.body.kw)
-        compute = work_units / (calib.cores * eta)
-    dma = l2l1_bytes / 8.0                       # cluster DMA, 8 bytes/cycle
-    return (np.maximum(compute, dma)
-            + calib.dispatch_cycles * forks
-            + calib.dma_setup_cycles * transfers)
+def row_loads(node: tiler.NodeKernel, loads: tiler.Loads) -> list[RowLoad]:
+    """Split a node's Loads over its graph rows.  The body row carries the
+    MAC work (or, for a standalone ReLU, the bytes), the forks and every
+    descriptor but the addend's; a fused join and its ReLU each cost their
+    bytes and one fork per core-width of channels, and the join also pays
+    the addend descriptors."""
+    rows = []
+    for spec in node.rows:
+        elems = spec.k_out * spec.h_out * spec.w_out
+        if spec is not node.body:
+            join = spec.kind == net.ADD
+            rows.append(RowLoad(spec.name, "ew", bytes=(3 if join else 2) * 2 * elems,
+                                forks=-(-spec.k_out // tiler.CORES),
+                                transfers=loads.descriptors["addend"] if join else 0))
+            continue
+        transfers = sum(n for stream, n in loads.descriptors.items() if stream != "addend")
+        if spec.has_params:
+            group = "main" if max(spec.kh, spec.kw) >= 3 else "narrow"
+            rows.append(RowLoad(spec.name, group, work=loads.work / tiler.CORES,
+                                forks=loads.forks, transfers=transfers,
+                                w_bytes=2 * spec.n_params))
+        else:
+            rows.append(RowLoad(spec.name, "ew", bytes=2 * 2 * elems,
+                                forks=loads.forks, transfers=transfers))
+    return rows
 
 
-def _node_of(schedule: tiler.TileSchedule, row_name: str) -> tiler.TilePlan:
-    for p in schedule.plans:
-        if any(r.name == row_name for r in p.node.rows):
-            return p
-    raise KeyError(row_name)
+def node_cycles(node: tiler.NodeKernel, loads: tiler.Loads, calib: CalibParams):
+    """Cluster cycles of one node kernel: its rows' cycles summed.  The
+    planner scores whole grids with it; layer_cycles reports one plan."""
+    return sum(row.exec_cycles(calib) for row in row_loads(node, loads))
 
 
-def _row_feature(spec, plan: tiler.TilePlan) -> dict:
-    """One table row: MAC work, elementwise bytes, forks, descriptors, weights."""
-    node = plan.node
-    feat = {"name": spec.name, "group": None, "work": 0.0, "bytes": 0,
-            "forks": 0, "transfers": 0, "w_bytes": 0}
-    elems = spec.k_out * spec.h_out * spec.w_out
-    if spec.kind == net.CONV:
-        feat["group"] = "main" if max(spec.kh, spec.kw) >= 3 else "narrow"
-        feat["work"] = plan.mac_work_units() / tiler.CORES
-        counts = plan.transfer_counts()
-        feat["transfers"] = sum(v for k, v in counts.items() if k != "addend")
-        feat["forks"] = plan.dispatch_forks()
-        feat["w_bytes"] = 2 * (spec.k_out * spec.k_in * spec.kh * spec.kw
-                               + spec.k_out)
-    elif spec.kind == net.FC:
-        feat["group"] = "narrow"
-        feat["work"] = plan.mac_work_units() / tiler.CORES
-        feat["transfers"] = plan.n_transfers
-        feat["forks"] = plan.dispatch_forks()
-        feat["w_bytes"] = 2 * (spec.k_in * spec.k_out + spec.k_out)
-    elif spec.kind == net.RELU and node.kind == "ew":
-        feat["group"] = "ew"
-        feat["bytes"] = 2 * 2 * elems
-        feat["transfers"] = plan.n_transfers
-        feat["forks"] = plan.dispatch_forks()
-    elif spec.kind == net.RELU:                   # fused behind a join
-        feat["group"] = "ew"
-        feat["bytes"] = 2 * 2 * elems
-        feat["forks"] = -(-spec.k_out // tiler.CORES)
-    else:                                         # residual join row
-        feat["group"] = "ew"
-        feat["bytes"] = 3 * 2 * elems
-        feat["forks"] = -(-spec.k_out // tiler.CORES)
-        feat["transfers"] = plan.transfer_counts().get("addend", 0)
-    return feat
-
-
-def _row_features(schedule: tiler.TileSchedule) -> list[dict]:
-    return [_row_feature(spec, _node_of(schedule, spec.name))
-            for spec in schedule.graph.layers]
+def _schedule_rows(schedule: tiler.TileSchedule) -> list[RowLoad]:
+    """Every graph row's load, in graph order."""
+    by_name = {row.name: row for p in schedule.plans
+               for row in row_loads(p.node, p.loads())}
+    return [by_name[spec.name] for spec in schedule.graph.layers]
 
 
 @dataclass
@@ -157,38 +147,28 @@ class LayerCycles:
     """Cycle breakdown for one node kernel (its fused rows summed)."""
 
     node: str
-    compute: float        # work and dispatch on the cluster
+    exec_cl: float        # cluster cycles: work, dispatch and descriptors
     dma_l2l1: float       # descriptor overhead not hidden by double buffering
     l3l2_fcycles: float   # serial weight staging, fabric-controller clock
 
     @property
-    def exec_cl(self) -> float:
-        return self.compute + self.dma_l2l1
+    def compute(self) -> float:
+        return self.exec_cl - self.dma_l2l1
 
 
 def layer_cycles(plan: tiler.TilePlan,
                  calib: CalibParams = DEFAULT_CALIB) -> LayerCycles:
     """Breakdown for one planned node kernel."""
-    compute = dma = l3l2 = 0.0
-    for spec in plan.node.rows:
-        feat = _row_feature(spec, plan)
-        dma_part = feat["transfers"] * calib.dma_setup_cycles
-        compute += _row_exec_cycles(feat, calib) - dma_part
-        dma += dma_part
-        l3l2 += feat["w_bytes"] / calib.l3l2_bytes_per_fcycle
-    return LayerCycles(plan.node.name, compute, dma, l3l2)
+    loads = plan.loads()
+    rows = row_loads(plan.node, loads)
+    return LayerCycles(plan.node.name, node_cycles(plan.node, loads, calib),
+                       calib.dma_setup_cycles * sum(r.transfers for r in rows),
+                       sum(r.w_bytes for r in rows) / calib.l3l2_bytes_per_fcycle)
 
 
-def _row_exec_cycles(feat: dict, calib: CalibParams) -> float:
-    eta = calib.eta_main if feat["group"] == "main" else calib.eta_narrow
-    cycles = 0.0
-    if feat["work"]:
-        cycles += feat["work"] / eta
-    if feat["bytes"]:
-        cycles += feat["bytes"] / calib.ew_bytes_per_cycle
-    cycles += feat["forks"] * calib.dispatch_cycles
-    cycles += feat["transfers"] * calib.dma_setup_cycles
-    return cycles
+def plan_cycles(plan: tiler.TilePlan, calib: CalibParams = DEFAULT_CALIB) -> float:
+    """The planner objective: the cycles the report prints for this plan."""
+    return layer_cycles(plan, calib).exec_cl
 
 
 @dataclass
@@ -247,14 +227,12 @@ def frame_energy(exec_cycles: float, l3l2_fcycles: float, op: OpPoint,
 def frame_report(schedule: tiler.TileSchedule, op: OpPoint = EFFICIENT,
                  calib: CalibParams = DEFAULT_CALIB,
                  power: PowerParams = DEFAULT_POWER) -> CostReport:
-    feats = _row_features(schedule)
-    rows = []
-    for feat in feats:
-        rows.append(RowCost(feat["name"], _row_exec_cycles(feat, calib),
-                            feat["w_bytes"] / calib.l3l2_bytes_per_fcycle))
+    loads = _schedule_rows(schedule)
+    rows = [RowCost(r.name, r.exec_cycles(calib), r.w_bytes / calib.l3l2_bytes_per_fcycle)
+            for r in loads]
     exec_cycles = sum(r.exec_cycles for r in rows)
     l3l2 = sum(r.l3l2_fcycles for r in rows)
-    dma = calib.dma_setup_cycles * sum(f["transfers"] for f in feats)
+    dma = calib.dma_setup_cycles * sum(r.transfers for r in loads)
     energy, t, t_c = frame_energy(exec_cycles, l3l2, op, power)
     p_avg = energy / t
     board = p_avg + power.camera_w + power.dram_w * (t - t_c) / t
@@ -328,42 +306,40 @@ def calibrate(schedule: tiler.TileSchedule,
     """Fit the six cycle parameters to the shipped tables, then solve the two
     power coefficients exactly from the measured corners."""
     targets = targets or load_targets()
-    feats = _row_features(schedule)
-    t_cycles = {}
-    for f in feats:
-        # target exec times measured at CL 100 MHz: ms -> CL cycles
-        t_cycles[f["name"]] = targets.layer_ms[f["name"]] * 1e5
+    feats = _schedule_rows(schedule)
+    # target exec times measured at CL 100 MHz: ms -> CL cycles
+    t_cycles = {f.name: targets.layer_ms[f.name] * 1e5 for f in feats}
 
-    w_total = sum(f["w_bytes"] for f in feats)
+    w_total = sum(f.w_bytes for f in feats)
     bw_l3l2 = w_total / (targets.udma_mcycles * 1e6)
-    n_transfers = sum(f["transfers"] for f in feats)
+    n_transfers = sum(f.transfers for f in feats)
     c_dma = targets.dma_mcycles * 1e6 / n_transfers
 
     eta_main, eta_narrow = 0.5, 0.1
     bw_ew, c_pass = 5.0, 1000.0
     for _ in range(iterations):
         def base_for(f, skip):
-            b = f["transfers"] * c_dma
+            b = f.transfers * c_dma
             if skip != "c_pass":
-                b += f["forks"] * c_pass
-            if f["group"] == "ew" and skip != "bw_ew":
-                b += f["bytes"] / bw_ew
-            if f["work"] and skip != "eta" + f["group"]:
-                b += f["work"] / (eta_main if f["group"] == "main" else eta_narrow)
+                b += f.forks * c_pass
+            if f.group == "ew" and skip != "bw_ew":
+                b += f.bytes / bw_ew
+            if f.work and skip != "eta" + f.group:
+                b += f.work / (eta_main if f.group == "main" else eta_narrow)
             return b
 
-        u = _linear_lsq([(f["work"], base_for(f, "etamain"), t_cycles[f["name"]])
-                         for f in feats if f["group"] == "main"])
+        u = _linear_lsq([(f.work, base_for(f, "etamain"), t_cycles[f.name])
+                         for f in feats if f.group == "main"])
         eta_main = 1.0 / u
-        u = _linear_lsq([(f["work"], base_for(f, "etanarrow"), t_cycles[f["name"]])
-                         for f in feats if f["group"] == "narrow"])
+        u = _linear_lsq([(f.work, base_for(f, "etanarrow"), t_cycles[f.name])
+                         for f in feats if f.group == "narrow"])
         eta_narrow = 1.0 / u
-        v = _linear_lsq([(f["bytes"], base_for(f, "bw_ew"), t_cycles[f["name"]])
-                         for f in feats if f["group"] == "ew"])
+        v = _linear_lsq([(f.bytes, base_for(f, "bw_ew"), t_cycles[f.name])
+                         for f in feats if f.group == "ew"])
         bw_ew = 1.0 / v
         c_pass = max(0.0, _linear_lsq(
-            [(f["forks"], base_for(f, "c_pass"), t_cycles[f["name"]])
-             for f in feats if f["forks"]]))
+            [(f.forks, base_for(f, "c_pass"), t_cycles[f.name])
+             for f in feats if f.forks]))
 
     calib = CalibParams(eta_main, eta_narrow, bw_ew, c_pass, c_dma, bw_l3l2)
 

@@ -1,13 +1,16 @@
 """Tiled execution over a simulated L1/L2/L3 hierarchy with explicit DMA events.
 
 The executor replays a TileSchedule: L2 buffers come and go per the attached
-two-stack allocation plan, tiles move through simulated L1 with logged DMA
-transfers, and the arithmetic runs through the same exact kernels as the
-untiled reference on tile views.  Partial sums for channel-split tiles stay
-at accumulator scale between chunks and are renormalized once, so outputs are
-bit-identical to the untiled engine; the residency simulation only enforces
-capacities and records the trace.  Host accumulators are 64-bit for exactness
-while the budget charges the 4-byte accumulator the target hardware would hold.
+two-stack allocation plan, and each node replays TilePlan.tiles() in order.
+Every byte count, MAC count, row and channel range, stripe padding and worker
+split comes from those tile records; the executor pads each node's input once
+and runs the same exact kernels as the untiled reference on views of it,
+while tiles move through simulated L1 with logged DMA transfers.  Partial
+sums for channel-split tiles stay at accumulator scale between chunks and
+are renormalized once, so outputs are bit-identical to the untiled engine;
+the residency simulation only enforces capacities and records the trace.
+Host accumulators are 64-bit for exactness while the budget charges the
+4-byte accumulator the target hardware would hold.
 """
 
 from __future__ import annotations
@@ -164,10 +167,8 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
         l2_allocs(i, node.name)
         wname = f"w:{node.name}"
         if i in life.weights:
-            spec = node.body
-            w_actual = 2 * (spec.k_out * spec.k_in * spec.kh * spec.kw + spec.k_out)
             ms.alloc("L2", wname, life.weights[i][1], node.name)
-            ms.transfer(TAG_L3_L2, w_actual, ("L3", "weights"),
+            ms.transfer(TAG_L3_L2, 2 * node.body.n_params, ("L3", "weights"),
                         ("L2", wname), node.name, stream="weights")
         if node.kind != "ew":
             out_buf = node.output
@@ -196,142 +197,88 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                       steer_raw, coll_raw, trace, ms, plan_l2)
 
 
+def _load(ms, node, plan, tile, stream, src):
+    """L2->L1 transfer of one of a tile's input streams; a double-buffered
+    stream hides every fill after the first behind compute."""
+    buf = "io" if node.kind == "ew" else stream
+    ms.transfer(TAG_L2_L1, tile.bytes[stream], ("L2", src), ("L1", f"{node.name}:{buf}"),
+                node.name, tile.index, stream,
+                overlap=plan.buffers[buf].double and tile.index > 0)
+
+
 def _run_conv(node, plan, life, l2data, ms, store, wname):
     body = node.body
     w, b = store[body.name]
-    x = l2data[life.alias[node.input]]
-    out = l2data[node.output]
-    addend_buf = life.alias[node.addend] if node.addend else None
-    addend = l2data[addend_buf] if node.addend else None
-    pad_w = body.kw // 2
+    sources = {"in": life.alias[node.input], "weights": wname}
+    xp = kernels.pad_same(l2data[sources["in"]], body.kh, body.kw)
+    pad = body.kh // 2
     bias = (b.astype(np.int64) << fxp.FRAC_BITS)
-    double_in = plan.buffers["in"].double
-    w_spatial = plan.scheme == tiler.SPATIAL
-
-    if w_spatial:
-        ms.transfer(TAG_L2_L1, plan.transfer_bytes()["weights"], ("L2", wname),
-                    ("L1", f"{node.name}:weights"), node.name, stream="weights")
-        workers = plan.worker_ranges(node.w_out)
-        tile_idx = 0
-        for h0, h1 in plan.h_ranges():
-            c0, c1 = plan.conv_rows(h0, h1)
-            r0, r1, pa, pb = plan.input_rows(h0, h1)
-            acc = None
-            for j, (ci0, ci1) in enumerate(plan.ci_ranges()):
-                stripe = np.zeros((ci1 - ci0, pa + (r1 - r0) + pb,
-                                   body.w_in + 2 * pad_w), np.int16)
-                stripe[:, pa:pa + (r1 - r0), pad_w:pad_w + body.w_in] = \
-                    x[ci0:ci1, r0:r1, :]
-                ms.transfer(TAG_L2_L1, 2 * (ci1 - ci0) * (r1 - r0) * body.w_in,
-                            ("L2", life.alias[node.input]),
-                            ("L1", f"{node.name}:in"), node.name, tile_idx,
-                            "in", overlap=double_in and tile_idx > 0)
-                part = kernels.conv_acc_on_padded(stripe, w[:, ci0:ci1], body.stride)
-                acc = part if acc is None else acc + part
-                macs = (body.k_out * (ci1 - ci0) * body.kh * body.kw
-                        * (c1 - c0) * body.conv_w_out)
-                ms.compute(node.name, tile_idx, macs, workers)
-                tile_idx += 1
-            acc += bias[:, None, None]
-            _emit_tile(node, plan, l2data, ms, out, addend, addend_buf, acc,
-                       h0, h1, 0, body.k_out, tile_idx - 1)
-    else:
-        x_padded = None
-        tile_idx = 0
-        n_streams = plan.n_ci * plan.n_co > 1
-        for o0, o1 in plan.co_ranges():
-            acc = None
-            workers = plan.worker_ranges(o1 - o0)
-            for j, (ci0, ci1) in enumerate(plan.ci_ranges()):
-                pad_h = body.kh // 2
-                xp = np.zeros((ci1 - ci0, body.h_in + 2 * pad_h,
-                               body.w_in + 2 * pad_w), np.int16)
-                xp[:, pad_h:pad_h + body.h_in, pad_w:pad_w + body.w_in] = x[ci0:ci1]
-                ms.transfer(TAG_L2_L1, 2 * (ci1 - ci0) * body.h_in * body.w_in,
-                            ("L2", life.alias[node.input]),
-                            ("L1", f"{node.name}:in"), node.name, tile_idx,
-                            "in", overlap=n_streams and tile_idx > 0)
-                wb = 2 * ((o1 - o0) * (ci1 - ci0) * body.kh * body.kw
-                          + ((o1 - o0) if j == 0 else 0))
-                ms.transfer(TAG_L2_L1, wb, ("L2", wname),
-                            ("L1", f"{node.name}:weights"), node.name, tile_idx,
-                            "weights", overlap=n_streams and tile_idx > 0)
-                part = kernels.conv_acc_on_padded(xp, w[o0:o1, ci0:ci1], body.stride)
-                acc = part if acc is None else acc + part
-                macs = ((o1 - o0) * (ci1 - ci0) * body.kh * body.kw
-                        * body.conv_h_out * body.conv_w_out)
-                ms.compute(node.name, tile_idx, macs, workers)
-                tile_idx += 1
+    acc = None
+    for t in plan.tiles():
+        for stream in t.bytes:
+            if stream in sources:
+                _load(ms, node, plan, t, stream, sources[stream])
+        (i0, i1), (o0, o1) = t.ci, t.co
+        r0, r1, pad_above, pad_below = t.in_rows
+        window = xp[i0:i1, pad + r0 - pad_above:pad + r1 + pad_below]
+        part = kernels.conv_acc_on_padded(window, w[o0:o1, i0:i1], body.stride)
+        acc = part if acc is None else acc + part
+        ms.compute(node.name, t.index, t.macs, t.workers)
+        if t.closes:
             acc += bias[o0:o1, None, None]
-            _emit_tile(node, plan, l2data, ms, out, addend, addend_buf, acc,
-                       0, node.h_out, o0, o1, tile_idx - 1)
-    return out
+            _emit_tile(node, life, l2data, ms, acc, t)
+            acc = None
 
 
-def _emit_tile(node, plan, l2data, ms, out, addend, addend_buf, acc,
-               h0, h1, o0, o1, tile_idx):
+def _emit_tile(node, life, l2data, ms, acc, t):
     """Renorm once, apply fused pool/add/relu, write the tile back to L2."""
-    body = node.body
     tile = fxp.renorm_array(acc)
     if node.fused_pool:
         tile = kernels.maxpool2(tile)
-    if body.fused_relu:
+    if node.body.fused_relu:
         tile = kernels.relu(tile)
+    (h0, h1), (o0, o1) = t.rows, t.co
     if node.addend is not None:
-        other = addend[o0:o1, h0:h1, :]
-        ms.transfer(TAG_L2_L1, other.size * 2,
-                    ("L2", addend_buf), ("L1", f"{node.name}:addend"),
-                    node.name, tile_idx, "addend")
+        addend_buf = life.alias[node.addend]
+        ms.transfer(TAG_L2_L1, t.bytes["addend"], ("L2", addend_buf),
+                    ("L1", f"{node.name}:addend"), node.name, t.index, "addend")
         join = node.rows[1]
         relu_after = join.fused_relu or len(node.rows) > 2
-        tile = kernels.add(tile, other, fused_relu=relu_after)
-    out[o0:o1, h0:h1, :] = tile
-    ms.transfer(TAG_L1_L2, tile.size * 2, ("L1", f"{node.name}:out"),
-                ("L2", node.output), node.name, tile_idx, "out")
+        tile = kernels.add(tile, l2data[addend_buf][o0:o1, h0:h1], fused_relu=relu_after)
+    l2data[node.output][o0:o1, h0:h1] = tile
+    ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:out"),
+                ("L2", node.output), node.name, t.index, "out")
 
 
 def _run_ew(node, plan, life, l2data, ms):
     buf = life.alias[node.input]
     x = l2data[buf]
-    if plan.scheme == tiler.SPATIAL:
-        ranges = [("h", h0, h1) for h0, h1 in plan.h_ranges()]
-        workers = plan.worker_ranges(node.body.w_in)
-    else:
-        ranges = [("c", c0, c1) for c0, c1 in plan.ci_ranges()]
-    for t, (axis, a0, a1) in enumerate(ranges):
-        view = x[:, a0:a1, :] if axis == "h" else x[a0:a1]
-        nbytes = view.size * 2
-        ms.transfer(TAG_L2_L1, nbytes, ("L2", buf), ("L1", f"{node.name}:io"),
-                    node.name, t, "in", overlap=plan.buffers["io"].double and t > 0)
-        if axis == "c":
-            workers = plan.worker_ranges(a1 - a0)
-        ms.compute(node.name, t, 0, workers)
+    for t in plan.tiles():
+        _load(ms, node, plan, t, "in", buf)
+        ms.compute(node.name, t.index, t.macs, t.workers)
+        view = x[t.ci[0]:t.ci[1], t.rows[0]:t.rows[1]]
         view[...] = kernels.relu(view)
-        ms.transfer(TAG_L1_L2, nbytes, ("L1", f"{node.name}:io"), ("L2", buf),
-                    node.name, t, "out")
+        ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:io"), ("L2", buf),
+                    node.name, t.index, "out")
 
 
 def _run_fc(node, plan, life, l2data, ms, store, wname):
-    body = node.body
-    w, b = store[body.name]
-    src = life.alias[node.input]
-    flat = l2data[src].ravel()
+    w, b = store[node.body.name]
+    sources = {"in": life.alias[node.input], "weights": wname}
+    flat = l2data[sources["in"]].ravel()
     wf = w.ravel()
     acc = int(b[0]) << fxp.FRAC_BITS
-    for t, (c0, c1) in enumerate(plan.ci_ranges()):
-        ms.transfer(TAG_L2_L1, 2 * (c1 - c0), ("L2", src),
-                    ("L1", f"{node.name}:in"), node.name, t, "in",
-                    overlap=plan.buffers["in"].double and t > 0)
-        wb = 2 * (c1 - c0) + (2 if t == 0 else 0)
-        ms.transfer(TAG_L2_L1, wb, ("L2", wname), ("L1", f"{node.name}:weights"),
-                    node.name, t, "weights",
-                    overlap=plan.buffers["weights"].double and t > 0)
+    for t in plan.tiles():
+        for stream, src in sources.items():
+            _load(ms, node, plan, t, stream, src)
+        c0, c1 = t.ci
         acc += int(np.dot(flat[c0:c1].astype(np.int64), wf[c0:c1].astype(np.int64)))
-        ms.compute(node.name, t, c1 - c0, plan.worker_ranges(c1 - c0))
-    raw = int(fxp.renorm_array(np.array([acc]))[0])
-    l2data[node.output][0, 0, 0] = raw
-    ms.transfer(TAG_L1_L2, 2, ("L1", f"{node.name}:out"), ("L2", node.output),
-                node.name, 0, "out")
+        ms.compute(node.name, t.index, t.macs, t.workers)
+        if t.closes:
+            raw = int(fxp.renorm_array(np.array([acc]))[0])
+            l2data[node.output][0, 0, 0] = raw
+            ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:out"),
+                        ("L2", node.output), node.name, t.index, "out")
     return raw
 
 

@@ -99,10 +99,6 @@ def quantize_array(x: np.ndarray) -> np.ndarray:
     return np.clip(raw, QMIN, QMAX).astype(np.int16)
 
 
-def dequantize_array(raw: np.ndarray) -> np.ndarray:
-    return raw.astype(np.float64) / SCALE
-
-
 def renorm_array(acc: np.ndarray) -> np.ndarray:
     shifted = np.right_shift(acc.astype(np.int64), FRAC_BITS)
     return np.clip(shifted, QMIN, QMAX).astype(np.int16)

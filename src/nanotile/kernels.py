@@ -1,9 +1,9 @@
 """Untiled golden kernels: conv, pool, relu, add, fully-connected.
 
 Tensors are numpy arrays shaped (K, H, W), channel-major then row-major,
-dtype int16 for Q4.12 or float64 for the real-arithmetic twin.  Convolutions
-use same-zero padding (pad = kernel//2) with ceil output sizing, accumulate
-products exactly and renormalize once per output element.
+dtype int16 for Q4.12.  Convolutions use same-zero padding (pad =
+kernel//2) with ceil output sizing, accumulate products exactly and
+renormalize once per output element.
 
 The integer accumulation is routed through float64 GEMM: every partial sum is
 bounded by len * 2**30 < 2**53, so the float path is bit-exact and an order
@@ -61,6 +61,14 @@ def conv_acc_on_padded(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray
     return acc.T.reshape(k_out, h_out, w_out)
 
 
+def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Zero-pad kh//2 rows and kw//2 columns on each side."""
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((x.shape[0], x.shape[1] + 2 * ph, x.shape[2] + 2 * pw), x.dtype)
+    xp[:, ph:ph + x.shape[1], pw:pw + x.shape[2]] = x
+    return xp
+
+
 def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                     stride: int) -> np.ndarray:
     """Exact conv accumulator at scale 2**-24, same-zero padding, bias included."""
@@ -68,10 +76,7 @@ def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     _check3(x)
     if x.shape[0] != k_in:
         raise ValueError(f"channel mismatch: input {x.shape[0]}, weights {k_in}")
-    pad = kh // 2
-    xp = np.zeros((k_in, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad), np.int16)
-    xp[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] = x
-    acc = conv_acc_on_padded(xp, w, stride)
+    acc = conv_acc_on_padded(pad_same(x, kh, kw), w, stride)
     return acc + (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
 
 
@@ -117,29 +122,6 @@ def fully_connected(x_flat: np.ndarray, w_flat: np.ndarray, b: int) -> np.int16:
     return fxp.renorm_array(np.array([acc]))[0]
 
 
-# Real-arithmetic twins (float64), same topology conventions.
-
-def conv2d_real(x, w, b, stride, fused_relu=False, fused_pool=False):
-    k_out, k_in, kh, kw = w.shape
-    pad = kh // 2
-    h_out = -(-x.shape[1] // stride)
-    w_out = -(-x.shape[2] // stride)
-    xp = np.zeros((k_in, x.shape[1] + 2 * pad, x.shape[2] + 2 * pad))
-    xp[:, pad:pad + x.shape[1], pad:pad + x.shape[2]] = x
-    cols = im2col(xp, kh, kw, stride, h_out, w_out)
-    out = (cols @ w.reshape(k_out, -1).T).T.reshape(k_out, h_out, w_out)
-    out = out + b[:, None, None]
-    if fused_pool:
-        k, h, wd = out.shape
-        ho, wo = -(-h // 2), -(-wd // 2)
-        padded = np.full((k, 2 * ho, 2 * wo), -np.inf)
-        padded[:, :h, :wd] = out
-        out = padded.reshape(k, ho, 2, wo, 2).max(axis=(2, 4))
-    if fused_relu:
-        out = np.maximum(out, 0.0)
-    return out
-
-
 def sigmoid(x: float) -> float:
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))
@@ -151,56 +133,33 @@ def sigmoid(x: float) -> float:
 class InferResult:
     steering: float
     collision_prob: float
-    raw_steering: int      # Q4.12 raw (float64 value for the real engine)
+    raw_steering: int      # Q4.12 raw
     raw_collision: int
 
 
 def infer_untiled(graph: net.NetworkGraph, store: net.WeightStore,
-                  image: np.ndarray, arithmetic: str = "q412") -> InferResult:
+                  image: np.ndarray) -> InferResult:
     """Run the graph in order; steering dequantized, collision logit through sigmoid."""
-    if arithmetic not in ("q412", "real"):
-        raise ValueError(f"unknown arithmetic {arithmetic!r}")
-    fixed = arithmetic == "q412"
-    acts: dict[str, np.ndarray] = {
-        net.INPUT_TENSOR: image if fixed else fxp.dequantize_array(image)}
-    heads: dict[str, float | np.int16] = {}
+    acts: dict[str, np.ndarray] = {net.INPUT_TENSOR: image}
+    heads: dict[str, np.int16] = {}
 
     for spec in graph.layers:
         src = acts[spec.inputs[0]]
         if spec.kind == net.CONV:
             w, b = store[spec.name]
-            if fixed:
-                out = conv2d(src, w, b, spec.stride, spec.fused_relu, spec.fused_pool)
-            else:
-                out = conv2d_real(src, fxp.dequantize_array(w), fxp.dequantize_array(b),
-                                  spec.stride, spec.fused_relu, spec.fused_pool)
+            out = conv2d(src, w, b, spec.stride, spec.fused_relu, spec.fused_pool)
         elif spec.kind == net.RELU:
-            out = relu(src) if fixed else np.maximum(src, 0.0)
+            out = relu(src)
         elif spec.kind == net.ADD:
-            other = acts[spec.inputs[1]]
-            if fixed:
-                out = add(src, other, spec.fused_relu)
-            else:
-                out = src + other
-                if spec.fused_relu:
-                    out = np.maximum(out, 0.0)
+            out = add(src, acts[spec.inputs[1]], spec.fused_relu)
         elif spec.kind == net.FC:
             w, b = store[spec.name]
-            flat = src.ravel()
-            if fixed:
-                heads[spec.name] = fully_connected(flat, w.ravel(), int(b[0]))
-            else:
-                heads[spec.name] = float(flat @ fxp.dequantize_array(w.ravel())
-                                         + fxp.dequantize_array(b)[0])
+            heads[spec.name] = fully_connected(src.ravel(), w.ravel(), int(b[0]))
             continue
         else:
             raise ValueError(f"unknown layer kind {spec.kind}")
         acts[spec.output] = out
 
-    if fixed:
-        steer_raw, coll_raw = int(heads["fully_1"]), int(heads["fully_2"])
-        steering = steer_raw / fxp.SCALE
-        collision = sigmoid(coll_raw / fxp.SCALE)
-        return InferResult(steering, collision, steer_raw, coll_raw)
-    steering, logit = float(heads["fully_1"]), float(heads["fully_2"])
-    return InferResult(steering, sigmoid(logit), steering, logit)
+    steer_raw, coll_raw = int(heads["fully_1"]), int(heads["fully_2"])
+    return InferResult(steer_raw / fxp.SCALE, sigmoid(coll_raw / fxp.SCALE),
+                       steer_raw, coll_raw)

@@ -101,9 +101,7 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
             buffers.append(buf)
             alloc_step[buf] = i
             last_use[buf] = i
-            spec = node.body
-            n_params = spec.k_out * spec.k_in * spec.kh * spec.kw + spec.k_out
-            weights[i] = (f"w:{node.name}", _align4(2 * n_params))
+            weights[i] = (f"w:{node.name}", _align4(2 * node.body.n_params))
     n = len(nodes)
     for head in ("fully_1", "fully_2"):
         last_use[head] = n                      # results handed over at mission end

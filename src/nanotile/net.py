@@ -82,6 +82,11 @@ class LayerSpec:
         return self.kind in (CONV, FC)
 
     @property
+    def n_params(self) -> int:
+        """Weights plus biases (meaningful for rows with has_params)."""
+        return self.k_out * self.k_in * self.kh * self.kw + self.k_out
+
+    @property
     def weight_shape(self) -> tuple[int, int, int, int]:
         return (self.k_out, self.k_in, self.kh, self.kw)
 
@@ -220,10 +225,7 @@ def mac_count(graph: NetworkGraph) -> dict:
 
 
 def param_count(graph: NetworkGraph) -> dict:
-    per_layer = {}
-    for spec in graph.param_layers():
-        n = spec.k_out * spec.k_in * spec.kh * spec.kw + spec.k_out
-        per_layer[spec.name] = n
+    per_layer = {spec.name: spec.n_params for spec in graph.param_layers()}
     total = sum(per_layer.values())
     return {"per_layer": per_layer, "total": total,
             "bytes_2": 2 * total, "bytes_4": 4 * total}

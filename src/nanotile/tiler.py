@@ -17,11 +17,17 @@ charged to the budget and a single renormalization happens after the last
 chunk, which is what keeps tiled execution bit-identical to the untiled
 kernels.  W is never tiled.  Double buffering doubles any stream that moves
 more than one tile.  Remainder tiles are allowed.
+
+TilePlan.tiles() is the one tile geometry: rows, channel ranges, bytes per
+stream, MACs and worker split of every tile, which the executor replays and
+the transfer accounting sums.  _loads gives the sums the cycle model needs
+in closed form, over ints for one plan or numpy arrays for a search grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,6 +152,40 @@ class BufferSpec:
         return self.bytes * (2 if self.double else 1)
 
 
+class Loads(NamedTuple):
+    """What a plan costs, summed over its tiles: MAC work units (MACs over
+    the worker efficiency, so idle cores count), fork/join sections and
+    L2<->L1 DMA descriptors per stream.  Ints or numpy arrays over a grid."""
+
+    work: object
+    forks: object
+    descriptors: dict
+
+
+@dataclass(frozen=True)
+class Tile:
+    """One tile of a plan, in the order the executor replays them.  A tile
+    that closes its accumulation also carries the output write-back (and
+    the addend) and the fork/join sections of its output tile."""
+
+    index: int
+    rows: tuple[int, int]                 # node-output rows
+    in_rows: tuple[int, int, int, int]    # input rows read: first, last+1, pad above, below
+    ci: tuple[int, int]                   # input-channel range
+    co: tuple[int, int]                   # output-channel range
+    bytes: dict[str, int]                 # L2<->L1 bytes per stream this tile moves
+    macs: int
+    workers: tuple[tuple[int, int], ...]  # per-core split of the parallel span
+    forks: int                            # fork/join sections charged to this tile
+    closes: bool                          # last input-channel chunk: renorm and write back
+
+    @property
+    def work(self) -> float:
+        """MACs over the worker efficiency: cores the split leaves idle count."""
+        span = self.workers[-1][1]
+        return self.macs * _worker_slots(span) / span
+
+
 @dataclass
 class TilePlan:
     node: NodeKernel
@@ -159,6 +199,7 @@ class TilePlan:
     buffers: dict[str, BufferSpec]
     l1_budget: int
     est_cycles: float | None = None
+    _tiles: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def footprint(self) -> int:
@@ -205,102 +246,90 @@ class TilePlan:
         pad_below = max(hi - body.h_in, 0)
         return max(lo, 0), min(hi, body.h_in), pad_above, pad_below
 
-    # -- worker model ---------------------------------------------------------
-
     def worker_ranges(self, span: int) -> list[tuple[int, int]]:
         return _chunks(span, _ceil_div(span, CORES))
 
-    def worker_efficiency(self, span: int) -> float:
-        return span / (CORES * _ceil_div(span, CORES))
+    def tiles(self) -> list[Tile]:
+        """Every tile in execution order; computed once per plan."""
+        if self._tiles is None:
+            self._tiles = list(self._make_tiles())
+        return self._tiles
 
-    def mac_work_units(self) -> float:
-        """Sum of tile MACs / per-tile worker efficiency (load-balance aware)."""
-        node = self.node
+    def _make_tiles(self):
+        node, body = self.node, self.node.body
         if node.kind == "fc":
-            units = 0.0
-            for c0, c1 in self.ci_ranges():
-                units += (c1 - c0) / self.worker_efficiency(c1 - c0)
-            return units
-        body = node.body
-        units = 0.0
-        if self.scheme == SPATIAL:
-            eff = self.worker_efficiency(node.w_out)
-            for h0, h1 in self.h_ranges():
-                c0, c1 = self.conv_rows(h0, h1)
-                macs = body.k_out * body.k_in * body.kh * body.kw \
-                    * (c1 - c0) * body.conv_w_out
-                units += macs / eff
-        else:
-            for o0, o1 in self.co_ranges():
-                eff = self.worker_efficiency(o1 - o0)
-                macs = (o1 - o0) * body.k_in * body.kh * body.kw \
-                    * body.conv_h_out * body.conv_w_out
-                units += macs / eff
-        return units
-
-    def dispatch_forks(self) -> int:
-        """Fork/join parallel sections issued while running this plan."""
-        if self.node.kind == "fc":
-            return len(self.ci_ranges())
-        if self.scheme == SPATIAL:
-            return self.n_h
-        forks = 0
-        for o0, o1 in self.co_ranges():
-            forks += _ceil_div(o1 - o0, CORES)
-        if self.node.kind == "ew":
-            forks *= self.n_h
-        return forks
-
-    # -- transfer accounting --------------------------------------------------
-
-    def transfer_counts(self) -> dict[str, int]:
-        node = self.node
-        if node.kind == "fc":
-            n = len(self.ci_ranges())
-            return {"in": n, "weights": n, "out": 1}
+            cis = self.ci_ranges()
+            for t, (c0, c1) in enumerate(cis):
+                closes = t == len(cis) - 1
+                moved = {"in": 2 * (c1 - c0),
+                         "weights": 2 * (c1 - c0) + (2 * body.k_out if t == 0 else 0)}
+                if closes:
+                    moved["out"] = 2 * body.k_out
+                yield Tile(t, (0, 1), (0, 1, 0, 0), (c0, c1), (0, body.k_out), moved,
+                           c1 - c0, tuple(self.worker_ranges(c1 - c0)), 1, closes)
+            return
         if node.kind == "ew":
             if self.scheme == SPATIAL:
-                n = self.n_h
+                steps = [((h0, h1), (0, body.k_in)) for h0, h1 in self.h_ranges()]
             else:
-                n = len(self.ci_ranges())
-            return {"in": n, "out": n}
-        counts = {"in": self.n_h * self.n_ci * self.n_co,
-                  "out": self.n_h * self.n_co}
-        counts["weights"] = 1 if self.scheme == SPATIAL else self.n_ci * self.n_co
-        if node.fused_add:
-            counts["addend"] = self.n_h * self.n_co
-        return counts
+                steps = [((0, body.h_in), ci) for ci in self.ci_ranges()]
+            for t, ((h0, h1), (c0, c1)) in enumerate(steps):
+                nbytes = 2 * (c1 - c0) * (h1 - h0) * body.w_in
+                if self.scheme == SPATIAL:
+                    workers, forks = self.worker_ranges(body.w_in), 1
+                else:
+                    workers, forks = self.worker_ranges(c1 - c0), _worker_forks(c1 - c0)
+                yield Tile(t, (h0, h1), (h0, h1, 0, 0), (c0, c1), (c0, c1),
+                           {"in": nbytes, "out": nbytes}, 0, tuple(workers), forks, True)
+            return
+        spatial = self.scheme == SPATIAL
+        if spatial:
+            steps = [(h, (0, body.k_out)) for h in self.h_ranges()]
+        else:
+            steps = [((0, node.h_out), co) for co in self.co_ranges()]
+        pad = body.kh // 2
+        cis = self.ci_ranges()
+        t = 0
+        for (h0, h1), (o0, o1) in steps:
+            c0, c1 = self.conv_rows(h0, h1)
+            if spatial:
+                in_rows = self.input_rows(h0, h1)
+                workers, forks = self.worker_ranges(node.w_out), 1
+            else:   # the whole map stays resident, padding included
+                in_rows = (0, body.h_in, pad, pad)
+                workers, forks = self.worker_ranges(o1 - o0), _worker_forks(o1 - o0)
+            for j, (i0, i1) in enumerate(cis):
+                moved = {"weights": 2 * body.n_params} if spatial and t == 0 else {}
+                moved["in"] = 2 * (i1 - i0) * (in_rows[1] - in_rows[0]) * body.w_in
+                if not spatial:
+                    moved["weights"] = 2 * ((o1 - o0) * (i1 - i0) * body.kh * body.kw
+                                            + ((o1 - o0) if j == 0 else 0))
+                closes = j == len(cis) - 1
+                if closes:
+                    out_bytes = 2 * (o1 - o0) * (h1 - h0) * node.w_out
+                    if node.fused_add:
+                        moved["addend"] = out_bytes
+                    moved["out"] = out_bytes
+                macs = (o1 - o0) * (i1 - i0) * body.kh * body.kw * (c1 - c0) * body.conv_w_out
+                yield Tile(t, (h0, h1), in_rows, (i0, i1), (o0, o1), moved, macs,
+                           tuple(workers), forks if closes else 0, closes)
+                t += 1
+
+    # -- accounting ---------------------------------------------------------
+
+    def loads(self) -> Loads:
+        return _loads(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile,
+                      self.n_h, self.n_ci, self.n_co)
+
+    def transfer_counts(self) -> dict[str, int]:
+        return dict(self.loads().descriptors)
 
     def transfer_bytes(self) -> dict[str, int]:
-        node = self.node
-        body = node.body
-        if node.kind == "fc":
-            n_w = body.k_in * body.k_out + body.k_out
-            return {"in": 2 * body.k_in, "weights": 2 * n_w, "out": 2}
-        if node.kind == "ew":
-            t = 2 * body.k_in * body.h_in * body.w_in
-            return {"in": t, "out": t}
-        out_bytes = 2 * body.k_out * node.h_out * node.w_out
-        bytes_ = {"out": out_bytes}
-        if self.scheme == SPATIAL:
-            rows = 0
-            for h0, h1 in self.h_ranges():
-                r0, r1, _, _ = self.input_rows(h0, h1)
-                rows += r1 - r0
-            bytes_["in"] = 2 * body.k_in * rows * body.w_in
-            bytes_["weights"] = 2 * (body.k_out * body.k_in * body.kh * body.kw
-                                     + body.k_out)
-        else:
-            bytes_["in"] = 2 * body.k_in * body.h_in * body.w_in * self.n_co
-            bytes_["weights"] = 2 * (body.k_out * body.k_in * body.kh * body.kw
-                                     + body.k_out)
-        if node.fused_add:
-            bytes_["addend"] = out_bytes
-        return bytes_
-
-    @property
-    def n_transfers(self) -> int:
-        return sum(self.transfer_counts().values())
+        totals: dict[str, int] = {}
+        for tile in self.tiles():
+            for stream, nbytes in tile.bytes.items():
+                totals[stream] = totals.get(stream, 0) + nbytes
+        return totals
 
     @property
     def total_l2l1_bytes(self) -> int:
@@ -349,8 +378,7 @@ def _buffer_terms(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile,
         stripe_rows = (conv_h - 1) * body.stride + body.kh
         return [
             ("in", _align4(2 * ci_tile * stripe_rows * w_padded), n_h * n_ci > 1, True),
-            ("weights", _align4(2 * (body.k_out * body.k_in * body.kh * body.kw
-                                     + body.k_out)), False, True),
+            ("weights", _align4(2 * body.n_params), False, True),
             ("out", _align4(2 * body.k_out * h_tile * node.w_out), n_h > 1, True),
             ("acc", _align4(4 * body.k_out * conv_h * body.conv_w_out), False, n_ci > 1),
             # conv rows for one channel staged before pooling
@@ -457,7 +485,8 @@ def _chunk_sum(total: int, size, f):
 
 
 def _worker_slots(span):
-    """span / worker_efficiency(span): the span padded to a whole core count."""
+    """The span padded to a whole core count: a tile's work is its MACs
+    scaled by slots / span."""
     return CORES * _ceil_div(span, CORES)
 
 
@@ -465,47 +494,37 @@ def _worker_forks(span):
     return _ceil_div(span, CORES)
 
 
-def _grid_cycles(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile,
-                 n_h, n_ci, n_co, calib) -> np.ndarray:
-    """cost.plan_cycles of every plan in a grid, from array twins of
-    TilePlan.mac_work_units, total_l2l1_bytes, dispatch_forks and
-    n_transfers.  Channel chunks cost by length alone, so their sums have a
-    closed form; stripe geometry depends on position (padding, pooled rows),
-    so each stripe height is scored once through the TilePlan it yields."""
-    from . import cost as cost_mod
+def _loads(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile,
+           n_h, n_ci, n_co) -> Loads:
+    """The sums of Tile.work, Tile.forks and per-stream descriptors over
+    TilePlan.tiles(), in closed form.
+
+    Takes the output of _extents.  Channel chunks cost by length alone, and
+    spatial stripes partition the convolution rows under one worker split,
+    so no sum needs the tiles themselves.
+    """
     body = node.body
     if node.kind == "fc":
-        work = _chunk_sum(body.k_in, ci_tile, _worker_slots)
-        l2l1 = 2 * body.k_in + 2 * (body.k_in * body.k_out + body.k_out) + 2
-        forks, transfers = n_ci, 2 * n_ci + 1
-    elif node.kind == "ew":
-        work = None
-        l2l1 = 2 * 2 * body.k_in * body.h_in * body.w_in
+        return Loads(_chunk_sum(body.k_in, ci_tile, _worker_slots), n_ci,
+                     {"in": n_ci, "weights": n_ci, "out": 1})
+    if node.kind == "ew":
         if scheme == SPATIAL:
-            forks, transfers = n_h, 2 * n_h
-        else:
-            forks = _chunk_sum(body.k_out, co_tile, _worker_forks) * n_h
-            transfers = 2 * n_ci
+            return Loads(0, n_h, {"in": n_h, "out": n_h})
+        return Loads(0, _chunk_sum(body.k_in, ci_tile, _worker_forks),
+                     {"in": n_ci, "out": n_ci})
+    window = body.k_in * body.kh * body.kw * body.conv_h_out * body.conv_w_out
+    if scheme == SPATIAL:
+        work = body.k_out * window * _worker_slots(node.w_out) / node.w_out
+        forks = n_h
     else:
-        if scheme == SPATIAL:
-            stripes = [TilePlan(node, SPATIAL, int(h), int(n), body.k_in, 1,
-                                body.k_out, 1, {}, 0)
-                       for h, n in zip(h_tile.ravel(), n_h.ravel())]
-            work = np.array([p.mac_work_units() for p in stripes])[:, None]
-            l2l1 = np.array([p.total_l2l1_bytes for p in stripes])[:, None]
-            forks = n_h
-        else:
-            work = (body.k_in * body.kh * body.kw * body.conv_h_out * body.conv_w_out
-                    * _chunk_sum(body.k_out, co_tile, _worker_slots))
-            out_bytes = 2 * body.k_out * node.h_out * node.w_out
-            l2l1 = (out_bytes * (2 if node.fused_add else 1)
-                    + 2 * body.k_in * body.h_in * body.w_in * n_co
-                    + 2 * (body.k_out * body.k_in * body.kh * body.kw + body.k_out))
-            forks = _chunk_sum(body.k_out, co_tile, _worker_forks)
-        transfers = (n_h * n_ci * n_co + n_h * n_co
-                     + (1 if scheme == SPATIAL else n_ci * n_co)
-                     + (n_h * n_co if node.fused_add else 0))
-    return cost_mod.pipeline_cycles(node, work, l2l1, forks, transfers, calib)
+        work = window * _chunk_sum(body.k_out, co_tile, _worker_slots)
+        forks = _chunk_sum(body.k_out, co_tile, _worker_forks)
+    descriptors = {"in": n_h * n_ci * n_co,
+                   "weights": 1 if scheme == SPATIAL else n_ci * n_co,
+                   "out": n_h * n_co}
+    if node.fused_add:
+        descriptors["addend"] = n_h * n_co
+    return Loads(work, forks, descriptors)
 
 
 def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
@@ -518,10 +537,10 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
 
     Each scheme's whole grid is scored at once as numpy arrays (footprint
     and cycles; DORY, Burrello et al. 2021, casts the same search as a small
-    constrained optimisation).  Only the feasible candidates within 1e-9
-    relative of the array minimum become TilePlans, and cost.plan_cycles
-    rescores those, so the chosen plan and its est_cycles are exactly the
-    exhaustive search's.
+    constrained optimisation).  The cycles are cost.layer_cycles of each
+    candidate, from the same _loads and row formula a TilePlan uses, so the
+    candidates at the array minimum are exactly the exhaustive search's
+    cheapest plans, and only those become TilePlans for the tie-break.
     """
     from . import cost as cost_mod
     calib = calib or cost_mod.DEFAULT_CALIB
@@ -538,17 +557,18 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
         feasible = footprint <= l1_budget
         if node.fused_pool:
             feasible = feasible & (n_ci == 1)
-        cycles = np.where(feasible, _grid_cycles(node, scheme, *extents, calib), np.inf)
+        cycles = cost_mod.node_cycles(node, _loads(node, scheme, *extents), calib)
+        cycles = np.where(feasible, cycles, np.inf)
         shape = np.broadcast_shapes(*(np.shape(a) for a in axes), cycles.shape)
         scored.append((scheme, [np.broadcast_to(a, shape).ravel() for a in axes],
                        np.broadcast_to(cycles, shape).ravel()))
     best = min((cycles.min() for _, _, cycles in scored), default=np.inf)
     if not np.isfinite(best):
         raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
-                              f"({SPATIAL})")
+                              f"({', '.join(scheme for scheme, _, _ in scored)})")
     candidates = []
     for scheme, axes, cycles in scored:
-        for i in np.flatnonzero(cycles <= best * (1 + 1e-9)):
+        for i in np.flatnonzero(cycles == best):
             plan = _make_plan(node, scheme, *(int(a[i]) for a in axes), l1_budget)
             plan.est_cycles = cost_mod.plan_cycles(plan, calib)
             candidates.append(plan)
@@ -572,12 +592,7 @@ class TileSchedule:
 
 def plan_network(graph: net.NetworkGraph, l1_budget: int = DEFAULT_L1_BUDGET,
                  calib=None) -> TileSchedule:
-    plans = []
-    for node in node_kernels(graph):
-        try:
-            plans.append(plan_layer(node, l1_budget, calib))
-        except InfeasibleError as e:
-            raise InfeasibleError(f"{node.name}: {e}") from e
+    plans = [plan_layer(node, l1_budget, calib) for node in node_kernels(graph)]
     return TileSchedule(graph, l1_budget, plans)
 
 

@@ -82,16 +82,20 @@ def random_image(seed):
 
 
 def exhaustive_plan_layer(node, l1_budget, calib=cost.DEFAULT_CALIB):
-    """Every enumerate_tilings plan of both schemes, scored and stable-sorted
-    by (est_cycles, n_tiles, -h_tile, spatial first)."""
-    candidates, errors = [], []
-    for scheme in (tiler.SPATIAL, tiler.FEATUREWISE):
+    """Every enumerate_tilings plan of the schemes that apply to the node
+    kind, scored and stable-sorted by (est_cycles, n_tiles, -h_tile,
+    spatial first)."""
+    schemes = ((tiler.FEATUREWISE,) if node.kind == "fc"
+               else (tiler.SPATIAL, tiler.FEATUREWISE))
+    candidates = []
+    for scheme in schemes:
         try:
             candidates.extend(tiler.enumerate_tilings(node, l1_budget, scheme))
-        except tiler.InfeasibleError as e:
-            errors.append(e)
+        except tiler.InfeasibleError:
+            pass
     if not candidates:
-        raise tiler.InfeasibleError(str(errors[0]))
+        raise tiler.InfeasibleError(f"{node.name}: infeasible under {l1_budget} "
+                                    f"byte budget ({', '.join(schemes)})")
     for p in candidates:
         p.est_cycles = cost.plan_cycles(p, calib)
     candidates.sort(key=lambda p: (p.est_cycles, p.n_tiles, -p.h_tile,

@@ -147,13 +147,3 @@ def test_infer_untiled_matches_naive_interpreter():
         s, c = oracles.naive_infer(graph, store, image)
         assert (res.raw_steering, res.raw_collision) == (s, c)
 
-
-def test_real_vs_fixed_divergence_is_bounded():
-    # recorded as an empirical observation, only sanity-asserted here
-    graph = net.build_dronet()
-    store = net.random_store(graph, 42, amplitude=0.05)
-    image = oracles.random_image(42)
-    fixed = kernels.infer_untiled(graph, store, image, "q412")
-    real = kernels.infer_untiled(graph, store, image, "real")
-    assert abs(fixed.collision_prob - real.collision_prob) < 0.5
-    assert np.isfinite(real.steering)

@@ -1,5 +1,8 @@
+import json
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import oracles
@@ -10,6 +13,11 @@ KB = 1024
 # 15860: each edge is tested from both sides
 ORACLE_BUDGETS = [8 * KB, 14175, 14176, 15859, 15860, 16 * KB, 32 * KB,
                   60 * KB, 64 * KB]
+# the plans chosen at every budget from 8 to 64 KB in 1 KB steps (scheme and
+# tile extents per node, or the first node that does not fit), recorded from
+# the planner before its objective took in the fused join rows; those add a
+# constant per node, so no plan may differ
+PLAN_TABLE = json.loads((Path(__file__).parent / "data" / "plan_table.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +120,7 @@ def test_planner_equals_exhaustive_oracle(graph, budget):
             with pytest.raises(tiler.InfeasibleError) as got:
                 tiler.plan_layer(node, budget)
             assert str(got.value) == str(e)
-            first_error = first_error or f"{node.name}: {e}"
+            first_error = first_error or str(e)
             continue
         got = tiler.plan_layer(node, budget)
         assert got == want, node.name           # est_cycles included, with ==
@@ -126,11 +134,48 @@ def test_planner_equals_exhaustive_oracle(graph, budget):
         assert str(got.value) == first_error
 
 
+@pytest.mark.parametrize("entry", PLAN_TABLE, ids=lambda e: f"{e['budget'] // KB}k")
+def test_plan_table(graph, entry):
+    budget = entry["budget"]
+    if "infeasible" in entry:
+        with pytest.raises(tiler.InfeasibleError,
+                           match=f"^{re.escape(entry['infeasible'])}: "):
+            tiler.plan_network(graph, budget)
+        return
+    plans = tiler.plan_network(graph, budget).plans
+    assert [[p.node.name, p.scheme, p.h_tile, p.ci_tile, p.co_tile]
+            for p in plans] == entry["plans"]
+    for p in plans:
+        assert p.est_cycles == cost.layer_cycles(p).exec_cl, p.node.name
+        tiles = p.tiles()
+        assert [t.index for t in tiles] == list(range(p.n_tiles))
+        counts, sizes = {}, {}
+        for t in tiles:
+            for stream, nbytes in t.bytes.items():
+                counts[stream] = counts.get(stream, 0) + 1
+                sizes[stream] = sizes.get(stream, 0) + nbytes
+        loads = p.loads()
+        assert loads.work == sum(t.work for t in tiles), p.node.name
+        assert loads.forks == sum(t.forks for t in tiles), p.node.name
+        assert loads.descriptors == counts, p.node.name
+        assert p.transfer_counts() == counts and p.transfer_bytes() == sizes
+
+
 def test_network_feasibility_edges(graph):
     for budget, culprit in ((14175, "conv_1+pool"), (15859, "conv_2")):
         with pytest.raises(tiler.InfeasibleError, match=f"^{re.escape(culprit)}: "):
             tiler.plan_network(graph, budget)
     tiler.plan_network(graph, 15860)
+
+
+def test_fc_head_infeasible_below_24_bytes(nodes):
+    # one input and one weight-plus-bias word, both double-buffered, plus
+    # the accumulator and the output: 4 + 4 + 4 + 4 + 4 + 4 bytes
+    with pytest.raises(tiler.InfeasibleError) as got:
+        tiler.plan_layer(nodes["fully_1"], 23)
+    assert str(got.value) == "fully_1: infeasible under 23 byte budget (feature-wise)"
+    plan = tiler.plan_layer(nodes["fully_1"], 24)
+    assert plan.footprint == 24 and plan.ci_tile == 1
 
 
 def test_join_without_following_relu_raises_value_error(graph):
@@ -157,36 +202,35 @@ def test_stripe_overlap_is_kernel_minus_stride(schedule):
 
 def test_worker_split_exactness(schedule):
     for p in schedule.plans:
-        if p.node.kind == "ew":
-            continue
-        if p.scheme == tiler.SPATIAL:
-            ranges = p.worker_ranges(p.node.w_out)
-            span = p.node.w_out
-            covered = sorted(ranges)
-            assert covered[0][0] == 0 and covered[-1][1] == span
-            for (a0, a1), (b0, b1) in zip(covered, covered[1:]):
-                assert a1 == b0                       # disjoint, gap-free
-        else:
-            total = []
-            for o0, o1 in p.co_ranges():
-                for w0, w1 in p.worker_ranges(o1 - o0):
-                    total.append((o0 + w0, o0 + w1))
-            total.sort()
-            assert total[0][0] == 0
-            assert total[-1][1] == p.node.body.k_out
-            for (a0, a1), (b0, b1) in zip(total, total[1:]):
-                assert a1 == b0
+        for t in p.tiles():
+            w = t.workers
+            assert len(w) <= tiler.CORES and w[0][0] == 0
+            assert all(a1 == b0 for (_, a1), (b0, _) in zip(w, w[1:]))  # gap-free
+            if p.node.kind == "fc":
+                assert w[-1][1] == t.ci[1] - t.ci[0]
+            elif p.scheme == tiler.SPATIAL:
+                assert w[-1][1] == p.node.w_out
+            else:
+                assert w[-1][1] == t.co[1] - t.co[0]
 
 
 def test_tile_ranges_cover_iteration_space(schedule):
+    # every node-output element is written by exactly one closing tile, and
+    # each output tile accumulates the input channels in order, gap-free
     for p in schedule.plans:
-        hs = p.h_ranges()
-        assert hs[0][0] == 0 and hs[-1][1] == p.node.h_out
-        assert all(a1 == b0 for (a0, a1), (b0, b1) in zip(hs, hs[1:]))
-        cis = p.ci_ranges()
-        assert cis[0][0] == 0 and cis[-1][1] == p.node.body.k_in
-        cos = p.co_ranges()
-        assert cos[0][0] == 0 and cos[-1][1] == p.node.body.k_out
+        node = p.node
+        written = np.zeros((node.body.k_out, node.h_out), int)
+        chunks = {}
+        for t in p.tiles():
+            chunks.setdefault((t.rows, t.co), []).append(t.ci)
+            if t.closes:
+                written[t.co[0]:t.co[1], t.rows[0]:t.rows[1]] += 1
+        assert (written == 1).all(), node.name
+        if node.kind == "ew":
+            continue
+        for ci in chunks.values():
+            assert ci[0][0] == 0 and ci[-1][1] == node.body.k_in
+            assert all(a1 == b0 for (_, a1), (b0, _) in zip(ci, ci[1:]))
 
 
 def test_double_buffer_assignment(schedule):
