@@ -13,7 +13,8 @@ times scale as 1/f.
 There is one cycle formula, RowLoad.exec_cycles: the report sums it per
 graph row, and the tiling planner minimises the same sum per node kernel
 (plan_cycles is layer_cycles(plan).exec_cl), so a plan's est_cycles is the
-number the report prints.  The model has no L2->L1 bandwidth term: at 8
+number the report prints, and calibrate fits its parameters with one linear
+solve of the same formula.  The model has no L2->L1 bandwidth term: at 8
 bytes per cluster cycle, the DMA time of a plan never exceeded its compute
 time on any of the 808,761 feasible tile plans at every budget from 8 to
 64 KB in 1 KB steps.  A max(compute, bytes / 8) pipeline bound would change
@@ -26,6 +27,8 @@ import csv
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import net, tiler
 
@@ -292,56 +295,38 @@ def load_targets(directory: Path | None = None) -> Targets:
 
 # -- calibration --------------------------------------------------------------
 
-def _linear_lsq(pairs: list[tuple[float, float, float]]) -> float:
-    """Weighted least squares for pred_i = slope*x_i + base_i against t_i,
-    weights 1/t_i^2 (relative error); returns the optimal slope."""
-    num = sum(x * (t - base) / t ** 2 for x, base, t in pairs)
-    den = sum((x / t) ** 2 for x, base, t in pairs)
-    return num / den if den else 0.0
-
-
 def calibrate(schedule: tiler.TileSchedule,
-              targets: Targets | None = None,
-              iterations: int = 60) -> tuple[CalibParams, PowerParams, dict]:
-    """Fit the six cycle parameters to the shipped tables, then solve the two
-    power coefficients exactly from the measured corners."""
+              targets: Targets | None = None) -> tuple[CalibParams, PowerParams, dict]:
+    """Fit the cycle parameters to the shipped tables, then solve the two
+    power coefficients exactly from the measured corners.
+
+    The fit is one linear solve of RowLoad.exec_cycles, the formula the
+    report prints and the planner minimises.  The descriptor cost and the
+    L3->L2 bandwidth come from the measured breakdown; the rest of each
+    row's cycles is linear in 1/eta_main, 1/eta_narrow, 1/ew_bytes_per_cycle
+    and dispatch_cycles, which least squares on relative error then gives.
+    A negative fork cost is refitted without the fork column (held at 0).
+    """
     targets = targets or load_targets()
     feats = _schedule_rows(schedule)
     # target exec times measured at CL 100 MHz: ms -> CL cycles
-    t_cycles = {f.name: targets.layer_ms[f.name] * 1e5 for f in feats}
+    t_cycles = np.array([targets.layer_ms[f.name] * 1e5 for f in feats])
 
     w_total = sum(f.w_bytes for f in feats)
     bw_l3l2 = w_total / (targets.udma_mcycles * 1e6)
-    n_transfers = sum(f.transfers for f in feats)
-    c_dma = targets.dma_mcycles * 1e6 / n_transfers
+    c_dma = targets.dma_mcycles * 1e6 / sum(f.transfers for f in feats)
 
-    eta_main, eta_narrow = 0.5, 0.1
-    bw_ew, c_pass = 5.0, 1000.0
-    for _ in range(iterations):
-        def base_for(f, skip):
-            b = f.transfers * c_dma
-            if skip != "c_pass":
-                b += f.forks * c_pass
-            if f.group == "ew" and skip != "bw_ew":
-                b += f.bytes / bw_ew
-            if f.work and skip != "eta" + f.group:
-                b += f.work / (eta_main if f.group == "main" else eta_narrow)
-            return b
-
-        u = _linear_lsq([(f.work, base_for(f, "etamain"), t_cycles[f.name])
-                         for f in feats if f.group == "main"])
-        eta_main = 1.0 / u
-        u = _linear_lsq([(f.work, base_for(f, "etanarrow"), t_cycles[f.name])
-                         for f in feats if f.group == "narrow"])
-        eta_narrow = 1.0 / u
-        v = _linear_lsq([(f.bytes, base_for(f, "bw_ew"), t_cycles[f.name])
-                         for f in feats if f.group == "ew"])
-        bw_ew = 1.0 / v
-        c_pass = max(0.0, _linear_lsq(
-            [(f.forks, base_for(f, "c_pass"), t_cycles[f.name])
-             for f in feats if f.forks]))
-
-    calib = CalibParams(eta_main, eta_narrow, bw_ew, c_pass, c_dma, bw_l3l2)
+    terms = np.array([[f.work if f.group == "main" else 0,
+                       f.work if f.group == "narrow" else 0,
+                       f.bytes, f.forks] for f in feats], dtype=float)
+    rhs = t_cycles - c_dma * np.array([f.transfers for f in feats], dtype=float)
+    # weights 1/t: the residuals are relative errors
+    a, y = terms / t_cycles[:, None], rhs / t_cycles
+    x = np.linalg.lstsq(a, y, rcond=None)[0]
+    if x[3] < 0:
+        x = np.append(np.linalg.lstsq(a[:, :3], y, rcond=None)[0], 0.0)
+    inv_main, inv_narrow, inv_ew, c_pass = x.tolist()
+    calib = CalibParams(1 / inv_main, 1 / inv_narrow, 1 / inv_ew, c_pass, c_dma, bw_l3l2)
 
     # two-point solve for the power pair, capped so the eight-core cluster
     # domain keeps at least a third of the per-Hz draw (k_fc <= 2 k_cl);

@@ -1,16 +1,20 @@
 """Tiled execution over a simulated L1/L2/L3 hierarchy with explicit DMA events.
 
-The executor replays a TileSchedule: L2 buffers come and go per the attached
-two-stack allocation plan, and each node replays TilePlan.tiles() in order.
-Every byte count, MAC count, row and channel range, stripe padding and worker
-split comes from those tile records; the executor pads each node's input once
-and runs the same exact kernels as the untiled reference on views of it,
-while tiles move through simulated L1 with logged DMA transfers.  Partial
-sums for channel-split tiles stay at accumulator scale between chunks and
-are renormalized once, so outputs are bit-identical to the untiled engine;
-the residency simulation only enforces capacities and records the trace.
-Host accumulators are 64-bit for exactness while the budget charges the
-4-byte accumulator the target hardware would hold.
+The executor replays a TileSchedule and nothing else.  L2 buffers, weights
+included, come and go by replaying the attached two-stack allocation plan:
+at each step the step's allocations land, the layer's weights are staged
+from L3, the node runs, and the step's releases follow.  Each node then
+replays TilePlan.tiles() in order: every byte count, MAC count, row and
+channel range, stripe padding and worker split comes from those tile
+records.  The FC heads run on the same tile loop as 1x1 convolutions over
+their input viewed as (k_in, 1, 1).  The executor pads each node's input
+once and runs the same exact kernels as the untiled reference on views of
+it, while tiles move through simulated L1 with logged DMA transfers.  L1
+capacity is the schedule's budget, so an allocation that breaks it raises.
+Partial sums for channel-split tiles stay at accumulator scale between
+chunks and are renormalized once, so outputs are bit-identical to the
+untiled engine.  Host accumulators are 64-bit for exactness while the
+budget charges the 4-byte accumulator the target hardware would hold.
 """
 
 from __future__ import annotations
@@ -21,13 +25,9 @@ import numpy as np
 
 from . import fxp, kernels, l2plan, net, tiler
 
-L1_BYTES = 64 * 1024
-L2_BYTES = 512 * 1024
-
 TAG_L3_L2 = "L3->L2"
 TAG_L2_L1 = "L2->L1"
 TAG_L1_L2 = "L1->L2"
-TAG_L2_L3 = "L2->L3"
 
 
 class MemSimError(RuntimeError):
@@ -66,13 +66,12 @@ class TraceLog:
 class MemSim:
     """Capacity-checked allocation maps for the three memory levels."""
 
-    def __init__(self, l1_bytes: int = L1_BYTES, l2_bytes: int = L2_BYTES,
-                 trace: TraceLog | None = None):
+    def __init__(self, l1_bytes: int, l2_bytes: int = l2plan.L2_BYTES):
         self.capacity = {"L1": l1_bytes, "L2": l2_bytes, "L3": None}
         self.live: dict[tuple[str, str], int] = {}
         self.used = {"L1": 0, "L2": 0, "L3": 0}
         self.peak = {"L1": 0, "L2": 0, "L3": 0}
-        self.trace = trace if trace is not None else TraceLog()
+        self.trace = TraceLog()
 
     def alloc(self, region: str, name: str, nbytes: int, node: str = "", tile: int = -1):
         key = (region, name)
@@ -124,16 +123,13 @@ class ExecResult:
 
 
 def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
-                     image: np.ndarray, memsim: MemSim | None = None) -> ExecResult:
+                     image: np.ndarray) -> ExecResult:
     graph = schedule.graph
     if schedule.l2 is None:
         schedule.l2 = l2plan.plan_two_stack(graph)
     plan_l2 = schedule.l2
-    trace = TraceLog()
-    ms = memsim or MemSim(trace=trace)
-    ms.trace = trace
+    ms = MemSim(schedule.l1_budget)
     life = l2plan._lifetimes(graph)
-    nodes = life.nodes
 
     if image.shape != net.INPUT_SHAPE or image.dtype != np.int16:
         raise ValueError(f"input must be int16 {net.INPUT_SHAPE}")
@@ -144,57 +140,47 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
 
     l2data: dict[str, np.ndarray] = {}
 
-    def l2_allocs(step: int, node_name: str):
+    def l2_step(step: int, node_name: str, action: str):
+        """Replay one step's allocations or its releases from the L2 plan."""
         for ev in events_by_step.get(step, []):
-            if ev.action == "alloc" and not ev.buffer.startswith("w:"):
+            if ev.action != action:
+                continue
+            if action == "alloc":
                 ms.alloc("L2", ev.buffer, ev.bytes, node_name)
-
-    def l2_frees(step: int, node_name: str):
-        for ev in events_by_step.get(step, []):
-            if ev.action == "free" and not ev.buffer.startswith("w:"):
+            else:
                 ms.free("L2", ev.buffer, node_name)
                 l2data.pop(ev.buffer, None)
 
     # frame ingress: the camera path lands the image in L2 over the uDMA
-    l2_allocs(-1, "frame")
+    l2_step(-1, "frame", "alloc")
     l2data[net.INPUT_TENSOR] = image.copy()
     ms.transfer(TAG_L3_L2, image.size * 2, ("L3", "camera"),
                 ("L2", net.INPUT_TENSOR), "frame", stream="frame", overlap=True)
 
-    heads: dict[str, int] = {}
-    for i, node in enumerate(nodes):
+    for i, node in enumerate(life.nodes):
         plan = schedule.plan_for(node.name)
-        l2_allocs(i, node.name)
-        wname = f"w:{node.name}"
-        if i in life.weights:
-            ms.alloc("L2", wname, life.weights[i][1], node.name)
+        l2_step(i, node.name, "alloc")
+        if node.kind != "ew":
+            wname = l2plan.weight_buffer(node)
             ms.transfer(TAG_L3_L2, 2 * node.body.n_params, ("L3", "weights"),
                         ("L2", wname), node.name, stream="weights")
-        if node.kind != "ew":
-            out_buf = node.output
-            k, h, w_ = graph.tensors[node.output]
-            l2data[out_buf] = np.zeros((k, h, w_), np.int16)
+            l2data[node.output] = np.zeros(graph.tensors[node.output], np.int16)
 
         # the plan's L1 working set is held for the whole node
         for bname, bspec in plan.buffers.items():
             ms.alloc("L1", f"{node.name}:{bname}", bspec.total, node.name)
-        if node.kind == "conv":
-            _run_conv(node, plan, life, l2data, ms, store, wname)
-        elif node.kind == "ew":
+        if node.kind == "ew":
             _run_ew(node, plan, life, l2data, ms)
         else:
-            heads[node.output] = _run_fc(node, plan, life, l2data, ms, store, wname)
+            _run_conv(node, plan, life, l2data, ms, store, wname)
         for bname in plan.buffers:
             ms.free("L1", f"{node.name}:{bname}", node.name)
+        l2_step(i, node.name, "free")
 
-        if i in life.weights:
-            ms.free("L2", wname, node.name)
-        l2_frees(i, node.name)
-    l2_frees(len(nodes), "end")
-
-    steer_raw, coll_raw = heads["fully_1"], heads["fully_2"]
+    steer_raw, coll_raw = (int(l2data[head][0, 0, 0]) for head in ("fully_1", "fully_2"))
+    l2_step(len(life.nodes), "end", "free")
     return ExecResult(steer_raw / fxp.SCALE, kernels.sigmoid(coll_raw / fxp.SCALE),
-                      steer_raw, coll_raw, trace, ms, plan_l2)
+                      steer_raw, coll_raw, ms.trace, ms, plan_l2)
 
 
 def _load(ms, node, plan, tile, stream, src):
@@ -207,10 +193,13 @@ def _load(ms, node, plan, tile, stream, src):
 
 
 def _run_conv(node, plan, life, l2data, ms, store, wname):
+    """Convolutions, and the FC heads as 1x1 convolutions over their input
+    viewed as (k_in, 1, 1) (the view is a no-op for a convolution)."""
     body = node.body
     w, b = store[body.name]
     sources = {"in": life.alias[node.input], "weights": wname}
-    xp = kernels.pad_same(l2data[sources["in"]], body.kh, body.kw)
+    x = l2data[sources["in"]].reshape(body.k_in, body.h_in, body.w_in)
+    xp = kernels.pad_same(x, body.kh, body.kw)
     pad = body.kh // 2
     bias = (b.astype(np.int64) << fxp.FRAC_BITS)
     acc = None
@@ -260,26 +249,6 @@ def _run_ew(node, plan, life, l2data, ms):
         view[...] = kernels.relu(view)
         ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:io"), ("L2", buf),
                     node.name, t.index, "out")
-
-
-def _run_fc(node, plan, life, l2data, ms, store, wname):
-    w, b = store[node.body.name]
-    sources = {"in": life.alias[node.input], "weights": wname}
-    flat = l2data[sources["in"]].ravel()
-    wf = w.ravel()
-    acc = int(b[0]) << fxp.FRAC_BITS
-    for t in plan.tiles():
-        for stream, src in sources.items():
-            _load(ms, node, plan, t, stream, src)
-        c0, c1 = t.ci
-        acc += int(np.dot(flat[c0:c1].astype(np.int64), wf[c0:c1].astype(np.int64)))
-        ms.compute(node.name, t.index, t.macs, t.workers)
-        if t.closes:
-            raw = int(fxp.renorm_array(np.array([acc]))[0])
-            l2data[node.output][0, 0, 0] = raw
-            ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:out"),
-                        ("L2", node.output), node.name, t.index, "out")
-    return raw
 
 
 @dataclass

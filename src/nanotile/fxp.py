@@ -17,7 +17,6 @@ FRAC_BITS = 12
 SCALE = 1 << FRAC_BITS          # 4096
 QMIN = -(1 << 15)               # -32768
 QMAX = (1 << 15) - 1            # 32767
-ACC_FRAC_BITS = 2 * FRAC_BITS   # product scale of two Q4.12 factors
 INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
 

@@ -58,6 +58,11 @@ def _align4(n: int) -> int:
     return (n + 3) & ~3
 
 
+def weight_buffer(node: tiler.NodeKernel) -> str:
+    """The L2 buffer a node's weights are staged into."""
+    return f"w:{node.name}"
+
+
 @dataclass
 class _Lifetimes:
     nodes: list[tiler.NodeKernel]
@@ -101,7 +106,7 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
             buffers.append(buf)
             alloc_step[buf] = i
             last_use[buf] = i
-            weights[i] = (f"w:{node.name}", _align4(2 * node.body.n_params))
+            weights[i] = (weight_buffer(node), _align4(2 * node.body.n_params))
     n = len(nodes)
     for head in ("fully_1", "fully_2"):
         last_use[head] = n                      # results handed over at mission end

@@ -176,12 +176,7 @@ def build_dronet() -> NetworkGraph:
     graph = NetworkGraph(layers)
     graph.tensors[INPUT_TENSOR] = INPUT_SHAPE
     for spec in layers:
-        if spec.kind in (RELU, ADD):
-            graph.tensors[spec.output] = (spec.k_out, spec.h_out, spec.w_out)
-        elif spec.kind == CONV:
-            graph.tensors[spec.output] = (spec.k_out, spec.h_out, spec.w_out)
-        else:
-            graph.tensors[spec.output] = (1, 1, 1)
+        graph.tensors[spec.output] = (spec.k_out, spec.h_out, spec.w_out)
     _validate(graph)
     return graph
 

@@ -21,7 +21,6 @@ RESULT = "result_spi"
 ACK = "ack_interrupt"
 
 MISSION_STEPS = (WAKE, FETCH, CONFIG)
-FRAME_STEPS = (FRAME_DMA, WEIGHT_LOAD, COMPUTE, RESULT, ACK)
 N_FRAME_BUFFERS = 2
 
 

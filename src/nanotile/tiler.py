@@ -421,6 +421,9 @@ def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[Til
     the scheme does not apply to the node kind).
     """
     body = node.body
+    if node.kind == "fc" and scheme == SPATIAL:
+        raise InfeasibleError(f"{node.name}: the {scheme} scheme does not apply "
+                              f"to fc nodes")
     plans: list[TilePlan] = []
     if node.kind == "conv":
         if scheme == SPATIAL:
@@ -447,11 +450,10 @@ def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[Til
                 if p:
                     plans.append(p)
     else:
-        if scheme == FEATUREWISE:
-            for ci_tile in range(1, body.k_in + 1):
-                p = _make_plan(node, scheme, 1, ci_tile, 1, l1_budget)
-                if p:
-                    plans.append(p)
+        for ci_tile in range(1, body.k_in + 1):
+            p = _make_plan(node, scheme, 1, ci_tile, 1, l1_budget)
+            if p:
+                plans.append(p)
     if not plans:
         raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
                               f"({scheme})")

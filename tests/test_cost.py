@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from nanotile import cost, net, tiler
@@ -26,6 +28,24 @@ def test_calibrate_reproduces_frozen_defaults(fit):
             getattr(cost.DEFAULT_CALIB, name), rel=1e-9), name
     assert power.k_fc == pytest.approx(cost.DEFAULT_POWER.k_fc, rel=1e-9)
     assert power.k_cl == pytest.approx(cost.DEFAULT_POWER.k_cl, rel=1e-9)
+
+
+def test_calibrate_holds_negative_fork_cost_at_zero(schedule):
+    # row times synthesised from the cycle formula with a fork cost of -300:
+    # the fit keeps dispatch_cycles >= 0 and refits the rest without it;
+    # expected values from the earlier coordinate-descent fit
+    negative = dataclasses.replace(cost.DEFAULT_CALIB, dispatch_cycles=-300.0)
+    rows = cost.frame_report(schedule, cost.EFFICIENT, negative).rows
+    targets = dataclasses.replace(
+        cost.load_targets(),
+        layer_ms={r.name: r.exec_ms(cost.EFFICIENT) for r in rows})
+    calib, _, _ = cost.calibrate(schedule, targets)
+    assert calib.dispatch_cycles == 0.0
+    assert calib.eta_main == pytest.approx(0.44493104959195545, rel=1e-9)
+    assert calib.eta_narrow == pytest.approx(0.11764524901869017, rel=1e-9)
+    assert calib.ew_bytes_per_cycle == pytest.approx(7.863418895934861, rel=1e-9)
+    assert calib.dma_setup_cycles == cost.DEFAULT_CALIB.dma_setup_cycles
+    assert calib.l3l2_bytes_per_fcycle == cost.DEFAULT_CALIB.l3l2_bytes_per_fcycle
 
 
 def test_fit_residuals_within_bands(fit):

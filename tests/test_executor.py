@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nanotile import executor, kernels, l2plan, net, tiler
+from nanotile import executor, fxp, kernels, l2plan, net, tiler
 
 
 @pytest.fixture(scope="module")
@@ -24,13 +24,39 @@ def test_zero_weights(graph, schedule):
 @pytest.mark.parametrize("budget_kb", [16, 60])
 def test_bit_exact_vs_untiled(graph, budget_kb):
     sched = tiler.plan_network(graph, budget_kb * 1024)
-    for seed in range(4):                    # acceptance widens this to 100 seeds
-        store = net.random_store(graph, seed)
-        image = oracles.random_image(seed)
-        ref = kernels.infer_untiled(graph, store, image)
-        res = executor.execute_schedule(sched, store, image)
-        assert (res.raw_steering, res.raw_collision) == \
-            (ref.raw_steering, ref.raw_collision), f"seed {seed}"
+    # at amplitude 1.0 both heads saturate on every seed, so a wrong head
+    # would still match; at 0.1 they carry the whole accumulation
+    for amplitude in (1.0, 0.1):
+        for seed in range(4):                # acceptance widens this to 100 seeds
+            store = net.random_store(graph, seed, amplitude)
+            image = oracles.random_image(seed)
+            ref = kernels.infer_untiled(graph, store, image)
+            res = executor.execute_schedule(sched, store, image)
+            heads = (res.raw_steering, res.raw_collision)
+            assert heads == (ref.raw_steering, ref.raw_collision), f"seed {seed}"
+            if amplitude < 1:
+                assert fxp.QMIN < min(heads) and max(heads) < fxp.QMAX, f"seed {seed}"
+
+
+def test_l2_events_replay_the_l2_plan(graph):
+    # weights included: the trace's L2 allocs and frees are the plan's,
+    # one for one and in order (trace frees log 0 bytes, plan frees the size)
+    for budget_kb in (16, 60):
+        sched = tiler.plan_network(graph, budget_kb * 1024)
+        res = executor.execute_schedule(sched, net.zero_store(graph),
+                                        oracles.random_image(0))
+        got = [(e.kind, e.name, e.bytes) for e in res.trace.events
+               if e.region == "L2" and e.kind in ("alloc", "free")]
+        want = [(ev.action, ev.buffer, ev.bytes if ev.action == "alloc" else 0)
+                for ev in sched.l2.events]
+        assert got == want
+        assert any(name.startswith("w:") for _, name, _ in got)
+
+
+def test_run_enforces_schedule_l1_budget(graph, schedule):
+    tight = tiler.TileSchedule(graph, 32 * 1024, schedule.plans)
+    with pytest.raises(executor.MemSimError, match="L1 capacity exceeded"):
+        executor.execute_schedule(tight, net.zero_store(graph), oracles.random_image(0))
 
 
 def test_budget_and_l2_peaks(graph):

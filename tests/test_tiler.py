@@ -178,6 +178,13 @@ def test_fc_head_infeasible_below_24_bytes(nodes):
     assert plan.footprint == 24 and plan.ci_tile == 1
 
 
+def test_spatial_scheme_does_not_apply_to_fc(nodes):
+    for budget in (23, 60 * KB):
+        with pytest.raises(tiler.InfeasibleError) as got:
+            tiler.enumerate_tilings(nodes["fully_1"], budget, tiler.SPATIAL)
+        assert str(got.value) == "fully_1: the spatial scheme does not apply to fc nodes"
+
+
 def test_join_without_following_relu_raises_value_error(graph):
     # cut after add_1: the join is not ReLU-fused and its ReLU row is gone
     cut = [r.name for r in graph.layers].index("add_1") + 1
