@@ -9,8 +9,11 @@ channel range, stripe padding and worker split comes from those tile
 records.  The FC heads run on the same tile loop as 1x1 convolutions over
 their input viewed as (k_in, 1, 1).  The executor pads each node's input
 once and runs the same exact kernels as the untiled reference on views of
-it, while tiles move through simulated L1 with logged DMA transfers.  L1
-capacity is the schedule's budget, so an allocation that breaks it raises.
+it, while tiles move through simulated L1 with logged DMA transfers.  Tiles
+that read the same window (input channels and padded rows) share its im2col
+columns, built on first use and dropped when the node ends; each tile still
+runs its own GEMM and logs its own events.  L1 capacity is the schedule's
+budget, so an allocation that breaks it raises.
 Partial sums for channel-split tiles stay at accumulator scale between
 chunks and are renormalized once, so outputs are bit-identical to the
 untiled engine.  Host accumulators are 64-bit for exactness while the
@@ -20,6 +23,7 @@ budget charges the 4-byte accumulator the target hardware would hold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +38,7 @@ class MemSimError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     kind: str            # "alloc" | "free" | "xfer" | "compute"
     region: str          # L1/L2 for alloc/free, tag for xfer, "" for compute
     node: str
@@ -90,8 +93,9 @@ class MemSim:
         key = (region, name)
         if key not in self.live:
             raise MemSimError(f"free of dead buffer {region}:{name}")
-        self.used[region] -= self.live.pop(key)
-        self.trace.append(Event("free", region, node, -1, name, 0))
+        nbytes = self.live.pop(key)
+        self.used[region] -= nbytes
+        self.trace.append(Event("free", region, node, -1, name, nbytes))
 
     def check_live(self, region: str, name: str):
         if (region, name) not in self.live:
@@ -202,15 +206,23 @@ def _run_conv(node, plan, life, l2data, ms, store, wname):
     xp = kernels.pad_same(x, body.kh, body.kw)
     pad = body.kh // 2
     bias = (b.astype(np.int64) << fxp.FRAC_BITS)
+    # columns per window (input channels, padded rows): feature-wise tiles
+    # reread the map once per output-channel tile, stripes partition it
+    cols: dict[tuple, tuple[np.ndarray, int, int]] = {}
     acc = None
     for t in plan.tiles():
         for stream in t.bytes:
             if stream in sources:
                 _load(ms, node, plan, t, stream, sources[stream])
         (i0, i1), (o0, o1) = t.ci, t.co
-        r0, r1, pad_above, pad_below = t.in_rows
-        window = xp[i0:i1, pad + r0 - pad_above:pad + r1 + pad_below]
-        part = kernels.conv_acc_on_padded(window, w[o0:o1, i0:i1], body.stride)
+        key = (t.ci, t.in_rows)
+        if key not in cols:
+            r0, r1, pad_above, pad_below = t.in_rows
+            window = xp[i0:i1, pad + r0 - pad_above:pad + r1 + pad_below]
+            cols[key] = (kernels.conv_cols(window, body.kh, body.kw, body.stride),
+                         *kernels.conv_out_hw(window, body.kh, body.kw, body.stride))
+        window_cols, h_out, w_out = cols[key]
+        part = kernels.conv_acc_on_cols(window_cols, w[o0:o1, i0:i1], h_out, w_out)
         acc = part if acc is None else acc + part
         ms.compute(node.name, t.index, t.macs, t.workers)
         if t.closes:
@@ -278,28 +290,27 @@ def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
     tag_stream: dict[tuple[str, str], int] = {}
     node_stream: dict[tuple[str, str], tuple[int, int]] = {}
     violations = []
-    for ev in trace.events:
-        if ev.kind == "alloc":
-            key = (ev.region, ev.name)
+    for kind, region, node, _tile, name, nbytes, _macs, _workers, _overlap in trace.events:
+        if kind == "alloc":
+            key = (region, name)
             if key in live:
                 violations.append(f"double alloc {key}")
-            live[key] = ev.bytes
-            used[ev.region] += ev.bytes
-            peak[ev.region] = max(peak[ev.region], used[ev.region])
-        elif ev.kind == "free":
-            key = (ev.region, ev.name)
+            live[key] = nbytes
+            used[region] += nbytes
+            peak[region] = max(peak[region], used[region])
+        elif kind == "free":
+            key = (region, name)
             if key not in live:
                 violations.append(f"free of dead {key}")
                 continue
-            used[ev.region] -= live.pop(key)
-        elif ev.kind == "xfer":
-            stream_bytes[ev.name] = stream_bytes.get(ev.name, 0) + ev.bytes
-            tag_bytes[ev.region] = tag_bytes.get(ev.region, 0) + ev.bytes
-            tag_stream[(ev.region, ev.name)] = \
-                tag_stream.get((ev.region, ev.name), 0) + ev.bytes
-            if ev.region in (TAG_L2_L1, TAG_L1_L2):
-                c, b = node_stream.get((ev.node, ev.name), (0, 0))
-                node_stream[(ev.node, ev.name)] = (c + 1, b + ev.bytes)
+            used[region] -= live.pop(key)
+        elif kind == "xfer":
+            stream_bytes[name] = stream_bytes.get(name, 0) + nbytes
+            tag_bytes[region] = tag_bytes.get(region, 0) + nbytes
+            tag_stream[(region, name)] = tag_stream.get((region, name), 0) + nbytes
+            if region in (TAG_L2_L1, TAG_L1_L2):
+                c, b = node_stream.get((node, name), (0, 0))
+                node_stream[(node, name)] = (c + 1, b + nbytes)
     if memsim is not None:
         for region in ("L1", "L2"):
             if peak[region] != memsim.peak[region]:

@@ -38,27 +38,36 @@ def im2col(x_padded: np.ndarray, kh: int, kw: int, stride: int,
     return windows.reshape(h_out * w_out, k * kh * kw)
 
 
+def conv_out_hw(xp: np.ndarray, kh: int, kw: int, stride: int) -> tuple[int, int]:
+    """Output rows and columns of a convolution over a fully padded input."""
+    return (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+
+
 def conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """im2col over an already fully padded input, as exact float64."""
-    h_out = (xp.shape[1] - kh) // stride + 1
-    w_out = (xp.shape[2] - kw) // stride + 1
+    h_out, w_out = conv_out_hw(xp, kh, kw, stride)
     cols = im2col(xp, kh, kw, stride, h_out, w_out).astype(np.float64)
     if cols.shape[1] * (1 << 30) >= (1 << 53):
         raise ValueError("dot length too long for exact float64 accumulation")
     return cols
 
 
+def conv_acc_on_cols(cols: np.ndarray, w: np.ndarray, h_out: int,
+                     w_out: int) -> np.ndarray:
+    """Exact accumulator (K_out, h_out, w_out) from conv_cols' columns, no bias."""
+    k_out = w.shape[0]
+    acc = (cols @ w.reshape(k_out, -1).astype(np.float64).T).astype(np.int64)
+    return acc.T.reshape(k_out, h_out, w_out)
+
+
 def conv_acc_on_padded(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Exact accumulator (K_out, H_out, W_out) over a fully padded input,
     no bias.  Output row 0 reads input rows [0, kh)."""
-    k_out, k_in, kh, kw = w.shape
+    _, k_in, kh, kw = w.shape
     if xp.shape[0] != k_in:
         raise ValueError(f"channel mismatch: input {xp.shape[0]}, weights {k_in}")
-    h_out = (xp.shape[1] - kh) // stride + 1
-    w_out = (xp.shape[2] - kw) // stride + 1
-    cols = conv_cols(xp, kh, kw, stride)
-    acc = (cols @ w.reshape(k_out, -1).astype(np.float64).T).astype(np.int64)
-    return acc.T.reshape(k_out, h_out, w_out)
+    return conv_acc_on_cols(conv_cols(xp, kh, kw, stride), w,
+                            *conv_out_hw(xp, kh, kw, stride))
 
 
 def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -95,10 +104,12 @@ def maxpool2(x: np.ndarray) -> np.ndarray:
     """2x2/s2 max-pool; odd trailing rows/cols pool over what is in range."""
     _check3(x)
     k, h, w = x.shape
-    ho, wo = -(-h // 2), -(-w // 2)
-    padded = np.full((k, 2 * ho, 2 * wo), np.iinfo(np.int16).min, np.int16)
-    padded[:, :h, :w] = x
-    return padded.reshape(k, ho, 2, wo, 2).max(axis=(2, 4))
+    if h % 2 or w % 2:
+        padded = np.full((k, h + h % 2, w + w % 2), np.iinfo(np.int16).min, np.int16)
+        padded[:, :h, :w] = x
+        x = padded
+    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
+                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -366,6 +366,8 @@ def load_image(path: str) -> np.ndarray:
         raise ImageFormatError("malformed PGM header") from e
     if maxval != 255:
         raise ImageFormatError(f"wrong bit depth: maxval {maxval}, expected 255")
+    if width <= 0 or height <= 0:
+        raise ImageFormatError(f"malformed PGM: {width}x{height} frame")
     pos += 1  # single whitespace after maxval
     if len(data) - pos < width * height:
         raise ImageFormatError("malformed PGM: pixel data short")

@@ -1,8 +1,18 @@
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oracles
 from nanotile import executor, fxp, kernels, l2plan, net, tiler
+
+
+# heads, event count and trace CSV sha256 at 16/32/60 KB for random_store
+# seeds 0 and 3 at amplitudes 1.0 and 0.1, recorded before the executor
+# shared window columns between tiles (free rows carry their alloc's bytes)
+TRACE_TABLE = json.loads((Path(__file__).parent / "data" / "trace_table.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -40,17 +50,40 @@ def test_bit_exact_vs_untiled(graph, budget_kb):
 
 def test_l2_events_replay_the_l2_plan(graph):
     # weights included: the trace's L2 allocs and frees are the plan's,
-    # one for one and in order (trace frees log 0 bytes, plan frees the size)
+    # one for one, in order and with their sizes
     for budget_kb in (16, 60):
         sched = tiler.plan_network(graph, budget_kb * 1024)
         res = executor.execute_schedule(sched, net.zero_store(graph),
                                         oracles.random_image(0))
         got = [(e.kind, e.name, e.bytes) for e in res.trace.events
                if e.region == "L2" and e.kind in ("alloc", "free")]
-        want = [(ev.action, ev.buffer, ev.bytes if ev.action == "alloc" else 0)
-                for ev in sched.l2.events]
+        want = [(ev.action, ev.buffer, ev.bytes) for ev in sched.l2.events]
         assert got == want
         assert any(name.startswith("w:") for _, name, _ in got)
+
+
+@pytest.mark.parametrize("entry", TRACE_TABLE,
+                         ids=lambda e: "{budget}-{seed}-{amplitude}".format(**e))
+def test_trace_table(graph, entry):
+    sched = tiler.plan_network(graph, entry["budget"])
+    store = net.random_store(graph, entry["seed"], entry["amplitude"])
+    res = executor.execute_schedule(sched, store, oracles.random_image(entry["seed"]))
+    assert [res.raw_steering, res.raw_collision] == entry["heads"]
+    assert len(res.trace.events) == entry["events"]
+    assert hashlib.sha256(res.trace.to_csv().encode()).hexdigest() == entry["csv_sha256"]
+
+
+@pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
+def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, windows):
+    sched = tiler.plan_network(graph, budget_kb * 1024)
+    distinct = sum(len({(t.ci, t.in_rows) for t in p.tiles()})
+                   for p in sched.plans if p.node.kind != "ew")
+    assert distinct == windows
+    calls = []
+    conv_cols = kernels.conv_cols
+    monkeypatch.setattr(kernels, "conv_cols", lambda *a: calls.append(1) or conv_cols(*a))
+    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
+    assert len(calls) == windows
 
 
 def test_run_enforces_schedule_l1_budget(graph, schedule):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import oracles
 from nanotile import fxp, kernels, net
@@ -93,6 +94,17 @@ def test_pool_matches_oracle():
     rng = np.random.default_rng(3)
     x = fxp.quantize_array(rng.uniform(-4, 4, (6, 25, 25)))
     assert np.array_equal(kernels.maxpool2(x), oracles.naive_pool2(x))
+
+
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 9), st.data())
+def test_pool_matches_oracle_on_any_shape(k, h, w, data):
+    # every parity of H and W, values over the full int16 range including
+    # -32768, the value odd shapes are padded with
+    values = st.integers(fxp.QMIN, fxp.QMAX) | st.just(fxp.QMIN)
+    x = np.array(data.draw(st.lists(values, min_size=k * h * w, max_size=k * h * w)),
+                 np.int16).reshape(k, h, w)
+    got = kernels.maxpool2(x)
+    assert got.dtype == np.int16 and np.array_equal(got, oracles.naive_pool2(x))
 
 
 def test_relu_add():

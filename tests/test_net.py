@@ -162,6 +162,11 @@ def test_load_image_errors(tmp_path):
     p.write_bytes(b"P5\n4 4\n255\n\x00")
     with pytest.raises(net.ImageFormatError, match="short"):
         net.load_image(str(p))
+    # a zero side would reach an empty crop; (-4)*(-4) passes the length check
+    for header in (b"P5 0 10 255\n", b"P5 -4 -4 255\n"):
+        p.write_bytes(header + bytes(16))
+        with pytest.raises(net.ImageFormatError, match="frame"):
+            net.load_image(str(p))
 
 
 def test_shape_propagation_fails_loudly():
