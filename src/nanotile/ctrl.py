@@ -117,9 +117,16 @@ def ramp_trace(t_appear: float, ramp_s: float = 0.5, horizon: float = 20.0,
 
 
 def load_trace(path: str) -> CollisionTrace:
+    """Read a timestamp_s,c CSV; a missing column, a short row or a field
+    that is not a number raises ValueError."""
     times, values = [], []
     with open(path, newline="") as f:
-        for row in csv.DictReader(l for l in f if not l.startswith("#")):
+        rows = csv.DictReader(l for l in f if not l.startswith("#"))
+        if not {"timestamp_s", "c"} <= set(rows.fieldnames or ()):
+            raise ValueError(f"{path}: header must name timestamp_s and c")
+        for n, row in enumerate(rows, 1):
+            if None in (row["timestamp_s"], row["c"]):
+                raise ValueError(f"{path}: data row {n} is short")
             times.append(float(row["timestamp_s"]))
             values.append(float(row["c"]))
     return CollisionTrace(times, values)

@@ -1,19 +1,22 @@
 """Tiled execution over a simulated L1/L2/L3 hierarchy with explicit DMA events.
 
-The executor replays a TileSchedule and nothing else.  L2 buffers, weights
-included, come and go by replaying the attached two-stack allocation plan:
-at each step the step's allocations land, the layer's weights are staged
-from L3, the node runs, and the step's releases follow.  Each node then
-replays TilePlan.tiles() in order: every byte count, MAC count, row and
-channel range, stripe padding and worker split comes from those tile
-records.  The FC heads run on the same tile loop as 1x1 convolutions over
-their input viewed as (k_in, 1, 1).  The executor pads each node's input
-once and runs the same exact kernels as the untiled reference on views of
-it, while tiles move through simulated L1 with logged DMA transfers.  Tiles
-that read the same window (input channels and padded rows) share its im2col
-columns, built on first use and dropped when the node ends; each tile still
-runs its own GEMM and logs its own events.  L1 capacity is the schedule's
+The executor replays a TileSchedule and nothing else.  Memory traffic does
+not depend on the data, so compile_schedule replays it once per schedule
+and caches the frozen trace on it.  L2 buffers, weights included, come and
+go by replaying the attached two-stack allocation plan: at each step the
+step's allocations land, the layer's weights are staged from L3, the node
+runs, and the step's releases follow.  Each node then replays
+TilePlan.tiles() in order through simulated L1 with logged DMA transfers:
+every byte count, MAC count, row and channel range, stripe padding and
+worker split comes from those tile records.  L1 capacity is the schedule's
 budget, so an allocation that breaks it raises.
+Each frame runs only the arithmetic, over the same tiles.  The FC heads run
+on the same tile loop as 1x1 convolutions over their input viewed as
+(k_in, 1, 1).  The executor pads each node's input once and runs the same
+exact kernels as the untiled reference on views of it.  Tiles that read the
+same window (input channels and padded rows) share its im2col columns,
+built on first use and dropped when the node ends; each tile still runs
+its own GEMM.
 Partial sums for channel-split tiles stay at accumulator scale between
 chunks and are renormalized once, so outputs are bit-identical to the
 untiled engine.  Host accumulators are 64-bit for exactness while the
@@ -22,6 +25,7 @@ budget charges the 4-byte accumulator the target hardware would hold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -52,10 +56,7 @@ class Event(NamedTuple):
 
 class TraceLog:
     def __init__(self):
-        self.events: list[Event] = []
-
-    def append(self, ev: Event):
-        self.events.append(ev)
+        self.events: list[Event] = []      # a tuple once compile_schedule ends
 
     def to_csv(self) -> str:
         lines = ["kind,region,node,tile,name,bytes,macs,workers,overlap"]
@@ -87,7 +88,7 @@ class MemSim:
         self.live[key] = nbytes
         self.used[region] += nbytes
         self.peak[region] = max(self.peak[region], self.used[region])
-        self.trace.append(Event("alloc", region, node, tile, name, nbytes))
+        self.trace.events.append(Event("alloc", region, node, tile, name, nbytes))
 
     def free(self, region: str, name: str, node: str = ""):
         key = (region, name)
@@ -95,24 +96,20 @@ class MemSim:
             raise MemSimError(f"free of dead buffer {region}:{name}")
         nbytes = self.live.pop(key)
         self.used[region] -= nbytes
-        self.trace.append(Event("free", region, node, -1, name, nbytes))
-
-    def check_live(self, region: str, name: str):
-        if (region, name) not in self.live:
-            raise MemSimError(f"touch of dead buffer {region}:{name}")
+        self.trace.events.append(Event("free", region, node, -1, name, nbytes))
 
     def transfer(self, tag: str, nbytes: int, src: tuple[str, str],
                  dst: tuple[str, str], node: str = "", tile: int = -1,
                  stream: str = "", overlap: bool = False):
         for region, name in (src, dst):
-            if region != "L3":
-                self.check_live(region, name)
-        self.trace.append(Event("xfer", tag, node, tile, stream, nbytes,
-                                overlap=overlap))
+            if region != "L3" and (region, name) not in self.live:
+                raise MemSimError(f"touch of dead buffer {region}:{name}")
+        self.trace.events.append(Event("xfer", tag, node, tile, stream, nbytes,
+                                       overlap=overlap))
 
     def compute(self, node: str, tile: int, macs: int, workers):
-        self.trace.append(Event("compute", "", node, tile, "", 0, macs,
-                                tuple(workers)))
+        self.trace.events.append(Event("compute", "", node, tile, "", 0, macs,
+                                       tuple(workers)))
 
 
 @dataclass
@@ -126,94 +123,116 @@ class ExecResult:
     l2: l2plan.L2AllocPlan
 
 
-def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
-                     image: np.ndarray) -> ExecResult:
+def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
+    """Replay the schedule's memory traffic through one MemSim, freeze its
+    trace and cache it on the schedule.  An allocation that breaks a budget
+    raises MemSimError, and a failed replay caches nothing."""
+    if schedule._memsim is not None:
+        return schedule._memsim
     graph = schedule.graph
     if schedule.l2 is None:
         schedule.l2 = l2plan.plan_two_stack(graph)
-    plan_l2 = schedule.l2
     ms = MemSim(schedule.l1_budget)
     life = l2plan._lifetimes(graph)
-
-    if image.shape != net.INPUT_SHAPE or image.dtype != np.int16:
-        raise ValueError(f"input must be int16 {net.INPUT_SHAPE}")
-
-    events_by_step: dict[int, list[l2plan.AllocEvent]] = {}
-    for ev in plan_l2.events:
-        events_by_step.setdefault(ev.step, []).append(ev)
-
-    l2data: dict[str, np.ndarray] = {}
+    l2_events: dict[tuple[int, str], list[l2plan.AllocEvent]] = {}
+    for ev in schedule.l2.events:
+        l2_events.setdefault((ev.step, ev.action), []).append(ev)
 
     def l2_step(step: int, node_name: str, action: str):
         """Replay one step's allocations or its releases from the L2 plan."""
-        for ev in events_by_step.get(step, []):
-            if ev.action != action:
-                continue
+        for ev in l2_events.get((step, action), []):
             if action == "alloc":
                 ms.alloc("L2", ev.buffer, ev.bytes, node_name)
             else:
                 ms.free("L2", ev.buffer, node_name)
-                l2data.pop(ev.buffer, None)
 
     # frame ingress: the camera path lands the image in L2 over the uDMA
     l2_step(-1, "frame", "alloc")
-    l2data[net.INPUT_TENSOR] = image.copy()
-    ms.transfer(TAG_L3_L2, image.size * 2, ("L3", "camera"),
+    ms.transfer(TAG_L3_L2, 2 * math.prod(net.INPUT_SHAPE), ("L3", "camera"),
                 ("L2", net.INPUT_TENSOR), "frame", stream="frame", overlap=True)
-
     for i, node in enumerate(life.nodes):
         plan = schedule.plan_for(node.name)
         l2_step(i, node.name, "alloc")
+        l2 = {"in": life.alias[node.input], "out": life.alias[node.output]}
         if node.kind != "ew":
-            wname = l2plan.weight_buffer(node)
+            l2["weights"] = l2plan.weight_buffer(node)
             ms.transfer(TAG_L3_L2, 2 * node.body.n_params, ("L3", "weights"),
-                        ("L2", wname), node.name, stream="weights")
-            l2data[node.output] = np.zeros(graph.tensors[node.output], np.int16)
-
-        # the plan's L1 working set is held for the whole node
+                        ("L2", l2["weights"]), node.name, stream="weights")
+        if node.addend is not None:
+            l2["addend"] = life.alias[node.addend]
+        # the plan's L1 working set is held for the whole node; an
+        # elementwise node streams in and out through one "io" buffer
         for bname, bspec in plan.buffers.items():
             ms.alloc("L1", f"{node.name}:{bname}", bspec.total, node.name)
-        if node.kind == "ew":
-            _run_ew(node, plan, life, l2data, ms)
-        else:
-            _run_conv(node, plan, life, l2data, ms, store, wname)
+        l1 = {s: "io" if node.kind == "ew" else s for s in l2}
+        for t in plan.tiles():
+            for stream, nbytes in t.bytes.items():
+                if stream in ("in", "weights"):
+                    # a double-buffered stream hides every fill after the
+                    # first behind compute
+                    double = plan.buffers[l1[stream]].double
+                    ms.transfer(TAG_L2_L1, nbytes, ("L2", l2[stream]),
+                                ("L1", f"{node.name}:{l1[stream]}"), node.name, t.index,
+                                stream, overlap=double and t.index > 0)
+            ms.compute(node.name, t.index, t.macs, t.workers)
+            if "addend" in t.bytes:
+                ms.transfer(TAG_L2_L1, t.bytes["addend"], ("L2", l2["addend"]),
+                            ("L1", f"{node.name}:{l1['addend']}"), node.name, t.index,
+                            "addend")
+            if "out" in t.bytes:
+                ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:{l1['out']}"),
+                            ("L2", l2["out"]), node.name, t.index, "out")
         for bname in plan.buffers:
             ms.free("L1", f"{node.name}:{bname}", node.name)
         l2_step(i, node.name, "free")
-
-    steer_raw, coll_raw = (int(l2data[head][0, 0, 0]) for head in ("fully_1", "fully_2"))
     l2_step(len(life.nodes), "end", "free")
+    ms.trace.events = tuple(ms.trace.events)
+    schedule._memsim = ms
+    return ms
+
+
+def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
+                     image: np.ndarray) -> ExecResult:
+    """One frame: the compiled schedule's trace, and its arithmetic run
+    node by node in the L2 plan's step order."""
+    if image.shape != net.INPUT_SHAPE or image.dtype != np.int16:
+        raise ValueError(f"input must be int16 {net.INPUT_SHAPE}")
+    ms = compile_schedule(schedule)
+    # activations by tensor name: an elementwise node works in place, so its
+    # output is its input's array, as the L2 plan aliases their buffers
+    acts = {net.INPUT_TENSOR: image.copy()}
+    for name in schedule.l2.step_names[:-1]:
+        plan = schedule.plan_for(name)
+        node = plan.node
+        if node.kind == "ew":
+            x = acts[node.input]
+            for t in plan.tiles():
+                view = x[t.ci[0]:t.ci[1], t.rows[0]:t.rows[1]]
+                view[...] = kernels.relu(view)
+            acts[node.output] = x
+        else:
+            acts[node.output] = _run_conv(node, plan, acts, store,
+                                          schedule.graph.tensors[node.output])
+    steer_raw, coll_raw = (int(acts[head][0, 0, 0]) for head in ("fully_1", "fully_2"))
     return ExecResult(steer_raw / fxp.SCALE, kernels.sigmoid(coll_raw / fxp.SCALE),
-                      steer_raw, coll_raw, ms.trace, ms, plan_l2)
+                      steer_raw, coll_raw, ms.trace, ms, schedule.l2)
 
 
-def _load(ms, node, plan, tile, stream, src):
-    """L2->L1 transfer of one of a tile's input streams; a double-buffered
-    stream hides every fill after the first behind compute."""
-    buf = "io" if node.kind == "ew" else stream
-    ms.transfer(TAG_L2_L1, tile.bytes[stream], ("L2", src), ("L1", f"{node.name}:{buf}"),
-                node.name, tile.index, stream,
-                overlap=plan.buffers[buf].double and tile.index > 0)
-
-
-def _run_conv(node, plan, life, l2data, ms, store, wname):
+def _run_conv(node, plan, acts, store, out_shape):
     """Convolutions, and the FC heads as 1x1 convolutions over their input
     viewed as (k_in, 1, 1) (the view is a no-op for a convolution)."""
     body = node.body
     w, b = store[body.name]
-    sources = {"in": life.alias[node.input], "weights": wname}
-    x = l2data[sources["in"]].reshape(body.k_in, body.h_in, body.w_in)
+    x = acts[node.input].reshape(body.k_in, body.h_in, body.w_in)
     xp = kernels.pad_same(x, body.kh, body.kw)
     pad = body.kh // 2
     bias = (b.astype(np.int64) << fxp.FRAC_BITS)
+    out = np.zeros(out_shape, np.int16)
     # columns per window (input channels, padded rows): feature-wise tiles
     # reread the map once per output-channel tile, stripes partition it
     cols: dict[tuple, tuple[np.ndarray, int, int]] = {}
     acc = None
     for t in plan.tiles():
-        for stream in t.bytes:
-            if stream in sources:
-                _load(ms, node, plan, t, stream, sources[stream])
         (i0, i1), (o0, o1) = t.ci, t.co
         key = (t.ci, t.in_rows)
         if key not in cols:
@@ -224,43 +243,22 @@ def _run_conv(node, plan, life, l2data, ms, store, wname):
         window_cols, h_out, w_out = cols[key]
         part = kernels.conv_acc_on_cols(window_cols, w[o0:o1, i0:i1], h_out, w_out)
         acc = part if acc is None else acc + part
-        ms.compute(node.name, t.index, t.macs, t.workers)
-        if t.closes:
-            acc += bias[o0:o1, None, None]
-            _emit_tile(node, life, l2data, ms, acc, t)
-            acc = None
-
-
-def _emit_tile(node, life, l2data, ms, acc, t):
-    """Renorm once, apply fused pool/add/relu, write the tile back to L2."""
-    tile = fxp.renorm_array(acc)
-    if node.fused_pool:
-        tile = kernels.maxpool2(tile)
-    if node.body.fused_relu:
-        tile = kernels.relu(tile)
-    (h0, h1), (o0, o1) = t.rows, t.co
-    if node.addend is not None:
-        addend_buf = life.alias[node.addend]
-        ms.transfer(TAG_L2_L1, t.bytes["addend"], ("L2", addend_buf),
-                    ("L1", f"{node.name}:addend"), node.name, t.index, "addend")
-        join = node.rows[1]
-        relu_after = join.fused_relu or len(node.rows) > 2
-        tile = kernels.add(tile, l2data[addend_buf][o0:o1, h0:h1], fused_relu=relu_after)
-    l2data[node.output][o0:o1, h0:h1] = tile
-    ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:out"),
-                ("L2", node.output), node.name, t.index, "out")
-
-
-def _run_ew(node, plan, life, l2data, ms):
-    buf = life.alias[node.input]
-    x = l2data[buf]
-    for t in plan.tiles():
-        _load(ms, node, plan, t, "in", buf)
-        ms.compute(node.name, t.index, t.macs, t.workers)
-        view = x[t.ci[0]:t.ci[1], t.rows[0]:t.rows[1]]
-        view[...] = kernels.relu(view)
-        ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:io"), ("L2", buf),
-                    node.name, t.index, "out")
+        if not t.closes:
+            continue
+        # renorm once, then the fused pool, ReLU and residual add
+        acc += bias[o0:o1, None, None]
+        tile = fxp.renorm_array(acc)
+        if node.fused_pool:
+            tile = kernels.maxpool2(tile)
+        if body.fused_relu:
+            tile = kernels.relu(tile)
+        h0, h1 = t.rows
+        if node.addend is not None:
+            relu_after = node.rows[1].fused_relu or len(node.rows) > 2
+            tile = kernels.add(tile, acts[node.addend][o0:o1, h0:h1], fused_relu=relu_after)
+        out[o0:o1, h0:h1] = tile
+        acc = None
+    return out
 
 
 @dataclass

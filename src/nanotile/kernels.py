@@ -60,16 +60,6 @@ def conv_acc_on_cols(cols: np.ndarray, w: np.ndarray, h_out: int,
     return acc.T.reshape(k_out, h_out, w_out)
 
 
-def conv_acc_on_padded(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Exact accumulator (K_out, H_out, W_out) over a fully padded input,
-    no bias.  Output row 0 reads input rows [0, kh)."""
-    _, k_in, kh, kw = w.shape
-    if xp.shape[0] != k_in:
-        raise ValueError(f"channel mismatch: input {xp.shape[0]}, weights {k_in}")
-    return conv_acc_on_cols(conv_cols(xp, kh, kw, stride), w,
-                            *conv_out_hw(xp, kh, kw, stride))
-
-
 def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Zero-pad kh//2 rows and kw//2 columns on each side."""
     ph, pw = kh // 2, kw // 2
@@ -85,7 +75,9 @@ def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     _check3(x)
     if x.shape[0] != k_in:
         raise ValueError(f"channel mismatch: input {x.shape[0]}, weights {k_in}")
-    acc = conv_acc_on_padded(pad_same(x, kh, kw), w, stride)
+    xp = pad_same(x, kh, kw)
+    acc = conv_acc_on_cols(conv_cols(xp, kh, kw, stride), w,
+                           *conv_out_hw(xp, kh, kw, stride))
     return acc + (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
 
 

@@ -128,17 +128,20 @@ def run_mission(n_frames: int, timings: Timings) -> Timeline:
 def validate_timeline(tl: Timeline) -> list[str]:
     """Causal order per frame, once-per-mission setup, and the two-buffer rule."""
     v: list[str] = []
-    for step in MISSION_STEPS:
-        if len(tl.of(step)) != 1:
+    setup = [tl.of(step) for step in MISSION_STEPS]
+    for step, found in zip(MISSION_STEPS, setup):
+        if len(found) != 1:
             v.append(f"{step}: expected exactly one per mission")
-    wake = tl.of(WAKE)[0]
-    fetch = tl.of(FETCH)[0]
-    config = tl.of(CONFIG)[0]
-    if not (wake.t_end <= fetch.t_start <= fetch.t_end <= config.t_start):
-        v.append("mission setup out of order")
+    if all(setup):
+        wake, fetch, config = (found[0] for found in setup)
+        if not (wake.t_end <= fetch.t_start <= fetch.t_end <= config.t_start):
+            v.append("mission setup out of order")
+    else:
+        config = None
 
-    n = tl.n_frames
-    for k in range(n):
+    # frame buffer k is live from acquisition start until its compute ends
+    intervals = []
+    for k in range(tl.n_frames):
         try:
             dma = tl.of(FRAME_DMA, k)[0]
             wl = tl.of(WEIGHT_LOAD, k)[0]
@@ -148,7 +151,8 @@ def validate_timeline(tl: Timeline) -> list[str]:
         except IndexError:
             v.append(f"frame {k}: missing protocol step")
             continue
-        if dma.t_start < config.t_end:
+        intervals.append((dma.t_start, comp.t_end, k, dma.buffer))
+        if config is not None and dma.t_start < config.t_end:
             v.append(f"frame {k}: acquisition before camera configured")
         if comp.t_start < dma.t_end or comp.t_start < wl.t_end:
             v.append(f"frame {k}: compute before its inputs arrived")
@@ -157,13 +161,7 @@ def validate_timeline(tl: Timeline) -> list[str]:
         if ack.t_start < res.t_end:
             v.append(f"frame {k}: ack before result delivered")
 
-    # frame buffer k is live from acquisition start until its compute ends;
-    # a sweep over endpoints bounds simultaneous occupancy
-    intervals = []
-    for k in range(n):
-        dma = tl.of(FRAME_DMA, k)[0]
-        comp = tl.of(COMPUTE, k)[0]
-        intervals.append((dma.t_start, comp.t_end, k, dma.buffer))
+    # a sweep over the buffer intervals' endpoints bounds simultaneous occupancy
     marks = []
     for b0, b1, k, _ in intervals:
         marks.append((b0, 1, k))

@@ -331,10 +331,6 @@ class TilePlan:
                 totals[stream] = totals.get(stream, 0) + nbytes
         return totals
 
-    @property
-    def total_l2l1_bytes(self) -> int:
-        return sum(self.transfer_bytes().values())
-
 
 def _extents(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile):
     """Normalised tile extents and tile counts for one scheme.
@@ -583,7 +579,9 @@ class TileSchedule:
     graph: net.NetworkGraph
     l1_budget: int
     plans: list[TilePlan]
-    l2: object = None   # L2AllocPlan, attached by the executor or caller
+    l2: object = None   # L2AllocPlan, attached by the caller or on first compile
+    # executor.compile_schedule's MemSim: the memory replay, trace included
+    _memsim: object = field(default=None, init=False, repr=False, compare=False)
 
     def plan_for(self, node_name: str) -> TilePlan:
         for p in self.plans:
@@ -604,7 +602,7 @@ def schedule_summary(schedule: TileSchedule, csv: bool = False) -> str:
     rows = []
     for p in schedule.plans:
         rows.append((p.node.name, p.scheme, p.h_tile, p.ci_tile, p.co_tile,
-                     p.n_tiles, p.footprint, p.total_l2l1_bytes,
+                     p.n_tiles, p.footprint, sum(p.transfer_bytes().values()),
                      int(p.est_cycles or 0)))
     if csv:
         return "\n".join([",".join(header)] +

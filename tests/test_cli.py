@@ -101,6 +101,14 @@ def test_react_output(capsys):
     assert lines[2].startswith("10") and lines[2].endswith("stopped")
 
 
+def test_react_bad_trace(capsys, tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("timestamp_s\n0.0\n")
+    code, _, err = run(capsys, "react", "--trace", str(bad))
+    assert code == 1
+    assert err.startswith("error: ") and "header must name timestamp_s and c" in err
+
+
 def test_mission_output(capsys):
     code, out, _ = run(capsys, "mission", "--frames", "4")
     assert code == 0

@@ -125,6 +125,16 @@ def test_trace_round_trip(tmp_path):
     assert again.sample(2.15) == pytest.approx(tr.sample(2.15), abs=1e-9)
 
 
+def test_load_trace_rejects_malformed_csv(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("time,c\n0.0,0.1\n")
+    with pytest.raises(ValueError, match="header must name timestamp_s and c"):
+        ctrl.load_trace(str(p))
+    p.write_text("# comment\ntimestamp_s,c\n0.0,0.1\n1.0\n")
+    with pytest.raises(ValueError, match="data row 2 is short"):
+        ctrl.load_trace(str(p))
+
+
 def test_fps_sweep_csv():
     rows = ctrl.fps_sweep([5, 10], ctrl.reference_trace())
     text = ctrl.sweep_csv(rows)

@@ -88,8 +88,21 @@ def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, windo
 
 def test_run_enforces_schedule_l1_budget(graph, schedule):
     tight = tiler.TileSchedule(graph, 32 * 1024, schedule.plans)
-    with pytest.raises(executor.MemSimError, match="L1 capacity exceeded"):
-        executor.execute_schedule(tight, net.zero_store(graph), oracles.random_image(0))
+    for _ in range(2):          # a failed compile is not cached
+        with pytest.raises(executor.MemSimError, match="L1 capacity exceeded"):
+            executor.execute_schedule(tight, net.zero_store(graph), oracles.random_image(0))
+
+
+def test_memory_replayed_once_per_schedule(graph):
+    # the trace depends on the schedule alone: different weights and images
+    # give different heads over one compiled trace
+    sched = tiler.plan_network(graph, 16 * 1024)
+    a, b = (executor.execute_schedule(sched, net.random_store(graph, seed, 0.1),
+                                      oracles.random_image(seed)) for seed in (0, 3))
+    assert (a.raw_steering, a.raw_collision) != (b.raw_steering, b.raw_collision)
+    assert isinstance(a.trace.events, tuple)
+    assert a.trace.events == b.trace.events
+    assert a.memsim.peak == b.memsim.peak
 
 
 def test_budget_and_l2_peaks(graph):

@@ -51,6 +51,13 @@ def test_conv_random_3x3_s2_on_stem_shape():
     assert np.array_equal(got, oracles.naive_renorm(oracles.naive_conv_acc(x, w, b, 2)))
 
 
+def test_conv_channel_mismatch():
+    x = np.zeros((3, 6, 6), np.int16)
+    w = np.zeros((2, 4, 3, 3), np.int16)
+    with pytest.raises(ValueError, match="channel mismatch: input 3, weights 4"):
+        kernels.conv_accumulate(x, w, np.zeros(2, np.int16), 1)
+
+
 def test_accumulation_order_independence():
     # permuting the (c, dy, dx) summation order must not change the output
     rng = np.random.default_rng(5)

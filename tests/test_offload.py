@@ -59,6 +59,17 @@ def test_ordering_violation_detected():
                for v in offload.validate_timeline(tampered))
 
 
+def test_missing_steps_reported():
+    tl = offload.run_mission(3, offload.Timings(0.01, 0.02, 0.001))
+    no_wake = offload.Timeline(tl.timings, [e for e in tl.events
+                                            if e.step != offload.WAKE])
+    assert offload.validate_timeline(no_wake) == [
+        f"{offload.WAKE}: expected exactly one per mission"]
+    no_compute = offload.Timeline(tl.timings, [
+        e for e in tl.events if not (e.step == offload.COMPUTE and e.frame == 1)])
+    assert offload.validate_timeline(no_compute) == ["frame 1: missing protocol step"]
+
+
 def test_extra_buffer_detected():
     tl = offload.run_mission(4, offload.Timings(0.03, 0.01, 0.001))
     events = list(tl.events)
