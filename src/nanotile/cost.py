@@ -23,14 +23,13 @@ no cost, so only the per-descriptor setup cost is modelled.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import net, tiler
+from . import csvtable, net, tiler
 
 DATA_ENV = "NANOTILE_DATA_DIR"
 _DATA_DIR = Path(__file__).parent / "data"
@@ -258,17 +257,10 @@ def data_dir() -> Path:
     return Path(override) if override else _DATA_DIR
 
 
-def _read_csv(path: Path) -> list[dict]:
-    with open(path, newline="") as f:
-        rows = [r for r in csv.DictReader(l for l in f if not l.startswith("#"))]
-    return rows
-
-
 @dataclass
 class Targets:
     layer_ms: dict[str, float]           # exec time per table row
     l3l2_ms: dict[str, float]
-    layer_power_mw: dict[str, float]
     udma_mcycles: float
     dma_mcycles: float
     computation_mcycles: float
@@ -276,21 +268,28 @@ class Targets:
     power_points: list[dict]
 
 
+_BREAKDOWN = ("udma_l3l2_mcycles", "dma_l2l1_mcycles", "computation_mcycles",
+              "total_mcycles")
+_POWER = ("vdd_v", "fc_mhz", "cl_mhz", "avg_power_mw")
+
+
 def load_targets(directory: Path | None = None) -> Targets:
+    """Read the three measurement tables; a malformed table raises ValueError
+    naming its file."""
     d = directory or data_dir()
-    layer, l3l2, power_mw = {}, {}, {}
-    for row in _read_csv(d / "gap8_layer_times.csv"):
-        layer[row["layer"]] = float(row["exec_ms"])
-        power_mw[row["layer"]] = float(row["avg_power_mw"])
+    layer, l3l2 = {}, {}
+    path = d / "gap8_layer_times.csv"
+    for n, row in enumerate(csvtable.read(path, ("layer", "exec_ms", "l3l2_ms")), 1):
+        layer[row["layer"]] = csvtable.number(path, n, row, "exec_ms")
         if row["l3l2_ms"]:
-            l3l2[row["layer"]] = float(row["l3l2_ms"])
-    bd = _read_csv(d / "gap8_cycle_breakdown.csv")[0]
-    points = [{k: float(v) for k, v in row.items()}
-              for row in _read_csv(d / "gap8_power_points.csv")]
-    return Targets(layer, l3l2, power_mw,
-                   float(bd["udma_l3l2_mcycles"]), float(bd["dma_l2l1_mcycles"]),
-                   float(bd["computation_mcycles"]), float(bd["total_mcycles"]),
-                   points)
+            l3l2[row["layer"]] = csvtable.number(path, n, row, "l3l2_ms")
+    path = d / "gap8_cycle_breakdown.csv"
+    bd = csvtable.read(path, _BREAKDOWN)[0]
+    breakdown = [csvtable.number(path, 1, bd, c) for c in _BREAKDOWN]
+    path = d / "gap8_power_points.csv"
+    points = [{c: csvtable.number(path, n, row, c) for c in _POWER}
+              for n, row in enumerate(csvtable.read(path, _POWER), 1)]
+    return Targets(layer, l3l2, *breakdown, points)
 
 
 # -- calibration --------------------------------------------------------------

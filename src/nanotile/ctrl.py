@@ -14,10 +14,11 @@ last half second of approach, standing in for recorded flight data.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from . import csvtable
 
 ALPHA = 0.7
 STOP_THRESHOLD = 0.7
@@ -78,6 +79,8 @@ class CollisionTrace:
     def __post_init__(self):
         if len(self.times) != len(self.values) or not self.times:
             raise ValueError("trace needs matching, non-empty times and values")
+        if not all(math.isfinite(x) for x in (*self.times, *self.values)):
+            raise ValueError("trace times and values must be finite")
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ValueError("trace timestamps must be strictly increasing")
 
@@ -117,19 +120,16 @@ def ramp_trace(t_appear: float, ramp_s: float = 0.5, horizon: float = 20.0,
 
 
 def load_trace(path: str) -> CollisionTrace:
-    """Read a timestamp_s,c CSV; a missing column, a short row or a field
-    that is not a number raises ValueError."""
-    times, values = [], []
-    with open(path, newline="") as f:
-        rows = csv.DictReader(l for l in f if not l.startswith("#"))
-        if not {"timestamp_s", "c"} <= set(rows.fieldnames or ()):
-            raise ValueError(f"{path}: header must name timestamp_s and c")
-        for n, row in enumerate(rows, 1):
-            if None in (row["timestamp_s"], row["c"]):
-                raise ValueError(f"{path}: data row {n} is short")
-            times.append(float(row["timestamp_s"]))
-            values.append(float(row["c"]))
-    return CollisionTrace(times, values)
+    """Read a timestamp_s,c CSV; a malformed table, a field that is not a
+    finite number or timestamps that do not increase raise ValueError naming
+    the file."""
+    rows = csvtable.read(path, ("timestamp_s", "c"))
+    times = [csvtable.number(path, n, r, "timestamp_s") for n, r in enumerate(rows, 1)]
+    values = [csvtable.number(path, n, r, "c") for n, r in enumerate(rows, 1)]
+    try:
+        return CollisionTrace(times, values)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
 
 
 def save_trace(trace: CollisionTrace, path: str) -> None:

@@ -6,8 +6,8 @@ kernel//2) with ceil output sizing, accumulate products exactly and
 renormalize once per output element.
 
 The integer accumulation is routed through float64 GEMM: every partial sum is
-bounded by len * 2**30 < 2**53, so the float path is bit-exact and an order
-of magnitude faster than integer matmul.
+bounded by len * 2**30 <= 2**53 for len <= fxp.MAX_EXACT_DOT_LEN, so the
+float path is bit-exact and an order of magnitude faster than integer matmul.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ def conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
     """im2col over an already fully padded input, as exact float64."""
     h_out, w_out = conv_out_hw(xp, kh, kw, stride)
     cols = im2col(xp, kh, kw, stride, h_out, w_out).astype(np.float64)
-    if cols.shape[1] * (1 << 30) >= (1 << 53):
+    if cols.shape[1] > fxp.MAX_EXACT_DOT_LEN:
         raise ValueError("dot length too long for exact float64 accumulation")
     return cols
 

@@ -44,7 +44,6 @@ class L2AllocPlan:
     events: list[AllocEvent]
     step_names: list[str]
     assignment: dict[str, int]          # activation buffer -> stack
-    buffer_bytes: dict[str, int]
     peak_bytes: int
     stack_peaks: tuple[int, ...]
     occupancy: list[tuple[int, ...]]    # per step, after its frees
@@ -247,8 +246,7 @@ def plan_two_stack(graph: net.NetworkGraph) -> L2AllocPlan:
     stack_of = _search_two_stack(life)
     peak, peaks, events, occupancy = _simulate(life, stack_of, 2, record=True)
     names = [n.name for n in life.nodes] + ["end"]
-    return L2AllocPlan(2, events, names, stack_of, dict(life.sizes),
-                       peak, peaks, occupancy)
+    return L2AllocPlan(2, events, names, stack_of, peak, peaks, occupancy)
 
 
 def plan_single_stack(graph: net.NetworkGraph) -> L2AllocPlan:
@@ -257,8 +255,7 @@ def plan_single_stack(graph: net.NetworkGraph) -> L2AllocPlan:
     stack_of = {b: 0 for b in life.buffers}
     peak, peaks, events, occupancy = _simulate(life, stack_of, 1, record=True)
     names = [n.name for n in life.nodes] + ["end"]
-    return L2AllocPlan(1, events, names, stack_of, dict(life.sizes),
-                       peak, peaks, occupancy)
+    return L2AllocPlan(1, events, names, stack_of, peak, peaks, occupancy)
 
 
 def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:

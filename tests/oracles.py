@@ -117,5 +117,4 @@ def exhaustive_two_stack(graph):
     stack_of = best[1]
     peak, peaks, events, occupancy = l2plan._simulate(life, stack_of, 2, record=True)
     names = [n.name for n in life.nodes] + ["end"]
-    return l2plan.L2AllocPlan(2, events, names, stack_of, dict(life.sizes),
-                              peak, peaks, occupancy)
+    return l2plan.L2AllocPlan(2, events, names, stack_of, peak, peaks, occupancy)

@@ -259,7 +259,7 @@ def test_criterion_9_fixed_point_unit():
     raws = fxp.quantize_array(xs).astype(np.int64)
     if not (np.diff(raws) >= 0).all():
         failures.append("quantize monotonicity violated")
-    if fxp.quantize(100.0).raw != fxp.QMAX or fxp.quantize(-100.0).raw != fxp.QMIN:
+    if fxp.quantize_array(np.array([100.0, -100.0])).tolist() != [fxp.QMAX, fxp.QMIN]:
         failures.append("saturation broken")
 
     all_raws = np.arange(fxp.QMIN, fxp.QMAX + 1, dtype=np.int64)
@@ -278,11 +278,12 @@ def test_criterion_9_fixed_point_unit():
     exact = sum(int(x) * int(y) for x, y in zip(a.tolist(), b.tolist()))
     if int(np.dot(a, b)) != exact:
         failures.append("vector dot product deviates from exact integers")
-    acc = fxp.Acc32(0)
-    for x, y in zip(a[:3000].tolist(), b[:3000].tolist()):
-        acc = fxp.mac(acc, fxp.Q412(x), fxp.Q412(y))
+    # the engine's accumulation: a 1x1 convolution over a (3000, 1, 1) input
+    acc = kernels.conv_accumulate(a[:3000].astype(np.int16).reshape(3000, 1, 1),
+                                  b[:3000].astype(np.int16).reshape(1, 3000, 1, 1),
+                                  np.zeros(1, np.int16), 1)
     exact3k = sum(int(x) * int(y) for x, y in zip(a[:3000].tolist(),
                                                   b[:3000].tolist()))
-    if acc.raw != exact3k:
+    if int(acc[0, 0, 0]) != exact3k:
         failures.append("mac chain deviates from exact integers")
     _report(9, "fixed-point unit properties (1e5 cases)", failures)

@@ -109,6 +109,18 @@ def test_react_bad_trace(capsys, tmp_path):
     assert err.startswith("error: ") and "header must name timestamp_s and c" in err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0.0,0.1,junk", "data row 1 is long"),
+    ("nan,0.1", "data row 1: timestamp_s 'nan' is not a finite number"),
+], ids=["extra-field", "nan-time"])
+def test_react_malformed_trace_row(capsys, tmp_path, row, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"timestamp_s,c\n{row}\n")
+    code, _, err = run(capsys, "react", "--trace", str(bad))
+    assert code == 1
+    assert err.startswith(f"error: {bad}: {message}")
+
+
 def test_mission_output(capsys):
     code, out, _ = run(capsys, "mission", "--frames", "4")
     assert code == 0

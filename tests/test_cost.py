@@ -168,3 +168,25 @@ def test_targets_loader_env_override(tmp_path, monkeypatch):
     assert t.layer_ms["conv_9"] == 24.8
     assert "add_1" not in t.l3l2_ms              # no weights on join rows
     assert len(t.power_points) == 2
+
+
+@pytest.mark.parametrize("name, old, new, match", [
+    ("gap8_layer_times.csv", "exec_ms,", "exec_time,",
+     "header must name layer and exec_ms and l3l2_ms"),
+    ("gap8_cycle_breakdown.csv", "1.03,0.11,13.47,14.61\n", "", "no data row"),
+    ("gap8_power_points.csv", "1.2,250,250,272,18", "1.2,250,250,272",
+     "data row 2 is short"),
+    ("gap8_layer_times.csv", "conv_1,47.1,22.6,", "conv_1,47.1,22.6ms,",
+     "data row 1: exec_ms '22.6ms' is not a finite number"),
+    ("gap8_power_points.csv", "1.0,50,100,45,", "1.0,50,100,nan,",
+     "data row 1: avg_power_mw 'nan' is not a finite number"),
+], ids=["missing-column", "empty-table", "short-row", "non-numeric", "non-finite"])
+def test_targets_loader_rejects_malformed_tables(tmp_path, name, old, new, match):
+    for f in cost.data_dir().iterdir():
+        (tmp_path / f.name).write_text(f.read_text())
+    text = (tmp_path / name).read_text()
+    assert old in text
+    (tmp_path / name).write_text(text.replace(old, new))
+    with pytest.raises(ValueError, match=match) as e:
+        cost.load_targets(tmp_path)
+    assert str(e.value).startswith(f"{tmp_path / name}: ")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -133,6 +135,28 @@ def test_load_trace_rejects_malformed_csv(tmp_path):
     p.write_text("# comment\ntimestamp_s,c\n0.0,0.1\n1.0\n")
     with pytest.raises(ValueError, match="data row 2 is short"):
         ctrl.load_trace(str(p))
+
+
+def test_collision_trace_rejects_non_finite():
+    for times, values in (([0.0, math.nan, 2.0], [0.1, 0.5, 0.9]),
+                          ([0.0, 1.0, math.inf], [0.1, 0.5, 0.9]),
+                          ([0.0, 1.0, 2.0], [0.1, math.nan, 0.9])):
+        with pytest.raises(ValueError, match="finite"):
+            ctrl.CollisionTrace(times, values)
+
+
+@pytest.mark.parametrize("row, match", [
+    ("1.0,0.1,junk", "data row 2 is long: 3 fields, header has 2"),
+    ("nan,0.1", "data row 2: timestamp_s 'nan' is not a finite number"),
+    ("1.0,inf", "data row 2: c 'inf' is not a finite number"),
+    ("0.0,0.1", "timestamps must be strictly increasing"),
+], ids=["extra-field", "nan-time", "inf-value", "not-increasing"])
+def test_load_trace_names_file_and_row(tmp_path, row, match):
+    p = tmp_path / "t.csv"
+    p.write_text(f"timestamp_s,c\n0.0,0.1\n{row}\n2.0,0.9\n")
+    with pytest.raises(ValueError, match=match) as e:
+        ctrl.load_trace(str(p))
+    assert str(e.value).startswith(f"{p}: ")
 
 
 def test_fps_sweep_csv():

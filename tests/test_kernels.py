@@ -58,6 +58,17 @@ def test_conv_channel_mismatch():
         kernels.conv_accumulate(x, w, np.zeros(2, np.int16), 1)
 
 
+def test_exact_dot_bound_is_inclusive(monkeypatch):
+    # a dot of exactly fxp.MAX_EXACT_DOT_LEN terms is exact, as net._validate
+    # accepts; one channel more is rejected
+    monkeypatch.setattr(fxp, "MAX_EXACT_DOT_LEN", 9)
+    w, b = np.zeros((1, 1, 3, 3), np.int16), np.zeros(1, np.int16)
+    kernels.conv_accumulate(np.zeros((1, 4, 4), np.int16), w, b, 1)
+    with pytest.raises(ValueError, match="dot length"):
+        kernels.conv_accumulate(np.zeros((2, 4, 4), np.int16),
+                                np.zeros((1, 2, 3, 3), np.int16), b, 1)
+
+
 def test_accumulation_order_independence():
     # permuting the (c, dy, dx) summation order must not change the output
     rng = np.random.default_rng(5)

@@ -131,7 +131,7 @@ def test_load_image(tmp_path):
     _write_pgm(p, np.full((240, 320), 255))
     t = net.load_image(str(p))
     assert t.shape == (1, 200, 200)
-    assert (t == 4096).all()                      # 255/255 -> quantize(1.0)
+    assert (t == 4096).all()                      # 255/255 -> 1.0 in Q4.12
 
     img = np.zeros((240, 320))
     img[:, :40] = 200                             # cropped away by center crop
