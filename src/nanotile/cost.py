@@ -266,8 +266,17 @@ class Targets:
     computation_mcycles: float
     total_mcycles: float
     power_points: list[dict]
+    directory: Path                      # where the tables were read
+
+    def row_ms(self, name: str) -> float:
+        """Measured exec time of graph row `name`."""
+        if name not in self.layer_ms:
+            raise ValueError(f"{self.directory / LAYER_TABLE}: no row for layer {name}")
+        return self.layer_ms[name]
 
 
+LAYER_TABLE = "gap8_layer_times.csv"
+POWER_TABLE = "gap8_power_points.csv"
 _BREAKDOWN = ("udma_l3l2_mcycles", "dma_l2l1_mcycles", "computation_mcycles",
               "total_mcycles")
 _POWER = ("vdd_v", "fc_mhz", "cl_mhz", "avg_power_mw")
@@ -278,7 +287,7 @@ def load_targets(directory: Path | None = None) -> Targets:
     naming its file."""
     d = directory or data_dir()
     layer, l3l2 = {}, {}
-    path = d / "gap8_layer_times.csv"
+    path = d / LAYER_TABLE
     for n, row in enumerate(csvtable.read(path, ("layer", "exec_ms", "l3l2_ms")), 1):
         layer[row["layer"]] = csvtable.number(path, n, row, "exec_ms")
         if row["l3l2_ms"]:
@@ -286,10 +295,10 @@ def load_targets(directory: Path | None = None) -> Targets:
     path = d / "gap8_cycle_breakdown.csv"
     bd = csvtable.read(path, _BREAKDOWN)[0]
     breakdown = [csvtable.number(path, 1, bd, c) for c in _BREAKDOWN]
-    path = d / "gap8_power_points.csv"
+    path = d / POWER_TABLE
     points = [{c: csvtable.number(path, n, row, c) for c in _POWER}
               for n, row in enumerate(csvtable.read(path, _POWER), 1)]
-    return Targets(layer, l3l2, *breakdown, points)
+    return Targets(layer, l3l2, *breakdown, points, d)
 
 
 # -- calibration --------------------------------------------------------------
@@ -307,9 +316,13 @@ def calibrate(schedule: tiler.TileSchedule,
     A negative fork cost is refitted without the fork column (held at 0).
     """
     targets = targets or load_targets()
+    if len(targets.power_points) != 2:
+        raise ValueError(f"{targets.directory / POWER_TABLE}: "
+                         f"{len(targets.power_points)} operating corners, the power "
+                         "fit needs 2")
     feats = _schedule_rows(schedule)
     # target exec times measured at CL 100 MHz: ms -> CL cycles
-    t_cycles = np.array([targets.layer_ms[f.name] * 1e5 for f in feats])
+    t_cycles = np.array([targets.row_ms(f.name) * 1e5 for f in feats])
 
     w_total = sum(f.w_bytes for f in feats)
     bw_l3l2 = w_total / (targets.udma_mcycles * 1e6)
@@ -362,7 +375,7 @@ def fit_residuals(schedule, calib, power, targets=None) -> dict:
     report = frame_report(schedule, EFFICIENT, calib, power)
     per_row = {}
     for row in report.rows:
-        t = targets.layer_ms[row.name]
+        t = targets.row_ms(row.name)
         per_row[row.name] = (row.exec_ms(EFFICIENT) - t) / t
     udma, dma, comp, total = breakdown_mcycles(report)
     bd = {"udma": udma / targets.udma_mcycles - 1,

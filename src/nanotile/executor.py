@@ -13,14 +13,15 @@ budget, so an allocation that breaks it raises.
 Each frame runs only the arithmetic, over the same tiles.  The FC heads run
 on the same tile loop as 1x1 convolutions over their input viewed as
 (k_in, 1, 1).  The executor pads each node's input once and runs the same
-exact kernels as the untiled reference on views of it.  Tiles that read the
-same window (input channels and padded rows) share its im2col columns,
-built on first use and dropped when the node ends; each tile still runs
-its own GEMM.
-Partial sums for channel-split tiles stay at accumulator scale between
-chunks and are renormalized once, so outputs are bit-identical to the
-untiled engine.  Host accumulators are 64-bit for exactness while the
-budget charges the 4-byte accumulator the target hardware would hold.
+exact kernels as the untiled reference on views of it.  Once per plan,
+row_groups groups the tiles by output rows and, within those, by window
+(input channels and padded rows).  Per frame, each window's im2col columns
+are built once and multiplied in one GEMM against every output channel
+whose tiles read that window.  The products of a row group's windows are
+summed at accumulator scale and renormalized once over the channels its
+closing tiles write, so outputs are bit-identical to the untiled engine.
+Host accumulators are 64-bit for exactness while the budget charges the
+4-byte accumulator the target hardware would hold.
 """
 
 from __future__ import annotations
@@ -218,6 +219,50 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                       steer_raw, coll_raw, ms.trace, ms, schedule.l2)
 
 
+class Window(NamedTuple):
+    ci: tuple[int, int]                   # input-channel range
+    in_rows: tuple[int, int, int, int]    # input rows read, as Tile.in_rows
+    co: slice | np.ndarray                # output channels of the tiles that read it
+
+
+class RowGroup(NamedTuple):
+    rows: tuple[int, int]                 # node-output rows
+    windows: tuple[Window, ...]
+    closes: slice | np.ndarray            # output channels its closing tiles write
+
+
+def _channels(ranges: list[tuple[int, int]]) -> slice | np.ndarray:
+    """Disjoint channel ranges as one slice, or as an index array where
+    they leave a gap."""
+    ranges = sorted(ranges)
+    if not ranges:
+        return slice(0, 0)
+    joins = list(zip(ranges, ranges[1:]))
+    if any(b0 < a1 for (_, a1), (b0, _) in joins):
+        raise ValueError(f"output-channel ranges overlap: {ranges}")
+    if all(b0 == a1 for (_, a1), (b0, _) in joins):
+        return slice(ranges[0][0], ranges[-1][1])
+    return np.concatenate([np.arange(c0, c1) for c0, c1 in ranges])
+
+
+def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
+    """A conv or FC plan's tiles by output rows, then by window, with the
+    output channels of each; built once per plan and cached on it."""
+    if plan._row_groups is None:
+        windows: dict[tuple, dict[tuple, list]] = {}
+        closes: dict[tuple, list] = {}
+        for t in plan.tiles():
+            windows.setdefault(t.rows, {}).setdefault((t.ci, t.in_rows), []).append(t.co)
+            if t.closes:
+                closes.setdefault(t.rows, []).append(t.co)
+        plan._row_groups = tuple(
+            RowGroup(rows, tuple(Window(ci, in_rows, _channels(cos))
+                                 for (ci, in_rows), cos in group.items()),
+                     _channels(closes.get(rows, [])))
+            for rows, group in windows.items())
+    return plan._row_groups
+
+
 def _run_conv(node, plan, acts, store, out_shape):
     """Convolutions, and the FC heads as 1x1 convolutions over their input
     viewed as (k_in, 1, 1) (the view is a no-op for a convolution)."""
@@ -226,38 +271,34 @@ def _run_conv(node, plan, acts, store, out_shape):
     x = acts[node.input].reshape(body.k_in, body.h_in, body.w_in)
     xp = kernels.pad_same(x, body.kh, body.kw)
     pad = body.kh // 2
-    bias = (b.astype(np.int64) << fxp.FRAC_BITS)
+    bias = (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
     out = np.zeros(out_shape, np.int16)
-    # columns per window (input channels, padded rows): feature-wise tiles
-    # reread the map once per output-channel tile, stripes partition it
-    cols: dict[tuple, tuple[np.ndarray, int, int]] = {}
-    acc = None
-    for t in plan.tiles():
-        (i0, i1), (o0, o1) = t.ci, t.co
-        key = (t.ci, t.in_rows)
-        if key not in cols:
-            r0, r1, pad_above, pad_below = t.in_rows
+    for group in row_groups(plan):
+        # one GEMM per window: feature-wise tiles reread the map once per
+        # output-channel tile, and here every such tile shares the product
+        acc = None
+        for (i0, i1), (r0, r1, pad_above, pad_below), co in group.windows:
             window = xp[i0:i1, pad + r0 - pad_above:pad + r1 + pad_below]
-            cols[key] = (kernels.conv_cols(window, body.kh, body.kw, body.stride),
-                         *kernels.conv_out_hw(window, body.kh, body.kw, body.stride))
-        window_cols, h_out, w_out = cols[key]
-        part = kernels.conv_acc_on_cols(window_cols, w[o0:o1, i0:i1], h_out, w_out)
-        acc = part if acc is None else acc + part
-        if not t.closes:
-            continue
-        # renorm once, then the fused pool, ReLU and residual add
-        acc += bias[o0:o1, None, None]
-        tile = fxp.renorm_array(acc)
+            h_out, w_out = kernels.conv_out_hw(window, body.kh, body.kw, body.stride)
+            part = kernels.conv_acc_on_cols(
+                kernels.conv_cols(window, body.kh, body.kw, body.stride),
+                w[co, i0:i1], h_out, w_out)
+            if acc is None:
+                acc = np.zeros((body.k_out, h_out, w_out), np.int64)
+            acc[co] += part
+        # renorm once over the closing channels, then the fused pool, ReLU
+        # and residual add
+        co = group.closes
+        tile = fxp.renorm_array(acc[co] + bias[co])
         if node.fused_pool:
             tile = kernels.maxpool2(tile)
         if body.fused_relu:
             tile = kernels.relu(tile)
-        h0, h1 = t.rows
+        h0, h1 = group.rows
         if node.addend is not None:
             relu_after = node.rows[1].fused_relu or len(node.rows) > 2
-            tile = kernels.add(tile, acts[node.addend][o0:o1, h0:h1], fused_relu=relu_after)
-        out[o0:o1, h0:h1] = tile
-        acc = None
+            tile = kernels.add(tile, acts[node.addend][co, h0:h1], fused_relu=relu_after)
+        out[co, h0:h1] = tile
     return out
 
 

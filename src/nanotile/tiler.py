@@ -200,6 +200,8 @@ class TilePlan:
     l1_budget: int
     est_cycles: float | None = None
     _tiles: list | None = field(default=None, init=False, repr=False, compare=False)
+    # executor.row_groups: the tiles grouped by output rows and by window
+    _row_groups: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def footprint(self) -> int:

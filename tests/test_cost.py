@@ -190,3 +190,31 @@ def test_targets_loader_rejects_malformed_tables(tmp_path, name, old, new, match
     with pytest.raises(ValueError, match=match) as e:
         cost.load_targets(tmp_path)
     assert str(e.value).startswith(f"{tmp_path / name}: ")
+
+
+def _edited_targets(tmp_path, name, old, new):
+    """The shipped tables copied to tmp_path, with `old` replaced in `name`."""
+    for f in cost.data_dir().iterdir():
+        (tmp_path / f.name).write_text(f.read_text())
+    text = (tmp_path / name).read_text()
+    assert old in text
+    (tmp_path / name).write_text(text.replace(old, new))
+    return cost.load_targets(tmp_path)
+
+
+def test_calibrate_names_a_missing_layer_row(tmp_path, schedule):
+    targets = _edited_targets(tmp_path, cost.LAYER_TABLE, "conv_9,", "conv9,")
+    want = f"{tmp_path / cost.LAYER_TABLE}: no row for layer conv_9"
+    with pytest.raises(ValueError, match=want):
+        cost.calibrate(schedule, targets)
+    with pytest.raises(ValueError, match=want):
+        cost.fit_residuals(schedule, cost.DEFAULT_CALIB, cost.DEFAULT_POWER, targets)
+
+
+def test_calibrate_names_the_power_corner_count(tmp_path, schedule):
+    corner = "1.2,250,250,272,18"
+    targets = _edited_targets(tmp_path, cost.POWER_TABLE, corner,
+                              f"{corner}\n1.1,150,150,140,12")
+    with pytest.raises(ValueError, match=f"{tmp_path / cost.POWER_TABLE}: "
+                       "3 operating corners, the power fit needs 2"):
+        cost.calibrate(schedule, targets)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -84,6 +85,79 @@ def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, windo
     monkeypatch.setattr(kernels, "conv_cols", lambda *a: calls.append(1) or conv_cols(*a))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
     assert len(calls) == windows
+
+
+@pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
+def test_one_gemm_per_window(graph, monkeypatch, budget_kb, windows):
+    # every output channel that reads a window shares its GEMM: at 16 KB,
+    # conv_2's 1024 tiles read 32 windows
+    sched = tiler.plan_network(graph, budget_kb * 1024)
+    calls = []
+    gemm = kernels.conv_acc_on_cols
+    monkeypatch.setattr(kernels, "conv_acc_on_cols",
+                        lambda *a: calls.append(1) or gemm(*a))
+    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
+    assert len(calls) == windows
+
+
+def _with_tile(sched, node_name, index, **changes):
+    """The schedule with one tile record of one plan edited."""
+    plans = []
+    for p in sched.plans:
+        if p.node.name == node_name:
+            tiles = list(p.tiles())
+            tiles[index] = dataclasses.replace(tiles[index], **changes)
+            p = dataclasses.replace(p)
+            p._tiles = tiles
+        plans.append(p)
+    return tiler.TileSchedule(sched.graph, sched.l1_budget, plans)
+
+
+def test_tile_geometry_drives_the_data(graph):
+    # a wrong tile record must change the heads or raise, not vanish in the
+    # grouping by window and row group
+    sched = tiler.plan_network(graph, 16 * 1024)
+    store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
+    ref = kernels.infer_untiled(graph, store, image)
+    want = (ref.raw_steering, ref.raw_collision)
+    res = executor.execute_schedule(sched, store, image)
+    assert (res.raw_steering, res.raw_collision) == want
+    conv_3 = sched.plan_for("conv_3").tiles()
+    closing = [t for t in conv_3 if t.closes][5]
+    stripe = sched.plan_for("conv_4+add+relu").tiles()[12]
+    r0, r1, pad_above, pad_below = stripe.in_rows
+    assert r0 > 0 and not pad_above
+    for bad in (_with_tile(sched, "conv_3", closing.index,
+                           co=(closing.co[0], closing.co[1] - 1)),
+                _with_tile(sched, "conv_4+add+relu", stripe.index,
+                           in_rows=(r0 - 1, r1, pad_above, pad_below))):
+        try:
+            res = executor.execute_schedule(bad, store, image)
+        except ValueError:
+            continue
+        assert (res.raw_steering, res.raw_collision) != want
+
+
+@pytest.mark.parametrize("budget_kb", [16, 32, 60])
+def test_row_groups_cover_the_output(graph, budget_kb):
+    sched = tiler.plan_network(graph, budget_kb * 1024)
+    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
+    convs = [p for p in sched.plans if p.node.kind != "ew"]
+    cached = [p._row_groups for p in convs]
+    for p in convs:
+        k_out = p.node.body.k_out
+        writes = np.zeros(sched.graph.tensors[p.node.output], int)
+        for g in executor.row_groups(p):
+            writes[g.closes, g.rows[0]:g.rows[1]] += 1
+            for win in g.windows:
+                readers = set()
+                for t in p.tiles():
+                    if (t.rows, t.ci, t.in_rows) == (g.rows, win.ci, win.in_rows):
+                        readers.update(range(*t.co))
+                assert set(np.arange(k_out)[win.co].tolist()) == readers
+        assert (writes == 1).all(), p.node.name
+    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(1))
+    assert all(p._row_groups is c for p, c in zip(convs, cached))
 
 
 def test_run_enforces_schedule_l1_budget(graph, schedule):
