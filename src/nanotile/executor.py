@@ -15,9 +15,11 @@ on the same tile loop as 1x1 convolutions over their input viewed as
 (k_in, 1, 1).  The executor pads each node's input once and runs the same
 exact kernels as the untiled reference on views of it.  Once per plan,
 row_groups groups the tiles by output rows and, within those, by window
-(input channels and padded rows).  Per frame, each window's im2col columns
-are built once and multiplied in one GEMM against every output channel
-whose tiles read that window.  The products of a row group's windows are
+(input channels and padded rows), and rejects a tile whose ranges run
+outside the node's tensors.  Per frame, each window's channel-major im2col
+columns are built once and multiplied in one GEMM against every output
+channel whose tiles read that window; the product is a contiguous
+(channels, rows, columns) block.  The products of a row group's windows are
 summed at accumulator scale and renormalized once over the channels its
 closing tiles write, so outputs are bit-identical to the untiled engine.
 Host accumulators are 64-bit for exactness while the budget charges the
@@ -245,13 +247,30 @@ def _channels(ranges: list[tuple[int, int]]) -> slice | np.ndarray:
     return np.concatenate([np.arange(c0, c1) for c0, c1 in ranges])
 
 
+def _check_tile(node: tiler.NodeKernel, t: tiler.Tile) -> None:
+    """Raise unless the tile's ranges lie inside the node's tensors: numpy
+    slicing would silently clip a range that runs past them."""
+    body = node.body
+    r0, r1, pad_above, pad_below = t.in_rows
+    for what, (lo, hi), n in (("ci", t.ci, body.k_in), ("co", t.co, body.k_out),
+                              ("rows", t.rows, node.h_out), ("in_rows", (r0, r1), body.h_in)):
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"{node.name} tile {t.index}: {what} {(lo, hi)} "
+                             f"outside [0, {n}]")
+    if not (0 <= pad_above <= body.kh // 2 and 0 <= pad_below <= body.kh // 2):
+        raise ValueError(f"{node.name} tile {t.index}: padding {(pad_above, pad_below)} "
+                         f"beyond kh // 2 = {body.kh // 2}")
+
+
 def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
     """A conv or FC plan's tiles by output rows, then by window, with the
-    output channels of each; built once per plan and cached on it."""
+    output channels of each; built once per plan and cached on it.  A tile
+    whose ranges run outside the node's tensors raises ValueError."""
     if plan._row_groups is None:
         windows: dict[tuple, dict[tuple, list]] = {}
         closes: dict[tuple, list] = {}
         for t in plan.tiles():
+            _check_tile(plan.node, t)
             windows.setdefault(t.rows, {}).setdefault((t.ci, t.in_rows), []).append(t.co)
             if t.closes:
                 closes.setdefault(t.rows, []).append(t.co)
@@ -289,7 +308,9 @@ def _run_conv(node, plan, acts, store, out_shape):
         # renorm once over the closing channels, then the fused pool, ReLU
         # and residual add
         co = group.closes
-        tile = fxp.renorm_array(acc[co] + bias[co])
+        closing = acc[co]
+        closing += bias[co]
+        tile = fxp.renorm_array(closing)
         if node.fused_pool:
             tile = kernels.maxpool2(tile)
         if body.fused_relu:

@@ -30,8 +30,10 @@ def quantize_array(x: np.ndarray) -> np.ndarray:
 
 
 def renorm_array(acc: np.ndarray) -> np.ndarray:
-    shifted = np.right_shift(acc.astype(np.int64), FRAC_BITS)
-    return np.clip(shifted, QMIN, QMAX).astype(np.int16)
+    """Shift an accumulator (any integer array or list) right by 12 and
+    saturate to int16; the input is never written."""
+    shifted = np.asarray(np.right_shift(acc, FRAC_BITS, dtype=np.int64))
+    return np.clip(shifted, QMIN, QMAX, out=shifted).astype(np.int16)
 
 
 def sat_add_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:

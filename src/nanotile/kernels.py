@@ -8,6 +8,9 @@ renormalize once per output element.
 The integer accumulation is routed through float64 GEMM: every partial sum is
 bounded by len * 2**30 <= 2**53 for len <= fxp.MAX_EXACT_DOT_LEN, so the
 float path is bit-exact and an order of magnitude faster than integer matmul.
+The layout is channel-major end to end: columns are (K*kh*kw, pixels) and
+the weights multiply from the left, so the accumulator comes out as a
+C-contiguous (K_out, H, W) array that the bias add and renorm walk in order.
 """
 
 from __future__ import annotations
@@ -27,15 +30,16 @@ def _check3(x: np.ndarray, name: str = "tensor") -> None:
 
 def im2col(x_padded: np.ndarray, kh: int, kw: int, stride: int,
            h_out: int, w_out: int) -> np.ndarray:
-    """Window extraction: (K, Hp, Wp) -> (h_out*w_out, K*kh*kw)."""
+    """Window extraction: (K, Hp, Wp) -> (K*kh*kw, h_out*w_out), one row
+    per weight tap and one column per output pixel, row-major."""
     k = x_padded.shape[0]
     s0, s1, s2 = x_padded.strides
     windows = np.lib.stride_tricks.as_strided(
         x_padded,
-        shape=(h_out, w_out, k, kh, kw),
-        strides=(s1 * stride, s2 * stride, s0, s1, s2),
+        shape=(k, kh, kw, h_out, w_out),
+        strides=(s0, s1, s2, s1 * stride, s2 * stride),
         writeable=False)
-    return windows.reshape(h_out * w_out, k * kh * kw)
+    return windows.reshape(k * kh * kw, h_out * w_out)
 
 
 def conv_out_hw(xp: np.ndarray, kh: int, kw: int, stride: int) -> tuple[int, int]:
@@ -44,20 +48,21 @@ def conv_out_hw(xp: np.ndarray, kh: int, kw: int, stride: int) -> tuple[int, int
 
 
 def conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """im2col over an already fully padded input, as exact float64."""
-    h_out, w_out = conv_out_hw(xp, kh, kw, stride)
-    cols = im2col(xp, kh, kw, stride, h_out, w_out).astype(np.float64)
-    if cols.shape[1] > fxp.MAX_EXACT_DOT_LEN:
+    """im2col over an already fully padded input, as exact float64; the dot
+    length is checked before any column is copied."""
+    if xp.shape[0] * kh * kw > fxp.MAX_EXACT_DOT_LEN:
         raise ValueError("dot length too long for exact float64 accumulation")
-    return cols
+    h_out, w_out = conv_out_hw(xp, kh, kw, stride)
+    return im2col(xp, kh, kw, stride, h_out, w_out).astype(np.float64)
 
 
 def conv_acc_on_cols(cols: np.ndarray, w: np.ndarray, h_out: int,
                      w_out: int) -> np.ndarray:
-    """Exact accumulator (K_out, h_out, w_out) from conv_cols' columns, no bias."""
+    """Exact accumulator from conv_cols' columns, no bias: weights
+    (K_out, K*kh*kw) @ columns, a fresh C-contiguous (K_out, h_out, w_out)."""
     k_out = w.shape[0]
-    acc = (cols @ w.reshape(k_out, -1).astype(np.float64).T).astype(np.int64)
-    return acc.T.reshape(k_out, h_out, w_out)
+    acc = (w.reshape(k_out, -1).astype(np.float64) @ cols).astype(np.int64)
+    return acc.reshape(k_out, h_out, w_out)
 
 
 def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
@@ -78,7 +83,8 @@ def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     xp = pad_same(x, kh, kw)
     acc = conv_acc_on_cols(conv_cols(xp, kh, kw, stride), w,
                            *conv_out_hw(xp, kh, kw, stride))
-    return acc + (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
+    acc += (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
+    return acc
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,

@@ -138,6 +138,24 @@ def test_tile_geometry_drives_the_data(graph):
         assert (res.raw_steering, res.raw_collision) != want
 
 
+def test_tile_ranges_outside_the_tensors_raise(graph):
+    # numpy slicing would clip each range back inside the tensor and give
+    # the untiled heads; row_groups names the node and the tile instead
+    sched = tiler.plan_network(graph, 16 * 1024)
+    conv_3 = sched.plan_for("conv_3").tiles()
+    first, last = conv_3[0], conv_3[-1]
+    assert (first.in_rows, last.ci, last.co) == ((0, 25, 1, 1), (30, 32), (30, 32))
+    store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
+    for tile, what, changes in ((first, "in_rows", {"in_rows": (0, 26, 1, 1)}),
+                                (last, "ci", {"ci": (30, 33)}),
+                                (last, "co", {"co": (30, 33)}),
+                                (first, "rows", {"rows": (0, 26)}),
+                                (first, "padding", {"in_rows": (0, 25, 2, 1)})):
+        bad = _with_tile(sched, "conv_3", tile.index, **changes)
+        with pytest.raises(ValueError, match=f"conv_3 tile {tile.index}: {what}"):
+            executor.execute_schedule(bad, store, image)
+
+
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
 def test_row_groups_cover_the_output(graph, budget_kb):
     sched = tiler.plan_network(graph, budget_kb * 1024)

@@ -98,3 +98,17 @@ def test_array_ops_match_scalar():
     vec = fxp.sat_add_array(a, b)
     for ai, bi, got in zip(a.tolist(), b.tolist(), vec.tolist()):
         assert got == max(min(ai + bi, fxp.QMAX), fxp.QMIN)
+
+
+@given(st.lists(st.integers(fxp.INT32_MIN, fxp.INT32_MAX), min_size=1, max_size=40),
+       st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=1, max_size=40))
+def test_renorm_any_integer_input_and_never_writes_it(acc32, acc64):
+    # int32 and int64 arrays and Python-int lists shift and saturate alike,
+    # and the input (an int64 array is not copied first) keeps its values
+    for values, kinds in ((acc32, (np.int32, np.int64, list)), (acc64, (np.int64, list))):
+        want = [max(min(a >> fxp.FRAC_BITS, fxp.QMAX), fxp.QMIN) for a in values]
+        for kind in kinds:
+            acc = list(values) if kind is list else np.array(values, kind)
+            got = fxp.renorm_array(acc)
+            assert got.dtype == np.int16 and got.tolist() == want, kind
+            assert list(acc) == values, kind

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from nanotile import fxp, kernels, net
@@ -39,6 +40,33 @@ def test_conv_matches_integer_oracle(stride, kh):
     got = kernels.conv2d(x, w, b, stride)
     expect = oracles.naive_renorm(oracles.naive_conv_acc(x, w, b, stride))
     assert np.array_equal(got, expect)
+
+
+def _int16s(*shape):
+    # the full int16 range, with -32768 drawn on its own as well
+    return hnp.arrays(np.int16, shape, elements=st.integers(fxp.QMIN, fxp.QMAX)
+                      | st.just(fxp.QMIN))
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.data())
+def test_conv_matches_oracle_on_any_shape(k_in, k_out, h, w, k, stride, data):
+    # maps are non-square and channel counts differ, so an h/w or channel
+    # transposition in the columns or the accumulator shows
+    x = data.draw(_int16s(k_in, h, w))
+    wt = data.draw(_int16s(k_out, k_in, k, k))
+    b = data.draw(_int16s(k_out))
+    acc = oracles.naive_conv_acc(x, wt, b, stride)
+    assert np.array_equal(kernels.conv_accumulate(x, wt, b, stride), acc)
+    got = kernels.conv2d(x, wt, b, stride)
+    assert got.dtype == np.int16 and np.array_equal(got, oracles.naive_renorm(acc))
+    # the layout: (K*kh*kw, pixels) columns, a C-contiguous accumulator
+    xp = kernels.pad_same(x, k, k)
+    h_out, w_out = kernels.conv_out_hw(xp, k, k, stride)
+    cols = kernels.conv_cols(xp, k, k, stride)
+    assert cols.shape == (k_in * k * k, h_out * w_out)
+    part = kernels.conv_acc_on_cols(cols, wt, h_out, w_out)
+    assert part.shape == (k_out, h_out, w_out) and part.flags.c_contiguous
 
 
 def test_conv_random_3x3_s2_on_stem_shape():
