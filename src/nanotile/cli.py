@@ -15,22 +15,30 @@ def evaluate_metrics(pred_path: str, labels_path: str) -> dict:
     """EVA, RMSE (steering column) and Accuracy, F1 (collision column).
 
     Both files are two-column CSV (steering, collision); the collision label
-    column holds {0,1}, predictions are thresholded at 0.5.
+    column holds {0,1}, predictions are thresholded at 0.5.  Only a first
+    row in which no field is a number is taken as a header; every other row
+    holds two finite numbers, or a ValueError names the file and the line.
     """
+    def number(text):
+        try:
+            return float(text)
+        except ValueError:
+            return None
+
     def read(path):
         rows = []
         with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                try:
-                    rows.append((float(parts[0]), float(parts[1])))
-                except (ValueError, IndexError):
-                    if not rows:
-                        continue            # header line
-                    raise ValueError(f"{path}: malformed row {line!r}")
+            lines = [(n, text) for n, line in enumerate(f, 1)
+                     if (text := line.strip()) and not text.startswith("#")]
+        for i, (n, line) in enumerate(lines):
+            values = [number(field) for field in line.split(",")]
+            if i == 0 and all(v is None for v in values):
+                continue                    # header line
+            if len(values) != 2 or not all(v is not None and math.isfinite(v)
+                                           for v in values):
+                raise ValueError(f"{path}: line {n}: expected two finite numbers, "
+                                 f"got {line!r}")
+            rows.append(tuple(values))
         return rows
 
     preds, labels = read(pred_path), read(labels_path)

@@ -23,6 +23,7 @@ no cost, so only the per-descriptor setup cost is modelled.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -62,6 +63,10 @@ class OpPoint:
     vdd: float
     f_fc: float                # Hz
     f_cl: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) and x > 0 for x in (self.vdd, self.f_fc, self.f_cl)):
+            raise ValueError("vdd, f_fc and f_cl must be finite and positive")
 
 
 EFFICIENT = OpPoint(1.0, 50e6, 100e6)
@@ -150,12 +155,7 @@ class LayerCycles:
 
     node: str
     exec_cl: float        # cluster cycles: work, dispatch and descriptors
-    dma_l2l1: float       # descriptor overhead not hidden by double buffering
     l3l2_fcycles: float   # serial weight staging, fabric-controller clock
-
-    @property
-    def compute(self) -> float:
-        return self.exec_cl - self.dma_l2l1
 
 
 def layer_cycles(plan: tiler.TilePlan,
@@ -164,7 +164,6 @@ def layer_cycles(plan: tiler.TilePlan,
     loads = plan.loads()
     rows = row_loads(plan.node, loads)
     return LayerCycles(plan.node.name, node_cycles(plan.node, loads, calib),
-                       calib.dma_setup_cycles * sum(r.transfers for r in rows),
                        sum(r.w_bytes for r in rows) / calib.l3l2_bytes_per_fcycle)
 
 

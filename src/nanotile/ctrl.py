@@ -158,10 +158,14 @@ class ReactionScenario:
     t_min: float = MIN_STOP_TIME_S
 
     def __post_init__(self):
-        if min(self.v, self.t_appear, self.distance_free, self.fps) <= 0:
-            raise ValueError("scenario parameters must be positive")
+        # a non-finite rate or time would run the frame loop forever
+        if not all(math.isfinite(x) and x > 0
+                   for x in (self.v, self.t_appear, self.distance_free, self.fps)):
+            raise ValueError("v, t_appear, distance_free and fps must be finite and positive")
         if self.inference_s is None:
             self.inference_s = 1.0 / self.fps
+        if not (math.isfinite(self.inference_s) and self.inference_s >= 0):
+            raise ValueError("inference_s must be finite and non-negative")
 
     @property
     def latency(self) -> float:

@@ -13,15 +13,16 @@ budget, so an allocation that breaks it raises.
 Each frame runs only the arithmetic, over the same tiles.  The FC heads run
 on the same tile loop as 1x1 convolutions over their input viewed as
 (k_in, 1, 1).  The executor pads each node's input once and runs the same
-exact kernels as the untiled reference on views of it.  Once per plan,
-row_groups groups the tiles by output rows and, within those, by window
-(input channels and padded rows), and rejects a tile whose ranges run
-outside the node's tensors.  Per frame, each window's channel-major im2col
-columns are built once and multiplied in one GEMM against every output
-channel whose tiles read that window; the product is a contiguous
-(channels, rows, columns) block.  The products of a row group's windows are
-summed at accumulator scale and renormalized once over the channels its
-closing tiles write, so outputs are bit-identical to the untiled engine.
+exact kernel as the untiled reference, kernels.conv_acc, on views of it.
+Once per plan, row_groups groups the tiles by output rows and, within
+those, by window (input channels and padded rows), and checks that every
+window feeds every output channel: the row groups' rows partition the
+output rows, each group's windows partition the input channels, and each
+window's readers and each group's closing tiles partition the output
+channels.  Per frame, each window is multiplied in one GEMM against all the
+output channels; the first window's product is the row group's
+accumulator, the others add into it at accumulator scale, and the group is
+renormalized once, so outputs are bit-identical to the untiled engine.
 Host accumulators are 64-bit for exactness while the budget charges the
 4-byte accumulator the target hardware would hold.
 """
@@ -224,27 +225,11 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
 class Window(NamedTuple):
     ci: tuple[int, int]                   # input-channel range
     in_rows: tuple[int, int, int, int]    # input rows read, as Tile.in_rows
-    co: slice | np.ndarray                # output channels of the tiles that read it
 
 
 class RowGroup(NamedTuple):
     rows: tuple[int, int]                 # node-output rows
     windows: tuple[Window, ...]
-    closes: slice | np.ndarray            # output channels its closing tiles write
-
-
-def _channels(ranges: list[tuple[int, int]]) -> slice | np.ndarray:
-    """Disjoint channel ranges as one slice, or as an index array where
-    they leave a gap."""
-    ranges = sorted(ranges)
-    if not ranges:
-        return slice(0, 0)
-    joins = list(zip(ranges, ranges[1:]))
-    if any(b0 < a1 for (_, a1), (b0, _) in joins):
-        raise ValueError(f"output-channel ranges overlap: {ranges}")
-    if all(b0 == a1 for (_, a1), (b0, _) in joins):
-        return slice(ranges[0][0], ranges[-1][1])
-    return np.concatenate([np.arange(c0, c1) for c0, c1 in ranges])
 
 
 def _check_tile(node: tiler.NodeKernel, t: tiler.Tile) -> None:
@@ -262,23 +247,50 @@ def _check_tile(node: tiler.NodeKernel, t: tiler.Tile) -> None:
                          f"beyond kh // 2 = {body.kh // 2}")
 
 
+def _check_partition(node: tiler.NodeKernel, what: str, axis: str,
+                     tiles: list[tiler.Tile], n: int, last: tiler.Tile) -> None:
+    """Raise unless the tiles' `axis` ranges, sorted, cover [0, n) once each;
+    `last` is named when no tile reaches n."""
+    end = 0
+    for t in sorted(tiles, key=lambda t: getattr(t, axis)):
+        lo, hi = getattr(t, axis)
+        if lo != end:
+            raise ValueError(f"{node.name} tile {t.index}: {what} {axis} {(lo, hi)} "
+                             f"starts at {lo}, not {end}")
+        end, last = hi, t
+    if end != n:
+        raise ValueError(f"{node.name} tile {last.index}: {what} {axis} end at {end}, "
+                         f"not {n}")
+
+
 def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
-    """A conv or FC plan's tiles by output rows, then by window, with the
-    output channels of each; built once per plan and cached on it.  A tile
-    whose ranges run outside the node's tensors raises ValueError."""
+    """A conv or FC plan's tiles by output rows, then by window; built once
+    per plan and cached on it.  The executor multiplies each window by every
+    output channel and renorms each row group once over all of them, so this
+    raises ValueError, naming the node and a tile, unless the row groups'
+    rows partition the output rows, each group's windows partition the
+    input channels, each window's readers and each group's closing tiles
+    partition the output channels, and every range lies inside the node's
+    tensors."""
     if plan._row_groups is None:
-        windows: dict[tuple, dict[tuple, list]] = {}
-        closes: dict[tuple, list] = {}
+        node, body = plan.node, plan.node.body
+        groups: dict[tuple, dict[tuple, list]] = {}
         for t in plan.tiles():
-            _check_tile(plan.node, t)
-            windows.setdefault(t.rows, {}).setdefault((t.ci, t.in_rows), []).append(t.co)
-            if t.closes:
-                closes.setdefault(t.rows, []).append(t.co)
-        plan._row_groups = tuple(
-            RowGroup(rows, tuple(Window(ci, in_rows, _channels(cos))
-                                 for (ci, in_rows), cos in group.items()),
-                     _channels(closes.get(rows, [])))
-            for rows, group in windows.items())
+            _check_tile(node, t)
+            groups.setdefault(t.rows, {}).setdefault((t.ci, t.in_rows), []).append(t)
+        firsts = [next(iter(g.values()))[0] for g in groups.values()]
+        _check_partition(node, "row groups", "rows", firsts, node.h_out, firsts[-1])
+        for rows, windows in groups.items():
+            tiles = [t for readers in windows.values() for t in readers]
+            _check_partition(node, f"windows of rows {rows}", "ci",
+                             [readers[0] for readers in windows.values()], body.k_in, tiles[-1])
+            for (ci, _), readers in windows.items():
+                _check_partition(node, f"readers of window ci {ci}", "co", readers,
+                                 body.k_out, readers[-1])
+            _check_partition(node, f"closing tiles of rows {rows}", "co",
+                             [t for t in tiles if t.closes], body.k_out, tiles[-1])
+        plan._row_groups = tuple(RowGroup(rows, tuple(Window(*key) for key in windows))
+                                 for rows, windows in groups.items())
     return plan._row_groups
 
 
@@ -291,26 +303,21 @@ def _run_conv(node, plan, acts, store, out_shape):
     xp = kernels.pad_same(x, body.kh, body.kw)
     pad = body.kh // 2
     bias = (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
-    out = np.zeros(out_shape, np.int16)
+    # row_groups' partitions write every element of the output once
+    out = np.empty(out_shape, np.int16)
     for group in row_groups(plan):
-        # one GEMM per window: feature-wise tiles reread the map once per
-        # output-channel tile, and here every such tile shares the product
-        acc = None
-        for (i0, i1), (r0, r1, pad_above, pad_below), co in group.windows:
-            window = xp[i0:i1, pad + r0 - pad_above:pad + r1 + pad_below]
-            h_out, w_out = kernels.conv_out_hw(window, body.kh, body.kw, body.stride)
-            part = kernels.conv_acc_on_cols(
-                kernels.conv_cols(window, body.kh, body.kw, body.stride),
-                w[co, i0:i1], h_out, w_out)
-            if acc is None:
-                acc = np.zeros((body.k_out, h_out, w_out), np.int64)
-            acc[co] += part
-        # renorm once over the closing channels, then the fused pool, ReLU
-        # and residual add
-        co = group.closes
-        closing = acc[co]
-        closing += bias[co]
-        tile = fxp.renorm_array(closing)
+        # one GEMM per window against every output channel: feature-wise
+        # tiles reread the map once per output-channel tile, and here they
+        # share the product
+        parts = (kernels.conv_acc(xp[i0:i1, pad + r0 - pad_above:pad + r1 + pad_below],
+                                  w[:, i0:i1], body.stride)
+                 for (i0, i1), (r0, r1, pad_above, pad_below) in group.windows)
+        acc = next(parts)
+        for part in parts:
+            acc += part
+        # renorm once, then the fused pool, ReLU and residual add
+        acc += bias
+        tile = fxp.renorm_array(acc)
         if node.fused_pool:
             tile = kernels.maxpool2(tile)
         if body.fused_relu:
@@ -318,8 +325,8 @@ def _run_conv(node, plan, acts, store, out_shape):
         h0, h1 = group.rows
         if node.addend is not None:
             relu_after = node.rows[1].fused_relu or len(node.rows) > 2
-            tile = kernels.add(tile, acts[node.addend][co, h0:h1], fused_relu=relu_after)
-        out[co, h0:h1] = tile
+            tile = kernels.add(tile, acts[node.addend][:, h0:h1], fused_relu=relu_after)
+        out[:, h0:h1] = tile
     return out
 
 

@@ -8,9 +8,11 @@ renormalize once per output element.
 The integer accumulation is routed through float64 GEMM: every partial sum is
 bounded by len * 2**30 <= 2**53 for len <= fxp.MAX_EXACT_DOT_LEN, so the
 float path is bit-exact and an order of magnitude faster than integer matmul.
-The layout is channel-major end to end: columns are (K*kh*kw, pixels) and
-the weights multiply from the left, so the accumulator comes out as a
-C-contiguous (K_out, H, W) array that the bias add and renorm walk in order.
+conv_acc is the one convolution primitive, for the untiled kernels and the
+tiled executor alike.  Its layout is channel-major end to end: columns are
+(K*kh*kw, pixels) and the weights multiply from the left, so the
+accumulator comes out as a C-contiguous (K_out, H, W) array that the bias
+add and renorm walk in order.
 """
 
 from __future__ import annotations
@@ -28,39 +30,22 @@ def _check3(x: np.ndarray, name: str = "tensor") -> None:
         raise ValueError(f"{name}: expected (K, H, W), got shape {x.shape}")
 
 
-def im2col(x_padded: np.ndarray, kh: int, kw: int, stride: int,
-           h_out: int, w_out: int) -> np.ndarray:
-    """Window extraction: (K, Hp, Wp) -> (K*kh*kw, h_out*w_out), one row
-    per weight tap and one column per output pixel, row-major."""
-    k = x_padded.shape[0]
-    s0, s1, s2 = x_padded.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x_padded,
-        shape=(k, kh, kw, h_out, w_out),
-        strides=(s0, s1, s2, s1 * stride, s2 * stride),
-        writeable=False)
-    return windows.reshape(k * kh * kw, h_out * w_out)
-
-
-def conv_out_hw(xp: np.ndarray, kh: int, kw: int, stride: int) -> tuple[int, int]:
-    """Output rows and columns of a convolution over a fully padded input."""
-    return (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-
-
-def conv_cols(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """im2col over an already fully padded input, as exact float64; the dot
-    length is checked before any column is copied."""
-    if xp.shape[0] * kh * kw > fxp.MAX_EXACT_DOT_LEN:
+def conv_acc(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """Exact accumulator of weights (K_out, K, kh, kw) over an already padded
+    input (K, Hp, Wp), no bias: a fresh C-contiguous (K_out, h_out, w_out)
+    int64 array.  The windows are a strided view, one row per weight tap and
+    one column per output pixel; the dot length is checked before any of
+    them is copied."""
+    k_out, _, kh, kw = w.shape
+    k = xp.shape[0]
+    if k * kh * kw > fxp.MAX_EXACT_DOT_LEN:
         raise ValueError("dot length too long for exact float64 accumulation")
-    h_out, w_out = conv_out_hw(xp, kh, kw, stride)
-    return im2col(xp, kh, kw, stride, h_out, w_out).astype(np.float64)
-
-
-def conv_acc_on_cols(cols: np.ndarray, w: np.ndarray, h_out: int,
-                     w_out: int) -> np.ndarray:
-    """Exact accumulator from conv_cols' columns, no bias: weights
-    (K_out, K*kh*kw) @ columns, a fresh C-contiguous (K_out, h_out, w_out)."""
-    k_out = w.shape[0]
+    h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+    s0, s1, s2 = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, shape=(k, kh, kw, h_out, w_out),
+        strides=(s0, s1, s2, s1 * stride, s2 * stride), writeable=False)
+    cols = windows.reshape(k * kh * kw, h_out * w_out).astype(np.float64)
     acc = (w.reshape(k_out, -1).astype(np.float64) @ cols).astype(np.int64)
     return acc.reshape(k_out, h_out, w_out)
 
@@ -80,9 +65,7 @@ def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     _check3(x)
     if x.shape[0] != k_in:
         raise ValueError(f"channel mismatch: input {x.shape[0]}, weights {k_in}")
-    xp = pad_same(x, kh, kw)
-    acc = conv_acc_on_cols(conv_cols(xp, kh, kw, stride), w,
-                           *conv_out_hw(xp, kh, kw, stride))
+    acc = conv_acc(pad_same(x, kh, kw), w, stride)
     acc += (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
     return acc
 

@@ -165,15 +165,15 @@ class _StackSim:
         life = self.life
         if i < len(life.nodes):
             node = life.nodes[i]
-            out_buf = node.output if node.kind != "ew" else None
-            if out_buf is not None:
-                self.alloc(i, out_buf, life.sizes[out_buf], stack_of[out_buf])
-            if i in life.weights:
+            if node.kind != "ew":
+                # elementwise nodes work in place and have no weights; the
+                # others stage theirs on top of their output
+                stack = stack_of[node.output]
+                self.alloc(i, node.output, life.sizes[node.output], stack)
                 wname, wsize = life.weights[i]
-                wstack = stack_of[out_buf] if out_buf else stack_of[life.alias[node.input]]
-                self.alloc(i, wname, wsize, wstack)
+                self.alloc(i, wname, wsize, stack)
                 # layer executes here; weights released right after
-                self._free_top(i, wstack, wsize)
+                self._free_top(i, stack, wsize)
         # release whatever is dead and exposed, most recent first
         for s, stack in enumerate(self.stacks):
             while stack and life.last_use[stack[-1]] <= i:

@@ -9,7 +9,8 @@ each one.  Steady state period is max(acquisition, compute + result).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 WAKE = "wake_interrupt"
 FETCH = "kernel_fetch"
@@ -35,6 +36,8 @@ class Timings:
     weight_load_s: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError("timings must be finite")
         if min(self.frame_dma_s, self.compute_s, self.result_s) <= 0:
             raise ValueError("frame_dma_s, compute_s and result_s must be positive")
         if min(self.setup_s, self.wake_s, self.config_s, self.weight_load_s) < 0:

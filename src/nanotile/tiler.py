@@ -211,13 +211,6 @@ class TilePlan:
     def n_tiles(self) -> int:
         return self.n_h * self.n_ci * self.n_co
 
-    @property
-    def overlap_rows(self) -> int:
-        """Input rows shared by consecutive stripes (kernel height - stride)."""
-        if self.scheme != SPATIAL or self.n_h == 1 or self.node.kind != "conv":
-            return 0
-        return max(self.node.body.kh - self.node.body.stride, 0)
-
     # -- tile geometry ------------------------------------------------------
 
     def h_ranges(self) -> list[tuple[int, int]]:

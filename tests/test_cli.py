@@ -170,3 +170,27 @@ def test_metrics_errors(tmp_path):
     b.write_text("0.1,2\n0.2,0\n")
     with pytest.raises(ValueError, match="labels"):
         cli.evaluate_metrics(str(a), str(b))
+
+
+@pytest.mark.parametrize("text,line", [
+    ("0.1,abc\n0.2,0\n0.3,1\n", 1),          # a header has no number in it
+    ("steering,collision\n0.1,nan\n", 2),
+    ("0.1,1\n# note\n0.2,inf\n", 3),
+    ("0.1,1\n0.2,0,7\n", 2),
+    ("0.1,1\n0.2\n", 2),
+    ("0.1,1\nsteering,collision\n", 2),
+])
+def test_metrics_rows_name_the_file_and_line(tmp_path, text, line):
+    pred, labels = tmp_path / "pred.csv", tmp_path / "lab.csv"
+    pred.write_text(text)
+    labels.write_text("0.2,0\n0.3,1\n")
+    with pytest.raises(ValueError, match=f"pred.csv: line {line}: expected two finite"):
+        cli.evaluate_metrics(str(pred), str(labels))
+
+
+def test_metrics_skip_one_header_row(tmp_path):
+    pred, labels = tmp_path / "pred.csv", tmp_path / "lab.csv"
+    pred.write_text("# predictions\nsteering,collision\n0.2,0.1\n0.3,0.9\n")
+    labels.write_text("0.2,0\n0.3,1\n")
+    m = cli.evaluate_metrics(str(pred), str(labels))
+    assert m["rmse"] == 0.0 and m["accuracy"] == 1.0

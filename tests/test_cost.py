@@ -75,6 +75,14 @@ def test_cycles_frequency_independent(schedule):
         b.rows[0].exec_ms(b.op) * 250 / 100)
 
 
+@pytest.mark.parametrize("field", ["vdd", "f_fc", "f_cl"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_op_point_rejects_non_finite_or_non_positive(field, value):
+    # a zero clock would divide by zero in the report, a NaN one print NaN
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(cost.EFFICIENT, **{field: value})
+
+
 def test_report_totals_consistent(schedule):
     rep = cost.frame_report(schedule)
     assert rep.exec_cycles == pytest.approx(sum(r.exec_cycles for r in rep.rows))

@@ -106,6 +106,15 @@ def test_monotone_distance_in_frame_rate_on_step():
     assert all(a >= b - 1e-12 for a, b in zip(distances, distances[1:]))
 
 
+@pytest.mark.parametrize("field", ["v", "t_appear", "distance_free", "fps", "inference_s"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_scenario_rejects_non_finite_or_negative(field, value):
+    # with fps nan or inf the frame loop would never end
+    with pytest.raises(ValueError, match=field):
+        ctrl.ReactionScenario(**{field: value})
+    ctrl.ReactionScenario(inference_s=0.0)
+
+
 def test_trace_too_short():
     with pytest.raises(ValueError, match="too short"):
         ctrl.simulate_reaction(ctrl.ReactionScenario(fps=10.0),

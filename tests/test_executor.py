@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -75,27 +76,16 @@ def test_trace_table(graph, entry):
 
 
 @pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
-def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, windows):
+def test_one_gemm_per_window(graph, monkeypatch, budget_kb, windows):
+    # every output channel shares its window's GEMM: at 16 KB, conv_2's
+    # 1024 tiles read 32 windows
     sched = tiler.plan_network(graph, budget_kb * 1024)
     distinct = sum(len({(t.ci, t.in_rows) for t in p.tiles()})
                    for p in sched.plans if p.node.kind != "ew")
     assert distinct == windows
     calls = []
-    conv_cols = kernels.conv_cols
-    monkeypatch.setattr(kernels, "conv_cols", lambda *a: calls.append(1) or conv_cols(*a))
-    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    assert len(calls) == windows
-
-
-@pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
-def test_one_gemm_per_window(graph, monkeypatch, budget_kb, windows):
-    # every output channel that reads a window shares its GEMM: at 16 KB,
-    # conv_2's 1024 tiles read 32 windows
-    sched = tiler.plan_network(graph, budget_kb * 1024)
-    calls = []
-    gemm = kernels.conv_acc_on_cols
-    monkeypatch.setattr(kernels, "conv_acc_on_cols",
-                        lambda *a: calls.append(1) or gemm(*a))
+    conv_acc = kernels.conv_acc
+    monkeypatch.setattr(kernels, "conv_acc", lambda *a: calls.append(1) or conv_acc(*a))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
     assert len(calls) == windows
 
@@ -156,6 +146,29 @@ def test_tile_ranges_outside_the_tensors_raise(graph):
             executor.execute_schedule(bad, store, image)
 
 
+def test_tiles_that_break_a_partition_raise(graph):
+    # the executor multiplies every window by every output channel and
+    # renorms whole row groups, so a tile set with a gap or an overlap would
+    # leave zeros or partial sums, or count a product twice
+    sched = tiler.plan_network(graph, 16 * 1024)
+    conv_3 = sched.plan_for("conv_3").tiles()
+    reader, closing = conv_3[16], conv_3[31]
+    assert (reader.ci, reader.co, reader.closes) == ((0, 2), (2, 4), False)
+    assert (closing.co, closing.closes, conv_3[47].co) == ((2, 4), True, (4, 6))
+    assert sched.plan_for("fully_1").tiles()[1].ci == (1568, 3136)
+    assert sched.plan_for("conv_1+pool").tiles()[49].rows == (49, 50)
+    store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
+    for node, index, changes, named, what in (
+            ("conv_3", 16, {"co": (3, 4)}, 16, "readers of window ci (0, 2) co"),
+            ("conv_3", 16, {"co": (1, 4)}, 16, "readers of window ci (0, 2) co"),
+            ("conv_3", 31, {"closes": False}, 47, "closing tiles of rows (0, 25) co"),
+            ("fully_1", 1, {"ci": (1569, 3136)}, 1, "windows of rows (0, 1) ci"),
+            ("conv_1+pool", 49, {"rows": (49, 49)}, 49, "row groups rows")):
+        bad = _with_tile(sched, node, index, **changes)
+        with pytest.raises(ValueError, match=re.escape(f"{node} tile {named}: {what}")):
+            executor.execute_schedule(bad, store, image)
+
+
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
 def test_row_groups_cover_the_output(graph, budget_kb):
     sched = tiler.plan_network(graph, budget_kb * 1024)
@@ -163,17 +176,20 @@ def test_row_groups_cover_the_output(graph, budget_kb):
     convs = [p for p in sched.plans if p.node.kind != "ew"]
     cached = [p._row_groups for p in convs]
     for p in convs:
-        k_out = p.node.body.k_out
-        writes = np.zeros(sched.graph.tensors[p.node.output], int)
+        k_in, k_out = p.node.body.k_in, p.node.body.k_out
+        rows = np.zeros(p.node.h_out, int)
+        tiles = set()
         for g in executor.row_groups(p):
-            writes[g.closes, g.rows[0]:g.rows[1]] += 1
+            rows[g.rows[0]:g.rows[1]] += 1
+            channels = np.zeros(k_in, int)
             for win in g.windows:
-                readers = set()
-                for t in p.tiles():
-                    if (t.rows, t.ci, t.in_rows) == (g.rows, win.ci, win.in_rows):
-                        readers.update(range(*t.co))
-                assert set(np.arange(k_out)[win.co].tolist()) == readers
-        assert (writes == 1).all(), p.node.name
+                channels[win.ci[0]:win.ci[1]] += 1
+                readers = [t for t in p.tiles() if (t.rows, t.ci, t.in_rows) == (g.rows, *win)]
+                tiles.update(t.index for t in readers)
+                assert sorted(c for t in readers for c in range(*t.co)) == list(range(k_out))
+            assert (channels == 1).all(), p.node.name
+        assert (rows == 1).all(), p.node.name
+        assert tiles == {t.index for t in p.tiles()}
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(1))
     assert all(p._row_groups is c for p, c in zip(convs, cached))
 

@@ -60,13 +60,10 @@ def test_conv_matches_oracle_on_any_shape(k_in, k_out, h, w, k, stride, data):
     assert np.array_equal(kernels.conv_accumulate(x, wt, b, stride), acc)
     got = kernels.conv2d(x, wt, b, stride)
     assert got.dtype == np.int16 and np.array_equal(got, oracles.naive_renorm(acc))
-    # the layout: (K*kh*kw, pixels) columns, a C-contiguous accumulator
-    xp = kernels.pad_same(x, k, k)
-    h_out, w_out = kernels.conv_out_hw(xp, k, k, stride)
-    cols = kernels.conv_cols(xp, k, k, stride)
-    assert cols.shape == (k_in * k * k, h_out * w_out)
-    part = kernels.conv_acc_on_cols(cols, wt, h_out, w_out)
-    assert part.shape == (k_out, h_out, w_out) and part.flags.c_contiguous
+    # the primitive: no bias, a fresh C-contiguous (K_out, h_out, w_out)
+    part = kernels.conv_acc(kernels.pad_same(x, k, k), wt, stride)
+    assert part.dtype == np.int64 and part.flags.c_contiguous
+    assert np.array_equal(part, acc - (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None])
 
 
 def test_conv_random_3x3_s2_on_stem_shape():

@@ -110,3 +110,11 @@ def test_bad_timings():
         offload.Timings(0.0, 0.1, 0.001)
     with pytest.raises(ValueError):
         offload.run_mission(0, offload.Timings(0.01, 0.01, 0.001))
+    # a NaN timing compares false against every bound, so a timeline built
+    # on it would pass validate_timeline
+    for field in ("frame_dma_s", "compute_s", "result_s", "setup_s", "wake_s",
+                  "config_s", "weight_load_s"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                offload.Timings(**{"frame_dma_s": 0.01, "compute_s": 0.01,
+                                   "result_s": 0.001, field: value})

