@@ -76,6 +76,19 @@ def test_trace_table(graph, entry):
 
 
 @pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
+def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, windows):
+    # conv_acc builds a window's columns from one strided view of the padded
+    # map: one view per distinct (ci, in_rows) window of each node, per frame
+    sched = tiler.plan_network(graph, budget_kb * 1024)
+    calls = []
+    as_strided = np.lib.stride_tricks.as_strided
+    monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
+                        lambda *a, **kw: calls.append(1) or as_strided(*a, **kw))
+    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
+    assert len(calls) == windows
+
+
+@pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
 def test_one_gemm_per_window(graph, monkeypatch, budget_kb, windows):
     # every output channel shares its window's GEMM: at 16 KB, conv_2's
     # 1024 tiles read 32 windows
