@@ -125,6 +125,8 @@ class ExecResult:
     trace: TraceLog
     memsim: MemSim
     l2: l2plan.L2AllocPlan
+    # activations by tensor name; an elementwise node's input holds its output
+    tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
@@ -219,7 +221,7 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                                           schedule.graph.tensors[node.output])
     steer_raw, coll_raw = (int(acts[head][0, 0, 0]) for head in ("fully_1", "fully_2"))
     return ExecResult(steer_raw / fxp.SCALE, kernels.sigmoid(coll_raw / fxp.SCALE),
-                      steer_raw, coll_raw, ms.trace, ms, schedule.l2)
+                      steer_raw, coll_raw, ms.trace, ms, schedule.l2, acts)
 
 
 class Window(NamedTuple):

@@ -18,7 +18,7 @@ add and renorm walk in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,6 +127,7 @@ class InferResult:
     collision_prob: float
     raw_steering: int      # Q4.12 raw
     raw_collision: int
+    tensors: dict[str, np.ndarray] = field(default_factory=dict)  # activations by name
 
 
 def infer_untiled(graph: net.NetworkGraph, store: net.WeightStore,
@@ -154,4 +155,4 @@ def infer_untiled(graph: net.NetworkGraph, store: net.WeightStore,
 
     steer_raw, coll_raw = int(heads["fully_1"]), int(heads["fully_2"])
     return InferResult(steer_raw / fxp.SCALE, sigmoid(coll_raw / fxp.SCALE),
-                       steer_raw, coll_raw)
+                       steer_raw, coll_raw, acts)

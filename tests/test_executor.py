@@ -13,7 +13,9 @@ from nanotile import executor, fxp, kernels, l2plan, net, tiler
 
 # heads, event count and trace CSV sha256 at 16/32/60 KB for random_store
 # seeds 0 and 3 at amplitudes 1.0 and 0.1, recorded before the executor
-# shared window columns between tiles (free rows carry their alloc's bytes)
+# shared window columns between tiles (free rows carry their alloc's bytes);
+# tensors_sha256 (_tensors_sha256 of ExecResult.tensors) recorded before the
+# executor ran one GEMM per row group
 TRACE_TABLE = json.loads((Path(__file__).parent / "data" / "trace_table.json").read_text())
 
 
@@ -64,6 +66,38 @@ def test_l2_events_replay_the_l2_plan(graph):
         assert any(name.startswith("w:") for _, name, _ in got)
 
 
+@pytest.mark.parametrize("budget_kb", [16, 32, 60])
+def test_every_node_output_matches_untiled(graph, budget_kb):
+    # a saturated head hides a wrong pixel anywhere upstream, so every node
+    # kernel's output is compared whole with the untiled engine's
+    sched = tiler.plan_network(graph, budget_kb * 1024)
+    nodes = [p.node for p in sched.plans]
+    # an elementwise node works in place: its input array holds its output
+    outputs = [n.output for n in nodes if n.output not in {m.input for m in nodes
+                                                           if m.kind == "ew"}]
+    for amplitude in (1.0, 0.1):
+        for seed in range(3):
+            store = net.random_store(graph, seed, amplitude)
+            image = oracles.random_image(seed)
+            ref = kernels.infer_untiled(graph, store, image)
+            res = executor.execute_schedule(sched, store, image)
+            want = dict(ref.tensors, fully_1=np.full((1, 1, 1), ref.raw_steering, np.int16),
+                        fully_2=np.full((1, 1, 1), ref.raw_collision, np.int16))
+            for name in outputs:
+                np.testing.assert_array_equal(res.tensors[name], want[name], strict=True,
+                                              err_msg=f"{name}, seed {seed}, "
+                                                      f"amplitude {amplitude}")
+
+
+def _tensors_sha256(tensors):
+    h = hashlib.sha256()
+    for name in sorted(tensors):
+        a = tensors[name]
+        h.update(f"{name}:{a.dtype}:{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("entry", TRACE_TABLE,
                          ids=lambda e: "{budget}-{seed}-{amplitude}".format(**e))
 def test_trace_table(graph, entry):
@@ -73,6 +107,7 @@ def test_trace_table(graph, entry):
     assert [res.raw_steering, res.raw_collision] == entry["heads"]
     assert len(res.trace.events) == entry["events"]
     assert hashlib.sha256(res.trace.to_csv().encode()).hexdigest() == entry["csv_sha256"]
+    assert _tensors_sha256(res.tensors) == entry["tensors_sha256"]
 
 
 @pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
