@@ -10,19 +10,20 @@ TilePlan.tiles() in order through simulated L1 with logged DMA transfers:
 every byte count, MAC count, row and channel range, stripe padding and
 worker split comes from those tile records.  L1 capacity is the schedule's
 budget, so an allocation that breaks it raises.
-Each frame runs only the arithmetic, over the same tiles.  The FC heads run
-on the same tile loop as 1x1 convolutions over their input viewed as
+Each frame runs only the arithmetic, over the same tiles' row groups.  The
+FC heads run on the same tile loop as 1x1 convolutions over their input viewed as
 (k_in, 1, 1).  The executor pads each node's input once and runs the same
 exact kernel as the untiled reference, kernels.conv_acc, on views of it.
-Once per plan, row_groups groups the tiles by output rows and, within
-those, by window (input channels and padded rows), and checks that every
-window feeds every output channel: the row groups' rows partition the
-output rows, each group's windows partition the input channels, and each
-window's readers and each group's closing tiles partition the output
-channels.  Per frame, each window is multiplied in one GEMM against all the
-output channels; the first window's product is the row group's
-accumulator, the others add into it at accumulator scale, and the group is
-renormalized once, so outputs are bit-identical to the untiled engine.
+Once per plan, row_groups groups the tiles by output rows and checks that
+they describe one exact sum per row group: the row groups' rows partition
+the output rows, each group's input-channel chunks partition the input
+channels, each chunk's readers and each group's closing tiles partition
+the output channels, and every tile reads the input rows
+TilePlan.input_rows gives for its rows.  Per frame, each row group's input
+stripe is multiplied by all of the weights in one GEMM and renormalized
+once, so outputs are bit-identical to the untiled engine.  The target keeps
+32-bit partial sums in L1 across input-channel chunks; the host sums each
+row group whole, and the chunks live on in the trace and the cost model.
 Host accumulators are 64-bit for exactness while the budget charges the
 4-byte accumulator the target hardware would hold.
 """
@@ -224,14 +225,9 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                       steer_raw, coll_raw, ms.trace, ms, schedule.l2, acts)
 
 
-class Window(NamedTuple):
-    ci: tuple[int, int]                   # input-channel range
-    in_rows: tuple[int, int, int, int]    # input rows read, as Tile.in_rows
-
-
 class RowGroup(NamedTuple):
     rows: tuple[int, int]                 # node-output rows
-    windows: tuple[Window, ...]
+    in_rows: tuple[int, int, int, int]    # input rows its tiles read, as Tile.in_rows
 
 
 def _check_tile(node: tiler.NodeKernel, t: tiler.Tile) -> None:
@@ -266,33 +262,40 @@ def _check_partition(node: tiler.NodeKernel, what: str, axis: str,
 
 
 def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
-    """A conv or FC plan's tiles by output rows, then by window; built once
-    per plan and cached on it.  The executor multiplies each window by every
-    output channel and renorms each row group once over all of them, so this
-    raises ValueError, naming the node and a tile, unless the row groups'
-    rows partition the output rows, each group's windows partition the
-    input channels, each window's readers and each group's closing tiles
-    partition the output channels, and every range lies inside the node's
-    tensors."""
+    """A conv or FC plan's tiles by output rows, each with the input stripe
+    they read; built once per plan and cached on it.  The executor
+    multiplies each row group's stripe by all of the weights in one GEMM
+    and renorms it once, so this raises ValueError, naming the node and a
+    tile, unless every range lies inside the node's tensors, the row groups'
+    rows partition the output rows, each group's windows (its tiles by
+    input-channel chunk) partition the input channels, each window's readers
+    and each group's closing tiles partition the output channels, and each
+    tile's in_rows are the ones TilePlan.input_rows gives for its rows."""
     if plan._row_groups is None:
         node, body = plan.node, plan.node.body
         groups: dict[tuple, dict[tuple, list]] = {}
         for t in plan.tiles():
             _check_tile(node, t)
-            groups.setdefault(t.rows, {}).setdefault((t.ci, t.in_rows), []).append(t)
+            groups.setdefault(t.rows, {}).setdefault(t.ci, []).append(t)
+        result = []
         firsts = [next(iter(g.values()))[0] for g in groups.values()]
         _check_partition(node, "row groups", "rows", firsts, node.h_out, firsts[-1])
         for rows, windows in groups.items():
             tiles = [t for readers in windows.values() for t in readers]
             _check_partition(node, f"windows of rows {rows}", "ci",
                              [readers[0] for readers in windows.values()], body.k_in, tiles[-1])
-            for (ci, _), readers in windows.items():
+            for ci, readers in windows.items():
                 _check_partition(node, f"readers of window ci {ci}", "co", readers,
                                  body.k_out, readers[-1])
             _check_partition(node, f"closing tiles of rows {rows}", "co",
                              [t for t in tiles if t.closes], body.k_out, tiles[-1])
-        plan._row_groups = tuple(RowGroup(rows, tuple(Window(*key) for key in windows))
-                                 for rows, windows in groups.items())
+            group = RowGroup(rows, plan.input_rows(*rows))
+            for t in tiles:
+                if t.in_rows != group.in_rows:
+                    raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, "
+                                     f"not the {group.in_rows} that rows {rows} read")
+            result.append(group)
+        plan._row_groups = tuple(result)
     return plan._row_groups
 
 
@@ -307,16 +310,11 @@ def _run_conv(node, plan, acts, store, out_shape):
     bias = (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
     # row_groups' partitions write every element of the output once
     out = np.empty(out_shape, np.int16)
-    for group in row_groups(plan):
-        # one GEMM per window against every output channel: feature-wise
-        # tiles reread the map once per output-channel tile, and here they
-        # share the product
-        parts = (kernels.conv_acc(xp[i0:i1, pad + r0 - pad_above:pad + r1 + pad_below],
-                                  w[:, i0:i1], body.stride)
-                 for (i0, i1), (r0, r1, pad_above, pad_below) in group.windows)
-        acc = next(parts)
-        for part in parts:
-            acc += part
+    for (h0, h1), (r0, r1, pad_above, pad_below) in row_groups(plan):
+        # one GEMM per row group, its stripe against every weight: the
+        # group's input-channel chunks only split one exact sum
+        acc = kernels.conv_acc(xp[:, pad + r0 - pad_above:pad + r1 + pad_below],
+                               w, body.stride)
         # renorm once, then the fused pool, ReLU and residual add
         acc += bias
         tile = fxp.renorm_array(acc)
@@ -324,7 +322,6 @@ def _run_conv(node, plan, acts, store, out_shape):
             tile = kernels.maxpool2(tile)
         if body.fused_relu:
             tile = kernels.relu(tile)
-        h0, h1 = group.rows
         if node.addend is not None:
             relu_after = node.rows[1].fused_relu or len(node.rows) > 2
             tile = kernels.add(tile, acts[node.addend][:, h0:h1], fused_relu=relu_after)

@@ -200,7 +200,8 @@ class TilePlan:
     l1_budget: int
     est_cycles: float | None = None
     _tiles: list | None = field(default=None, init=False, repr=False, compare=False)
-    # executor.row_groups: the tiles grouped by output rows and by window
+    # executor.row_groups: the tiles' output rows, each with the input stripe
+    # they read, once every tile's partitions and in_rows are checked
     _row_groups: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -254,13 +255,14 @@ class TilePlan:
         node, body = self.node, self.node.body
         if node.kind == "fc":
             cis = self.ci_ranges()
+            in_rows = self.input_rows(0, 1)
             for t, (c0, c1) in enumerate(cis):
                 closes = t == len(cis) - 1
                 moved = {"in": 2 * (c1 - c0),
                          "weights": 2 * (c1 - c0) + (2 * body.k_out if t == 0 else 0)}
                 if closes:
                     moved["out"] = 2 * body.k_out
-                yield Tile(t, (0, 1), (0, 1, 0, 0), (c0, c1), (0, body.k_out), moved,
+                yield Tile(t, (0, 1), in_rows, (c0, c1), (0, body.k_out), moved,
                            c1 - c0, tuple(self.worker_ranges(c1 - c0)), 1, closes)
             return
         if node.kind == "ew":
@@ -282,16 +284,14 @@ class TilePlan:
             steps = [(h, (0, body.k_out)) for h in self.h_ranges()]
         else:
             steps = [((0, node.h_out), co) for co in self.co_ranges()]
-        pad = body.kh // 2
         cis = self.ci_ranges()
         t = 0
         for (h0, h1), (o0, o1) in steps:
             c0, c1 = self.conv_rows(h0, h1)
+            in_rows = self.input_rows(h0, h1)
             if spatial:
-                in_rows = self.input_rows(h0, h1)
                 workers, forks = self.worker_ranges(node.w_out), 1
-            else:   # the whole map stays resident, padding included
-                in_rows = (0, body.h_in, pad, pad)
+            else:
                 workers, forks = self.worker_ranges(o1 - o0), _worker_forks(o1 - o0)
             for j, (i0, i1) in enumerate(cis):
                 moved = {"weights": 2 * body.n_params} if spatial and t == 0 else {}

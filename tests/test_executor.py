@@ -110,32 +110,32 @@ def test_trace_table(graph, entry):
     assert _tensors_sha256(res.tensors) == entry["tensors_sha256"]
 
 
-@pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
-def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, windows):
-    # conv_acc builds a window's columns from one strided view of the padded
-    # map: one view per distinct (ci, in_rows) window of each node, per frame
+@pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
+def test_columns_built_once_per_row_group(graph, monkeypatch, budget_kb, groups):
+    # conv_acc builds a row group's columns from one strided view of the
+    # padded map: one view per row group of each node, per frame
     sched = tiler.plan_network(graph, budget_kb * 1024)
     calls = []
     as_strided = np.lib.stride_tricks.as_strided
     monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
                         lambda *a, **kw: calls.append(1) or as_strided(*a, **kw))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    assert len(calls) == windows
+    assert len(calls) == groups
 
 
-@pytest.mark.parametrize("budget_kb,windows", [(16, 223), (60, 103)])
-def test_one_gemm_per_window(graph, monkeypatch, budget_kb, windows):
-    # every output channel shares its window's GEMM: at 16 KB, conv_2's
-    # 1024 tiles read 32 windows
+@pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
+def test_one_gemm_per_row_group(graph, monkeypatch, budget_kb, groups):
+    # a row group's tiles split one exact sum by input and output channels,
+    # so they share one GEMM: at 16 KB, conv_2's 1024 tiles make one group
     sched = tiler.plan_network(graph, budget_kb * 1024)
-    distinct = sum(len({(t.ci, t.in_rows) for t in p.tiles()})
+    distinct = sum(len({t.rows for t in p.tiles()})
                    for p in sched.plans if p.node.kind != "ew")
-    assert distinct == windows
+    assert distinct == groups
     calls = []
     conv_acc = kernels.conv_acc
     monkeypatch.setattr(kernels, "conv_acc", lambda *a: calls.append(1) or conv_acc(*a))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    assert len(calls) == windows
+    assert len(calls) == groups
 
 
 def _with_tile(sched, node_name, index, **changes):
@@ -205,13 +205,15 @@ def test_tiles_that_break_a_partition_raise(graph):
     assert (closing.co, closing.closes, conv_3[47].co) == ((2, 4), True, (4, 6))
     assert sched.plan_for("fully_1").tiles()[1].ci == (1568, 3136)
     assert sched.plan_for("conv_1+pool").tiles()[49].rows == (49, 50)
+    assert sched.plan_for("conv_1+pool").tiles()[10].in_rows == (38, 45, 0, 0)
     store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
     for node, index, changes, named, what in (
             ("conv_3", 16, {"co": (3, 4)}, 16, "readers of window ci (0, 2) co"),
             ("conv_3", 16, {"co": (1, 4)}, 16, "readers of window ci (0, 2) co"),
             ("conv_3", 31, {"closes": False}, 47, "closing tiles of rows (0, 25) co"),
             ("fully_1", 1, {"ci": (1569, 3136)}, 1, "windows of rows (0, 1) ci"),
-            ("conv_1+pool", 49, {"rows": (49, 49)}, 49, "row groups rows")):
+            ("conv_1+pool", 49, {"rows": (49, 49)}, 49, "row groups rows"),
+            ("conv_1+pool", 10, {"in_rows": (38, 43, 0, 0)}, 10, "in_rows")):
         bad = _with_tile(sched, node, index, **changes)
         with pytest.raises(ValueError, match=re.escape(f"{node} tile {named}: {what}")):
             executor.execute_schedule(bad, store, image)
@@ -229,13 +231,15 @@ def test_row_groups_cover_the_output(graph, budget_kb):
         tiles = set()
         for g in executor.row_groups(p):
             rows[g.rows[0]:g.rows[1]] += 1
-            channels = np.zeros(k_in, int)
-            for win in g.windows:
-                channels[win.ci[0]:win.ci[1]] += 1
-                readers = [t for t in p.tiles() if (t.rows, t.ci, t.in_rows) == (g.rows, *win)]
-                tiles.update(t.index for t in readers)
-                assert sorted(c for t in readers for c in range(*t.co)) == list(range(k_out))
-            assert (channels == 1).all(), p.node.name
+            assert g.in_rows == p.input_rows(*g.rows), p.node.name
+            readers = [t for t in p.tiles() if t.rows == g.rows]
+            assert all(t.in_rows == g.in_rows for t in readers), p.node.name
+            tiles.update(t.index for t in readers)
+            # every (input, output) channel pair is multiplied once
+            pairs = np.zeros((k_in, k_out), int)
+            for t in readers:
+                pairs[t.ci[0]:t.ci[1], t.co[0]:t.co[1]] += 1
+            assert (pairs == 1).all(), p.node.name
         assert (rows == 1).all(), p.node.name
         assert tiles == {t.index for t in p.tiles()}
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(1))
