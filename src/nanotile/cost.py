@@ -297,6 +297,10 @@ def load_targets(directory: Path | None = None) -> Targets:
     path = d / POWER_TABLE
     points = [{c: csvtable.number(path, n, row, c) for c in _POWER}
               for n, row in enumerate(csvtable.read(path, _POWER), 1)]
+    for n, point in enumerate(points, 1):
+        for c in ("vdd_v", "fc_mhz", "cl_mhz"):     # an OpPoint's supply and clocks
+            if point[c] <= 0:
+                raise ValueError(f"{path}: data row {n}: {c} {point[c]:g} is not positive")
     return Targets(layer, l3l2, *breakdown, points, d)
 
 

@@ -188,7 +188,12 @@ def test_targets_loader_env_override(tmp_path, monkeypatch):
      "data row 1: exec_ms '22.6ms' is not a finite number"),
     ("gap8_power_points.csv", "1.0,50,100,45,", "1.0,50,100,nan,",
      "data row 1: avg_power_mw 'nan' is not a finite number"),
-], ids=["missing-column", "empty-table", "short-row", "non-numeric", "non-finite"])
+    ("gap8_power_points.csv", "1.2,250,250,", "1.2,250,0,",
+     "data row 2: cl_mhz 0 is not positive"),
+    ("gap8_power_points.csv", "1.0,50,", "1.0,-50,", "data row 1: fc_mhz -50 is not positive"),
+    ("gap8_power_points.csv", "1.2,250,", "0.0,250,", "data row 2: vdd_v 0 is not positive"),
+], ids=["missing-column", "empty-table", "short-row", "non-numeric", "non-finite",
+        "zero-cl-clock", "negative-fc-clock", "zero-vdd"])
 def test_targets_loader_rejects_malformed_tables(tmp_path, name, old, new, match):
     for f in cost.data_dir().iterdir():
         (tmp_path / f.name).write_text(f.read_text())
