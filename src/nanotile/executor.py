@@ -10,20 +10,17 @@ TilePlan.tiles() in order through simulated L1 with logged DMA transfers:
 every byte count, MAC count, row and channel range, stripe padding and
 worker split comes from those tile records.  L1 capacity is the schedule's
 budget, so an allocation that breaks it raises.
-Each frame runs only the arithmetic, over the same tiles' row groups.  The
-FC heads run on the same tile loop as 1x1 convolutions over their input viewed as
+Each frame runs only the arithmetic, over the same tiles.  The FC heads run
+on the same tile loop as 1x1 convolutions over their input viewed as
 (k_in, 1, 1).  The executor pads each node's input once and runs the same
 exact kernel as the untiled reference, kernels.conv_acc, on views of it.
 Once per plan, row_groups groups the tiles by output rows and checks that
-they describe one exact sum per row group: the row groups' rows partition
-the output rows, each group's input-channel chunks partition the input
-channels, each chunk's readers and each group's closing tiles partition
-the output channels, and every tile reads the input rows
-TilePlan.input_rows gives for its rows.  Per frame, each row group's input
-stripe is multiplied by all of the weights in one GEMM and renormalized
-once, so outputs are bit-identical to the untiled engine.  The target keeps
-32-bit partial sums in L1 across input-channel chunks; the host sums each
-row group whole, and the chunks live on in the trace and the cost model.
+each row group is one exact sum over whole input and output channel ranges,
+read from the input rows TilePlan.input_rows gives.  Per frame, each row
+group's input stripe is multiplied by all of the weights in one GEMM and
+renormalized once, so outputs are bit-identical to the untiled engine.  The
+target keeps 32-bit partial sums in L1 across input-channel chunks; the host
+sums each row group whole, and the chunks live on in the trace and the cost.
 Host accumulators are 64-bit for exactness while the budget charges the
 4-byte accumulator the target hardware would hold.
 """
@@ -126,8 +123,7 @@ class ExecResult:
     trace: TraceLog
     memsim: MemSim
     l2: l2plan.L2AllocPlan
-    # activations by tensor name; an elementwise node's input holds its output
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    tensors: dict[str, np.ndarray] = field(default_factory=dict)  # activations by name
 
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
@@ -263,21 +259,19 @@ def _check_partition(node: tiler.NodeKernel, what: str, axis: str,
 
 def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
     """A conv or FC plan's tiles by output rows, each with the input stripe
-    they read; built once per plan and cached on it.  The executor
-    multiplies each row group's stripe by all of the weights in one GEMM
-    and renorms it once, so this raises ValueError, naming the node and a
-    tile, unless every range lies inside the node's tensors, the row groups'
-    rows partition the output rows, each group's windows (its tiles by
-    input-channel chunk) partition the input channels, each window's readers
-    and each group's closing tiles partition the output channels, and each
-    tile's in_rows are the ones TilePlan.input_rows gives for its rows."""
+    they read; built once per plan and cached on it.  The executor runs one
+    GEMM of each stripe by all of the weights and renorms it once, so this
+    raises ValueError, naming the node and a tile, unless every range lies
+    inside the node's tensors, the row groups' rows partition the output
+    rows, each group's windows (tiles by input channels) partition the input
+    channels, each window's readers and each group's closing tiles partition
+    the output channels, and each tile's in_rows are input_rows(*rows)."""
     if plan._row_groups is None:
         node, body = plan.node, plan.node.body
         groups: dict[tuple, dict[tuple, list]] = {}
         for t in plan.tiles():
             _check_tile(node, t)
             groups.setdefault(t.rows, {}).setdefault(t.ci, []).append(t)
-        result = []
         firsts = [next(iter(g.values()))[0] for g in groups.values()]
         _check_partition(node, "row groups", "rows", firsts, node.h_out, firsts[-1])
         for rows, windows in groups.items():
@@ -289,13 +283,11 @@ def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
                                  body.k_out, readers[-1])
             _check_partition(node, f"closing tiles of rows {rows}", "co",
                              [t for t in tiles if t.closes], body.k_out, tiles[-1])
-            group = RowGroup(rows, plan.input_rows(*rows))
-            for t in tiles:
-                if t.in_rows != group.in_rows:
-                    raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, "
-                                     f"not the {group.in_rows} that rows {rows} read")
-            result.append(group)
-        plan._row_groups = tuple(result)
+        for t in plan.tiles():
+            if t.in_rows != plan.input_rows(*t.rows):
+                raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, not the "
+                                 f"{plan.input_rows(*t.rows)} that rows {t.rows} read")
+        plan._row_groups = tuple(RowGroup(rows, plan.input_rows(*rows)) for rows in groups)
     return plan._row_groups
 
 

@@ -255,14 +255,13 @@ class TilePlan:
         node, body = self.node, self.node.body
         if node.kind == "fc":
             cis = self.ci_ranges()
-            in_rows = self.input_rows(0, 1)
             for t, (c0, c1) in enumerate(cis):
                 closes = t == len(cis) - 1
                 moved = {"in": 2 * (c1 - c0),
                          "weights": 2 * (c1 - c0) + (2 * body.k_out if t == 0 else 0)}
                 if closes:
                     moved["out"] = 2 * body.k_out
-                yield Tile(t, (0, 1), in_rows, (c0, c1), (0, body.k_out), moved,
+                yield Tile(t, (0, 1), self.input_rows(0, 1), (c0, c1), (0, body.k_out), moved,
                            c1 - c0, tuple(self.worker_ranges(c1 - c0)), 1, closes)
             return
         if node.kind == "ew":
