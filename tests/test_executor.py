@@ -111,9 +111,10 @@ def test_trace_table(graph, entry):
 
 
 @pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
-def test_columns_built_once_per_row_group(graph, monkeypatch, budget_kb, groups):
-    # conv_acc builds a row group's columns from one strided view of the
-    # padded map: one view per row group of each node, per frame
+def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, groups):
+    # conv_acc builds a window's columns from one strided view of the padded
+    # map, and a row group's whole input stripe is one window: one view per
+    # row group of each node, per frame
     sched = tiler.plan_network(graph, budget_kb * 1024)
     calls = []
     as_strided = np.lib.stride_tricks.as_strided
@@ -124,9 +125,10 @@ def test_columns_built_once_per_row_group(graph, monkeypatch, budget_kb, groups)
 
 
 @pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
-def test_one_gemm_per_row_group(graph, monkeypatch, budget_kb, groups):
+def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups):
     # a row group's tiles split one exact sum by input and output channels,
-    # so they share one GEMM: at 16 KB, conv_2's 1024 tiles make one group
+    # so its stripe is one window and one GEMM: at 16 KB, conv_2's 1024
+    # tiles make one group
     sched = tiler.plan_network(graph, budget_kb * 1024)
     distinct = sum(len({t.rows for t in p.tiles()})
                    for p in sched.plans if p.node.kind != "ew")
