@@ -26,6 +26,8 @@ BRAKE_DISTANCE_M = 0.7       # at the 4 m/s reference approach speed
 REFERENCE_SPEED = 4.0
 DEFAULT_DECEL = REFERENCE_SPEED ** 2 / (2 * BRAKE_DISTANCE_M)   # 11.43 m/s^2
 MIN_STOP_TIME_S = 0.4
+# simulate_reaction keeps one history entry per frame up to the collision
+MAX_FRAMES = 10 ** 6
 
 _TRACE_CSV = Path(__file__).parent / "data" / "reaction_trace.csv"
 
@@ -162,6 +164,10 @@ class ReactionScenario:
         if not all(math.isfinite(x) and x > 0
                    for x in (self.v, self.t_appear, self.distance_free, self.fps)):
             raise ValueError("v, t_appear, distance_free and fps must be finite and positive")
+        frames = self.collision_time * self.fps
+        if frames > MAX_FRAMES:
+            raise ValueError(f"{self.fps:g} fps over a {self.collision_time:g} s approach "
+                             f"is {frames:.3g} frames, more than {MAX_FRAMES}")
         if self.inference_s is None:
             self.inference_s = 1.0 / self.fps
         if not (math.isfinite(self.inference_s) and self.inference_s >= 0):

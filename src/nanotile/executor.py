@@ -299,17 +299,15 @@ def _run_conv(node, plan, acts, store, out_shape):
     x = acts[node.input].reshape(body.k_in, body.h_in, body.w_in)
     xp = kernels.pad_same(x, body.kh, body.kw)
     pad = body.kh // 2
-    bias = (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
+    bias = kernels.acc_bias(b)
     # row_groups' partitions write every element of the output once
     out = np.empty(out_shape, np.int16)
     for (h0, h1), (r0, r1, pad_above, pad_below) in row_groups(plan):
         # one GEMM per row group, its stripe against every weight: the
-        # group's input-channel chunks only split one exact sum
-        acc = kernels.conv_acc(xp[:, pad + r0 - pad_above:pad + r1 + pad_below],
-                               w, body.stride)
-        # renorm once, then the fused pool, ReLU and residual add
-        acc += bias
-        tile = fxp.renorm_array(acc)
+        # group's input-channel chunks only split one exact sum; renorm
+        # once, then the fused pool, ReLU and residual add
+        tile = kernels.conv_rows(xp[:, pad + r0 - pad_above:pad + r1 + pad_below],
+                                 w, bias, body.stride)
         if node.fused_pool:
             tile = kernels.maxpool2(tile)
         if body.fused_relu:

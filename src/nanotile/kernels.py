@@ -12,7 +12,11 @@ conv_acc is the one convolution primitive, for the untiled kernels and the
 tiled executor alike.  Its layout is channel-major end to end: columns are
 (K*kh*kw, pixels) and the weights multiply from the left, so the
 accumulator comes out as a C-contiguous (K_out, H, W) array that the bias
-add and renorm walk in order.
+add and renorm walk in order.  conv_rows (conv_acc, bias, one renorm) turns
+a padded input stripe into int16 output rows; the executor runs it once per
+row group, and conv2d once per block of output rows whose float64 columns
+fit ROW_BLOCK_BYTES, so no temporary of the untiled reference grows with the
+map.
 """
 
 from __future__ import annotations
@@ -58,22 +62,57 @@ def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return xp
 
 
+# Byte budget for the float64 columns of one conv2d block of output rows.
+# Whole-map temporaries (columns, product, accumulator, renorm) of conv_1 run
+# to megabytes, which the allocator hands back to the system and faults in
+# afresh on every frame; blocks this size are reused.
+ROW_BLOCK_BYTES = 256 * 1024
+
+
+def _check_conv(x: np.ndarray, w: np.ndarray) -> None:
+    _check3(x)
+    if x.shape[0] != w.shape[1]:
+        raise ValueError(f"channel mismatch: input {x.shape[0]}, weights {w.shape[1]}")
+
+
+def acc_bias(b: np.ndarray) -> np.ndarray:
+    """The bias at the accumulator's scale 2**-24, shaped (K_out, 1, 1)."""
+    return (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
+
+
+def conv_rows(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int) -> np.ndarray:
+    """Q4.12 output rows over a padded input stripe: conv_acc, plus the
+    acc_bias bias, renormalized once; int16 (K_out, h_out, w_out)."""
+    acc = conv_acc(xp, w, stride)
+    acc += bias
+    return fxp.renorm_array(acc)
+
+
 def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                     stride: int) -> np.ndarray:
     """Exact conv accumulator at scale 2**-24, same-zero padding, bias included."""
-    k_out, k_in, kh, kw = w.shape
-    _check3(x)
-    if x.shape[0] != k_in:
-        raise ValueError(f"channel mismatch: input {x.shape[0]}, weights {k_in}")
-    acc = conv_acc(pad_same(x, kh, kw), w, stride)
-    acc += (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
+    _check_conv(x, w)
+    acc = conv_acc(pad_same(x, w.shape[2], w.shape[3]), w, stride)
+    acc += acc_bias(b)
     return acc
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
            fused_relu: bool = False, fused_pool: bool = False) -> np.ndarray:
-    """Q4.12 convolution; renorm once, then optional fused pool and ReLU."""
-    out = fxp.renorm_array(conv_accumulate(x, w, b, stride))
+    """Q4.12 convolution; renorm once, then optional fused pool and ReLU.
+    The output is computed by conv_rows in blocks of output rows whose
+    float64 columns fit ROW_BLOCK_BYTES (one row when a row alone is larger)
+    and written into one int16 map, which the pool and ReLU then read."""
+    _check_conv(x, w)
+    k_out, k_in, kh, kw = w.shape
+    xp = pad_same(x, kh, kw)
+    h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+    block = max(1, ROW_BLOCK_BYTES // (8 * k_in * kh * kw * w_out))
+    bias = acc_bias(b)
+    out = np.empty((k_out, h_out, w_out), np.int16)
+    for h0 in range(0, h_out, block):
+        h1 = min(h0 + block, h_out)
+        out[:, h0:h1] = conv_rows(xp[:, h0 * stride:(h1 - 1) * stride + kh], w, bias, stride)
     if fused_pool:
         out = maxpool2(out)
     if fused_relu:

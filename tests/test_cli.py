@@ -101,6 +101,13 @@ def test_react_output(capsys):
     assert lines[2].startswith("10") and lines[2].endswith("stopped")
 
 
+def test_react_too_many_frames(capsys):
+    code, _, err = run(capsys, "react", "--fps", "10,1e9")
+    assert code == 1
+    assert err.startswith("error: 1e+09 fps over a 5 s approach is 5e+09 frames, "
+                          "more than 1000000")
+
+
 def test_react_bad_trace(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("timestamp_s\n0.0\n")

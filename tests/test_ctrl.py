@@ -113,6 +113,9 @@ def test_scenario_rejects_non_finite_or_negative(field, value):
     with pytest.raises(ValueError, match=field):
         ctrl.ReactionScenario(**{field: value})
     ctrl.ReactionScenario(inference_s=0.0)
+    # a finite rate whose frame loop up to the collision would run for hours
+    with pytest.raises(ValueError, match=r"1e\+09 fps over a 5 s approach is 5e\+09 frames"):
+        ctrl.ReactionScenario(fps=1e9)
 
 
 def test_trace_too_short():

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,63 @@ def test_conv_matches_oracle_on_any_shape(k_in, k_out, h, w, k, stride, data):
     part = kernels.conv_acc(kernels.pad_same(x, k, k), wt, stride)
     assert part.dtype == np.int64 and part.flags.c_contiguous
     assert np.array_equal(part, acc - (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None])
+
+
+def _conv_acc_calls():
+    """Patch kernels.conv_acc to record each call's arguments."""
+    calls = []
+    conv_acc = kernels.conv_acc
+    return calls, mock.patch.object(
+        kernels, "conv_acc", lambda xp, w, stride: calls.append((xp, w, stride))
+        or conv_acc(xp, w, stride))
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 3, 5]),
+       st.sampled_from([1, 2]), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
+       st.booleans(), st.booleans(), st.data())
+def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out, seed,
+                                                   pool, relu, data):
+    # a map tall enough for two to four blocks of output rows, every height
+    # parity; values over the full int16 range with -32768 sprinkled in
+    block = max(1, kernels.ROW_BLOCK_BYTES // (8 * k_in * k * k * w_out))
+    h_out = data.draw(st.integers(block + 1, 4 * block))
+    h = data.draw(st.sampled_from(sorted({stride * (h_out - 1) + 1, stride * h_out})))
+    width = data.draw(st.sampled_from(sorted({stride * (w_out - 1) + 1, stride * w_out})))
+    rng = np.random.default_rng(seed)
+
+    def int16s(*shape):
+        a = rng.integers(fxp.QMIN, fxp.QMAX + 1, shape).astype(np.int16)
+        a[rng.random(shape) < 0.05] = fxp.QMIN
+        return a
+
+    x, wt, b = int16s(k_in, h, width), int16s(k_out, k_in, k, k), int16s(k_out)
+    calls, patch = _conv_acc_calls()
+    with patch:
+        got = kernels.conv2d(x, wt, b, stride, fused_relu=relu, fused_pool=pool)
+    assert len(calls) >= 2
+    expect = fxp.renorm_array(kernels.conv_accumulate(x, wt, b, stride))
+    if pool:
+        expect = kernels.maxpool2(expect)
+    if relu:
+        expect = kernels.relu(expect)
+    assert got.dtype == np.int16 and np.array_equal(got, expect)
+
+
+def test_untiled_conv_temporaries_fit_the_row_block_budget():
+    # every conv_acc call of infer_untiled builds float64 columns within
+    # ROW_BLOCK_BYTES, unless one output row alone is larger; conv_1's
+    # 100 x 100 outputs over 25 taps (2 MB of columns) take several blocks
+    graph = net.build_dronet()
+    store = net.random_store(graph, 0)
+    calls, patch = _conv_acc_calls()
+    with patch:
+        kernels.infer_untiled(graph, store, oracles.random_image(0))
+    for xp, w, stride in calls:
+        _, k, kh, kw = w.shape
+        h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+        row_bytes = 8 * k * kh * kw * w_out
+        assert h_out * row_bytes <= max(kernels.ROW_BLOCK_BYTES, row_bytes)
+    assert sum(w is store["conv_1"][0] for _, w, _ in calls) >= 2
 
 
 def test_conv_random_3x3_s2_on_stem_shape():
