@@ -23,12 +23,17 @@ target keeps 32-bit partial sums in L1 across input-channel chunks; the host
 sums each row group whole, and the chunks live on in the trace and the cost.
 Host accumulators are 64-bit for exactness while the budget charges the
 4-byte accumulator the target hardware would hold.
+compile_schedule also encodes the frozen trace as integer-coded columns
+(TraceLog.columns), and audit_trace replays those columns on every frame
+with numpy reductions, so no frame walks the events one by one.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -56,9 +61,51 @@ class Event(NamedTuple):
     overlap: bool = False
 
 
+class TraceColumns(NamedTuple):
+    """A trace as integer-coded numpy columns, one row per event: each code
+    indexes its vocabulary, which lists the values in order of first use."""
+    kind: np.ndarray      # int32 codes into kinds
+    region: np.ndarray    # int32 codes into regions: L1/L2/L3, a transfer tag, or ""
+    node: np.ndarray      # int32 codes into nodes
+    name: np.ndarray      # int32 codes into names: a buffer or a stream
+    bytes: np.ndarray     # int64
+    kinds: tuple[str, ...]
+    regions: tuple[str, ...]
+    nodes: tuple[str, ...]
+    names: tuple[str, ...]
+
+
+def _encode(values, n: int) -> tuple[np.ndarray, tuple]:
+    """The values' codes, and their vocabulary in order of first use."""
+    vocab: defaultdict = defaultdict()
+    vocab.default_factory = vocab.__len__     # a new value's code is the vocabulary's size
+    codes = np.fromiter(map(vocab.__getitem__, values), np.int32, n)
+    return codes, tuple(vocab)
+
+
+def _encode_trace(events) -> TraceColumns:
+    n = len(events)
+    (kind, kinds), (region, regions), (node, nodes), (name, names) = (
+        _encode(map(attrgetter(f), events), n) for f in ("kind", "region", "node", "name"))
+    return TraceColumns(kind, region, node, name,
+                        np.fromiter(map(attrgetter("bytes"), events), np.int64, n),
+                        kinds, regions, nodes, names)
+
+
 class TraceLog:
     def __init__(self):
         self.events: list[Event] = []      # a tuple once compile_schedule ends
+        self._columns: tuple | None = None  # (events, their columns) for a frozen trace
+
+    def columns(self) -> TraceColumns:
+        """The events as columns.  A frozen (tuple) trace is encoded once and
+        cached; a list is encoded on every call, so appending to it or
+        editing it never leaves stale columns."""
+        if not isinstance(self.events, tuple):
+            return _encode_trace(self.events)
+        if self._columns is None or self._columns[0] is not self.events:
+            self._columns = (self.events, _encode_trace(self.events))
+        return self._columns[1]
 
     def to_csv(self) -> str:
         lines = ["kind,region,node,tile,name,bytes,macs,workers,overlap"]
@@ -128,8 +175,9 @@ class ExecResult:
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     """Replay the schedule's memory traffic through one MemSim, freeze its
-    trace and cache it on the schedule.  An allocation that breaks a budget
-    raises MemSimError, and a failed replay caches nothing."""
+    trace, encode its columns and cache it on the schedule.  An allocation
+    that breaks a budget raises MemSimError, and a failed replay caches
+    nothing."""
     if schedule._memsim is not None:
         return schedule._memsim
     graph = schedule.graph
@@ -190,6 +238,7 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
         l2_step(i, node.name, "free")
     l2_step(len(life.nodes), "end", "free")
     ms.trace.events = tuple(ms.trace.events)
+    ms.trace.columns()
     schedule._memsim = ms
     return ms
 
@@ -208,6 +257,7 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
         plan = schedule.plan_for(name)
         node = plan.node
         if node.kind == "ew":
+            row_groups(plan)        # checks, once per plan, that the tiles partition the map
             x = acts[node.input]
             for t in plan.tiles():
                 view = x[t.ci[0]:t.ci[1], t.rows[0]:t.rows[1]]
@@ -258,14 +308,16 @@ def _check_partition(node: tiler.NodeKernel, what: str, axis: str,
 
 
 def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
-    """A conv or FC plan's tiles by output rows, each with the input stripe
-    they read; built once per plan and cached on it.  The executor runs one
-    GEMM of each stripe by all of the weights and renorms it once, so this
-    raises ValueError, naming the node and a tile, unless every range lies
-    inside the node's tensors, the row groups' rows partition the output
-    rows, each group's windows (tiles by input channels) partition the input
-    channels, each window's readers and each group's closing tiles partition
-    the output channels, and each tile's in_rows are input_rows(*rows)."""
+    """A plan's tiles by output rows, each with the input rows they read;
+    built once per plan and cached on it.  Numpy slicing would clip a range
+    that runs past a tensor, so this raises ValueError, naming the node and a
+    tile, unless every range lies inside the node's tensors and the row
+    groups' rows partition the output rows.  An elementwise node's tiles
+    must partition the channels within each row group.  A conv or FC node
+    runs one GEMM of each group's stripe by all of the weights and renorms
+    it once, so its groups' windows (tiles by input channels) must partition
+    the input channels, each window's readers and each group's closing tiles
+    the output channels, and each tile's in_rows must be input_rows(*rows)."""
     if plan._row_groups is None:
         node, body = plan.node, plan.node.body
         groups: dict[tuple, dict[tuple, list]] = {}
@@ -276,6 +328,10 @@ def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
         _check_partition(node, "row groups", "rows", firsts, node.h_out, firsts[-1])
         for rows, windows in groups.items():
             tiles = [t for readers in windows.values() for t in readers]
+            if node.kind == "ew":
+                _check_partition(node, f"channels of rows {rows}", "ci", tiles,
+                                 body.k_in, tiles[-1])
+                continue
             _check_partition(node, f"windows of rows {rows}", "ci",
                              [readers[0] for readers in windows.values()], body.k_in, tiles[-1])
             for ci, readers in windows.items():
@@ -283,11 +339,12 @@ def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
                                  body.k_out, readers[-1])
             _check_partition(node, f"closing tiles of rows {rows}", "co",
                              [t for t in tiles if t.closes], body.k_out, tiles[-1])
-        for t in plan.tiles():
-            if t.in_rows != plan.input_rows(*t.rows):
-                raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, not the "
-                                 f"{plan.input_rows(*t.rows)} that rows {t.rows} read")
-        plan._row_groups = tuple(RowGroup(rows, plan.input_rows(*rows)) for rows in groups)
+        if node.kind != "ew":
+            for t in plan.tiles():
+                if t.in_rows != plan.input_rows(*t.rows):
+                    raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, not "
+                                     f"the {plan.input_rows(*t.rows)} that rows {t.rows} read")
+        plan._row_groups = tuple(RowGroup(t.rows, t.in_rows) for t in firsts)
     return plan._row_groups
 
 
@@ -335,38 +392,80 @@ class AuditReport:
         return not self.violations
 
 
+def _code(vocab: tuple, value) -> int:
+    """The value's code in vocab, or -1, which no event carries."""
+    return vocab.index(value) if value in vocab else -1
+
+
+def _totals(keys: np.ndarray, nbytes: np.ndarray):
+    """Distinct keys, which are small codes, in order of first appearance,
+    with each key's event count and int64 byte sum."""
+    size = int(keys.max()) + 1 if len(keys) else 0
+    counts = np.bincount(keys, minlength=size)
+    sums = np.zeros(size, np.int64)
+    np.add.at(sums, keys, nbytes)
+    first = np.full(size, len(keys))
+    np.minimum.at(first, keys, np.arange(len(keys)))
+    present = np.flatnonzero(counts)
+    present = present[np.argsort(first[present])]
+    return present.tolist(), counts[present].tolist(), sums[present].tolist()
+
+
 def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
     """Independent replay of the event log: recomputes peaks and byte totals
-    without trusting the executor's own counters."""
-    used = {"L1": 0, "L2": 0, "L3": 0}
-    peak = {"L1": 0, "L2": 0, "L3": 0}
-    live: dict[tuple[str, str], int] = {}
-    stream_bytes: dict[str, int] = {}
-    tag_bytes: dict[str, int] = {}
-    tag_stream: dict[tuple[str, str], int] = {}
-    node_stream: dict[tuple[str, str], tuple[int, int]] = {}
-    violations = []
-    for kind, region, node, _tile, name, nbytes, _macs, _workers, _overlap in trace.events:
-        if kind == "alloc":
-            key = (region, name)
-            if key in live:
-                violations.append(f"double alloc {key}")
-            live[key] = nbytes
-            used[region] += nbytes
-            peak[region] = max(peak[region], used[region])
-        elif kind == "free":
-            key = (region, name)
-            if key not in live:
-                violations.append(f"free of dead {key}")
-                continue
-            used[region] -= live.pop(key)
-        elif kind == "xfer":
-            stream_bytes[name] = stream_bytes.get(name, 0) + nbytes
-            tag_bytes[region] = tag_bytes.get(region, 0) + nbytes
-            tag_stream[(region, name)] = tag_stream.get((region, name), 0) + nbytes
-            if region in (TAG_L2_L1, TAG_L1_L2):
-                c, b = node_stream.get((node, name), (0, 0))
-                node_stream[(node, name)] = (c + 1, b + nbytes)
+    without trusting the executor's own counters.  It works on the trace's
+    columns and recomputes everything on every call.
+
+    Allocs and frees are paired per (region, buffer) by a stable sort: an
+    alloc that follows an alloc of its buffer is a double alloc, and a free
+    that follows no alloc frees a dead buffer and counts for nothing.  A free
+    takes back the bytes of the alloc it closes, and each region's peak is
+    the largest running sum of its allocs and frees, in event order.  An
+    alloc or free outside L1, L2 and L3 raises ValueError."""
+    c = trace.columns()
+    alloc, free, xfer = (_code(c.kinds, k) for k in ("alloc", "free", "xfer"))
+    n_names = np.int64(max(len(c.names), 1))   # pair keys, code * n_names + code, in int64
+
+    mem = np.flatnonzero((c.kind == alloc) | (c.kind == free))
+    mem_region = c.region[mem]
+    known = [_code(c.regions, r) for r in ("L1", "L2", "L3")]
+    stray = mem[(mem_region != known[0]) & (mem_region != known[1]) & (mem_region != known[2])]
+    if len(stray):
+        i = stray[0]
+        raise ValueError(f"event {i}: {c.kinds[c.kind[i]]} of {c.names[c.name[i]]!r} "
+                         f"in unknown region {c.regions[c.region[i]]!r}")
+    key = mem_region * n_names + c.name[mem]
+    order = np.argsort(key, kind="stable")
+    ev, key = mem[order], key[order]         # by (region, buffer), then in event order
+    is_alloc = c.kind[ev] == alloc
+    after_alloc = np.zeros(len(ev), bool)    # the buffer's previous event is an alloc
+    after_alloc[1:] = (key[1:] == key[:-1]) & is_alloc[:-1]
+    delta = np.zeros(len(c.kind), np.int64)
+    delta[ev[is_alloc]] = c.bytes[ev[is_alloc]]
+    closes = np.flatnonzero(~is_alloc & after_alloc)
+    delta[ev[closes]] = -c.bytes[ev[closes - 1]]
+    bad = np.sort(np.concatenate([ev[is_alloc & after_alloc], ev[~is_alloc & ~after_alloc]]))
+    violations = [f"{'double alloc' if c.kind[i] == alloc else 'free of dead'} "
+                  f"{(c.regions[c.region[i]], c.names[c.name[i]])}" for i in bad.tolist()]
+    peak = {}
+    for region in ("L1", "L2"):
+        in_region = c.region == _code(c.regions, region)
+        used = np.cumsum(delta[in_region])
+        peak[region] = int(np.max(used[c.kind[in_region] == alloc], initial=0))
+
+    x = np.flatnonzero(c.kind == xfer)
+    nbytes, tag, name = c.bytes[x], c.region[x], c.name[x]
+    keys, _, sums = _totals(name, nbytes)
+    stream_bytes = {c.names[k]: b for k, b in zip(keys, sums)}
+    keys, _, sums = _totals(tag, nbytes)
+    tag_bytes = {c.regions[k]: b for k, b in zip(keys, sums)}
+    keys, _, sums = _totals(tag * n_names + name, nbytes)
+    tag_stream = {(c.regions[k // n_names], c.names[k % n_names]): b
+                  for k, b in zip(keys, sums)}
+    l2l1 = (tag == _code(c.regions, TAG_L2_L1)) | (tag == _code(c.regions, TAG_L1_L2))
+    keys, counts, sums = _totals(c.node[x][l2l1] * n_names + name[l2l1], nbytes[l2l1])
+    node_stream = {(c.nodes[k // n_names], c.names[k % n_names]): (n, b)
+                   for k, n, b in zip(keys, counts, sums)}
     if memsim is not None:
         for region in ("L1", "L2"):
             if peak[region] != memsim.peak[region]:

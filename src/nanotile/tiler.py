@@ -574,7 +574,7 @@ class TileSchedule:
     l1_budget: int
     plans: list[TilePlan]
     l2: object = None   # L2AllocPlan, attached by the caller or on first compile
-    # executor.compile_schedule's MemSim: the memory replay, trace included
+    # executor.compile_schedule's MemSim: the memory replay, trace and its columns included
     _memsim: object = field(default=None, init=False, repr=False, compare=False)
 
     def plan_for(self, node_name: str) -> TilePlan:

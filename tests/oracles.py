@@ -4,14 +4,16 @@ Deliberately structured differently from the engine: convolution is a
 shift-and-add over kernel offsets with int64 einsum (the engine uses
 im2col + float64 GEMM), and the graph walk below is its own loop.  The two
 planners are their exhaustive forms: every tile plan scored and sorted, every
-stack assignment simulated.
+stack assignment simulated.  The trace audit is the event-by-event loop that
+executor.audit_trace replaces with column reductions.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 
-from nanotile import cost, fxp, l2plan, net, tiler
+from nanotile import cost, executor, fxp, l2plan, net, tiler
 
 
 def naive_conv_acc(x, w, b, stride):
@@ -118,3 +120,51 @@ def exhaustive_two_stack(graph):
     peak, peaks, events, occupancy = l2plan._simulate(life, stack_of, 2, record=True)
     names = [n.name for n in life.nodes] + ["end"]
     return l2plan.L2AllocPlan(2, events, names, stack_of, peak, peaks, occupancy)
+
+
+def audit_fields(report):
+    """An AuditReport's fields in order, each dict as its list of items, so
+    that comparing two reports also compares the order of their entries."""
+    return [list(v.items()) if isinstance(v, dict) else v
+            for v in (getattr(report, f.name) for f in dataclasses.fields(report))]
+
+
+def loop_audit(trace, memsim=None):
+    """executor.audit_trace as one pass over the events in order, with a
+    dict of live buffers."""
+    used = {"L1": 0, "L2": 0, "L3": 0}
+    peak = {"L1": 0, "L2": 0, "L3": 0}
+    live: dict[tuple[str, str], int] = {}
+    stream_bytes: dict[str, int] = {}
+    tag_bytes: dict[str, int] = {}
+    tag_stream: dict[tuple[str, str], int] = {}
+    node_stream: dict[tuple[str, str], tuple[int, int]] = {}
+    violations = []
+    for kind, region, node, _tile, name, nbytes, _macs, _workers, _overlap in trace.events:
+        if kind == "alloc":
+            key = (region, name)
+            if key in live:
+                violations.append(f"double alloc {key}")
+            live[key] = nbytes
+            used[region] += nbytes
+            peak[region] = max(peak[region], used[region])
+        elif kind == "free":
+            key = (region, name)
+            if key not in live:
+                violations.append(f"free of dead {key}")
+                continue
+            used[region] -= live.pop(key)
+        elif kind == "xfer":
+            stream_bytes[name] = stream_bytes.get(name, 0) + nbytes
+            tag_bytes[region] = tag_bytes.get(region, 0) + nbytes
+            tag_stream[(region, name)] = tag_stream.get((region, name), 0) + nbytes
+            if region in (executor.TAG_L2_L1, executor.TAG_L1_L2):
+                c, b = node_stream.get((node, name), (0, 0))
+                node_stream[(node, name)] = (c + 1, b + nbytes)
+    if memsim is not None:
+        for region in ("L1", "L2"):
+            if peak[region] != memsim.peak[region]:
+                violations.append(f"{region} peak mismatch: replay {peak[region]} "
+                                  f"vs memsim {memsim.peak[region]}")
+    return executor.AuditReport(peak["L1"], peak["L2"], stream_bytes, tag_bytes,
+                                tag_stream, node_stream, len(trace.events), violations)

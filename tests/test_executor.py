@@ -140,17 +140,24 @@ def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups):
     assert len(calls) == groups
 
 
-def _with_tile(sched, node_name, index, **changes):
-    """The schedule with one tile record of one plan edited."""
+def _edit_tiles(sched, node_name, edit):
+    """The schedule with one plan's tile list replaced by edit(tiles)."""
     plans = []
     for p in sched.plans:
         if p.node.name == node_name:
-            tiles = list(p.tiles())
-            tiles[index] = dataclasses.replace(tiles[index], **changes)
+            tiles = edit(list(p.tiles()))
             p = dataclasses.replace(p)
             p._tiles = tiles
         plans.append(p)
     return tiler.TileSchedule(sched.graph, sched.l1_budget, plans)
+
+
+def _with_tile(sched, node_name, index, **changes):
+    """The schedule with one tile record of one plan edited."""
+    def edit(tiles):
+        tiles[index] = dataclasses.replace(tiles[index], **changes)
+        return tiles
+    return _edit_tiles(sched, node_name, edit)
 
 
 def test_tile_geometry_drives_the_data(graph):
@@ -218,6 +225,28 @@ def test_tiles_that_break_a_partition_raise(graph):
             ("conv_1+pool", 10, {"in_rows": (38, 43, 0, 0)}, 10, "in_rows")):
         bad = _with_tile(sched, node, index, **changes)
         with pytest.raises(ValueError, match=re.escape(f"{node} tile {named}: {what}")):
+            executor.execute_schedule(bad, store, image)
+
+
+def test_elementwise_tiles_that_break_a_partition_raise(graph):
+    # a ReLU node runs over numpy slices of its tensor, which would clip a
+    # row range past the map or leave a dropped tile's pixels negative
+    store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
+    spatial = tiler.plan_network(graph, 16 * 1024)
+    relu = spatial.plan_for("relu_1")
+    assert relu.scheme == tiler.SPATIAL
+    assert [t.rows for t in relu.tiles()[5:7]] == [(10, 12), (12, 14)]
+    assert relu.tiles()[24].rows == (48, 50)
+    featurewise = tiler.plan_network(graph, 60 * 1024)
+    assert featurewise.plan_for("relu_1").tiles()[3].ci == (18, 24)
+    for bad, what in (
+            (_edit_tiles(spatial, "relu_1", lambda ts: ts[:5] + ts[6:]),
+             "relu_1 tile 6: row groups rows (12, 14) starts at 12, not 10"),
+            (_with_tile(spatial, "relu_1", 24, rows=(48, 51)),
+             "relu_1 tile 24: rows (48, 51) outside [0, 50]"),
+            (_edit_tiles(featurewise, "relu_1", lambda ts: ts[:2] + ts[3:]),
+             "relu_1 tile 3: channels of rows (0, 50) ci (18, 24) starts at 18, not 12")):
+        with pytest.raises(ValueError, match=re.escape(what)):
             executor.execute_schedule(bad, store, image)
 
 
@@ -378,6 +407,86 @@ def test_memsim_traps():
     ms.alloc("L2", "x", 10)
     with pytest.raises(executor.MemSimError, match="dead"):
         ms.transfer(executor.TAG_L2_L1, 4, ("L2", "x"), ("L1", "gone"))
+
+
+@pytest.mark.parametrize("entry", TRACE_TABLE,
+                         ids=lambda e: "{budget}-{seed}-{amplitude}".format(**e))
+def test_audit_matches_the_event_loop(graph, entry):
+    sched = tiler.plan_network(graph, entry["budget"])
+    store = net.random_store(graph, entry["seed"], entry["amplitude"])
+    res = executor.execute_schedule(sched, store, oracles.random_image(entry["seed"]))
+    audit = executor.audit_trace(res.trace, res.memsim)
+    assert audit.ok and audit.n_events == entry["events"]
+    assert oracles.audit_fields(audit) == oracles.audit_fields(
+        oracles.loop_audit(res.trace, res.memsim))
+
+
+def _mutated(events, i, *, insert=None, replace=None):
+    """A list-valued trace: events with one event inserted before position i
+    or the event at i replaced."""
+    trace = executor.TraceLog()
+    trace.events = list(events)
+    if insert is not None:
+        trace.events.insert(i, insert)
+    else:
+        trace.events[i] = replace
+    return trace
+
+
+def test_audit_violations_match_the_event_loop(graph):
+    sched = tiler.plan_network(graph, 16 * 1024)
+    ms = executor.compile_schedule(sched)
+    ev = ms.trace.events
+    first_in = next(i for i, e in enumerate(ev) if e.kind == "alloc" and e.region == "L1")
+    free_in = next(i for i, e in enumerate(ev) if e.kind == "free" and e.name == ev[first_in].name)
+    acc = next(i for i, e in enumerate(ev) if e.kind == "alloc" and e.name == "conv_9:acc")
+    extra = executor.Event("alloc", "L1", ev[first_in].node, -1, "extra", 16 * 1024)
+    cases = (
+        (_mutated(ev, first_in + 1, insert=ev[first_in]),
+         [f"double alloc {('L1', ev[first_in].name)}", "L1 peak mismatch"]),
+        (_mutated(ev, free_in + 1, insert=ev[free_in]),
+         [f"free of dead {('L1', ev[free_in].name)}"]),
+        (_mutated(ev, first_in + 1, insert=extra), ["L1 peak mismatch"]),
+        (_mutated(ev, acc, replace=ev[acc]._replace(bytes=ev[acc].bytes + 2)),
+         ["L1 peak mismatch: replay 16242 vs memsim 16240"]))
+    for trace, starts in cases:
+        audit = executor.audit_trace(trace, ms)
+        assert oracles.audit_fields(audit) == oracles.audit_fields(
+            oracles.loop_audit(trace, ms))
+        assert len(audit.violations) == len(starts)
+        assert all(v.startswith(s) for v, s in zip(audit.violations, starts)), audit.violations
+    over_budget = executor.audit_trace(cases[2][0])
+    assert over_budget.peak_l1 > sched.l1_budget and over_budget.peak_l2 == ms.peak["L2"]
+
+
+def test_trace_encoded_once_per_schedule(graph, monkeypatch):
+    calls = []
+    encode = executor._encode_trace
+    monkeypatch.setattr(executor, "_encode_trace",
+                        lambda events: calls.append(1) or encode(events))
+    sched = tiler.plan_network(graph, 16 * 1024)
+    for seed in (0, 1):
+        res = executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(seed))
+        assert executor.audit_trace(res.trace, res.memsim).ok
+    assert len(calls) == 1
+    # a list-valued trace is encoded on every audit, so an edit always shows
+    trace = executor.TraceLog()
+    trace.events = list(res.trace.events)
+    assert executor.audit_trace(trace).ok and len(calls) == 2
+    trace.events.append(trace.events[-1])
+    assert executor.audit_trace(trace).violations == [
+        f"free of dead {(trace.events[-1].region, trace.events[-1].name)}"]
+    assert len(calls) == 3
+
+
+def test_audit_rejects_an_unknown_region():
+    trace = executor.TraceLog()
+    trace.events = [executor.Event("alloc", "L1", "n", -1, "a", 4),
+                    executor.Event("alloc", "L4", "n", -1, "b", 4)]
+    with pytest.raises(KeyError):
+        oracles.loop_audit(trace)
+    with pytest.raises(ValueError, match=re.escape("event 1: alloc of 'b' in unknown region 'L4'")):
+        executor.audit_trace(trace)
 
 
 def test_empty_trace_audit():

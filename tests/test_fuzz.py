@@ -4,15 +4,20 @@ without a graph), PGM frames, the calibration tables and collision traces.
 Each case truncates, flips or inserts bytes in a valid file; the parser must
 either load it or raise its typed error (WeightFileError, ImageFormatError or
 ValueError), never anything else.
+
+A property test also draws short random traces, with double allocs, frees
+of buffers never allocated and computes among them, and checks the columnar
+audit against the event-by-event loop in oracles.py.
 """
 
 import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from nanotile import cost, ctrl, net
+import oracles
+from nanotile import cost, ctrl, executor, net
 
 GRAPH = net.build_dronet()
 TYPED = (net.WeightFileError, net.ImageFormatError, ValueError)
@@ -99,3 +104,40 @@ def test_load_targets_fuzz(name, edits):
 def test_load_trace_fuzz(edits):
     parses_or_raises_typed(lambda p: ctrl.load_trace(str(p)), "t.csv",
                            mutate(TRACE, edits))
+
+
+def events():
+    """Short traces over a few buffers, streams, nodes, regions and tags."""
+    names = st.sampled_from(("a", "b", "out"))
+    nodes = st.sampled_from(("n0", "n1", "n2"))
+    nbytes = st.integers(0, 1 << 10)
+    # two buffer names over three regions, so that allocs and frees meet
+    mem = st.builds(executor.Event, st.sampled_from(("alloc", "free")),
+                    st.sampled_from(("L1", "L2", "L3")), nodes, st.just(-1),
+                    st.sampled_from(("a", "b")), nbytes)
+    xfer = st.builds(executor.Event, st.just("xfer"),
+                     st.sampled_from((executor.TAG_L3_L2, executor.TAG_L2_L1,
+                                      executor.TAG_L1_L2)),
+                     nodes, st.integers(-1, 3), names, nbytes)
+    compute = st.builds(executor.Event, st.just("compute"), st.just(""), nodes,
+                        st.integers(0, 3), st.just(""), st.just(0), st.integers(0, 99))
+    return st.lists(st.one_of(mem, mem, xfer, compute), max_size=40)
+
+
+@FUZZ
+@given(events(), st.none() | st.tuples(st.integers(0, 1 << 21), st.integers(0, 1 << 21)),
+       st.booleans())
+@example([], None, True)
+@example([], (0, 1), False)
+@example([executor.Event("alloc", "L1", "n0", -1, "a", 10),     # a free gives back its
+          executor.Event("free", "L1", "n0", -1, "a", 0),       # alloc's bytes, not its own
+          executor.Event("alloc", "L1", "n0", -1, "b", 5)], (10, 0), True)
+def test_audit_trace_fuzz(trace_events, peaks, frozen):
+    trace = executor.TraceLog()
+    trace.events = tuple(trace_events) if frozen else trace_events
+    memsim = None
+    if peaks is not None:
+        memsim = executor.MemSim(l1_bytes=1)
+        memsim.peak.update(L1=peaks[0], L2=peaks[1])
+    assert oracles.audit_fields(executor.audit_trace(trace, memsim)) == \
+        oracles.audit_fields(oracles.loop_audit(trace, memsim))
