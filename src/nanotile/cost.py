@@ -46,16 +46,12 @@ class CalibParams:
     dispatch_cycles: float     # per fork/join parallel section
     dma_setup_cycles: float    # per L2<->L1 descriptor, not hidden by overlap
     l3l2_bytes_per_fcycle: float
-    eta_peak_per_core: float = 0.64   # measured inner-kernel peak, reference only
 
 
 @dataclass(frozen=True)
 class PowerParams:
     k_fc: float                # W per Hz per V^2, fabric controller domain
     k_cl: float                # W per Hz per V^2, cluster domain
-    static_w: float = 0.0
-    camera_w: float = 0.0045   # ULP camera draw
-    dram_w: float = 0.008      # DRAM while L3-L2 transfers are active
 
 
 @dataclass(frozen=True)
@@ -74,6 +70,9 @@ FAST = OpPoint(1.2, 250e6, 250e6)
 # calibrated operating envelope: corners validated per supply voltage
 FMAX_HZ = {1.0: 100e6, 1.2: 250e6}
 SWEEP_FREQS_HZ = (50e6, 100e6, 150e6, 200e6, 250e6)
+ETA_PEAK_PER_CORE = 0.64   # measured inner-kernel MAC/cycle/core peak, reference only
+CAMERA_W = 0.0045          # ULP camera draw
+DRAM_W = 0.008             # DRAM while L3-L2 transfers are active
 
 # Frozen output of calibrate() on the shipped measurement tables at the
 # default 60 KB budget; regenerated and asserted by the test suite.
@@ -121,7 +120,7 @@ def row_loads(node: tiler.NodeKernel, loads: tiler.Loads) -> list[RowLoad]:
         if spec is not node.body:
             join = spec.kind == net.ADD
             rows.append(RowLoad(spec.name, "ew", bytes=(3 if join else 2) * 2 * elems,
-                                forks=-(-spec.k_out // tiler.CORES),
+                                forks=tiler._worker_forks(spec.k_out),
                                 transfers=loads.descriptors["addend"] if join else 0))
             continue
         transfers = sum(n for stream, n in loads.descriptors.items() if stream != "addend")
@@ -220,8 +219,7 @@ def frame_energy(exec_cycles: float, l3l2_fcycles: float, op: OpPoint,
     t_m = l3l2_fcycles / op.f_fc
     t = t_c + t_m
     v2 = op.vdd ** 2
-    energy = v2 * (power.k_fc * op.f_fc * t + power.k_cl * op.f_cl * t_c) \
-        + power.static_w * t
+    energy = v2 * (power.k_fc * op.f_fc * t + power.k_cl * op.f_cl * t_c)
     return energy, t, t_c
 
 
@@ -236,7 +234,7 @@ def frame_report(schedule: tiler.TileSchedule, op: OpPoint = EFFICIENT,
     dma = calib.dma_setup_cycles * sum(r.transfers for r in loads)
     energy, t, t_c = frame_energy(exec_cycles, l3l2, op, power)
     p_avg = energy / t
-    board = p_avg + power.camera_w + power.dram_w * (t - t_c) / t
+    board = p_avg + CAMERA_W + DRAM_W * (t - t_c) / t
     return CostReport(op, rows, exec_cycles, l3l2, dma, exec_cycles - dma,
                       t, 1.0 / t, p_avg, board, energy)
 
@@ -345,17 +343,16 @@ def calibrate(schedule: tiler.TileSchedule,
 
     # two-point solve for the power pair, capped so the eight-core cluster
     # domain keeps at least a third of the per-Hz draw (k_fc <= 2 k_cl);
-    # when the cap binds, the two corner errors are equalized instead
-    report = frame_report(schedule, EFFICIENT, calib, PowerParams(0, 0))
+    # when the cap binds, the two corner errors are equalized instead.
+    # Frame energy is linear in (k_fc, k_cl): unit pairs give its coefficients
+    report = frame_report(schedule, EFFICIENT, calib)
+    cycles = report.exec_cycles, report.l3l2_fcycles
     rows = []
     for pt in targets.power_points:
         op = OpPoint(pt["vdd_v"], pt["fc_mhz"] * 1e6, pt["cl_mhz"] * 1e6)
-        t_c = report.exec_cycles / op.f_cl
-        t_m = report.l3l2_fcycles / op.f_fc
-        t = t_c + t_m
-        v2 = op.vdd ** 2
-        rows.append((v2 * op.f_fc * t, v2 * op.f_cl * t_c,
-                     1e-3 * pt["avg_power_mw"] * t))
+        a, t, _ = frame_energy(*cycles, op, PowerParams(1, 0))
+        b, _, _ = frame_energy(*cycles, op, PowerParams(0, 1))
+        rows.append((a, b, 1e-3 * pt["avg_power_mw"] * t))
     (a1, b1, e1), (a2, b2, e2) = rows
     det = a1 * b2 - a2 * b1
     if abs(det) < 1e-30:
@@ -409,16 +406,13 @@ class SweepPoint:
 
 def sweep(schedule: tiler.TileSchedule,
           calib: CalibParams = DEFAULT_CALIB,
-          power: PowerParams = DEFAULT_POWER,
-          vdds=(1.0, 1.2),
-          freqs_hz=SWEEP_FREQS_HZ) -> tuple[list[SweepPoint], SweepPoint]:
+          power: PowerParams = DEFAULT_POWER) -> tuple[list[SweepPoint], SweepPoint]:
     """Grid evaluation over the calibrated envelope; returns (points, min-energy)."""
     base = frame_report(schedule, EFFICIENT, calib, power)
     points = []
-    for vdd in vdds:
-        fmax = FMAX_HZ.get(vdd, max(freqs_hz))
-        for f_fc in freqs_hz:
-            for f_cl in freqs_hz:
+    for vdd, fmax in FMAX_HZ.items():
+        for f_fc in SWEEP_FREQS_HZ:
+            for f_cl in SWEEP_FREQS_HZ:
                 if f_fc > fmax or f_cl > fmax:
                     continue
                 op = OpPoint(vdd, f_fc, f_cl)

@@ -41,8 +41,8 @@ def filter_step(p_prev: float, c_k: float, alpha: float = ALPHA) -> float:
     return (1.0 - alpha) * p_prev + alpha * c_k
 
 
-def stop_decision(p_k: float, threshold: float = STOP_THRESHOLD) -> bool:
-    return p_k > threshold
+def stop_decision(p_k: float) -> bool:
+    return p_k > STOP_THRESHOLD
 
 
 def velocity_command(p_k: float, v_max: float) -> float:
@@ -63,12 +63,11 @@ def braking_envelope(v: float, decel: float = DEFAULT_DECEL) -> tuple[float, flo
     return v / decel, v * v / (2.0 * decel)
 
 
-def stopping_distance(v: float, decel: float = DEFAULT_DECEL,
-                      t_min: float = MIN_STOP_TIME_S) -> float:
+def stopping_distance(v: float) -> float:
     """Conservative stop distance: constant-deceleration estimate or the
-    distance covered while stopping over t_min, whichever is larger."""
-    _, d = braking_envelope(v, decel)
-    return max(d, 0.5 * v * t_min)
+    distance covered while stopping over MIN_STOP_TIME_S, whichever is larger."""
+    _, d = braking_envelope(v)
+    return max(d, 0.5 * v * MIN_STOP_TIME_S)
 
 
 @dataclass
@@ -108,9 +107,11 @@ def step_trace(t_appear: float, horizon: float = 20.0) -> CollisionTrace:
     return CollisionTrace([0.0, t_appear, horizon], [0.0, 1.0, 1.0])
 
 
-def ramp_trace(t_appear: float, ramp_s: float = 0.5, horizon: float = 20.0,
-               dt: float = 1e-3) -> CollisionTrace:
-    """Detector confidence ramping linearly to 1 over ramp_s after appearance."""
+def ramp_trace(t_appear: float, ramp_s: float = 0.5,
+               horizon: float = 20.0) -> CollisionTrace:
+    """Detector confidence ramping linearly to 1 over ramp_s after
+    appearance, sampled every millisecond."""
+    dt = 1e-3
     times, values = [0.0], [0.0]
     n = int(round(ramp_s / dt))
     for i in range(1, n + 1):
@@ -154,10 +155,6 @@ class ReactionScenario:
     distance_free: float = 4.0
     fps: float = 10.0
     inference_s: float | None = None      # defaults to one frame period
-    alpha: float = ALPHA
-    threshold: float = STOP_THRESHOLD
-    decel: float = DEFAULT_DECEL
-    t_min: float = MIN_STOP_TIME_S
 
     def __post_init__(self):
         # a non-finite rate or time would run the frame loop forever
@@ -203,7 +200,7 @@ def simulate_reaction(scenario: ReactionScenario,
     if trace.horizon < scenario.collision_time:
         raise ValueError("trace too short for the scenario horizon")
     period = 1.0 / scenario.fps
-    d_stop = stopping_distance(scenario.v, scenario.decel, scenario.t_min)
+    d_stop = stopping_distance(scenario.v)
     p = 0.0
     history = []
     stop_cmd = None
@@ -213,9 +210,9 @@ def simulate_reaction(scenario: ReactionScenario,
         decision_t = t_frame + scenario.latency
         if t_frame > trace.horizon or decision_t > scenario.collision_time:
             break                      # commands after impact do not count
-        p = filter_step(p, trace.sample(t_frame), scenario.alpha)
+        p = filter_step(p, trace.sample(t_frame))
         history.append((decision_t, p))
-        if stop_decision(p, scenario.threshold):
+        if stop_decision(p):
             stop_cmd = decision_t
             break
         k += 1
@@ -227,28 +224,24 @@ def simulate_reaction(scenario: ReactionScenario,
                            history)
 
 
-def step_stop_time(t_appear: float, fps: float, inference_s: float,
-                   alpha: float = ALPHA,
-                   threshold: float = STOP_THRESHOLD) -> float:
+def step_stop_time(t_appear: float, fps: float, inference_s: float) -> float:
     """Closed-form stop time on a clean step: the filter needs n samples with
-    1 - (1-alpha)^n > threshold, counted from the first frame at or after the
-    appearance, plus the frame period and inference latency."""
+    1 - (1-ALPHA)^n > STOP_THRESHOLD, counted from the first frame at or
+    after the appearance, plus the frame period and inference latency."""
     period = 1.0 / fps
     first = math.ceil(t_appear / period - 1e-12) * period
-    n = math.ceil(math.log(1.0 - threshold) / math.log(1.0 - alpha) + 1e-12)
-    if (1.0 - (1.0 - alpha) ** n) <= threshold:   # boundary: strict crossing
+    n = math.ceil(math.log(1.0 - STOP_THRESHOLD) / math.log(1.0 - ALPHA) + 1e-12)
+    if (1.0 - (1.0 - ALPHA) ** n) <= STOP_THRESHOLD:   # boundary: strict crossing
         n += 1
     return first + (n - 1) * period + period + inference_s
 
 
 def fps_sweep(fps_list, trace: CollisionTrace, v: float = REFERENCE_SPEED,
-              t_appear: float = 4.0, distance_free: float = 4.0,
-              inference_s: float | None = None) -> list[dict]:
+              t_appear: float = 4.0, distance_free: float = 4.0) -> list[dict]:
     rows = []
     for fps in fps_list:
         scen = ReactionScenario(v=v, t_appear=t_appear,
-                                distance_free=distance_free, fps=fps,
-                                inference_s=inference_s)
+                                distance_free=distance_free, fps=fps)
         out = simulate_reaction(scen, trace)
         rows.append({"fps": fps,
                      "stop_cmd_time": out.stop_cmd_time,

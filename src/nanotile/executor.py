@@ -119,14 +119,14 @@ class TraceLog:
 class MemSim:
     """Capacity-checked allocation maps for the three memory levels."""
 
-    def __init__(self, l1_bytes: int, l2_bytes: int = l2plan.L2_BYTES):
-        self.capacity = {"L1": l1_bytes, "L2": l2_bytes, "L3": None}
+    def __init__(self, l1_bytes: int):
+        self.capacity = {"L1": l1_bytes, "L2": l2plan.L2_BYTES, "L3": None}
         self.live: dict[tuple[str, str], int] = {}
         self.used = {"L1": 0, "L2": 0, "L3": 0}
         self.peak = {"L1": 0, "L2": 0, "L3": 0}
         self.trace = TraceLog()
 
-    def alloc(self, region: str, name: str, nbytes: int, node: str = "", tile: int = -1):
+    def alloc(self, region: str, name: str, nbytes: int, node: str = ""):
         key = (region, name)
         if key in self.live:
             raise MemSimError(f"{region}:{name} already allocated")
@@ -137,7 +137,7 @@ class MemSim:
         self.live[key] = nbytes
         self.used[region] += nbytes
         self.peak[region] = max(self.peak[region], self.used[region])
-        self.trace.events.append(Event("alloc", region, node, tile, name, nbytes))
+        self.trace.events.append(Event("alloc", region, node, -1, name, nbytes))
 
     def free(self, region: str, name: str, node: str = ""):
         key = (region, name)
@@ -419,9 +419,10 @@ def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
     Allocs and frees are paired per (region, buffer) by a stable sort: an
     alloc that follows an alloc of its buffer is a double alloc, and a free
     that follows no alloc frees a dead buffer and counts for nothing.  A free
-    takes back the bytes of the alloc it closes, and each region's peak is
-    the largest running sum of its allocs and frees, in event order.  An
-    alloc or free outside L1, L2 and L3 raises ValueError."""
+    takes back the bytes of the alloc it closes, and one whose own bytes
+    differ from them is a violation.  Each region's peak is the largest
+    running sum of its allocs and frees, in event order.  An alloc or free
+    outside L1, L2 and L3 raises ValueError."""
     c = trace.columns()
     alloc, free, xfer = (_code(c.kinds, k) for k in ("alloc", "free", "xfer"))
     n_names = np.int64(max(len(c.names), 1))   # pair keys, code * n_names + code, in int64
@@ -443,10 +444,21 @@ def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
     delta = np.zeros(len(c.kind), np.int64)
     delta[ev[is_alloc]] = c.bytes[ev[is_alloc]]
     closes = np.flatnonzero(~is_alloc & after_alloc)
-    delta[ev[closes]] = -c.bytes[ev[closes - 1]]
-    bad = np.sort(np.concatenate([ev[is_alloc & after_alloc], ev[~is_alloc & ~after_alloc]]))
-    violations = [f"{'double alloc' if c.kind[i] == alloc else 'free of dead'} "
-                  f"{(c.regions[c.region[i]], c.names[c.name[i]])}" for i in bad.tolist()]
+    took = c.bytes[ev[closes - 1]]           # by the alloc each free closes
+    delta[ev[closes]] = -took
+    differs = c.bytes[ev[closes]] != took
+    # messages need the alloc's bytes, but only for the frees that differ
+    took_by_free = dict(zip(ev[closes[differs]].tolist(), took[differs].tolist()))
+    bad = np.sort(np.concatenate([ev[is_alloc & after_alloc], ev[~is_alloc & ~after_alloc],
+                                  ev[closes[differs]]]))
+    violations = []
+    for i in bad.tolist():
+        key = (c.regions[c.region[i]], c.names[c.name[i]])
+        if i in took_by_free:
+            violations.append(f"free of {key} gives back {c.bytes[i]} bytes, "
+                              f"its alloc took {took_by_free[i]}")
+        else:
+            violations.append(f"{'double alloc' if c.kind[i] == alloc else 'free of dead'} {key}")
     peak = {}
     for region in ("L1", "L2"):
         in_region = c.region == _code(c.regions, region)

@@ -29,9 +29,9 @@ import numpy as np
 from . import fxp, net
 
 
-def _check3(x: np.ndarray, name: str = "tensor") -> None:
+def _check3(x: np.ndarray) -> None:
     if x.ndim != 3:
-        raise ValueError(f"{name}: expected (K, H, W), got shape {x.shape}")
+        raise ValueError(f"tensor: expected (K, H, W), got shape {x.shape}")
 
 
 def conv_acc(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:

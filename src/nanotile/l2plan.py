@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import net, tiler
+from .tiler import _align4
 
 L2_BYTES = 512 * 1024
 MAX_SEARCH_BUFFERS = 20
@@ -46,15 +47,10 @@ class L2AllocPlan:
     assignment: dict[str, int]          # activation buffer -> stack
     peak_bytes: int
     stack_peaks: tuple[int, ...]
-    occupancy: list[tuple[int, ...]]    # per step, after its frees
 
     @property
     def headroom(self) -> int:
         return L2_BYTES - self.peak_bytes
-
-
-def _align4(n: int) -> int:
-    return (n + 3) & ~3
 
 
 def weight_buffer(node: tiler.NodeKernel) -> str:
@@ -124,7 +120,6 @@ class _StackSim:
         self.peak = 0
         self.peaks = [0] * n_stacks
         self.events: list[AllocEvent] = []
-        self.occupancy: list[tuple[int, ...]] = []
 
     def fork(self) -> _StackSim:
         """An independent copy, built field by field (copy.copy is slower in
@@ -133,7 +128,7 @@ class _StackSim:
         twin.life, twin.record, twin.peak = self.life, self.record, self.peak
         twin.stacks = [list(s) for s in self.stacks]
         twin.occ, twin.peaks = list(self.occ), list(self.peaks)
-        twin.events, twin.occupancy = list(self.events), list(self.occupancy)
+        twin.events = list(self.events)
         return twin
 
     @property
@@ -178,12 +173,10 @@ class _StackSim:
         for s, stack in enumerate(self.stacks):
             while stack and life.last_use[stack[-1]] <= i:
                 self._free_top(i, s, life.sizes[stack[-1]])
-        if self.record:
-            self.occupancy.append(tuple(self.occ))
 
 
 def _simulate(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int,
-              record: bool) -> tuple[int, tuple[int, ...], list, list]:
+              record: bool) -> tuple[int, tuple[int, ...], list]:
     sim = _StackSim(life, n_stacks, record)
     # input frame sits in L2 before the first node runs
     if life.buffers:
@@ -191,7 +184,14 @@ def _simulate(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int,
                   stack_of[net.INPUT_TENSOR])
     for i in range(len(life.nodes) + 1):
         sim.step(i, stack_of)
-    return sim.peak, tuple(sim.peaks), sim.events, sim.occupancy
+    return sim.peak, tuple(sim.peaks), sim.events
+
+
+def _recorded_plan(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int) -> L2AllocPlan:
+    """The plan of one stack assignment: its simulated events and peaks."""
+    peak, peaks, events = _simulate(life, stack_of, n_stacks, record=True)
+    return L2AllocPlan(n_stacks, events, [n.name for n in life.nodes] + ["end"],
+                       stack_of, peak, peaks)
 
 
 def _search_two_stack(life: _Lifetimes) -> dict[str, int]:
@@ -243,19 +243,13 @@ def plan_two_stack(graph: net.NetworkGraph) -> L2AllocPlan:
     life = _lifetimes(graph)
     if len(life.buffers) > MAX_SEARCH_BUFFERS:
         raise ValueError(f"{len(life.buffers)} buffers: assignment search too large")
-    stack_of = _search_two_stack(life)
-    peak, peaks, events, occupancy = _simulate(life, stack_of, 2, record=True)
-    names = [n.name for n in life.nodes] + ["end"]
-    return L2AllocPlan(2, events, names, stack_of, peak, peaks, occupancy)
+    return _recorded_plan(life, _search_two_stack(life), 2)
 
 
 def plan_single_stack(graph: net.NetworkGraph) -> L2AllocPlan:
     """Same lifetime rules collapsed onto one linear stack."""
     life = _lifetimes(graph)
-    stack_of = {b: 0 for b in life.buffers}
-    peak, peaks, events, occupancy = _simulate(life, stack_of, 1, record=True)
-    names = [n.name for n in life.nodes] + ["end"]
-    return L2AllocPlan(1, events, names, stack_of, peak, peaks, occupancy)
+    return _recorded_plan(life, {b: 0 for b in life.buffers}, 1)
 
 
 def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:

@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import net
+from .net import _ceil_div
 
 DEFAULT_L1_BUDGET = 60 * 1024   # 4 KB of the 64 KB scratchpad reserved for runtime
 SPATIAL = "spatial"
@@ -47,18 +48,8 @@ def _align4(n: int) -> int:
     return (n + 3) & ~3
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def _chunks(total: int, size: int) -> list[tuple[int, int]]:
-    out = []
-    start = 0
-    while start < total:
-        end = min(start + size, total)
-        out.append((start, end))
-        start = end
-    return out
+    return [(start, min(start + size, total)) for start in range(0, total, size)]
 
 
 @dataclass(frozen=True)
@@ -197,7 +188,6 @@ class TilePlan:
     co_tile: int
     n_co: int
     buffers: dict[str, BufferSpec]
-    l1_budget: int
     est_cycles: float | None = None
     _tiles: list | None = field(default=None, init=False, repr=False, compare=False)
     # executor.row_groups: the tiles' output rows, each with the input stripe
@@ -397,11 +387,8 @@ def _make_plan(node, scheme, h_tile, ci_tile, co_tile, budget):
     bufs = {stream: BufferSpec(int(size), bool(double))
             for stream, size, double, present in _buffer_terms(node, scheme, *extents)
             if present}
-    plan = TilePlan(node, scheme, h_tile, n_h, ci_tile, n_ci, co_tile, n_co,
-                    bufs, budget)
-    if plan.footprint > budget:
-        return None
-    return plan
+    plan = TilePlan(node, scheme, h_tile, n_h, ci_tile, n_ci, co_tile, n_co, bufs)
+    return plan if plan.footprint <= budget else None
 
 
 def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[TilePlan]:

@@ -112,14 +112,11 @@ def exhaustive_two_stack(graph):
     best = None
     for bits in itertools.product((0, 1), repeat=len(life.buffers)):
         stack_of = dict(zip(life.buffers, bits))
-        peak, peaks, _, _ = l2plan._simulate(life, stack_of, 2, record=False)
+        peak, peaks, _ = l2plan._simulate(life, stack_of, 2, record=False)
         key = (peak, max(peaks), bits)
         if best is None or key < best[0]:
             best = (key, stack_of)
-    stack_of = best[1]
-    peak, peaks, events, occupancy = l2plan._simulate(life, stack_of, 2, record=True)
-    names = [n.name for n in life.nodes] + ["end"]
-    return l2plan.L2AllocPlan(2, events, names, stack_of, peak, peaks, occupancy)
+    return l2plan._recorded_plan(life, best[1], 2)
 
 
 def audit_fields(report):
@@ -153,7 +150,10 @@ def loop_audit(trace, memsim=None):
             if key not in live:
                 violations.append(f"free of dead {key}")
                 continue
-            used[region] -= live.pop(key)
+            took = live.pop(key)
+            if nbytes != took:
+                violations.append(f"free of {key} gives back {nbytes} bytes, its alloc took {took}")
+            used[region] -= took
         elif kind == "xfer":
             stream_bytes[name] = stream_bytes.get(name, 0) + nbytes
             tag_bytes[region] = tag_bytes.get(region, 0) + nbytes

@@ -60,9 +60,9 @@ def test_fit_residuals_within_bands(fit):
 
 
 def test_eta_reference_is_measured_peak():
-    assert cost.DEFAULT_CALIB.eta_peak_per_core == 0.64
+    assert cost.ETA_PEAK_PER_CORE == 0.64
     # the fitted whole-layer efficiency sits below the inner-kernel peak
-    assert 0.2 < cost.DEFAULT_CALIB.eta_main < 0.64
+    assert 0.2 < cost.DEFAULT_CALIB.eta_main < cost.ETA_PEAK_PER_CORE
 
 
 def test_cycles_frequency_independent(schedule):

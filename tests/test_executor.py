@@ -447,8 +447,16 @@ def test_audit_violations_match_the_event_loop(graph):
         (_mutated(ev, free_in + 1, insert=ev[free_in]),
          [f"free of dead {('L1', ev[free_in].name)}"]),
         (_mutated(ev, first_in + 1, insert=extra), ["L1 peak mismatch"]),
+        # the free still gives back its own bytes, so it no longer matches
         (_mutated(ev, acc, replace=ev[acc]._replace(bytes=ev[acc].bytes + 2)),
-         ["L1 peak mismatch: replay 16242 vs memsim 16240"]))
+         [f"free of ('L1', 'conv_9:acc') gives back {ev[acc].bytes} bytes, "
+          f"its alloc took {ev[acc].bytes + 2}",
+          "L1 peak mismatch: replay 16242 vs memsim 16240"]),
+        # a free that gives back other bytes than its alloc took; the peak
+        # counts the alloc's bytes, so it still matches
+        (_mutated(ev, free_in, replace=ev[free_in]._replace(bytes=0)),
+         [f"free of {('L1', ev[free_in].name)} gives back 0 bytes, "
+          f"its alloc took {ev[first_in].bytes}"]))
     for trace, starts in cases:
         audit = executor.audit_trace(trace, ms)
         assert oracles.audit_fields(audit) == oracles.audit_fields(
@@ -457,6 +465,16 @@ def test_audit_violations_match_the_event_loop(graph):
         assert all(v.startswith(s) for v, s in zip(audit.violations, starts)), audit.violations
     over_budget = executor.audit_trace(cases[2][0])
     assert over_budget.peak_l1 > sched.l1_budget and over_budget.peak_l2 == ms.peak["L2"]
+
+
+def test_audit_flags_a_free_that_gives_back_other_bytes():
+    trace = executor.TraceLog()
+    trace.events = [executor.Event("alloc", "L1", "n0", -1, "a", 10),
+                    executor.Event("free", "L1", "n0", -1, "a", 0),
+                    executor.Event("alloc", "L1", "n0", -1, "b", 5)]
+    for audit in (executor.audit_trace(trace), oracles.loop_audit(trace)):
+        assert audit.violations == ["free of ('L1', 'a') gives back 0 bytes, its alloc took 10"]
+        assert audit.peak_l1 == 10
 
 
 def test_trace_encoded_once_per_schedule(graph, monkeypatch):

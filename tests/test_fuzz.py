@@ -129,8 +129,8 @@ def events():
        st.booleans())
 @example([], None, True)
 @example([], (0, 1), False)
-@example([executor.Event("alloc", "L1", "n0", -1, "a", 10),     # a free gives back its
-          executor.Event("free", "L1", "n0", -1, "a", 0),       # alloc's bytes, not its own
+@example([executor.Event("alloc", "L1", "n0", -1, "a", 10),     # a free that gives back
+          executor.Event("free", "L1", "n0", -1, "a", 0),       # other bytes than its alloc's
           executor.Event("alloc", "L1", "n0", -1, "b", 5)], (10, 0), True)
 def test_audit_trace_fuzz(trace_events, peaks, frozen):
     trace = executor.TraceLog()
