@@ -8,14 +8,15 @@ renormalize once per output element.
 The integer accumulation is routed through float64 GEMM: every partial sum is
 bounded by len * 2**30 <= 2**53 for len <= fxp.MAX_EXACT_DOT_LEN, so the
 float path is bit-exact and an order of magnitude faster than integer matmul.
-conv_acc is the one convolution primitive, for the untiled kernels and the
-tiled executor alike.  Its layout is channel-major end to end: columns are
-(K*kh*kw, pixels) and the weights multiply from the left, so the
-accumulator comes out as a C-contiguous (K_out, H, W) array that the bias
-add and renorm walk in order.  conv_rows (conv_acc, bias, one renorm) turns
-a padded input stripe into int16 output rows; the executor runs it once per
-row group, and conv2d once per block of output rows whose float64 columns
-fit ROW_BLOCK_BYTES, so no temporary of the untiled reference grows with the
+conv_acc is the one exact accumulation, for the untiled kernels, the FC
+heads and the tiled executor alike.  Its layout is channel-major end to
+end: columns are (K*kh*kw, pixels) and the weights multiply from the left,
+so the accumulator comes out as a C-contiguous (K_out, H, W) array that the
+bias add and renorm walk in order.  conv_rows (conv_acc, bias, one renorm)
+turns a padded input stripe into int16 output rows; the executor runs it
+once per row group, fully_connected once over its input viewed as (k, 1, 1),
+and conv2d once per block of output rows whose float64 columns fit
+ROW_BLOCK_BYTES, so no temporary of the untiled reference grows with the
 map.
 """
 
@@ -145,12 +146,15 @@ def add(a: np.ndarray, b: np.ndarray, fused_relu: bool = False) -> np.ndarray:
 
 
 def fully_connected(x_flat: np.ndarray, w_flat: np.ndarray, b: int) -> np.int16:
-    """Single renorm after the full fan-in accumulation; returns the Q4.12 raw."""
+    """Single renorm after the full fan-in accumulation; returns the Q4.12
+    raw.  It runs conv_rows as a 1x1 convolution over the input viewed as
+    (k, 1, 1), as the executor runs the FC heads."""
     if x_flat.shape != w_flat.shape:
         raise ValueError(f"length mismatch: {x_flat.shape} vs {w_flat.shape}")
-    acc = int(np.dot(x_flat.astype(np.int64), w_flat.astype(np.int64)))
-    acc += int(b) << fxp.FRAC_BITS
-    return fxp.renorm_array(np.array([acc]))[0]
+    k = len(x_flat)
+    out = conv_rows(x_flat.reshape(k, 1, 1), w_flat.reshape(1, k, 1, 1),
+                    acc_bias(np.array([b])), 1)
+    return out[0, 0, 0]
 
 
 def sigmoid(x: float) -> float:

@@ -179,20 +179,31 @@ class Tile:
 
 @dataclass
 class TilePlan:
+    """One scheme's tile extents for a node.  The tile counts and the L1
+    buffers follow from them, through the same _extents and _buffer_terms
+    that score the search grid."""
+
     node: NodeKernel
     scheme: str
     h_tile: int         # node-output rows per stripe (spatial); full otherwise
-    n_h: int
     ci_tile: int
-    n_ci: int
     co_tile: int
-    n_co: int
-    buffers: dict[str, BufferSpec]
     est_cycles: float | None = None
+    n_h: int = field(init=False)
+    n_ci: int = field(init=False)
+    n_co: int = field(init=False)
+    buffers: dict[str, BufferSpec] = field(init=False)
     _tiles: list | None = field(default=None, init=False, repr=False, compare=False)
     # executor.row_groups: the tiles' output rows, each with the input stripe
     # they read, once every tile's partitions and in_rows are checked
     _row_groups: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        extents = _extents(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile)
+        self.n_h, self.n_ci, self.n_co = extents[3:]
+        self.buffers = {stream: BufferSpec(int(size), bool(double))
+                        for stream, size, double, present
+                        in _buffer_terms(self.node, self.scheme, *extents) if present}
 
     @property
     def footprint(self) -> int:
@@ -305,9 +316,6 @@ class TilePlan:
         return _loads(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile,
                       self.n_h, self.n_ci, self.n_co)
 
-    def transfer_counts(self) -> dict[str, int]:
-        return dict(self.loads().descriptors)
-
     def transfer_bytes(self) -> dict[str, int]:
         totals: dict[str, int] = {}
         for tile in self.tiles():
@@ -317,22 +325,16 @@ class TilePlan:
 
 
 def _extents(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile):
-    """Normalised tile extents and tile counts for one scheme.
+    """Tile extents and tile counts for one scheme.
 
     Returns (h_tile, ci_tile, co_tile, n_h, n_ci, n_co).  Extents are ints or
     broadcasting numpy arrays, so one formula serves a single plan and a
-    whole search grid.
+    whole search grid; only a conv node cuts its output channels.
     """
     body = node.body
-    if node.kind == "conv":
-        n_h = _ceil_div(node.h_out, h_tile) if scheme == SPATIAL else 1
-        return (h_tile, ci_tile, co_tile, n_h,
-                _ceil_div(body.k_in, ci_tile), _ceil_div(body.k_out, co_tile))
-    if node.kind == "ew":
-        if scheme == SPATIAL:
-            return h_tile, body.k_in, body.k_in, _ceil_div(body.h_in, h_tile), 1, 1
-        return body.h_in, ci_tile, ci_tile, 1, _ceil_div(body.k_in, ci_tile), 1
-    return 1, ci_tile, 1, 1, _ceil_div(body.k_in, ci_tile), 1
+    n_h = _ceil_div(node.h_out, h_tile) if scheme == SPATIAL else 1
+    n_co = _ceil_div(body.k_out, co_tile) if node.kind == "conv" else 1
+    return h_tile, ci_tile, co_tile, n_h, _ceil_div(body.k_in, ci_tile), n_co
 
 
 def _buffer_terms(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile,
@@ -379,67 +381,9 @@ def _buffer_terms(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile,
     ]
 
 
-def _make_plan(node, scheme, h_tile, ci_tile, co_tile, budget):
-    extents = _extents(node, scheme, h_tile, ci_tile, co_tile)
-    h_tile, ci_tile, co_tile, n_h, n_ci, n_co = extents
-    if node.fused_pool and n_ci > 1:
-        return None  # pooled epilogue requires a single-pass accumulation
-    bufs = {stream: BufferSpec(int(size), bool(double))
-            for stream, size, double, present in _buffer_terms(node, scheme, *extents)
-            if present}
-    plan = TilePlan(node, scheme, h_tile, n_h, ci_tile, n_ci, co_tile, n_co, bufs)
-    return plan if plan.footprint <= budget else None
-
-
-def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[TilePlan]:
-    """All feasible tile-extent combinations for one scheme.
-
-    Raises InfeasibleError when even the smallest tile busts the budget (or
-    the scheme does not apply to the node kind).
-    """
-    body = node.body
-    if node.kind == "fc" and scheme == SPATIAL:
-        raise InfeasibleError(f"{node.name}: the {scheme} scheme does not apply "
-                              f"to fc nodes")
-    plans: list[TilePlan] = []
-    if node.kind == "conv":
-        if scheme == SPATIAL:
-            for h_tile in range(1, node.h_out + 1):
-                for ci_tile in range(1, body.k_in + 1):
-                    p = _make_plan(node, scheme, h_tile, ci_tile, body.k_out, l1_budget)
-                    if p:
-                        plans.append(p)
-        else:
-            for co_tile in range(1, body.k_out + 1):
-                for ci_tile in range(1, body.k_in + 1):
-                    p = _make_plan(node, scheme, node.h_out, ci_tile, co_tile, l1_budget)
-                    if p:
-                        plans.append(p)
-    elif node.kind == "ew":
-        if scheme == SPATIAL:
-            for h_tile in range(1, body.h_in + 1):
-                p = _make_plan(node, scheme, h_tile, body.k_in, body.k_in, l1_budget)
-                if p:
-                    plans.append(p)
-        else:
-            for ci_tile in range(1, body.k_in + 1):
-                p = _make_plan(node, scheme, body.h_in, ci_tile, ci_tile, l1_budget)
-                if p:
-                    plans.append(p)
-    else:
-        for ci_tile in range(1, body.k_in + 1):
-            p = _make_plan(node, scheme, 1, ci_tile, 1, l1_budget)
-            if p:
-                plans.append(p)
-    if not plans:
-        raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
-                              f"({scheme})")
-    return plans
-
-
 def _grid_axes(node: NodeKernel, scheme: str):
-    """The (h_tile, ci_tile, co_tile) extents enumerate_tilings visits for one
-    scheme, as broadcasting arrays whose row-major order is its order; None
+    """The candidate (h_tile, ci_tile, co_tile) extents of one scheme, as
+    broadcasting arrays whose row-major order is the search order; None
     when the scheme does not apply to the node kind."""
     body = node.body
     if node.kind == "conv":
@@ -455,6 +399,50 @@ def _grid_axes(node: NodeKernel, scheme: str):
     if scheme == FEATUREWISE:
         return 1, np.arange(1, body.k_in + 1), 1
     return None
+
+
+def _grid(node: NodeKernel, scheme: str, l1_budget: int):
+    """One scheme's search grid: the _extents of _grid_axes, still
+    broadcasting, and the feasibility mask over the whole grid.  A point is
+    feasible when its L1 footprint fits the budget; a pooled epilogue also
+    needs a single-pass accumulation (n_ci == 1).  None when the scheme
+    does not apply to the node kind."""
+    axes = _grid_axes(node, scheme)
+    if axes is None:
+        return None
+    extents = _extents(node, scheme, *axes)
+    footprint = sum(np.where(present, size * (1 + double), 0)
+                    for _, size, double, present in _buffer_terms(node, scheme, *extents))
+    feasible = footprint <= l1_budget
+    if node.fused_pool:
+        feasible = feasible & (extents[4] == 1)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in axes), feasible.shape)
+    return extents, np.broadcast_to(feasible, shape)
+
+
+def _grid_plans(node: NodeKernel, scheme: str, extents, shape, points) -> list[TilePlan]:
+    """The TilePlans at the given row-major indices of a grid of this shape."""
+    index = np.unravel_index(points, shape)
+    h, ci, co = (np.broadcast_to(a, shape)[index].tolist() for a in extents[:3])
+    return [TilePlan(node, scheme, *point) for point in zip(h, ci, co)]
+
+
+def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[TilePlan]:
+    """All feasible points of one scheme's grid, in its order.
+
+    Raises InfeasibleError when even the smallest tile busts the budget (or
+    the scheme does not apply to the node kind).
+    """
+    grid = _grid(node, scheme, l1_budget)
+    if grid is None:
+        raise InfeasibleError(f"{node.name}: the {scheme} scheme does not apply "
+                              f"to {node.kind} nodes")
+    extents, feasible = grid
+    plans = _grid_plans(node, scheme, extents, feasible.shape, np.flatnonzero(feasible))
+    if not plans:
+        raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
+                              f"({scheme})")
+    return plans
 
 
 def _chunk_sum(total: int, size, f):
@@ -525,30 +513,20 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
     calib = calib or cost_mod.DEFAULT_CALIB
     scored = []
     for scheme in (SPATIAL, FEATUREWISE):
-        axes = _grid_axes(node, scheme)
-        if axes is None:
+        grid = _grid(node, scheme, l1_budget)
+        if grid is None:
             continue
-        extents = _extents(node, scheme, *axes)
-        footprint = sum(np.where(present, size * (1 + double), 0)
-                        for _, size, double, present
-                        in _buffer_terms(node, scheme, *extents))
-        n_ci = extents[4]
-        feasible = footprint <= l1_budget
-        if node.fused_pool:
-            feasible = feasible & (n_ci == 1)
+        extents, feasible = grid
         cycles = cost_mod.node_cycles(node, _loads(node, scheme, *extents), calib)
-        cycles = np.where(feasible, cycles, np.inf)
-        shape = np.broadcast_shapes(*(np.shape(a) for a in axes), cycles.shape)
-        scored.append((scheme, [np.broadcast_to(a, shape).ravel() for a in axes],
-                       np.broadcast_to(cycles, shape).ravel()))
-    best = min((cycles.min() for _, _, cycles in scored), default=np.inf)
+        scored.append((scheme, extents, feasible.shape,
+                       np.where(feasible, cycles, np.inf).ravel()))
+    best = min((cycles.min() for *_, cycles in scored), default=np.inf)
     if not np.isfinite(best):
         raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
-                              f"({', '.join(scheme for scheme, _, _ in scored)})")
+                              f"({', '.join(scheme for scheme, *_ in scored)})")
     candidates = []
-    for scheme, axes, cycles in scored:
-        for i in np.flatnonzero(cycles == best):
-            plan = _make_plan(node, scheme, *(int(a[i]) for a in axes), l1_budget)
+    for scheme, extents, shape, cycles in scored:
+        for plan in _grid_plans(node, scheme, extents, shape, np.flatnonzero(cycles == best)):
             plan.est_cycles = cost_mod.plan_cycles(plan, calib)
             candidates.append(plan)
     return min(candidates, key=lambda p: (p.est_cycles, p.n_tiles, -p.h_tile,

@@ -3,8 +3,9 @@
 Deliberately structured differently from the engine: convolution is a
 shift-and-add over kernel offsets with int64 einsum (the engine uses
 im2col + float64 GEMM), and the graph walk below is its own loop.  The two
-planners are their exhaustive forms: every tile plan scored and sorted, every
-stack assignment simulated.  The trace audit is the event-by-event loop that
+planners are their exhaustive forms: every tile plan, from the oracle's own
+loops over the tile extents, scored and sorted, and every stack assignment
+simulated.  The trace audit is the event-by-event loop that
 executor.audit_trace replaces with column reductions.
 """
 
@@ -83,18 +84,41 @@ def random_image(seed):
     return fxp.quantize_array(rng.uniform(0.0, 1.0, net.INPUT_SHAPE))
 
 
+def feasible_plans(node, l1_budget, scheme):
+    """Every feasible plan of one scheme in the planner's order, from explicit
+    loops over the tile extents and a check per plan: the footprint fits,
+    and a pooled epilogue accumulates in a single input-channel pass."""
+    body = node.body
+    extents = []
+    if node.kind == "conv" and scheme == tiler.SPATIAL:
+        for h_tile in range(1, node.h_out + 1):
+            for ci_tile in range(1, body.k_in + 1):
+                extents.append((h_tile, ci_tile, body.k_out))
+    elif node.kind == "conv":
+        for co_tile in range(1, body.k_out + 1):
+            for ci_tile in range(1, body.k_in + 1):
+                extents.append((node.h_out, ci_tile, co_tile))
+    elif node.kind == "ew" and scheme == tiler.SPATIAL:
+        for h_tile in range(1, body.h_in + 1):
+            extents.append((h_tile, body.k_in, body.k_in))
+    elif node.kind == "ew":
+        for ci_tile in range(1, body.k_in + 1):
+            extents.append((body.h_in, ci_tile, ci_tile))
+    elif scheme == tiler.FEATUREWISE:
+        for ci_tile in range(1, body.k_in + 1):
+            extents.append((1, ci_tile, 1))
+    plans = (tiler.TilePlan(node, scheme, *e) for e in extents)
+    return [p for p in plans
+            if p.footprint <= l1_budget and not (node.fused_pool and p.n_ci > 1)]
+
+
 def exhaustive_plan_layer(node, l1_budget, calib=cost.DEFAULT_CALIB):
-    """Every enumerate_tilings plan of the schemes that apply to the node
-    kind, scored and stable-sorted by (est_cycles, n_tiles, -h_tile,
-    spatial first)."""
+    """Every feasible_plans plan of the schemes that apply to the node kind,
+    scored and stable-sorted by (est_cycles, n_tiles, -h_tile, spatial
+    first)."""
     schemes = ((tiler.FEATUREWISE,) if node.kind == "fc"
                else (tiler.SPATIAL, tiler.FEATUREWISE))
-    candidates = []
-    for scheme in schemes:
-        try:
-            candidates.extend(tiler.enumerate_tilings(node, l1_budget, scheme))
-        except tiler.InfeasibleError:
-            pass
+    candidates = [p for scheme in schemes for p in feasible_plans(node, l1_budget, scheme)]
     if not candidates:
         raise tiler.InfeasibleError(f"{node.name}: infeasible under {l1_budget} "
                                     f"byte budget ({', '.join(schemes)})")

@@ -12,8 +12,9 @@ from nanotile import executor, fxp, kernels, l2plan, net, tiler
 
 
 # heads, event count and trace CSV sha256 at 16/32/60 KB for random_store
-# seeds 0 and 3 at amplitudes 1.0 and 0.1, recorded before the executor
-# shared window columns between tiles (free rows carry their alloc's bytes);
+# seeds 0 and 3 at amplitudes 1.0 and 0.1, recorded when the executor still
+# built the input columns of each tile on its own (free rows carry their
+# alloc's bytes);
 # tensors_sha256 (_tensors_sha256 of ExecResult.tensors) recorded before the
 # executor ran one GEMM per row group
 TRACE_TABLE = json.loads((Path(__file__).parent / "data" / "trace_table.json").read_text())
@@ -111,33 +112,42 @@ def test_trace_table(graph, entry):
 
 
 @pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
-def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, groups):
-    # conv_acc builds a window's columns from one strided view of the padded
-    # map, and a row group's whole input stripe is one window: one view per
-    # row group of each node, per frame
-    sched = tiler.plan_network(graph, budget_kb * 1024)
-    calls = []
-    as_strided = np.lib.stride_tricks.as_strided
-    monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
-                        lambda *a, **kw: calls.append(1) or as_strided(*a, **kw))
-    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    assert len(calls) == groups
-
-
-@pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
-def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups):
+def test_one_gemm_per_row_group(graph, monkeypatch, budget_kb, groups):
     # a row group's tiles split one exact sum by input and output channels,
-    # so its stripe is one window and one GEMM: at 16 KB, conv_2's 1024
-    # tiles make one group
+    # so its whole input stripe is one strided view of the padded map and
+    # one conv_acc GEMM, per frame: at 16 KB, conv_2's 1024 tiles make one
+    # group
     sched = tiler.plan_network(graph, budget_kb * 1024)
     distinct = sum(len({t.rows for t in p.tiles()})
                    for p in sched.plans if p.node.kind != "ew")
     assert distinct == groups
-    calls = []
-    conv_acc = kernels.conv_acc
-    monkeypatch.setattr(kernels, "conv_acc", lambda *a: calls.append(1) or conv_acc(*a))
+    views, gemms = [], []
+    as_strided, conv_acc = np.lib.stride_tricks.as_strided, kernels.conv_acc
+    monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
+                        lambda *a, **kw: views.append(1) or as_strided(*a, **kw))
+    monkeypatch.setattr(kernels, "conv_acc", lambda *a: gemms.append(1) or conv_acc(*a))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    assert len(calls) == groups
+    assert len(views) == len(gemms) == groups
+
+
+@pytest.mark.parametrize("budget_kb", [16, 32, 60])
+def test_compute_events_charge_their_tiles_forks(graph, budget_kb):
+    # the trace logs one compute event per tile, input-channel chunks
+    # included, while the cycle model charges fork/join sections per output
+    # tile (Tile.forks is 0 on a tile that does not close); each event names
+    # its tile, so the forks a trace charges come from its events' tiles
+    sched = tiler.plan_network(graph, budget_kb * 1024)
+    events = {}
+    for e in executor.compile_schedule(sched).trace.events:
+        if e.kind == "compute":
+            events.setdefault(e.node, []).append(e)
+    for p in sched.plans:
+        tiles, got = p.tiles(), events[p.node.name]
+        assert [(e.tile, e.macs, e.workers) for e in got] == \
+            [(t.index, t.macs, t.workers) for t in tiles], p.node.name
+        assert sum(tiles[e.tile].forks for e in got) == p.loads().forks, p.node.name
+    if budget_kb == 16:
+        assert (len(events["conv_2"]), sched.plan_for("conv_2").loads().forks) == (1024, 32)
 
 
 def _edit_tiles(sched, node_name, edit):
@@ -313,7 +323,7 @@ def test_transfer_conservation(graph, schedule):
                                     oracles.random_image(2))
     audit = executor.audit_trace(res.trace, res.memsim)
     for p in schedule.plans:
-        counts, sizes = p.transfer_counts(), p.transfer_bytes()
+        counts, sizes = p.loads().descriptors, p.transfer_bytes()
         for stream in sizes:
             got = audit.node_stream.get((p.node.name, stream), (0, 0))
             assert got == (counts[stream], sizes[stream]), (p.node.name, stream)

@@ -150,6 +150,10 @@ def test_exact_dot_bound_is_inclusive(monkeypatch):
     with pytest.raises(ValueError, match="dot length"):
         kernels.conv_accumulate(np.zeros((2, 4, 4), np.int16),
                                 np.zeros((1, 2, 3, 3), np.int16), b, 1)
+    # the FC heads accumulate through conv_acc too
+    assert kernels.fully_connected(np.ones(9, np.int16), np.ones(9, np.int16), 0) == 0
+    with pytest.raises(ValueError, match="dot length"):
+        kernels.fully_connected(np.zeros(10, np.int16), np.zeros(10, np.int16), 0)
 
 
 def test_accumulation_order_independence():

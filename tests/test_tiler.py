@@ -158,7 +158,35 @@ def test_plan_table(graph, entry):
         assert loads.work == sum(t.work for t in tiles), p.node.name
         assert loads.forks == sum(t.forks for t in tiles), p.node.name
         assert loads.descriptors == counts, p.node.name
-        assert p.transfer_counts() == counts and p.transfer_bytes() == sizes
+        assert p.transfer_bytes() == sizes
+
+
+def test_pooled_epilogue_accumulates_in_one_pass():
+    # conv_1+pool, DroNet's only pooled node, has one input channel, so the
+    # single-pass rule never binds on it.  With 64 input channels it decides
+    # feasibility: split input channels would fit from 6088 bytes, one pass
+    # needs 31528
+    spec = net._conv("conv_p", net.INPUT_TENSOR, 64, 4, 3, 3, 1, 24, 24, fused_pool=True)
+    node = tiler.NodeKernel("conv_p+pool", "conv", (spec,), net.INPUT_TENSOR, spec.name)
+    for budget in (6088, 31527, 31528, 64 * KB):
+        for scheme in (tiler.SPATIAL, tiler.FEATUREWISE):
+            want = oracles.feasible_plans(node, budget, scheme)
+            assert all(p.n_ci == 1 for p in want)
+            if not want:
+                with pytest.raises(tiler.InfeasibleError):
+                    tiler.enumerate_tilings(node, budget, scheme)
+                continue
+            got = tiler.enumerate_tilings(node, budget, scheme)
+            assert all(p.n_ci == 1 for p in got)
+            assert got == want
+        try:
+            want = oracles.exhaustive_plan_layer(node, budget)
+        except tiler.InfeasibleError as e:
+            with pytest.raises(tiler.InfeasibleError) as got:
+                tiler.plan_layer(node, budget)
+            assert str(got.value) == str(e)
+            continue
+        assert tiler.plan_layer(node, budget) == want
 
 
 def test_network_feasibility_edges(graph):
@@ -241,7 +269,7 @@ def test_tile_ranges_cover_iteration_space(schedule):
 
 def test_double_buffer_assignment(schedule):
     for p in schedule.plans:
-        counts = p.transfer_counts()
+        counts = p.loads().descriptors
         for stream, buf in p.buffers.items():
             if stream in ("acc", "pool"):
                 assert not buf.double           # resident, never streamed
