@@ -112,22 +112,32 @@ def test_trace_table(graph, entry):
 
 
 @pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
-def test_one_gemm_per_row_group(graph, monkeypatch, budget_kb, groups):
+def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, groups):
+    # conv_acc builds a row group's columns from one strided view of the
+    # padded map: one view per row group of each node, per frame
+    sched = tiler.plan_network(graph, budget_kb * 1024)
+    calls = []
+    as_strided = np.lib.stride_tricks.as_strided
+    monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
+                        lambda *a, **kw: calls.append(1) or as_strided(*a, **kw))
+    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
+    assert len(calls) == groups
+
+
+@pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
+def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups):
     # a row group's tiles split one exact sum by input and output channels,
-    # so its whole input stripe is one strided view of the padded map and
-    # one conv_acc GEMM, per frame: at 16 KB, conv_2's 1024 tiles make one
-    # group
+    # so its whole input stripe is one conv_acc GEMM, per frame: at 16 KB,
+    # conv_2's 1024 tiles make one group
     sched = tiler.plan_network(graph, budget_kb * 1024)
     distinct = sum(len({t.rows for t in p.tiles()})
                    for p in sched.plans if p.node.kind != "ew")
     assert distinct == groups
-    views, gemms = [], []
-    as_strided, conv_acc = np.lib.stride_tricks.as_strided, kernels.conv_acc
-    monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
-                        lambda *a, **kw: views.append(1) or as_strided(*a, **kw))
-    monkeypatch.setattr(kernels, "conv_acc", lambda *a: gemms.append(1) or conv_acc(*a))
+    calls = []
+    conv_acc = kernels.conv_acc
+    monkeypatch.setattr(kernels, "conv_acc", lambda *a: calls.append(1) or conv_acc(*a))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    assert len(views) == len(gemms) == groups
+    assert len(calls) == groups
 
 
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
