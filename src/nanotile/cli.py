@@ -95,11 +95,11 @@ def _cmd_infer(args) -> int:
     if args.tiled:
         sched = tiler.plan_network(graph, args.l1_budget)
         res = executor.execute_schedule(sched, store, image)
-        match = (res.raw_steering, res.raw_collision) == \
-            (ref.raw_steering, ref.raw_collision)
-        print(f"bit-exact vs untiled: {'yes' if match else 'NO'}")
-        if not match:
+        diff = executor.first_difference(res, ref)
+        if diff is not None:
+            print("bit-exact vs untiled: NO ({}: {} of {} elements differ)".format(*diff))
             return 1
+        print("bit-exact vs untiled: yes")
     return 0
 
 

@@ -10,19 +10,19 @@ TilePlan.tiles() in order through simulated L1 with logged DMA transfers:
 every byte count, MAC count, row and channel range, stripe padding and
 worker split comes from those tile records.  L1 capacity is the schedule's
 budget, so an allocation that breaks it raises.
-Each frame runs only the arithmetic, over the same tiles.  The FC heads run
-on the same tile loop as 1x1 convolutions over their input viewed as
-(k_in, 1, 1).  The executor pads each node's input once and runs the same
-exact kernel as the untiled reference, kernels.conv_acc, on views of it.
-Once per plan, row_groups groups the tiles by output rows and checks that
-each row group is one exact sum over whole input and output channel ranges,
-read from the input rows TilePlan.input_rows gives.  Per frame, each row
-group's input stripe is multiplied by all of the weights in one GEMM and
-renormalized once, so outputs are bit-identical to the untiled engine.  The
-target keeps 32-bit partial sums in L1 across input-channel chunks; the host
-sums each row group whole, and the chunks live on in the trace and the cost.
-Host accumulators are 64-bit for exactness while the budget charges the
-4-byte accumulator the target hardware would hold.
+Tile geometry drives the trace and the cost, and compile_schedule checks it
+once per schedule (check_tiles): each row group's tiles must split one exact
+sum over whole channel ranges, read from TilePlan.input_rows.  Host blocks
+drive the arithmetic.  Each frame pads a node's input once and runs the
+untiled reference's exact kernel, kernels.conv_rows, once per block that
+kernels.row_blocks merges from the plan's row ranges: one GEMM of the
+block's stripe by all of the weights, renormalized once, so outputs are
+bit-identical to the untiled engine.  The FC heads run as 1x1 convolutions
+over their input viewed as (k_in, 1, 1).  The target keeps 32-bit partial
+sums in L1 across input-channel chunks; the host sums each block whole, and
+the chunks live on in the trace and the cost.  Host accumulators are 64-bit
+for exactness while the budget charges the 4-byte accumulator the target
+hardware would hold.
 compile_schedule also encodes the frozen trace as integer-coded columns
 (TraceLog.columns), and audit_trace replays those columns on every frame
 with numpy reductions, so no frame walks the events one by one.
@@ -174,12 +174,14 @@ class ExecResult:
 
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
-    """Replay the schedule's memory traffic through one MemSim, freeze its
-    trace, encode its columns and cache it on the schedule.  An allocation
-    that breaks a budget raises MemSimError, and a failed replay caches
-    nothing."""
+    """Check every plan's tiles (check_tiles raises ValueError), replay the
+    memory traffic through one MemSim, freeze its trace, encode its columns
+    and cache it on the schedule.  An allocation that breaks a budget raises
+    MemSimError; a failed check or replay caches nothing."""
     if schedule._memsim is not None:
         return schedule._memsim
+    for plan in schedule.plans:
+        check_tiles(plan)
     graph = schedule.graph
     if schedule.l2 is None:
         schedule.l2 = l2plan.plan_two_stack(graph)
@@ -257,9 +259,8 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
         plan = schedule.plan_for(name)
         node = plan.node
         if node.kind == "ew":
-            # row_groups checks, once per plan, that the tiles partition the
-            # map, so one in-place ReLU over it is the tiles' work
-            row_groups(plan)
+            # check_tiles has seen the tiles partition the map, so one
+            # in-place ReLU over it is the tiles' work
             x = acts[node.input]
             np.maximum(x, 0, out=x)
             acts[node.output] = x
@@ -271,9 +272,22 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                       steer_raw, coll_raw, ms.trace, ms, schedule.l2, acts)
 
 
-class RowGroup(NamedTuple):
-    rows: tuple[int, int]                 # node-output rows
-    in_rows: tuple[int, int, int, int]    # input rows its tiles read, as Tile.in_rows
+def first_difference(res: ExecResult, ref: kernels.InferResult):
+    """The first tensor, in graph order, on which a frame's tiled result and
+    the untiled one differ, as (name, differing elements, elements), or None.
+    The heads are compared with the raw outputs.  An array that an
+    elementwise node overwrote in place counts under its last name only."""
+    want = dict(ref.tensors, fully_1=np.full((1, 1, 1), ref.raw_steering, np.int16),
+                fully_2=np.full((1, 1, 1), ref.raw_collision, np.int16))
+    last = {id(a): name for name, a in res.tensors.items()}
+    for name, expect in want.items():
+        got = res.tensors.get(name)
+        if got is None or last[id(got)] != name:
+            continue
+        n = expect.size if got.shape != expect.shape else int(np.count_nonzero(got != expect))
+        if n:
+            return name, n, expect.size
+    return None
 
 
 def _check_tile(node: tiler.NodeKernel, t: tiler.Tile) -> None:
@@ -307,45 +321,41 @@ def _check_partition(node: tiler.NodeKernel, what: str, axis: str,
                          f"not {n}")
 
 
-def row_groups(plan: tiler.TilePlan) -> tuple[RowGroup, ...]:
-    """A plan's tiles by output rows, each with the input rows they read;
-    built once per plan and cached on it.  Numpy slicing would clip a range
-    that runs past a tensor, so this raises ValueError, naming the node and a
-    tile, unless every range lies inside the node's tensors and the row
-    groups' rows partition the output rows.  An elementwise node's tiles
-    must partition the channels within each row group.  A conv or FC node
-    runs one GEMM of each group's stripe by all of the weights and renorms
-    it once, so its groups' windows (tiles by input channels) must partition
-    the input channels, each window's readers and each group's closing tiles
-    the output channels, and each tile's in_rows must be input_rows(*rows)."""
-    if plan._row_groups is None:
-        node, body = plan.node, plan.node.body
-        groups: dict[tuple, dict[tuple, list]] = {}
+def check_tiles(plan: tiler.TilePlan) -> None:
+    """Raise ValueError, naming the node and a tile, unless a plan's tiles
+    are one exact computation of its output, as the host computes it.  Every
+    range must lie inside the node's tensors, and the tiles' rows, grouped,
+    must partition the output rows.  An elementwise node's tiles must
+    partition the channels within each row group.  The host sums a conv or
+    FC node's row groups whole and renorms them once, so each group's
+    windows (tiles by input channels) must partition the input channels,
+    each window's readers and each group's closing tiles the output
+    channels, and each tile's in_rows must be input_rows(*rows)."""
+    node, body = plan.node, plan.node.body
+    groups: dict[tuple, dict[tuple, list]] = {}
+    for t in plan.tiles():
+        _check_tile(node, t)
+        groups.setdefault(t.rows, {}).setdefault(t.ci, []).append(t)
+    firsts = [next(iter(g.values()))[0] for g in groups.values()]
+    _check_partition(node, "row groups", "rows", firsts, node.h_out, firsts[-1])
+    for rows, windows in groups.items():
+        tiles = [t for readers in windows.values() for t in readers]
+        if node.kind == "ew":
+            _check_partition(node, f"channels of rows {rows}", "ci", tiles,
+                             body.k_in, tiles[-1])
+            continue
+        _check_partition(node, f"windows of rows {rows}", "ci",
+                         [readers[0] for readers in windows.values()], body.k_in, tiles[-1])
+        for ci, readers in windows.items():
+            _check_partition(node, f"readers of window ci {ci}", "co", readers,
+                             body.k_out, readers[-1])
+        _check_partition(node, f"closing tiles of rows {rows}", "co",
+                         [t for t in tiles if t.closes], body.k_out, tiles[-1])
+    if node.kind != "ew":
         for t in plan.tiles():
-            _check_tile(node, t)
-            groups.setdefault(t.rows, {}).setdefault(t.ci, []).append(t)
-        firsts = [next(iter(g.values()))[0] for g in groups.values()]
-        _check_partition(node, "row groups", "rows", firsts, node.h_out, firsts[-1])
-        for rows, windows in groups.items():
-            tiles = [t for readers in windows.values() for t in readers]
-            if node.kind == "ew":
-                _check_partition(node, f"channels of rows {rows}", "ci", tiles,
-                                 body.k_in, tiles[-1])
-                continue
-            _check_partition(node, f"windows of rows {rows}", "ci",
-                             [readers[0] for readers in windows.values()], body.k_in, tiles[-1])
-            for ci, readers in windows.items():
-                _check_partition(node, f"readers of window ci {ci}", "co", readers,
-                                 body.k_out, readers[-1])
-            _check_partition(node, f"closing tiles of rows {rows}", "co",
-                             [t for t in tiles if t.closes], body.k_out, tiles[-1])
-        if node.kind != "ew":
-            for t in plan.tiles():
-                if t.in_rows != plan.input_rows(*t.rows):
-                    raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, not "
-                                     f"the {plan.input_rows(*t.rows)} that rows {t.rows} read")
-        plan._row_groups = tuple(RowGroup(t.rows, t.in_rows) for t in firsts)
-    return plan._row_groups
+            if t.in_rows != plan.input_rows(*t.rows):
+                raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, not "
+                                 f"the {plan.input_rows(*t.rows)} that rows {t.rows} read")
 
 
 def _run_conv(node, plan, acts, store, out_shape):
@@ -357,22 +367,23 @@ def _run_conv(node, plan, acts, store, out_shape):
     xp = kernels.pad_same(x, body.kh, body.kw)
     pad = body.kh // 2
     bias = kernels.acc_bias(b)
-    # row_groups' partitions write every element of the output once
+    pooled = 2 if node.fused_pool else 1     # convolution rows per output row
+    row_bytes = 8 * body.k_in * body.kh * body.kw * body.conv_w_out * pooled
+    # the blocks cover the plan's row ranges, so every output element is written once
     out = np.empty(out_shape, np.int16)
-    for (h0, h1), (r0, r1, pad_above, pad_below) in row_groups(plan):
-        # one GEMM per row group, its stripe against every weight: the
-        # group's input-channel chunks only split one exact sum; renorm
-        # once, then the fused pool, ReLU and residual add
-        tile = kernels.conv_rows(xp[:, pad + r0 - pad_above:pad + r1 + pad_below],
-                                 w, bias, body.stride)
+    for h0, h1 in kernels.row_blocks(plan.h_ranges(), row_bytes):
+        # one GEMM of the stripe by every weight, one renorm, then the epilogue
+        r0, r1, pad_above, pad_below = plan.input_rows(h0, h1)
+        block = kernels.conv_rows(xp[:, pad + r0 - pad_above:pad + r1 + pad_below],
+                                  w, bias, body.stride)
         if node.fused_pool:
-            tile = kernels.maxpool2(tile)
+            block = kernels.maxpool2(block)
         if body.fused_relu:
-            tile = kernels.relu(tile)
+            block = kernels.relu(block)
         if node.addend is not None:
             relu_after = node.rows[1].fused_relu or len(node.rows) > 2
-            tile = kernels.add(tile, acts[node.addend][:, h0:h1], fused_relu=relu_after)
-        out[:, h0:h1] = tile
+            block = kernels.add(block, acts[node.addend][:, h0:h1], fused_relu=relu_after)
+        out[:, h0:h1] = block
     return out
 
 

@@ -13,11 +13,10 @@ heads and the tiled executor alike.  Its layout is channel-major end to
 end: columns are (K*kh*kw, pixels) and the weights multiply from the left,
 so the accumulator comes out as a C-contiguous (K_out, H, W) array that the
 bias add and renorm walk in order.  conv_rows (conv_acc, bias, one renorm)
-turns a padded input stripe into int16 output rows; the executor runs it
-once per row group, fully_connected once over its input viewed as (k, 1, 1),
-and conv2d once per block of output rows whose float64 columns fit
-ROW_BLOCK_BYTES, so no temporary of the untiled reference grows with the
-map.
+turns a padded input stripe into int16 output rows.  fully_connected runs
+it once over its input viewed as (k, 1, 1); conv2d and the tiled executor
+run it once per block of output rows that row_blocks gives, so no
+temporary of either engine grows with the map.
 """
 
 from __future__ import annotations
@@ -63,11 +62,22 @@ def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return xp
 
 
-# Byte budget for the float64 columns of one conv2d block of output rows.
+# Byte budget for the float64 columns of one block of output rows.
 # Whole-map temporaries (columns, product, accumulator, renorm) of conv_1 run
 # to megabytes, which the allocator hands back to the system and faults in
 # afresh on every frame; blocks this size are reused.
 ROW_BLOCK_BYTES = 256 * 1024
+
+
+def row_blocks(parts, row_bytes: int) -> list[tuple[int, int]]:
+    """Consecutive (h0, h1) row ranges merged while a block's float64 columns,
+    row_bytes per row, fit ROW_BLOCK_BYTES; a range alone larger stays whole."""
+    blocks = []
+    for h0, h1 in parts:
+        if blocks and (h1 - blocks[-1][0]) * row_bytes <= ROW_BLOCK_BYTES:
+            h0 = blocks.pop()[0]
+        blocks.append((h0, h1))
+    return blocks
 
 
 def _check_conv(x: np.ndarray, w: np.ndarray) -> None:
@@ -101,18 +111,16 @@ def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
            fused_relu: bool = False, fused_pool: bool = False) -> np.ndarray:
     """Q4.12 convolution; renorm once, then optional fused pool and ReLU.
-    The output is computed by conv_rows in blocks of output rows whose
-    float64 columns fit ROW_BLOCK_BYTES (one row when a row alone is larger)
-    and written into one int16 map, which the pool and ReLU then read."""
+    The output is computed by conv_rows in the row_blocks of its one-row
+    ranges (one row when a row alone is larger) and written into one int16
+    map, which the pool and ReLU then read."""
     _check_conv(x, w)
     k_out, k_in, kh, kw = w.shape
     xp = pad_same(x, kh, kw)
     h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-    block = max(1, ROW_BLOCK_BYTES // (8 * k_in * kh * kw * w_out))
     bias = acc_bias(b)
     out = np.empty((k_out, h_out, w_out), np.int16)
-    for h0 in range(0, h_out, block):
-        h1 = min(h0 + block, h_out)
+    for h0, h1 in row_blocks([(h, h + 1) for h in range(h_out)], 8 * k_in * kh * kw * w_out):
         out[:, h0:h1] = conv_rows(xp[:, h0 * stride:(h1 - 1) * stride + kh], w, bias, stride)
     if fused_pool:
         out = maxpool2(out)

@@ -193,10 +193,8 @@ class TilePlan:
     n_ci: int = field(init=False)
     n_co: int = field(init=False)
     buffers: dict[str, BufferSpec] = field(init=False)
+    # the trace's and the cost's geometry, checked once per schedule (executor.check_tiles)
     _tiles: list | None = field(default=None, init=False, repr=False, compare=False)
-    # executor.row_groups: the tiles' output rows, each with the input stripe
-    # they read, once every tile's partitions and in_rows are checked
-    _row_groups: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         extents = _extents(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from nanotile import cli, net
+from nanotile import cli, executor, net
 
 
 def run(capsys, *argv):
@@ -38,6 +40,25 @@ def test_infer_tiled_verdict(capsys, frame, zero_weights):
                        "--image", frame, "--tiled", "--l1-budget", "32768")
     assert code == 0
     assert "bit-exact vs untiled: yes" in out
+
+
+def test_infer_tiled_names_the_first_differing_tensor(capsys, monkeypatch, frame, tmp_path):
+    # a mutant that zeroes conv_3's last output row; every tensor is
+    # compared, so the verdict fails even where the heads would not show it
+    p = str(tmp_path / "w.pdrn")
+    assert run(capsys, "gen-weights", "--seed", "7", "--out", p)[0] == 0
+    run_conv = executor._run_conv
+
+    def mutant(node, *args):
+        out = run_conv(node, *args)
+        if node.name == "conv_3":
+            out[:, -1] = 0
+        return out
+
+    monkeypatch.setattr(executor, "_run_conv", mutant)
+    code, out, _ = run(capsys, "infer", "--weights", p, "--image", frame, "--tiled")
+    assert code == 1
+    assert re.search(r"bit-exact vs untiled: NO \(conv_3: \d+ of 20000 elements differ\)", out)
 
 
 def test_infer_missing_file(capsys, frame):

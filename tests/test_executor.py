@@ -111,33 +111,86 @@ def test_trace_table(graph, entry):
     assert _tensors_sha256(res.tensors) == entry["tensors_sha256"]
 
 
-@pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
-def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, groups):
-    # conv_acc builds a row group's columns from one strided view of the
-    # padded map: one view per row group of each node, per frame
+def _host_gemms(sched):
+    """GEMMs per frame, counted here from the plans: consecutive row ranges
+    of a conv or FC plan share one GEMM while their float64 columns fit
+    kernels.ROW_BLOCK_BYTES; a range is never split."""
+    gemms = 0
+    for p in sched.plans:
+        if p.node.kind == "ew":
+            continue
+        body = p.node.body
+        row_bytes = 8 * body.k_in * body.kh * body.kw * body.conv_w_out
+        if p.node.fused_pool:
+            row_bytes *= 2
+        start = None
+        for h0, h1 in p.h_ranges():
+            if start is None or (h1 - start) * row_bytes > kernels.ROW_BLOCK_BYTES:
+                gemms, start = gemms + 1, h0
+    return gemms
+
+
+# (budget, tile row groups, host GEMMs per frame); the ids keep the row groups
+GEMM_COUNTS = [pytest.param(16, 97, 20, id="16-97"), pytest.param(60, 25, 21, id="60-25")]
+
+
+@pytest.mark.parametrize("budget_kb,groups,gemms", GEMM_COUNTS)
+def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, groups, gemms):
+    # conv_acc builds a host block's columns from one strided view of the
+    # padded map: one view per block of each node, per frame
     sched = tiler.plan_network(graph, budget_kb * 1024)
+    assert _host_gemms(sched) == gemms
     calls = []
     as_strided = np.lib.stride_tricks.as_strided
     monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
                         lambda *a, **kw: calls.append(1) or as_strided(*a, **kw))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    assert len(calls) == groups
+    assert len(calls) == gemms
 
 
-@pytest.mark.parametrize("budget_kb,groups", [(16, 97), (60, 25)])
-def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups):
-    # a row group's tiles split one exact sum by input and output channels,
-    # so its whole input stripe is one conv_acc GEMM, per frame: at 16 KB,
-    # conv_2's 1024 tiles make one group
+@pytest.mark.parametrize("budget_kb,groups,gemms", GEMM_COUNTS)
+def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups, gemms):
+    # the tiles' row groups only split one exact sum, so the host merges
+    # them into blocks within ROW_BLOCK_BYTES, one conv_acc GEMM each per
+    # frame: at 16 KB conv_1+pool's 50 one-row groups take 9 GEMMs, and
+    # conv_2's 1024 tiles one
     sched = tiler.plan_network(graph, budget_kb * 1024)
     distinct = sum(len({t.rows for t in p.tiles()})
                    for p in sched.plans if p.node.kind != "ew")
     assert distinct == groups
+    assert _host_gemms(sched) == gemms
     calls = []
     conv_acc = kernels.conv_acc
     monkeypatch.setattr(kernels, "conv_acc", lambda *a: calls.append(1) or conv_acc(*a))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    assert len(calls) == groups
+    assert len(calls) == gemms
+
+
+@pytest.mark.parametrize("budget_kb", [16, 32, 60])
+def test_tiled_conv_temporaries_fit_the_row_block_budget(graph, monkeypatch, budget_kb):
+    # every conv_acc call of execute_schedule builds float64 columns within
+    # ROW_BLOCK_BYTES, unless its block is one of the plan's row ranges; a
+    # block's node-output rows are its conv rows, halved when pooled
+    sched = tiler.plan_network(graph, budget_kb * 1024)
+    store = net.random_store(graph, 0)
+    calls = []
+    conv_acc = kernels.conv_acc
+    monkeypatch.setattr(kernels, "conv_acc",
+                        lambda xp, w, stride: calls.append((xp, w, stride))
+                        or conv_acc(xp, w, stride))
+    executor.execute_schedule(sched, store, oracles.random_image(0))
+    for p in sched.plans:
+        if p.node.kind == "ew":
+            continue
+        h0 = 0
+        for xp, w, stride in (c for c in calls if c[1] is store[p.node.body.name][0]):
+            _, k, kh, kw = w.shape
+            h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+            h1 = h0 + (-(-h_out // 2) if p.node.fused_pool else h_out)
+            if 8 * k * kh * kw * h_out * w_out > kernels.ROW_BLOCK_BYTES:
+                assert (h0, h1) in p.h_ranges(), p.node.name
+            h0 = h1
+        assert h0 == p.node.h_out, p.node.name
 
 
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
@@ -207,7 +260,7 @@ def test_tile_geometry_drives_the_data(graph):
 
 def test_tile_ranges_outside_the_tensors_raise(graph):
     # numpy slicing would clip each range back inside the tensor and give
-    # the untiled heads; row_groups names the node and the tile instead
+    # the untiled heads; check_tiles names the node and the tile instead
     sched = tiler.plan_network(graph, 16 * 1024)
     conv_3 = sched.plan_for("conv_3").tiles()
     first, last = conv_3[0], conv_3[-1]
@@ -271,30 +324,34 @@ def test_elementwise_tiles_that_break_a_partition_raise(graph):
 
 
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
-def test_row_groups_cover_the_output(graph, budget_kb):
+def test_row_groups_cover_the_output(graph, monkeypatch, budget_kb):
+    # the tiles' rows partition the output and each row group multiplies
+    # every (input, output) channel pair once; check_tiles proves it once
+    # per schedule, not per frame
     sched = tiler.plan_network(graph, budget_kb * 1024)
-    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
-    convs = [p for p in sched.plans if p.node.kind != "ew"]
-    cached = [p._row_groups for p in convs]
-    for p in convs:
+    checked = []
+    check_tiles = executor.check_tiles
+    monkeypatch.setattr(executor, "check_tiles",
+                        lambda p: checked.append(p.node.name) or check_tiles(p))
+    for seed in (0, 1):
+        executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(seed))
+    assert checked == [p.node.name for p in sched.plans]
+    for p in sched.plans:
+        if p.node.kind == "ew":
+            continue
         k_in, k_out = p.node.body.k_in, p.node.body.k_out
         rows = np.zeros(p.node.h_out, int)
-        tiles = set()
-        for g in executor.row_groups(p):
-            rows[g.rows[0]:g.rows[1]] += 1
-            assert g.in_rows == p.input_rows(*g.rows), p.node.name
-            readers = [t for t in p.tiles() if t.rows == g.rows]
-            assert all(t.in_rows == g.in_rows for t in readers), p.node.name
-            tiles.update(t.index for t in readers)
-            # every (input, output) channel pair is multiplied once
+        groups = {}
+        for t in p.tiles():
+            groups.setdefault(t.rows, []).append(t)
+        for (h0, h1), readers in groups.items():
+            rows[h0:h1] += 1
+            assert all(t.in_rows == p.input_rows(h0, h1) for t in readers), p.node.name
             pairs = np.zeros((k_in, k_out), int)
             for t in readers:
                 pairs[t.ci[0]:t.ci[1], t.co[0]:t.co[1]] += 1
             assert (pairs == 1).all(), p.node.name
         assert (rows == 1).all(), p.node.name
-        assert tiles == {t.index for t in p.tiles()}
-    executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(1))
-    assert all(p._row_groups is c for p, c in zip(convs, cached))
 
 
 def test_run_enforces_schedule_l1_budget(graph, schedule):

@@ -124,6 +124,32 @@ def test_untiled_conv_temporaries_fit_the_row_block_budget():
     assert sum(w is store["conv_1"][0] for _, w, _ in calls) >= 2
 
 
+ROW_BYTES = st.one_of(st.integers(1, 2 * kernels.ROW_BLOCK_BYTES),
+                      st.integers(1, 40).map(lambda n: kernels.ROW_BLOCK_BYTES // n),
+                      st.integers(1, 40).map(lambda n: kernels.ROW_BLOCK_BYTES // n + 1))
+
+
+@given(st.lists(st.integers(1, 8), min_size=1, max_size=40), ROW_BYTES)
+def test_row_blocks_merge_whole_parts_within_the_budget(sizes, row_bytes):
+    bounds = np.cumsum([0] + sizes).tolist()
+    h = bounds[-1]
+    blocks = kernels.row_blocks(list(zip(bounds[:-1], bounds[1:])), row_bytes)
+    # unions of consecutive parts, covering [0, h) once
+    assert blocks[0][0] == 0 and blocks[-1][1] == h
+    assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+    for h0, h1 in blocks:
+        assert h0 in bounds and h1 in bounds and h0 < h1
+        one_part = bounds.index(h1) == bounds.index(h0) + 1
+        assert (h1 - h0) * row_bytes <= kernels.ROW_BLOCK_BYTES or one_part
+    # greedy: no two neighbouring blocks would fit as one
+    for (h0, _), (_, h1) in zip(blocks, blocks[1:]):
+        assert (h1 - h0) * row_bytes > kernels.ROW_BLOCK_BYTES
+    # one-row parts give conv2d's blocks of max(1, budget // row_bytes) rows
+    block = max(1, kernels.ROW_BLOCK_BYTES // row_bytes)
+    assert kernels.row_blocks([(r, r + 1) for r in range(h)], row_bytes) == \
+        [(r, min(r + block, h)) for r in range(0, h, block)]
+
+
 def test_conv_random_3x3_s2_on_stem_shape():
     rng = np.random.default_rng(99)
     x = fxp.quantize_array(rng.uniform(-1, 1, (32, 50, 50)))
