@@ -13,16 +13,21 @@ budget, so an allocation that breaks it raises.
 Tile geometry drives the trace and the cost, and compile_schedule checks it
 once per schedule (check_tiles): each row group's tiles must split one exact
 sum over whole channel ranges, read from TilePlan.input_rows.  Host blocks
-drive the arithmetic.  Each frame pads a node's input once and runs the
-untiled reference's exact kernel, kernels.conv_rows, once per block that
-kernels.row_blocks merges from the plan's row ranges: one GEMM of the
-block's stripe by all of the weights, renormalized once, so outputs are
+drive the arithmetic.  Each frame pads a node's input once, converts its
+weights once (kernels.block_weights) and runs the untiled reference's exact
+kernel, kernels.conv_block, once per block that kernels.row_blocks merges
+from the plan's row ranges: one GEMM of the block's stripe by all of the
+weights, then one fused epilogue on the float64 accumulator at scale
+2**-12 (pool, floor, bias, saturate with the body ReLU as the clip's lower
+bound, then the residual add and a second clip), so outputs are
 bit-identical to the untiled engine.  The FC heads run as 1x1 convolutions
 over their input viewed as (k_in, 1, 1).  The target keeps 32-bit partial
 sums in L1 across input-channel chunks; the host sums each block whole, and
-the chunks live on in the trace and the cost.  Host accumulators are 64-bit
-for exactness while the budget charges the 4-byte accumulator the target
-hardware would hold.
+the chunks live on in the trace and the cost.  Host accumulators are
+float64, exact by the dot-length bound, while the budget charges the 4-byte
+accumulator the target hardware would hold.  An elementwise (ReLU) node
+writes a fresh array, so ExecResult.tensors holds every tensor's own map,
+although the L2 plan runs it in place.
 compile_schedule also encodes the frozen trace as integer-coded columns
 (TraceLog.columns), and audit_trace replays those columns on every frame
 with numpy reductions, so no frame walks the events one by one.
@@ -252,18 +257,15 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
     if image.shape != net.INPUT_SHAPE or image.dtype != np.int16:
         raise ValueError(f"input must be int16 {net.INPUT_SHAPE}")
     ms = compile_schedule(schedule)
-    # activations by tensor name: an elementwise node works in place, so its
-    # output is its input's array, as the L2 plan aliases their buffers
-    acts = {net.INPUT_TENSOR: image.copy()}
+    # activations by tensor name, each its own array, as in infer_untiled
+    acts = {net.INPUT_TENSOR: image}
     for name in schedule.l2.step_names[:-1]:
         plan = schedule.plan_for(name)
         node = plan.node
         if node.kind == "ew":
             # check_tiles has seen the tiles partition the map, so one
-            # in-place ReLU over it is the tiles' work
-            x = acts[node.input]
-            np.maximum(x, 0, out=x)
-            acts[node.output] = x
+            # ReLU over it is the tiles' work
+            acts[node.output] = kernels.relu(acts[node.input])
         else:
             acts[node.output] = _run_conv(node, plan, acts, store,
                                           schedule.graph.tensors[node.output])
@@ -275,14 +277,12 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
 def first_difference(res: ExecResult, ref: kernels.InferResult):
     """The first tensor, in graph order, on which a frame's tiled result and
     the untiled one differ, as (name, differing elements, elements), or None.
-    The heads are compared with the raw outputs.  An array that an
-    elementwise node overwrote in place counts under its last name only."""
+    The heads are compared with the raw outputs."""
     want = dict(ref.tensors, fully_1=np.full((1, 1, 1), ref.raw_steering, np.int16),
                 fully_2=np.full((1, 1, 1), ref.raw_collision, np.int16))
-    last = {id(a): name for name, a in res.tensors.items()}
     for name, expect in want.items():
         got = res.tensors.get(name)
-        if got is None or last[id(got)] != name:
+        if got is None:
             continue
         n = expect.size if got.shape != expect.shape else int(np.count_nonzero(got != expect))
         if n:
@@ -362,28 +362,22 @@ def _run_conv(node, plan, acts, store, out_shape):
     """Convolutions, and the FC heads as 1x1 convolutions over their input
     viewed as (k_in, 1, 1) (the view is a no-op for a convolution)."""
     body = node.body
-    w, b = store[body.name]
+    w, bias = kernels.block_weights(*store[body.name])
     x = acts[node.input].reshape(body.k_in, body.h_in, body.w_in)
     xp = kernels.pad_same(x, body.kh, body.kw)
     pad = body.kh // 2
-    bias = kernels.acc_bias(b)
     pooled = 2 if node.fused_pool else 1     # convolution rows per output row
     row_bytes = 8 * body.k_in * body.kh * body.kw * body.conv_w_out * pooled
+    relu_after = node.addend is not None and (node.rows[1].fused_relu or len(node.rows) > 2)
     # the blocks cover the plan's row ranges, so every output element is written once
     out = np.empty(out_shape, np.int16)
     for h0, h1 in kernels.row_blocks(plan.h_ranges(), row_bytes):
-        # one GEMM of the stripe by every weight, one renorm, then the epilogue
+        # one GEMM of the stripe by every weight, then the fused epilogue
         r0, r1, pad_above, pad_below = plan.input_rows(h0, h1)
-        block = kernels.conv_rows(xp[:, pad + r0 - pad_above:pad + r1 + pad_below],
-                                  w, bias, body.stride)
-        if node.fused_pool:
-            block = kernels.maxpool2(block)
-        if body.fused_relu:
-            block = kernels.relu(block)
-        if node.addend is not None:
-            relu_after = node.rows[1].fused_relu or len(node.rows) > 2
-            block = kernels.add(block, acts[node.addend][:, h0:h1], fused_relu=relu_after)
-        out[:, h0:h1] = block
+        addend = None if node.addend is None else acts[node.addend][:, h0:h1]
+        out[:, h0:h1] = kernels.conv_block(xp[:, pad + r0 - pad_above:pad + r1 + pad_below],
+                                           w, bias, body.stride, node.fused_pool,
+                                           body.fused_relu, addend, relu_after)
     return out
 
 

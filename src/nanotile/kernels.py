@@ -11,12 +11,28 @@ float path is bit-exact and an order of magnitude faster than integer matmul.
 conv_acc is the one exact accumulation, for the untiled kernels, the FC
 heads and the tiled executor alike.  Its layout is channel-major end to
 end: columns are (K*kh*kw, pixels) and the weights multiply from the left,
-so the accumulator comes out as a C-contiguous (K_out, H, W) array that the
-bias add and renorm walk in order.  conv_rows (conv_acc, bias, one renorm)
-turns a padded input stripe into int16 output rows.  fully_connected runs
-it once over its input viewed as (k, 1, 1); conv2d and the tiled executor
-run it once per block of output rows that row_blocks gives, so no
-temporary of either engine grows with the map.
+so the accumulator comes out as a C-contiguous (K_out, H, W) array.
+
+conv_block turns a padded input stripe into int16 output rows and keeps the
+accumulator in float64 from the GEMM to the one int16 cast; each step of its
+epilogue gives the bits of the integer chain (renorm_array, maxpool2, relu,
+add):
+- block_weights scales the weights by 2**-12, a power of two, so every
+  product and partial sum is the integer one times 2**-12, exact within the
+  same dot-length bound, and the accumulator is in Q4.12 units;
+- the max-pool runs on the accumulator: floor, bias, clip and the cast are
+  all monotone, so the maximum commutes with them (odd edges pad with -inf);
+- floor, then add the integer bias: floor(a) + b == floor(a + b);
+- one in-place clip saturates, with 0 for its lower bound where a ReLU is
+  fused, as relu(clip(a)) == clip(a, 0, QMAX);
+- a residual adds the int16 addend to the saturated sum in float, exactly,
+  and a second clip saturates it, with 0 for its lower bound where the join
+  is followed by a ReLU.
+fully_connected runs it once over its input viewed as (k, 1, 1); conv2d and
+the tiled executor run it once per block of output rows that row_blocks
+gives, so no temporary of either engine grows with the map.
+conv_accumulate casts the same GEMM, over the int16 weights, to the int64
+accumulator at scale 2**-24.
 """
 
 from __future__ import annotations
@@ -37,8 +53,9 @@ def _check3(x: np.ndarray) -> None:
 def conv_acc(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Exact accumulator of weights (K_out, K, kh, kw) over an already padded
     input (K, Hp, Wp), no bias: a fresh C-contiguous (K_out, h_out, w_out)
-    int64 array.  The windows are a strided view, one row per weight tap and
-    one column per output pixel; the dot length is checked before any of
+    float64 array, at scale 2**-24 for int16 weights and 2**-12 for
+    block_weights.  The windows are a strided view, one row per weight tap
+    and one column per output pixel; the dot length is checked before any of
     them is copied."""
     k_out, _, kh, kw = w.shape
     k = xp.shape[0]
@@ -50,7 +67,7 @@ def conv_acc(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
         xp, shape=(k, kh, kw, h_out, w_out),
         strides=(s0, s1, s2, s1 * stride, s2 * stride), writeable=False)
     cols = windows.reshape(k * kh * kw, h_out * w_out).astype(np.float64)
-    acc = (w.reshape(k_out, -1).astype(np.float64) @ cols).astype(np.int64)
+    acc = w.reshape(k_out, -1).astype(np.float64, copy=False) @ cols
     return acc.reshape(k_out, h_out, w_out)
 
 
@@ -86,59 +103,77 @@ def _check_conv(x: np.ndarray, w: np.ndarray) -> None:
         raise ValueError(f"channel mismatch: input {x.shape[0]}, weights {w.shape[1]}")
 
 
-def acc_bias(b: np.ndarray) -> np.ndarray:
-    """The bias at the accumulator's scale 2**-24, shaped (K_out, 1, 1)."""
-    return (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
+def block_weights(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int16 weights and bias as conv_block takes them: the weights times
+    2**-12 and the bias shaped (K_out, 1, 1), both float64."""
+    return w / fxp.SCALE, b.astype(np.float64)[:, None, None]
 
 
-def conv_rows(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int) -> np.ndarray:
-    """Q4.12 output rows over a padded input stripe: conv_acc, plus the
-    acc_bias bias, renormalized once; int16 (K_out, h_out, w_out)."""
+def conv_block(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
+               pool: bool = False, relu: bool = False, addend: np.ndarray | None = None,
+               relu_after: bool = False) -> np.ndarray:
+    """Q4.12 output rows over a padded input stripe, from block_weights:
+    conv_acc, then the optional 2x2 max-pool, floor, bias, saturation (ReLU
+    when relu), and the optional saturating add of an int16 addend (ReLU
+    after it when relu_after); int16 (K_out, rows, cols)."""
     acc = conv_acc(xp, w, stride)
+    if pool:
+        acc = maxpool2(acc)
+    np.floor(acc, out=acc)
     acc += bias
-    return fxp.renorm_array(acc)
+    np.clip(acc, 0 if relu else fxp.QMIN, fxp.QMAX, out=acc)
+    if addend is not None:
+        acc += addend
+        np.clip(acc, 0 if relu_after else fxp.QMIN, fxp.QMAX, out=acc)
+    return acc.astype(np.int16)
 
 
 def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                     stride: int) -> np.ndarray:
-    """Exact conv accumulator at scale 2**-24, same-zero padding, bias included."""
+    """Exact int64 conv accumulator at scale 2**-24, same-zero padding, bias
+    included."""
     _check_conv(x, w)
-    acc = conv_acc(pad_same(x, w.shape[2], w.shape[3]), w, stride)
-    acc += acc_bias(b)
+    acc = conv_acc(pad_same(x, w.shape[2], w.shape[3]), w, stride).astype(np.int64)
+    acc += (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
     return acc
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
            fused_relu: bool = False, fused_pool: bool = False) -> np.ndarray:
-    """Q4.12 convolution; renorm once, then optional fused pool and ReLU.
-    The output is computed by conv_rows in the row_blocks of its one-row
-    ranges (one row when a row alone is larger) and written into one int16
-    map, which the pool and ReLU then read."""
+    """Q4.12 convolution, optionally fused with a 2x2 max-pool and a ReLU,
+    renormalized once per output.  conv_block computes the output in the
+    row_blocks of its one-row ranges (two convolution rows per output row
+    when pooled; one output row when a row alone is larger), written into
+    one int16 map."""
     _check_conv(x, w)
     k_out, k_in, kh, kw = w.shape
     xp = pad_same(x, kh, kw)
     h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-    bias = acc_bias(b)
-    out = np.empty((k_out, h_out, w_out), np.int16)
-    for h0, h1 in row_blocks([(h, h + 1) for h in range(h_out)], 8 * k_in * kh * kw * w_out):
-        out[:, h0:h1] = conv_rows(xp[:, h0 * stride:(h1 - 1) * stride + kh], w, bias, stride)
-    if fused_pool:
-        out = maxpool2(out)
-    if fused_relu:
-        out = relu(out)
+    wq, bias = block_weights(w, b)
+    pooled = 2 if fused_pool else 1          # convolution rows per output row
+    rows = -(-h_out // pooled)
+    out = np.empty((k_out, rows, -(-w_out // pooled)), np.int16)
+    for h0, h1 in row_blocks([(h, h + 1) for h in range(rows)],
+                             8 * k_in * kh * kw * w_out * pooled):
+        c0, c1 = h0 * pooled, min(h1 * pooled, h_out)
+        out[:, h0:h1] = conv_block(xp[:, c0 * stride:(c1 - 1) * stride + kh], wq, bias,
+                                   stride, fused_pool, fused_relu)
     return out
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:
-    """2x2/s2 max-pool; odd trailing rows/cols pool over what is in range."""
+    """2x2/s2 max-pool of an integer map or a float accumulator; odd
+    trailing rows/cols pool over what is in range."""
     _check3(x)
     k, h, w = x.shape
     if h % 2 or w % 2:
-        padded = np.full((k, h + h % 2, w + w % 2), np.iinfo(np.int16).min, np.int16)
+        low = -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min
+        padded = np.full((k, h + h % 2, w + w % 2), low, x.dtype)
         padded[:, :h, :w] = x
         x = padded
-    return np.maximum(np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2]),
-                      np.maximum(x[:, 1::2, 0::2], x[:, 1::2, 1::2]))
+    out = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])
+    np.maximum(out, x[:, 1::2, 0::2], out=out)
+    return np.maximum(out, x[:, 1::2, 1::2], out=out)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -155,14 +190,13 @@ def add(a: np.ndarray, b: np.ndarray, fused_relu: bool = False) -> np.ndarray:
 
 def fully_connected(x_flat: np.ndarray, w_flat: np.ndarray, b: int) -> np.int16:
     """Single renorm after the full fan-in accumulation; returns the Q4.12
-    raw.  It runs conv_rows as a 1x1 convolution over the input viewed as
+    raw.  It runs conv_block as a 1x1 convolution over the input viewed as
     (k, 1, 1), as the executor runs the FC heads."""
     if x_flat.shape != w_flat.shape:
         raise ValueError(f"length mismatch: {x_flat.shape} vs {w_flat.shape}")
     k = len(x_flat)
-    out = conv_rows(x_flat.reshape(k, 1, 1), w_flat.reshape(1, k, 1, 1),
-                    acc_bias(np.array([b])), 1)
-    return out[0, 0, 0]
+    w, bias = block_weights(w_flat.reshape(1, k, 1, 1), np.array([b]))
+    return conv_block(x_flat.reshape(k, 1, 1), w, bias, 1)[0, 0, 0]
 
 
 def sigmoid(x: float) -> float:

@@ -15,8 +15,8 @@ from nanotile import executor, fxp, kernels, l2plan, net, tiler
 # seeds 0 and 3 at amplitudes 1.0 and 0.1, recorded when the executor still
 # built the input columns of each tile on its own (free rows carry their
 # alloc's bytes);
-# tensors_sha256 (_tensors_sha256 of ExecResult.tensors) recorded before the
-# executor ran one GEMM per row group
+# tensors_sha256 (_tensors_sha256 of ExecResult.tensors) recorded once the
+# ReLU node wrote its own array, so that "conv_1" holds conv_1's map
 TRACE_TABLE = json.loads((Path(__file__).parent / "data" / "trace_table.json").read_text())
 
 
@@ -67,23 +67,26 @@ def test_l2_events_replay_the_l2_plan(graph):
         assert any(name.startswith("w:") for _, name, _ in got)
 
 
+def _untiled_tensors(ref):
+    """The untiled engine's tensors by name, the heads as (1, 1, 1) int16
+    maps, as the executor holds them."""
+    return dict(ref.tensors, fully_1=np.full((1, 1, 1), ref.raw_steering, np.int16),
+                fully_2=np.full((1, 1, 1), ref.raw_collision, np.int16))
+
+
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
 def test_every_node_output_matches_untiled(graph, budget_kb):
     # a saturated head hides a wrong pixel anywhere upstream, so every node
     # kernel's output is compared whole with the untiled engine's
     sched = tiler.plan_network(graph, budget_kb * 1024)
-    nodes = [p.node for p in sched.plans]
-    # an elementwise node works in place: its input array holds its output
-    outputs = [n.output for n in nodes if n.output not in {m.input for m in nodes
-                                                           if m.kind == "ew"}]
+    outputs = [p.node.output for p in sched.plans]
     for amplitude in (1.0, 0.1):
         for seed in range(3):
             store = net.random_store(graph, seed, amplitude)
             image = oracles.random_image(seed)
             ref = kernels.infer_untiled(graph, store, image)
             res = executor.execute_schedule(sched, store, image)
-            want = dict(ref.tensors, fully_1=np.full((1, 1, 1), ref.raw_steering, np.int16),
-                        fully_2=np.full((1, 1, 1), ref.raw_collision, np.int16))
+            want = _untiled_tensors(ref)
             for name in outputs:
                 np.testing.assert_array_equal(res.tensors[name], want[name], strict=True,
                                               err_msg=f"{name}, seed {seed}, "
@@ -109,6 +112,10 @@ def test_trace_table(graph, entry):
     assert len(res.trace.events) == entry["events"]
     assert hashlib.sha256(res.trace.to_csv().encode()).hexdigest() == entry["csv_sha256"]
     assert _tensors_sha256(res.tensors) == entry["tensors_sha256"]
+    # the pinned hash is the untiled engine's over the same names
+    ref = kernels.infer_untiled(graph, store, oracles.random_image(entry["seed"]))
+    want = _untiled_tensors(ref)
+    assert _tensors_sha256({name: want[name] for name in res.tensors}) == entry["tensors_sha256"]
 
 
 def _host_gemms(sched):
@@ -183,7 +190,9 @@ def test_tiled_conv_temporaries_fit_the_row_block_budget(graph, monkeypatch, bud
         if p.node.kind == "ew":
             continue
         h0 = 0
-        for xp, w, stride in (c for c in calls if c[1] is store[p.node.body.name][0]):
+        # a node's GEMMs take its weights scaled to the output's 2**-12
+        scaled = store[p.node.body.name][0] / fxp.SCALE
+        for xp, w, stride in (c for c in calls if np.array_equal(c[1], scaled)):
             _, k, kh, kw = w.shape
             h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
             h1 = h0 + (-(-h_out // 2) if p.node.fused_pool else h_out)

@@ -61,10 +61,51 @@ def test_conv_matches_oracle_on_any_shape(k_in, k_out, h, w, k, stride, data):
     assert np.array_equal(kernels.conv_accumulate(x, wt, b, stride), acc)
     got = kernels.conv2d(x, wt, b, stride)
     assert got.dtype == np.int16 and np.array_equal(got, oracles.naive_renorm(acc))
-    # the primitive: no bias, a fresh C-contiguous (K_out, h_out, w_out)
+    # the primitive: no bias, a fresh C-contiguous float64 (K_out, h_out, w_out)
     part = kernels.conv_acc(kernels.pad_same(x, k, k), wt, stride)
-    assert part.dtype == np.int64 and part.flags.c_contiguous
+    assert part.dtype == np.float64 and part.flags.c_contiguous
     assert np.array_equal(part, acc - (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None])
+
+
+def _integer_epilogue(acc, pool, relu, addend, relu_after):
+    """The int64 accumulator through the integer chain, in the executor's
+    order: renorm, pool, the body ReLU, then the saturating residual add and
+    the ReLU after it."""
+    out = fxp.renorm_array(acc)
+    if pool:
+        out = kernels.maxpool2(out)
+    if relu:
+        out = kernels.relu(out)
+    if addend is not None:
+        out = fxp.sat_add_array(out, addend)
+        if relu_after:
+            out = kernels.relu(out)
+    return out
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.booleans(), st.booleans(),
+       st.booleans(), st.booleans(), st.integers(0, 15), st.data())
+def test_conv_block_matches_the_integer_epilogue(k_in, k_out, h, w, k, stride, pool, relu,
+                                                 residual, relu_after, shift, data):
+    # the float64 epilogue (pool, floor, bias, clip with the ReLU as its
+    # bound, add, clip) against renorm_array, maxpool2, relu and
+    # sat_add_array on the exact int64 accumulator; inputs span the int16
+    # range with -32768 sprinkled in, and are also shifted down so that
+    # sums land inside it unsaturated, rounding at every sign
+    x = data.draw(_int16s(k_in, h, w)) >> shift
+    wt = data.draw(_int16s(k_out, k_in, k, k))
+    b = data.draw(_int16s(k_out)) >> shift
+    acc = oracles.naive_conv_acc(x, wt, b, stride)
+    rows, cols = acc.shape[1:]
+    if pool:
+        rows, cols = -(-rows // 2), -(-cols // 2)
+    addend = data.draw(_int16s(k_out, rows, cols)) if residual else None
+    wq, bias = kernels.block_weights(wt, b)
+    got = kernels.conv_block(kernels.pad_same(x, k, k), wq, bias, stride, pool, relu,
+                             addend, relu_after)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, _integer_epilogue(acc, pool, relu, addend, relu_after))
 
 
 def _conv_acc_calls():
@@ -121,7 +162,8 @@ def test_untiled_conv_temporaries_fit_the_row_block_budget():
         h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
         row_bytes = 8 * k * kh * kw * w_out
         assert h_out * row_bytes <= max(kernels.ROW_BLOCK_BYTES, row_bytes)
-    assert sum(w is store["conv_1"][0] for _, w, _ in calls) >= 2
+    # the GEMMs take conv_1's weights scaled to the output's 2**-12
+    assert sum(np.array_equal(w, store["conv_1"][0] / fxp.SCALE) for _, w, _ in calls) >= 2
 
 
 ROW_BYTES = st.one_of(st.integers(1, 2 * kernels.ROW_BLOCK_BYTES),
