@@ -13,21 +13,17 @@ budget, so an allocation that breaks it raises.
 Tile geometry drives the trace and the cost, and compile_schedule checks it
 once per schedule (check_tiles): each row group's tiles must split one exact
 sum over whole channel ranges, read from TilePlan.input_rows.  Host blocks
-drive the arithmetic.  Each frame pads a node's input once, converts its
-weights once (kernels.block_weights) and runs the untiled reference's exact
-kernel, kernels.conv_block, once per block that kernels.row_blocks merges
-from the plan's row ranges: one GEMM of the block's stripe by all of the
-weights, then one fused epilogue on the float64 accumulator at scale
-2**-12 (pool, floor, bias, saturate with the body ReLU as the clip's lower
-bound, then the residual add and a second clip), so outputs are
-bit-identical to the untiled engine.  The FC heads run as 1x1 convolutions
-over their input viewed as (k_in, 1, 1).  The target keeps 32-bit partial
-sums in L1 across input-channel chunks; the host sums each block whole, and
-the chunks live on in the trace and the cost.  Host accumulators are
-float64, exact by the dot-length bound, while the budget charges the 4-byte
-accumulator the target hardware would hold.  An elementwise (ReLU) node
-writes a fresh array, so ExecResult.tensors holds every tensor's own map,
-although the L2 plan runs it in place.
+drive the arithmetic.  Each frame runs every conv node, its fused residual
+add and ReLU included, and each FC head as one call of the conv loop the
+untiled engine runs too, kernels.conv2d, with the plan's row ranges for
+its parts, so outputs are bit-identical to the untiled engine.  The FC
+heads run as 1x1 convolutions over their input viewed as (k_in, 1, 1).  The
+target keeps 32-bit partial sums in L1 across input-channel chunks; the
+host sums each block whole, and the chunks live on in the trace and the
+cost.  Host accumulators are float64, exact by the dot-length bound, while
+the budget charges the 4-byte accumulator the target hardware would hold.
+An elementwise (ReLU) node writes a fresh array, so ExecResult.tensors
+holds every tensor's own map, although the L2 plan runs it in place.
 compile_schedule also encodes the frozen trace as integer-coded columns
 (TraceLog.columns), and audit_trace replays those columns on every frame
 with numpy reductions, so no frame walks the events one by one.
@@ -43,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import fxp, kernels, l2plan, net, tiler
+from . import kernels, l2plan, net, tiler
 
 TAG_L3_L2 = "L3->L2"
 TAG_L2_L1 = "L2->L1"
@@ -167,15 +163,14 @@ class MemSim:
 
 
 @dataclass
-class ExecResult:
-    steering: float
-    collision_prob: float
-    raw_steering: int
-    raw_collision: int
-    trace: TraceLog
+class ExecResult(kernels.InferResult):
+    """A tiled frame: the untiled engine's result fields, and the compiled
+    schedule's memory replay."""
     memsim: MemSim
-    l2: l2plan.L2AllocPlan
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)  # activations by name
+
+    @property
+    def trace(self) -> TraceLog:
+        return self.memsim.trace
 
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
@@ -254,33 +249,31 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                      image: np.ndarray) -> ExecResult:
     """One frame: the compiled schedule's trace, and its arithmetic run
     node by node in the L2 plan's step order."""
-    if image.shape != net.INPUT_SHAPE or image.dtype != np.int16:
-        raise ValueError(f"input must be int16 {net.INPUT_SHAPE}")
+    kernels.check_image(image)
     ms = compile_schedule(schedule)
     # activations by tensor name, each its own array, as in infer_untiled
     acts = {net.INPUT_TENSOR: image}
     for name in schedule.l2.step_names[:-1]:
         plan = schedule.plan_for(name)
-        node = plan.node
+        node, body = plan.node, plan.node.body
         if node.kind == "ew":
             # check_tiles has seen the tiles partition the map, so one
             # ReLU over it is the tiles' work
             acts[node.output] = kernels.relu(acts[node.input])
-        else:
-            acts[node.output] = _run_conv(node, plan, acts, store,
-                                          schedule.graph.tensors[node.output])
-    steer_raw, coll_raw = (int(acts[head][0, 0, 0]) for head in ("fully_1", "fully_2"))
-    return ExecResult(steer_raw / fxp.SCALE, kernels.sigmoid(coll_raw / fxp.SCALE),
-                      steer_raw, coll_raw, ms.trace, ms, schedule.l2, acts)
+            continue
+        # the view is (k_in, 1, 1) for an FC head, a no-op for a convolution
+        x = acts[node.input].reshape(body.k_in, body.h_in, body.w_in)
+        addend = None if node.addend is None else acts[node.addend]
+        acts[node.output] = kernels.conv2d(x, *store[body.name], body.stride, body.fused_relu,
+                                           node.fused_pool, plan.h_ranges(), addend,
+                                           node.relu_after)
+    return ExecResult.from_tensors(acts, ms)
 
 
 def first_difference(res: ExecResult, ref: kernels.InferResult):
     """The first tensor, in graph order, on which a frame's tiled result and
-    the untiled one differ, as (name, differing elements, elements), or None.
-    The heads are compared with the raw outputs."""
-    want = dict(ref.tensors, fully_1=np.full((1, 1, 1), ref.raw_steering, np.int16),
-                fully_2=np.full((1, 1, 1), ref.raw_collision, np.int16))
-    for name, expect in want.items():
+    the untiled one differ, as (name, differing elements, elements), or None."""
+    for name, expect in ref.tensors.items():
         got = res.tensors.get(name)
         if got is None:
             continue
@@ -356,29 +349,6 @@ def check_tiles(plan: tiler.TilePlan) -> None:
             if t.in_rows != plan.input_rows(*t.rows):
                 raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, not "
                                  f"the {plan.input_rows(*t.rows)} that rows {t.rows} read")
-
-
-def _run_conv(node, plan, acts, store, out_shape):
-    """Convolutions, and the FC heads as 1x1 convolutions over their input
-    viewed as (k_in, 1, 1) (the view is a no-op for a convolution)."""
-    body = node.body
-    w, bias = kernels.block_weights(*store[body.name])
-    x = acts[node.input].reshape(body.k_in, body.h_in, body.w_in)
-    xp = kernels.pad_same(x, body.kh, body.kw)
-    pad = body.kh // 2
-    pooled = 2 if node.fused_pool else 1     # convolution rows per output row
-    row_bytes = 8 * body.k_in * body.kh * body.kw * body.conv_w_out * pooled
-    relu_after = node.addend is not None and (node.rows[1].fused_relu or len(node.rows) > 2)
-    # the blocks cover the plan's row ranges, so every output element is written once
-    out = np.empty(out_shape, np.int16)
-    for h0, h1 in kernels.row_blocks(plan.h_ranges(), row_bytes):
-        # one GEMM of the stripe by every weight, then the fused epilogue
-        r0, r1, pad_above, pad_below = plan.input_rows(h0, h1)
-        addend = None if node.addend is None else acts[node.addend][:, h0:h1]
-        out[:, h0:h1] = kernels.conv_block(xp[:, pad + r0 - pad_above:pad + r1 + pad_below],
-                                           w, bias, body.stride, node.fused_pool,
-                                           body.fused_relu, addend, relu_after)
-    return out
 
 
 @dataclass
@@ -472,13 +442,15 @@ def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
 
     x = np.flatnonzero(c.kind == xfer)
     nbytes, tag, name = c.bytes[x], c.region[x], c.name[x]
-    keys, _, sums = _totals(name, nbytes)
-    stream_bytes = {c.names[k]: b for k, b in zip(keys, sums)}
-    keys, _, sums = _totals(tag, nbytes)
-    tag_bytes = {c.regions[k]: b for k, b in zip(keys, sums)}
     keys, _, sums = _totals(tag * n_names + name, nbytes)
     tag_stream = {(c.regions[k // n_names], c.names[k % n_names]): b
                   for k, b in zip(keys, sums)}
+    # a stream's or a tag's first (tag, stream) pair is its first event, so
+    # summing the pairs in order keeps first-appearance order
+    stream_bytes, tag_bytes = {}, {}
+    for (t, s), b in tag_stream.items():
+        stream_bytes[s] = stream_bytes.get(s, 0) + b
+        tag_bytes[t] = tag_bytes.get(t, 0) + b
     l2l1 = (tag == _code(c.regions, TAG_L2_L1)) | (tag == _code(c.regions, TAG_L1_L2))
     keys, counts, sums = _totals(c.node[x][l2l1] * n_names + name[l2l1], nbytes[l2l1])
     node_stream = {(c.nodes[k // n_names], c.names[k % n_names]): (n, b)

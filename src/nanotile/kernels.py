@@ -13,13 +13,19 @@ heads and the tiled executor alike.  Its layout is channel-major end to
 end: columns are (K*kh*kw, pixels) and the weights multiply from the left,
 so the accumulator comes out as a C-contiguous (K_out, H, W) array.
 
-conv_block turns a padded input stripe into int16 output rows and keeps the
-accumulator in float64 from the GEMM to the one int16 cast; each step of its
-epilogue gives the bits of the integer chain (renorm_array, maxpool2, relu,
-add):
-- block_weights scales the weights by 2**-12, a power of two, so every
-  product and partial sum is the integer one times 2**-12, exact within the
-  same dot-length bound, and the accumulator is in Q4.12 units;
+conv2d is the one conv loop of both engines.  It pads the input once,
+scales the weights by 2**-12 once and runs conv_block once per block that
+row_blocks merges from its parts (output row ranges: one-row ranges for
+the untiled engine, a plan's row ranges for the executor), each block on
+the stripe of padded input rows its convolution rows read.  The FC heads
+run through it as 1x1 convolutions over their input viewed as (k, 1, 1).
+conv_block turns a padded input stripe into int16 output rows and keeps
+the accumulator in float64 from the GEMM to the one int16 cast; each step
+of its epilogue gives the bits of the integer chain (renorm_array,
+maxpool2, relu, add):
+- the weights times 2**-12, a power of two, make every product and partial
+  sum the integer one times 2**-12, exact within the same dot-length bound,
+  so the accumulator is in Q4.12 units;
 - the max-pool runs on the accumulator: floor, bias, clip and the cast are
   all monotone, so the maximum commutes with them (odd edges pad with -inf);
 - floor, then add the integer bias: floor(a) + b == floor(a + b);
@@ -28,9 +34,7 @@ add):
 - a residual adds the int16 addend to the saturated sum in float, exactly,
   and a second clip saturates it, with 0 for its lower bound where the join
   is followed by a ReLU.
-fully_connected runs it once over its input viewed as (k, 1, 1); conv2d and
-the tiled executor run it once per block of output rows that row_blocks
-gives, so no temporary of either engine grows with the map.
+No temporary of either engine grows with the map.
 conv_accumulate casts the same GEMM, over the int16 weights, to the int64
 accumulator at scale 2**-24.
 """
@@ -38,7 +42,7 @@ accumulator at scale 2**-24.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,10 +57,10 @@ def _check3(x: np.ndarray) -> None:
 def conv_acc(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Exact accumulator of weights (K_out, K, kh, kw) over an already padded
     input (K, Hp, Wp), no bias: a fresh C-contiguous (K_out, h_out, w_out)
-    float64 array, at scale 2**-24 for int16 weights and 2**-12 for
-    block_weights.  The windows are a strided view, one row per weight tap
-    and one column per output pixel; the dot length is checked before any of
-    them is copied."""
+    float64 array, at scale 2**-24 for int16 weights and 2**-12 for weights
+    scaled by 2**-12.  The windows are a strided view, one row per weight
+    tap and one column per output pixel; the dot length is checked before
+    any of them is copied."""
     k_out, _, kh, kw = w.shape
     k = xp.shape[0]
     if k * kh * kw > fxp.MAX_EXACT_DOT_LEN:
@@ -86,36 +90,41 @@ def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
 ROW_BLOCK_BYTES = 256 * 1024
 
 
-def row_blocks(parts, row_bytes: int) -> list[tuple[int, int]]:
+def row_blocks(parts, rows: int, row_bytes: int) -> list[tuple[int, int]]:
     """Consecutive (h0, h1) row ranges merged while a block's float64 columns,
-    row_bytes per row, fit ROW_BLOCK_BYTES; a range alone larger stays whole."""
+    row_bytes per row, fit ROW_BLOCK_BYTES; a range alone larger stays whole.
+    The parts must cover [0, rows) in order, once each: conv2d writes the
+    blocks into an uninitialised map, so a gap would leave garbage rows."""
     blocks = []
+    end = 0
     for h0, h1 in parts:
+        if h0 != end or h1 <= h0:
+            raise ValueError(f"row part {(h0, h1)}: expected a non-empty range from {end}")
+        end = h1
         if blocks and (h1 - blocks[-1][0]) * row_bytes <= ROW_BLOCK_BYTES:
             h0 = blocks.pop()[0]
         blocks.append((h0, h1))
+    if end != rows:
+        raise ValueError(f"row parts end at {end}, not {rows}")
     return blocks
 
 
-def _check_conv(x: np.ndarray, w: np.ndarray) -> None:
+def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
     _check3(x)
     if x.shape[0] != w.shape[1]:
         raise ValueError(f"channel mismatch: input {x.shape[0]}, weights {w.shape[1]}")
-
-
-def block_weights(w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """int16 weights and bias as conv_block takes them: the weights times
-    2**-12 and the bias shaped (K_out, 1, 1), both float64."""
-    return w / fxp.SCALE, b.astype(np.float64)[:, None, None]
+    if b.shape != w.shape[:1]:
+        raise ValueError(f"bias shape {b.shape}, expected {w.shape[:1]}")
 
 
 def conv_block(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
-               pool: bool = False, relu: bool = False, addend: np.ndarray | None = None,
-               relu_after: bool = False) -> np.ndarray:
-    """Q4.12 output rows over a padded input stripe, from block_weights:
-    conv_acc, then the optional 2x2 max-pool, floor, bias, saturation (ReLU
-    when relu), and the optional saturating add of an int16 addend (ReLU
-    after it when relu_after); int16 (K_out, rows, cols)."""
+               pool: bool, relu: bool, addend: np.ndarray | None,
+               relu_after: bool) -> np.ndarray:
+    """Q4.12 output rows over a padded input stripe, from the weights times
+    2**-12 and the bias shaped (K_out, 1, 1), both float64: conv_acc, then
+    the optional 2x2 max-pool, floor, bias, saturation (ReLU when relu), and
+    the optional saturating add of an int16 addend (ReLU after it when
+    relu_after); int16 (K_out, rows, cols)."""
     acc = conv_acc(xp, w, stride)
     if pool:
         acc = maxpool2(acc)
@@ -132,32 +141,39 @@ def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                     stride: int) -> np.ndarray:
     """Exact int64 conv accumulator at scale 2**-24, same-zero padding, bias
     included."""
-    _check_conv(x, w)
+    _check_conv(x, w, b)
     acc = conv_acc(pad_same(x, w.shape[2], w.shape[3]), w, stride).astype(np.int64)
     acc += (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
     return acc
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
-           fused_relu: bool = False, fused_pool: bool = False) -> np.ndarray:
+           fused_relu: bool = False, fused_pool: bool = False, parts=None,
+           addend: np.ndarray | None = None, relu_after: bool = False) -> np.ndarray:
     """Q4.12 convolution, optionally fused with a 2x2 max-pool and a ReLU,
-    renormalized once per output.  conv_block computes the output in the
-    row_blocks of its one-row ranges (two convolution rows per output row
-    when pooled; one output row when a row alone is larger), written into
-    one int16 map."""
-    _check_conv(x, w)
+    renormalized once per output, and optionally followed by the saturating
+    add of an int16 addend of the output's shape (ReLU after it when
+    relu_after).  conv_block computes the output in the row_blocks of parts,
+    output row ranges that cover the output once each in order (one-row
+    ranges by default), written into one int16 map; a block's convolution
+    rows are its output rows, two per output row when pooled."""
+    _check_conv(x, w, b)
     k_out, k_in, kh, kw = w.shape
     xp = pad_same(x, kh, kw)
     h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-    wq, bias = block_weights(w, b)
+    wq, bias = w / fxp.SCALE, b.astype(np.float64)[:, None, None]
     pooled = 2 if fused_pool else 1          # convolution rows per output row
     rows = -(-h_out // pooled)
     out = np.empty((k_out, rows, -(-w_out // pooled)), np.int16)
-    for h0, h1 in row_blocks([(h, h + 1) for h in range(rows)],
-                             8 * k_in * kh * kw * w_out * pooled):
+    if addend is not None and addend.shape != out.shape:
+        raise ValueError(f"addend shape {addend.shape}, expected {out.shape}")
+    if parts is None:
+        parts = [(h, h + 1) for h in range(rows)]
+    for h0, h1 in row_blocks(parts, rows, 8 * k_in * kh * kw * w_out * pooled):
         c0, c1 = h0 * pooled, min(h1 * pooled, h_out)
         out[:, h0:h1] = conv_block(xp[:, c0 * stride:(c1 - 1) * stride + kh], wq, bias,
-                                   stride, fused_pool, fused_relu)
+                                   stride, fused_pool, fused_relu,
+                                   None if addend is None else addend[:, h0:h1], relu_after)
     return out
 
 
@@ -190,13 +206,13 @@ def add(a: np.ndarray, b: np.ndarray, fused_relu: bool = False) -> np.ndarray:
 
 def fully_connected(x_flat: np.ndarray, w_flat: np.ndarray, b: int) -> np.int16:
     """Single renorm after the full fan-in accumulation; returns the Q4.12
-    raw.  It runs conv_block as a 1x1 convolution over the input viewed as
-    (k, 1, 1), as the executor runs the FC heads."""
+    raw.  It runs conv2d as a 1x1 convolution over the input viewed as
+    (k, 1, 1), as both engines run the FC heads."""
     if x_flat.shape != w_flat.shape:
         raise ValueError(f"length mismatch: {x_flat.shape} vs {w_flat.shape}")
     k = len(x_flat)
-    w, bias = block_weights(w_flat.reshape(1, k, 1, 1), np.array([b]))
-    return conv_block(x_flat.reshape(k, 1, 1), w, bias, 1)[0, 0, 0]
+    out = conv2d(x_flat.reshape(k, 1, 1), w_flat.reshape(1, k, 1, 1), np.array([b]), 1)
+    return out[0, 0, 0]
 
 
 def sigmoid(x: float) -> float:
@@ -206,38 +222,55 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
+def check_image(image: np.ndarray) -> None:
+    """Raise unless the image is the network's int16 input map."""
+    if image.shape != net.INPUT_SHAPE or image.dtype != np.int16:
+        raise ValueError(f"input must be int16 {net.INPUT_SHAPE}")
+
+
 @dataclass
 class InferResult:
-    steering: float
-    collision_prob: float
-    raw_steering: int      # Q4.12 raw
+    """One frame: the two heads' Q4.12 raws, and every activation by name,
+    the input and the FC heads' (1, 1, 1) maps included."""
+    raw_steering: int
     raw_collision: int
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)  # activations by name
+    tensors: dict[str, np.ndarray]
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray], *more):
+        """The result whose raws are read from the head maps; more fills the
+        fields a subclass adds."""
+        return cls(*(int(tensors[head][0, 0, 0]) for head in ("fully_1", "fully_2")),
+                   tensors, *more)
+
+    @property
+    def steering(self) -> float:
+        """The steering head dequantized."""
+        return self.raw_steering / fxp.SCALE
+
+    @property
+    def collision_prob(self) -> float:
+        """The collision logit through the sigmoid."""
+        return sigmoid(self.raw_collision / fxp.SCALE)
 
 
 def infer_untiled(graph: net.NetworkGraph, store: net.WeightStore,
                   image: np.ndarray) -> InferResult:
-    """Run the graph in order; steering dequantized, collision logit through sigmoid."""
+    """Run the graph in order, every layer's output kept under its name."""
+    check_image(image)
     acts: dict[str, np.ndarray] = {net.INPUT_TENSOR: image}
-    heads: dict[str, np.int16] = {}
-
     for spec in graph.layers:
         src = acts[spec.inputs[0]]
-        if spec.kind == net.CONV:
-            w, b = store[spec.name]
-            out = conv2d(src, w, b, spec.stride, spec.fused_relu, spec.fused_pool)
+        if spec.kind in (net.CONV, net.FC):
+            # an FC head runs as a 1x1 convolution over its input viewed as
+            # (k_in, 1, 1); the view is a no-op for a convolution
+            out = conv2d(src.reshape(spec.k_in, spec.h_in, spec.w_in), *store[spec.name],
+                         spec.stride, spec.fused_relu, spec.fused_pool)
         elif spec.kind == net.RELU:
             out = relu(src)
         elif spec.kind == net.ADD:
             out = add(src, acts[spec.inputs[1]], spec.fused_relu)
-        elif spec.kind == net.FC:
-            w, b = store[spec.name]
-            heads[spec.name] = fully_connected(src.ravel(), w.ravel(), int(b[0]))
-            continue
         else:
             raise ValueError(f"unknown layer kind {spec.kind}")
         acts[spec.output] = out
-
-    steer_raw, coll_raw = int(heads["fully_1"]), int(heads["fully_2"])
-    return InferResult(steer_raw / fxp.SCALE, sigmoid(coll_raw / fxp.SCALE),
-                       steer_raw, coll_raw, acts)
+    return InferResult.from_tensors(acts)

@@ -67,13 +67,6 @@ def test_l2_events_replay_the_l2_plan(graph):
         assert any(name.startswith("w:") for _, name, _ in got)
 
 
-def _untiled_tensors(ref):
-    """The untiled engine's tensors by name, the heads as (1, 1, 1) int16
-    maps, as the executor holds them."""
-    return dict(ref.tensors, fully_1=np.full((1, 1, 1), ref.raw_steering, np.int16),
-                fully_2=np.full((1, 1, 1), ref.raw_collision, np.int16))
-
-
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
 def test_every_node_output_matches_untiled(graph, budget_kb):
     # a saturated head hides a wrong pixel anywhere upstream, so every node
@@ -86,9 +79,8 @@ def test_every_node_output_matches_untiled(graph, budget_kb):
             image = oracles.random_image(seed)
             ref = kernels.infer_untiled(graph, store, image)
             res = executor.execute_schedule(sched, store, image)
-            want = _untiled_tensors(ref)
             for name in outputs:
-                np.testing.assert_array_equal(res.tensors[name], want[name], strict=True,
+                np.testing.assert_array_equal(res.tensors[name], ref.tensors[name], strict=True,
                                               err_msg=f"{name}, seed {seed}, "
                                                       f"amplitude {amplitude}")
 
@@ -114,8 +106,8 @@ def test_trace_table(graph, entry):
     assert _tensors_sha256(res.tensors) == entry["tensors_sha256"]
     # the pinned hash is the untiled engine's over the same names
     ref = kernels.infer_untiled(graph, store, oracles.random_image(entry["seed"]))
-    want = _untiled_tensors(ref)
-    assert _tensors_sha256({name: want[name] for name in res.tensors}) == entry["tensors_sha256"]
+    assert _tensors_sha256({name: ref.tensors[name] for name in res.tensors}) == \
+        entry["tensors_sha256"]
 
 
 def _host_gemms(sched):
@@ -391,7 +383,7 @@ def test_budget_and_l2_peaks(graph):
         assert audit.ok
         assert audit.peak_l1 <= budget_kb * 1024
         assert audit.peak_l2 <= 512 * 1024
-        assert audit.peak_l2 == res.l2.peak_bytes
+        assert audit.peak_l2 == sched.l2.peak_bytes
 
 
 def test_transfer_conservation(graph, schedule):
@@ -617,6 +609,12 @@ def test_schedule_l2_plan_attached(graph):
 
 
 def test_bad_input_shape(schedule, graph):
-    with pytest.raises(ValueError, match="int16"):
-        executor.execute_schedule(schedule, net.zero_store(graph),
-                                  np.zeros((1, 10, 10), np.int16))
+    # both engines take the int16 input map only: numpy would run either on
+    # a float or a wider integer image and give other heads
+    image = oracles.random_image(0)
+    store = net.zero_store(graph)
+    for bad in (np.zeros((1, 10, 10), np.int16), image + 0.5, image.astype(np.int32) * 100):
+        with pytest.raises(ValueError, match=re.escape("input must be int16 (1, 200, 200)")):
+            executor.execute_schedule(schedule, store, bad)
+        with pytest.raises(ValueError, match=re.escape("input must be int16 (1, 200, 200)")):
+            kernels.infer_untiled(graph, store, bad)

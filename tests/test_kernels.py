@@ -1,4 +1,5 @@
 import itertools
+import re
 from unittest import mock
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_conv_block_matches_the_integer_epilogue(k_in, k_out, h, w, k, stride, p
     if pool:
         rows, cols = -(-rows // 2), -(-cols // 2)
     addend = data.draw(_int16s(k_out, rows, cols)) if residual else None
-    wq, bias = kernels.block_weights(wt, b)
+    wq, bias = wt / fxp.SCALE, b.astype(np.float64)[:, None, None]
     got = kernels.conv_block(kernels.pad_same(x, k, k), wq, bias, stride, pool, relu,
                              addend, relu_after)
     assert got.dtype == np.int16
@@ -117,13 +118,21 @@ def _conv_acc_calls():
         or conv_acc(xp, w, stride))
 
 
+def _partition(data, rows):
+    """A random partition of [0, rows) into two or more consecutive parts."""
+    cuts = data.draw(st.sets(st.integers(1, rows - 1), min_size=1))
+    bounds = [0, *sorted(cuts), rows]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 3, 5]),
        st.sampled_from([1, 2]), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
-       st.booleans(), st.booleans(), st.data())
+       st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.data())
 def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out, seed,
-                                                   pool, relu, data):
+                                                   pool, relu, residual, relu_after, data):
     # a map tall enough for two to four blocks of output rows, every height
-    # parity; values over the full int16 range with -32768 sprinkled in
+    # parity; values over the full int16 range with -32768 sprinkled in; the
+    # output rows cut into random parts, which the blocks merge whole
     block = max(1, kernels.ROW_BLOCK_BYTES // (8 * k_in * k * k * w_out))
     h_out = data.draw(st.integers(block + 1, 4 * block))
     h = data.draw(st.sampled_from(sorted({stride * (h_out - 1) + 1, stride * h_out})))
@@ -136,16 +145,38 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
         return a
 
     x, wt, b = int16s(k_in, h, width), int16s(k_out, k_in, k, k), int16s(k_out)
-    calls, patch = _conv_acc_calls()
-    with patch:
-        got = kernels.conv2d(x, wt, b, stride, fused_relu=relu, fused_pool=pool)
-    assert len(calls) >= 2
     expect = fxp.renorm_array(kernels.conv_accumulate(x, wt, b, stride))
     if pool:
         expect = kernels.maxpool2(expect)
     if relu:
         expect = kernels.relu(expect)
+    rows = expect.shape[1]
+    parts = _partition(data, rows)
+    addend = int16s(*expect.shape) if residual else None
+    if residual:
+        expect = fxp.sat_add_array(expect, addend)
+        if relu_after:
+            expect = kernels.relu(expect)
+    calls, patch = _conv_acc_calls()
+    with patch:
+        got = kernels.conv2d(x, wt, b, stride, relu, pool, parts, addend, relu_after)
+    assert len(calls) >= 2
     assert got.dtype == np.int16 and np.array_equal(got, expect)
+    # each GEMM's output rows, two convolution rows each when pooled, are a
+    # union of whole parts, and the GEMMs cover the map in order
+    bounds, h0 = [0] + [h1 for _, h1 in parts], 0
+    for xp, _, _ in calls:
+        conv = (xp.shape[1] - k) // stride + 1
+        h0 += -(-conv // 2) if pool else conv
+        assert h0 in bounds
+    assert h0 == rows
+    # parts that leave a gap, overlap, stop short or run past the map raise
+    # before any row is computed
+    for bad in (parts[1:], parts[:1] + parts, parts[:-1], parts + [(rows, rows + 1)]):
+        calls.clear()
+        with patch, pytest.raises(ValueError, match="row part"):
+            kernels.conv2d(x, wt, b, stride, relu, pool, bad, addend, relu_after)
+        assert not calls
 
 
 def test_untiled_conv_temporaries_fit_the_row_block_budget():
@@ -175,7 +206,7 @@ ROW_BYTES = st.one_of(st.integers(1, 2 * kernels.ROW_BLOCK_BYTES),
 def test_row_blocks_merge_whole_parts_within_the_budget(sizes, row_bytes):
     bounds = np.cumsum([0] + sizes).tolist()
     h = bounds[-1]
-    blocks = kernels.row_blocks(list(zip(bounds[:-1], bounds[1:])), row_bytes)
+    blocks = kernels.row_blocks(list(zip(bounds[:-1], bounds[1:])), h, row_bytes)
     # unions of consecutive parts, covering [0, h) once
     assert blocks[0][0] == 0 and blocks[-1][1] == h
     assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
@@ -188,7 +219,7 @@ def test_row_blocks_merge_whole_parts_within_the_budget(sizes, row_bytes):
         assert (h1 - h0) * row_bytes > kernels.ROW_BLOCK_BYTES
     # one-row parts give conv2d's blocks of max(1, budget // row_bytes) rows
     block = max(1, kernels.ROW_BLOCK_BYTES // row_bytes)
-    assert kernels.row_blocks([(r, r + 1) for r in range(h)], row_bytes) == \
+    assert kernels.row_blocks([(r, r + 1) for r in range(h)], h, row_bytes) == \
         [(r, min(r + block, h)) for r in range(0, h, block)]
 
 
@@ -207,6 +238,16 @@ def test_conv_channel_mismatch():
     w = np.zeros((2, 4, 3, 3), np.int16)
     with pytest.raises(ValueError, match="channel mismatch: input 3, weights 4"):
         kernels.conv_accumulate(x, w, np.zeros(2, np.int16), 1)
+    # a bias of another length than the output channels would broadcast
+    # (one value to every channel) or fail inside numpy
+    w = np.zeros((4, 3, 3, 3), np.int16)
+    for conv in (kernels.conv_accumulate, kernels.conv2d):
+        for b in (np.array([4096], np.int16), np.zeros(3, np.int16), np.zeros((4, 1), np.int16)):
+            with pytest.raises(ValueError, match=re.escape(f"bias shape {b.shape}, expected (4,)")):
+                conv(x, w, b, 1)
+    # an addend of another shape than the output would broadcast into it
+    with pytest.raises(ValueError, match=re.escape("addend shape (4, 6, 1), expected (4, 6, 6)")):
+        kernels.conv2d(x, w, np.zeros(4, np.int16), 1, addend=np.zeros((4, 6, 1), np.int16))
 
 
 def test_exact_dot_bound_is_inclusive(monkeypatch):
