@@ -265,8 +265,7 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
         x = acts[node.input].reshape(body.k_in, body.h_in, body.w_in)
         addend = None if node.addend is None else acts[node.addend]
         acts[node.output] = kernels.conv2d(x, *store[body.name], body.stride, body.fused_relu,
-                                           node.fused_pool, plan.h_ranges(), addend,
-                                           node.relu_after)
+                                           node.fused_pool, plan.h_ranges(), addend)
     return ExecResult.from_tensors(acts, ms)
 
 

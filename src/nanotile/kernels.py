@@ -32,8 +32,8 @@ maxpool2, relu, add):
 - one in-place clip saturates, with 0 for its lower bound where a ReLU is
   fused, as relu(clip(a)) == clip(a, 0, QMAX);
 - a residual adds the int16 addend to the saturated sum in float, exactly,
-  and a second clip saturates it, with 0 for its lower bound where the join
-  is followed by a ReLU.
+  and a second clip saturates it with 0 for its lower bound: a fused join
+  is always followed by a ReLU (tiler.node_kernels rejects one that is not).
 No temporary of either engine grows with the map.
 conv_accumulate casts the same GEMM, over the int16 weights, to the int64
 accumulator at scale 2**-24.
@@ -118,13 +118,12 @@ def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
 
 
 def conv_block(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
-               pool: bool, relu: bool, addend: np.ndarray | None,
-               relu_after: bool) -> np.ndarray:
+               pool: bool, relu: bool, addend: np.ndarray | None) -> np.ndarray:
     """Q4.12 output rows over a padded input stripe, from the weights times
     2**-12 and the bias shaped (K_out, 1, 1), both float64: conv_acc, then
     the optional 2x2 max-pool, floor, bias, saturation (ReLU when relu), and
-    the optional saturating add of an int16 addend (ReLU after it when
-    relu_after); int16 (K_out, rows, cols)."""
+    the optional saturating add of an int16 addend with the ReLU after it;
+    int16 (K_out, rows, cols)."""
     acc = conv_acc(xp, w, stride)
     if pool:
         acc = maxpool2(acc)
@@ -133,7 +132,7 @@ def conv_block(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
     np.clip(acc, 0 if relu else fxp.QMIN, fxp.QMAX, out=acc)
     if addend is not None:
         acc += addend
-        np.clip(acc, 0 if relu_after else fxp.QMIN, fxp.QMAX, out=acc)
+        np.clip(acc, 0, fxp.QMAX, out=acc)
     return acc.astype(np.int16)
 
 
@@ -149,11 +148,12 @@ def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
            fused_relu: bool = False, fused_pool: bool = False, parts=None,
-           addend: np.ndarray | None = None, relu_after: bool = False) -> np.ndarray:
+           addend: np.ndarray | None = None) -> np.ndarray:
     """Q4.12 convolution, optionally fused with a 2x2 max-pool and a ReLU,
     renormalized once per output, and optionally followed by the saturating
-    add of an int16 addend of the output's shape (ReLU after it when
-    relu_after).  conv_block computes the output in the row_blocks of parts,
+    add of an int16 addend of the output's shape and a ReLU: a fused
+    residual join is always followed by a ReLU, as tiler.node_kernels
+    enforces.  conv_block computes the output in the row_blocks of parts,
     output row ranges that cover the output once each in order (one-row
     ranges by default), written into one int16 map; a block's convolution
     rows are its output rows, two per output row when pooled."""
@@ -173,7 +173,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
         c0, c1 = h0 * pooled, min(h1 * pooled, h_out)
         out[:, h0:h1] = conv_block(xp[:, c0 * stride:(c1 - 1) * stride + kh], wq, bias,
                                    stride, fused_pool, fused_relu,
-                                   None if addend is None else addend[:, h0:h1], relu_after)
+                                   None if addend is None else addend[:, h0:h1])
     return out
 
 

@@ -79,12 +79,6 @@ class NodeKernel:
     def fused_add(self) -> bool:
         return self.addend is not None
 
-    @property
-    def relu_after(self) -> bool:
-        """A ReLU follows the fused residual join: the join's own or the
-        ReLU row node_kernels fuses after it."""
-        return self.fused_add and (self.rows[1].fused_relu or len(self.rows) > 2)
-
     # node output extents (after any fused pooling)
     @property
     def h_out(self) -> int:

@@ -68,7 +68,7 @@ def test_conv_matches_oracle_on_any_shape(k_in, k_out, h, w, k, stride, data):
     assert np.array_equal(part, acc - (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None])
 
 
-def _integer_epilogue(acc, pool, relu, addend, relu_after):
+def _integer_epilogue(acc, pool, relu, addend):
     """The int64 accumulator through the integer chain, in the executor's
     order: renorm, pool, the body ReLU, then the saturating residual add and
     the ReLU after it."""
@@ -78,19 +78,17 @@ def _integer_epilogue(acc, pool, relu, addend, relu_after):
     if relu:
         out = kernels.relu(out)
     if addend is not None:
-        out = fxp.sat_add_array(out, addend)
-        if relu_after:
-            out = kernels.relu(out)
+        out = kernels.relu(fxp.sat_add_array(out, addend))
     return out
 
 
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
        st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.booleans(), st.booleans(),
-       st.booleans(), st.booleans(), st.integers(0, 15), st.data())
+       st.booleans(), st.integers(0, 15), st.data())
 def test_conv_block_matches_the_integer_epilogue(k_in, k_out, h, w, k, stride, pool, relu,
-                                                 residual, relu_after, shift, data):
+                                                 residual, shift, data):
     # the float64 epilogue (pool, floor, bias, clip with the ReLU as its
-    # bound, add, clip) against renorm_array, maxpool2, relu and
+    # bound, add, clip with the ReLU after the join as its bound) against renorm_array, maxpool2, relu and
     # sat_add_array on the exact int64 accumulator; inputs span the int16
     # range with -32768 sprinkled in, and are also shifted down so that
     # sums land inside it unsaturated, rounding at every sign
@@ -104,9 +102,9 @@ def test_conv_block_matches_the_integer_epilogue(k_in, k_out, h, w, k, stride, p
     addend = data.draw(_int16s(k_out, rows, cols)) if residual else None
     wq, bias = wt / fxp.SCALE, b.astype(np.float64)[:, None, None]
     got = kernels.conv_block(kernels.pad_same(x, k, k), wq, bias, stride, pool, relu,
-                             addend, relu_after)
+                             addend)
     assert got.dtype == np.int16
-    assert np.array_equal(got, _integer_epilogue(acc, pool, relu, addend, relu_after))
+    assert np.array_equal(got, _integer_epilogue(acc, pool, relu, addend))
 
 
 def _conv_acc_calls():
@@ -127,9 +125,9 @@ def _partition(data, rows):
 
 @given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 3, 5]),
        st.sampled_from([1, 2]), st.integers(1, 40), st.integers(0, 2 ** 32 - 1),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.data())
+       st.booleans(), st.booleans(), st.booleans(), st.data())
 def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out, seed,
-                                                   pool, relu, residual, relu_after, data):
+                                                   pool, relu, residual, data):
     # a map tall enough for two to four blocks of output rows, every height
     # parity; values over the full int16 range with -32768 sprinkled in; the
     # output rows cut into random parts, which the blocks merge whole
@@ -154,12 +152,10 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
     parts = _partition(data, rows)
     addend = int16s(*expect.shape) if residual else None
     if residual:
-        expect = fxp.sat_add_array(expect, addend)
-        if relu_after:
-            expect = kernels.relu(expect)
+        expect = kernels.relu(fxp.sat_add_array(expect, addend))
     calls, patch = _conv_acc_calls()
     with patch:
-        got = kernels.conv2d(x, wt, b, stride, relu, pool, parts, addend, relu_after)
+        got = kernels.conv2d(x, wt, b, stride, relu, pool, parts, addend)
     assert len(calls) >= 2
     assert got.dtype == np.int16 and np.array_equal(got, expect)
     # each GEMM's output rows, two convolution rows each when pooled, are a
@@ -175,7 +171,7 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
     for bad in (parts[1:], parts[:1] + parts, parts[:-1], parts + [(rows, rows + 1)]):
         calls.clear()
         with patch, pytest.raises(ValueError, match="row part"):
-            kernels.conv2d(x, wt, b, stride, relu, pool, bad, addend, relu_after)
+            kernels.conv2d(x, wt, b, stride, relu, pool, bad, addend)
         assert not calls
 
 
