@@ -117,7 +117,7 @@ def _cmd_mem(args) -> int:
     if not args.csv:
         kind = "single-stack" if args.single else "two-stack"
         print(f"{kind} peak {plan.peak_bytes / 1024:.1f} KB, "
-              f"headroom {plan.headroom / 1024:.1f} KB of 512 KB")
+              f"headroom {plan.headroom / 1024:.1f} KB of {l2plan.L2_BYTES // 1024} KB")
     return 0
 
 

@@ -286,11 +286,15 @@ def load_targets(directory: Path | None = None) -> Targets:
     layer, l3l2 = {}, {}
     path = d / LAYER_TABLE
     for n, row in enumerate(csvtable.read(path, ("layer", "exec_ms", "l3l2_ms")), 1):
+        if row["layer"] in layer:
+            raise ValueError(f"{path}: data row {n}: layer {row['layer']} repeats")
         layer[row["layer"]] = csvtable.number(path, n, row, "exec_ms")
         if row["l3l2_ms"]:
             l3l2[row["layer"]] = csvtable.number(path, n, row, "l3l2_ms")
     path = d / "gap8_cycle_breakdown.csv"
-    bd = csvtable.read(path, _BREAKDOWN)[0]
+    bd, *extra = csvtable.read(path, _BREAKDOWN)
+    if extra:
+        raise ValueError(f"{path}: data row 2: the table holds one frame, in one data row")
     breakdown = [csvtable.number(path, 1, bd, c) for c in _BREAKDOWN]
     path = d / POWER_TABLE
     points = [{c: csvtable.number(path, n, row, c) for c in _POWER}

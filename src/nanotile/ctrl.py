@@ -15,6 +15,7 @@ last half second of approach, standing in for recorded flight data.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,16 +91,9 @@ class CollisionTrace:
         return self.times[-1]
 
     def sample(self, t: float) -> float:
-        if t < self.times[0]:
-            return self.values[0]
-        lo, hi = 0, len(self.times) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.times[mid] <= t:
-                lo = mid
-            else:
-                hi = mid - 1
-        return self.values[lo]
+        """The value of the last breakpoint at or before t; the first value
+        before the first breakpoint."""
+        return self.values[max(bisect_right(self.times, t) - 1, 0)]
 
 
 def step_trace(t_appear: float, horizon: float = 20.0) -> CollisionTrace:

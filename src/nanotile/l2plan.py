@@ -74,9 +74,10 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
     nodes = tiler.node_kernels(graph)
     if not nodes:       # nothing to execute, nothing to stage
         return _Lifetimes([], {}, [], {}, {}, {}, {}, {})
+    tensors = graph.tensors
     alias = {net.INPUT_TENSOR: net.INPUT_TENSOR}
     buffers = [net.INPUT_TENSOR]
-    k, h, w = graph.tensors[net.INPUT_TENSOR]
+    k, h, w = tensors[net.INPUT_TENSOR]
     sizes = {net.INPUT_TENSOR: _align4(2 * k * h * w)}
     alloc_step = {net.INPUT_TENSOR: -1}
     last_use: dict[str, int] = {net.INPUT_TENSOR: -1}
@@ -95,7 +96,7 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
             alias[node.output] = alias[node.input]
         else:
             buf = node.output
-            k, h, w = graph.tensors[node.output]
+            k, h, w = tensors[node.output]
             sizes[buf] = _align4(2 * k * h * w)
             alias[node.output] = buf
             buffers.append(buf)

@@ -67,11 +67,16 @@ class LayerSpec:
     stride: int = 1
     h_in: int = 0
     w_in: int = 0
-    h_out: int = 0
-    w_out: int = 0
     fused_relu: bool = False
     fused_pool: bool = False         # 2x2/s2 max-pool folded into this conv
-    bypass_source: str | None = None # second operand of an add row
+    # output extents after any fused pooling, derived when the row is built
+    h_out: int = field(init=False)
+    w_out: int = field(init=False)
+
+    def __post_init__(self):
+        pool = 2 if self.fused_pool else 1
+        object.__setattr__(self, "h_out", _ceil_div(self.conv_h_out, pool))
+        object.__setattr__(self, "w_out", _ceil_div(self.conv_w_out, pool))
 
     @property
     def output(self) -> str:
@@ -112,7 +117,15 @@ class LayerSpec:
 @dataclass
 class NetworkGraph:
     layers: list[LayerSpec]
-    tensors: dict[str, tuple[int, int, int]] = field(default_factory=dict)
+    # (k, h, w) of every row's output, and of the input as its first reader sees it
+    tensors: dict[str, tuple[int, int, int]] = field(init=False)
+
+    def __post_init__(self):
+        self.tensors = {}
+        for spec in self.layers:
+            if INPUT_TENSOR in spec.inputs:
+                self.tensors.setdefault(INPUT_TENSOR, (spec.k_in, spec.h_in, spec.w_in))
+            self.tensors[spec.output] = (spec.k_out, spec.h_out, spec.w_out)
 
     def layer(self, name: str) -> LayerSpec:
         for spec in self.layers:
@@ -130,27 +143,22 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _conv(name, src, k_in, k_out, kh, kw, stride, h_in, w_in,
           fused_relu=False, fused_pool=False) -> LayerSpec:
-    h_out, w_out = _ceil_div(h_in, stride), _ceil_div(w_in, stride)
-    if fused_pool:
-        h_out, w_out = _ceil_div(h_out, 2), _ceil_div(w_out, 2)
     return LayerSpec(name, CONV, (src,), k_in, k_out, kh, kw, stride,
-                     h_in, w_in, h_out, w_out, fused_relu, fused_pool)
+                     h_in, w_in, fused_relu, fused_pool)
 
 
 def build_dronet() -> NetworkGraph:
     """The fixed deployed graph: input 1x200x200 down to two scalar heads."""
     layers: list[LayerSpec] = []
 
-    def ew(name, kind, src, shape, fused_relu=False, bypass=None):
+    def ew(name, kind, inputs, shape, fused_relu=False):
         k, h, w = shape
-        inputs = (src,) if bypass is None else (src, bypass)
-        layers.append(LayerSpec(name, kind, inputs, k_in=k, k_out=k,
-                                h_in=h, w_in=w, h_out=h, w_out=w,
-                                fused_relu=fused_relu, bypass_source=bypass))
+        layers.append(LayerSpec(name, kind, inputs, k_in=k, k_out=k, h_in=h, w_in=w,
+                                fused_relu=fused_relu))
 
     layers.append(_conv("conv_1", INPUT_TENSOR, 1, 32, 5, 5, 2, 200, 200,
                         fused_pool=True))                       # 32x50x50
-    ew("relu_1", RELU, "conv_1", (32, 50, 50))
+    ew("relu_1", RELU, ("conv_1",), (32, 50, 50))
 
     def res_block(idx, src, k_in, k_out, h, relu_fused_join):
         a, b, byp = f"conv_{3*idx-1}", f"conv_{3*idx}", f"conv_{3*idx+1}"
@@ -159,9 +167,9 @@ def build_dronet() -> NetworkGraph:
         layers.append(_conv(b, a, k_out, k_out, 3, 3, 1, h2, h2))
         layers.append(_conv(byp, src, k_in, k_out, 1, 1, 2, h, h))
         join = f"add_{idx}"
-        ew(join, ADD, b, (k_out, h2, h2), fused_relu=relu_fused_join, bypass=byp)
+        ew(join, ADD, (b, byp), (k_out, h2, h2), fused_relu=relu_fused_join)
         if not relu_fused_join:
-            ew(f"relu_{idx + 1}", RELU, join, (k_out, h2, h2))
+            ew(f"relu_{idx + 1}", RELU, (join,), (k_out, h2, h2))
         return join if relu_fused_join else f"relu_{idx + 1}"
 
     x = res_block(1, "relu_1", 32, 32, 50, relu_fused_join=False)   # 32x25x25
@@ -171,12 +179,9 @@ def build_dronet() -> NetworkGraph:
     fan_in = 128 * 7 * 7
     for head in ("fully_1", "fully_2"):
         layers.append(LayerSpec(head, FC, (x,), k_in=fan_in, k_out=1,
-                                kh=1, kw=1, h_in=1, w_in=1, h_out=1, w_out=1))
+                                kh=1, kw=1, h_in=1, w_in=1))
 
     graph = NetworkGraph(layers)
-    graph.tensors[INPUT_TENSOR] = INPUT_SHAPE
-    for spec in layers:
-        graph.tensors[spec.output] = (spec.k_out, spec.h_out, spec.w_out)
     _validate(graph)
     return graph
 
@@ -190,17 +195,9 @@ def _validate(graph: NetworkGraph) -> None:
         if spec.output in seen:
             raise ValueError(f"duplicate producer for {spec.output}")
         seen.add(spec.output)
-        if spec.kind == CONV:
-            h, w = _ceil_div(spec.h_in, spec.stride), _ceil_div(spec.w_in, spec.stride)
-            if spec.fused_pool:
-                h, w = _ceil_div(h, 2), _ceil_div(w, 2)
-            if (h, w) != (spec.h_out, spec.w_out):
-                raise ValueError(f"{spec.name}: declared output extents do not "
-                                 f"match ceil({spec.h_in}/{spec.stride})")
         if spec.kind == ADD:
-            a = graph.tensors.get(spec.inputs[0]) if spec.inputs[0] in graph.tensors else None
-            b = graph.tensors.get(spec.inputs[1]) if spec.inputs[1] in graph.tensors else None
-            if a is not None and b is not None and a != b:
+            a, b = (graph.tensors[t] for t in spec.inputs)
+            if a != b:
                 raise ValueError(f"{spec.name}: join operands {a} vs {b}")
     total = sum(l.macs for l in graph.layers if l.kind == CONV)
     if not (40_000_000 <= total <= 42_000_000):

@@ -52,16 +52,29 @@ def _chunks(total: int, size: int) -> list[tuple[int, int]]:
     return [(start, min(start + size, total)) for start in range(0, total, size)]
 
 
+_NODE_KINDS = {net.CONV: "conv", net.RELU: "ew", net.FC: "fc"}
+
+
 @dataclass(frozen=True)
 class NodeKernel:
-    """A tiling unit: one body op plus whatever the graph fuses around it."""
+    """A tiling unit: one body op plus whatever the graph fuses around it.
+    Everything but the rows is derived from them when the node is built."""
 
-    name: str
-    kind: str                       # "conv" | "ew" | "fc"
     rows: tuple[net.LayerSpec, ...] # graph rows this node covers, in order
-    input: str                      # main input tensor
-    output: str                     # output tensor (the last fused row's name)
-    addend: str | None = None       # residual-join operand DMA'd per tile
+    name: str = field(init=False)
+    kind: str = field(init=False)   # "conv" | "ew" | "fc"
+    input: str = field(init=False)  # main input tensor
+    output: str = field(init=False) # output tensor (the last fused row's name)
+    addend: str | None = field(init=False)  # residual-join operand DMA'd per tile
+
+    def __post_init__(self):
+        body = self.rows[0]
+        join = next((r for r in self.rows if r.kind == net.ADD), None)
+        suffix = "+add+relu" if join else "+pool" if body.fused_pool else ""
+        for attr, value in (("name", body.name + suffix), ("kind", _NODE_KINDS[body.kind]),
+                            ("input", body.inputs[0]), ("output", self.rows[-1].output),
+                            ("addend", join.inputs[0] if join else None)):
+            object.__setattr__(self, attr, value)
 
     @property
     def body(self) -> net.LayerSpec:
@@ -93,43 +106,30 @@ def node_kernels(graph: net.NetworkGraph) -> list[NodeKernel]:
     """Group the 18 graph rows into node kernels (13 for DroNet).
 
     A residual join and the ReLU that follows it ride as epilogue of the
-    bypass convolution; a ReLU that follows anything else is its own node.
+    bypass convolution, the join's second operand; a ReLU that follows
+    anything else is its own node.
     """
     rows = graph.layers
     nodes: list[NodeKernel] = []
     consumed = set()
-    for i, spec in enumerate(rows):
+    for spec in rows:
         if spec.name in consumed:
             continue
-        if spec.kind == net.CONV:
-            fused = [spec]
-            join = next((r for r in rows if r.kind == net.ADD
-                         and r.bypass_source == spec.name), None)
-            if join is not None:
-                fused.append(join)
-                tail = join
-                if not join.fused_relu:
-                    relu_row = next((r for r in rows if r.kind == net.RELU
-                                     and r.inputs == (join.name,)), None)
-                    if relu_row is None:
-                        raise ValueError(f"{join.name}: join without a following ReLU")
-                    fused.append(relu_row)
-                    tail = relu_row
-                name = f"{spec.name}+add+relu"
-                nodes.append(NodeKernel(name, "conv", tuple(fused), spec.inputs[0],
-                                        tail.name, addend=join.inputs[0]))
-            else:
-                name = spec.name + ("+pool" if spec.fused_pool else "")
-                nodes.append(NodeKernel(name, "conv", (spec,), spec.inputs[0], spec.name))
-            consumed.update(r.name for r in fused)
-        elif spec.kind == net.RELU:
-            nodes.append(NodeKernel(spec.name, "ew", (spec,), spec.inputs[0], spec.name))
-            consumed.add(spec.name)
-        elif spec.kind == net.FC:
-            nodes.append(NodeKernel(spec.name, "fc", (spec,), spec.inputs[0], spec.name))
-            consumed.add(spec.name)
-        elif spec.kind == net.ADD:
+        if spec.kind == net.ADD:
             raise ValueError(f"{spec.name}: join without a bypass convolution")
+        fused = [spec]
+        join = next((r for r in rows if r.kind == net.ADD
+                     and r.inputs[1:] == (spec.name,)), None)
+        if spec.kind == net.CONV and join is not None:
+            fused.append(join)
+            if not join.fused_relu:
+                relu_row = next((r for r in rows if r.kind == net.RELU
+                                 and r.inputs == (join.name,)), None)
+                if relu_row is None:
+                    raise ValueError(f"{join.name}: join without a following ReLU")
+                fused.append(relu_row)
+        nodes.append(NodeKernel(tuple(fused)))
+        consumed.update(r.name for r in fused)
     return nodes
 
 

@@ -192,8 +192,13 @@ def test_targets_loader_env_override(tmp_path, monkeypatch):
      "data row 2: cl_mhz 0 is not positive"),
     ("gap8_power_points.csv", "1.0,50,", "1.0,-50,", "data row 1: fc_mhz -50 is not positive"),
     ("gap8_power_points.csv", "1.2,250,", "0.0,250,", "data row 2: vdd_v 0 is not positive"),
+    ("gap8_layer_times.csv", "fully_2,13.0,0.1,0.4\n",
+     "fully_2,13.0,0.1,0.4\nconv_1,47.1,999.0,0.1\n", "data row 19: layer conv_1 repeats"),
+    ("gap8_cycle_breakdown.csv", "1.03,0.11,13.47,14.61\n",
+     "1.03,0.11,13.47,14.61\n1.03,0.11,13.47,14.61\n", "data row 2: the table holds one frame"),
 ], ids=["missing-column", "empty-table", "short-row", "non-numeric", "non-finite",
-        "zero-cl-clock", "negative-fc-clock", "zero-vdd"])
+        "zero-cl-clock", "negative-fc-clock", "zero-vdd", "repeated-layer",
+        "second-breakdown-row"])
 def test_targets_loader_rejects_malformed_tables(tmp_path, name, old, new, match):
     for f in cost.data_dir().iterdir():
         (tmp_path / f.name).write_text(f.read_text())

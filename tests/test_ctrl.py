@@ -66,6 +66,21 @@ def test_trace_sampling():
         ctrl.CollisionTrace([0.0, 0.0], [0.1, 0.2])
 
 
+@given(st.data())
+def test_trace_sampling_equals_a_linear_scan(data):
+    gaps = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=0, max_size=20))
+    times = [data.draw(st.floats(-10.0, 10.0))]
+    for gap in gaps:
+        times.append(times[-1] + gap)
+    values = data.draw(st.lists(probs, min_size=len(times), max_size=len(times)))
+    tr = ctrl.CollisionTrace(times, values)
+    before = times[0] - data.draw(st.floats(1e-6, 10.0))
+    between = [(a + b) / 2 for a, b in zip(times, times[1:])]
+    for t in (before, *times, *between, times[-1] + 1.0):
+        held = [v for time, v in zip(times, values) if time <= t]
+        assert tr.sample(t) == (held[-1] if held else values[0]), t
+
+
 def test_step_trace_scenarios():
     st_trace = ctrl.step_trace(4.0)
     out = ctrl.simulate_reaction(ctrl.ReactionScenario(fps=10.0), st_trace)

@@ -5,13 +5,17 @@ CHANGES.md, so a count that went down cannot quietly grow back.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nanotile"
 
 # settable values over src/nanotile: dataclass and NamedTuple init fields
 # plus function parameters with a default
-SETTABLE_VALUES = 219
+SETTABLE_VALUES = 209
+# non-blank lines over src/nanotile outside docstrings and comments
+CODE_LINES = 2320
 
 
 def _name(node: ast.expr) -> str:
@@ -45,6 +49,30 @@ def settable_values(root: Path = SRC) -> int:
     return count
 
 
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(root: Path = SRC) -> int:
+    """Lines that hold a token other than a comment or layout, less the
+    lines of module, class and function docstrings."""
+    count = 0
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        lines = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _LAYOUT:
+                lines.update(range(tok.start[0], tok.end[0] + 1))
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                doc = node.body[0]
+                lines -= set(range(doc.lineno, doc.end_lineno + 1))
+        count += len(lines)
+    return count
+
+
 def test_settable_values_do_not_grow():
     count = settable_values()
     assert count <= SETTABLE_VALUES, (
@@ -73,3 +101,28 @@ def test_the_counter_sees_fields_and_defaults(tmp_path):
         "    return lambda e=3: a\n")
     # A's x, y, z; B's a; f's b and c; the lambda's e
     assert settable_values(tmp_path) == 7
+
+
+def test_code_lines_do_not_grow():
+    count = code_lines()
+    assert count <= CODE_LINES, (
+        f"{count} code lines, pinned at {CODE_LINES}: remove some, "
+        "or raise the pin and say why in CHANGES.md")
+    assert count == CODE_LINES, f"{count} code lines, pinned at {CODE_LINES}: lower the pin"
+
+
+def test_the_line_counter_skips_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "m.py").write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "# a comment\n"
+        "\n"
+        "def f(a):\n"
+        '    """Docstring."""\n'
+        "    s = \"\"\"a string\n"
+        "\n"
+        "    that is code\"\"\"  # trailing comment\n"
+        "    return (a,\n"
+        "            s)\n")
+    # def, the three lines of s, and the two of the return
+    assert code_lines(tmp_path) == 6

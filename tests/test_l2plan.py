@@ -114,8 +114,7 @@ def node_boundary_prefixes(graph):
     row = {spec.name: i for i, spec in enumerate(graph.layers)}
     ends = {0} | {max(row[r.name] for r in node.rows) + 1
                   for node in tiler.node_kernels(graph)}
-    return [net.NetworkGraph(graph.layers[:k], dict(graph.tensors))
-            for k in sorted(ends)]
+    return [net.NetworkGraph(graph.layers[:k]) for k in sorted(ends)]
 
 
 def test_search_equals_exhaustive_oracle(graph, two):
@@ -129,11 +128,8 @@ def test_search_equals_exhaustive_oracle(graph, two):
 
 def test_single_layer_graph_peak():
     # one conv: peak is input + output + weights, no stack interplay
-    spec = net.LayerSpec("conv_1", net.CONV, (net.INPUT_TENSOR,), 1, 4, 3, 3, 1,
-                         8, 8, 8, 8)
+    spec = net.LayerSpec("conv_1", net.CONV, (net.INPUT_TENSOR,), 1, 4, 3, 3, 1, 8, 8)
     g = net.NetworkGraph([spec])
-    g.tensors[net.INPUT_TENSOR] = (1, 8, 8)
-    g.tensors["conv_1"] = (4, 8, 8)
     plan = l2plan.plan_two_stack(g)
     expect = (2 * 64 + 3) // 4 * 4 + 2 * 4 * 64 + (2 * (4 * 9 + 4) + 3) // 4 * 4
     assert plan.peak_bytes == expect
@@ -141,7 +137,6 @@ def test_single_layer_graph_peak():
 
 def test_empty_graph():
     g = net.NetworkGraph([])
-    g.tensors[net.INPUT_TENSOR] = (1, 8, 8)
     plan = l2plan.plan_single_stack(g)
     assert plan.peak_bytes == 0
     assert plan.events == []

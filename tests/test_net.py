@@ -169,16 +169,6 @@ def test_load_image_errors(tmp_path):
             net.load_image(str(p))
 
 
-def test_shape_propagation_fails_loudly():
-    bad = net.LayerSpec("conv_1", net.CONV, (net.INPUT_TENSOR,), 1, 4, 3, 3, 2,
-                        8, 8, 5, 5)                     # should be ceil(8/2) = 4
-    g = net.NetworkGraph([bad])
-    g.tensors[net.INPUT_TENSOR] = (1, 8, 8)
-    g.tensors["conv_1"] = (4, 5, 5)
-    with pytest.raises(ValueError, match="ceil"):
-        net._validate(g)
-
-
 def test_graph_summary(graph):
     text = net.graph_summary(graph)
     assert "conv_9" in text and "fully_2" in text

@@ -167,7 +167,7 @@ def test_pooled_epilogue_accumulates_in_one_pass():
     # feasibility: split input channels would fit from 6088 bytes, one pass
     # needs 31528
     spec = net._conv("conv_p", net.INPUT_TENSOR, 64, 4, 3, 3, 1, 24, 24, fused_pool=True)
-    node = tiler.NodeKernel("conv_p+pool", "conv", (spec,), net.INPUT_TENSOR, spec.name)
+    node = tiler.NodeKernel((spec,))
     for budget in (6088, 31527, 31528, 64 * KB):
         for scheme in (tiler.SPATIAL, tiler.FEATUREWISE):
             want = oracles.feasible_plans(node, budget, scheme)
@@ -216,7 +216,7 @@ def test_spatial_scheme_does_not_apply_to_fc(nodes):
 def test_join_without_following_relu_raises_value_error(graph):
     # cut after add_1: the join is not ReLU-fused and its ReLU row is gone
     cut = [r.name for r in graph.layers].index("add_1") + 1
-    prefix = net.NetworkGraph(graph.layers[:cut], dict(graph.tensors))
+    prefix = net.NetworkGraph(graph.layers[:cut])
     with pytest.raises(ValueError, match="add_1: join without a following ReLU"):
         tiler.node_kernels(prefix)
 
