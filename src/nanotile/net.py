@@ -195,6 +195,11 @@ def _validate(graph: NetworkGraph) -> None:
         if spec.output in seen:
             raise ValueError(f"duplicate producer for {spec.output}")
         seen.add(spec.output)
+        k, h, w = graph.tensors[spec.inputs[0]]
+        reads = (k * h * w, 1, 1) if spec.kind == FC else (k, h, w)   # FC reads it flattened
+        if (spec.k_in, spec.h_in, spec.w_in) != reads:
+            raise ValueError(f"{spec.name}: declares input {(spec.k_in, spec.h_in, spec.w_in)}, "
+                             f"but reads {spec.inputs[0]} as {reads}")
         if spec.kind == ADD:
             a, b = (graph.tensors[t] for t in spec.inputs)
             if a != b:

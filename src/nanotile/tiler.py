@@ -22,11 +22,19 @@ TilePlan.tiles() is the one tile geometry: rows, channel ranges, bytes per
 stream, MACs and worker split of every tile, which the executor replays and
 the transfer accounting sums.  _loads gives the sums the cycle model needs
 in closed form, over ints for one plan or numpy arrays for a search grid.
+
+A candidate's footprint and cycles do not depend on the budget, so
+frontier() scores each node's grids once per calibration and keeps the
+footprints at which the best plan changes; plan_layer looks a budget up
+there.
 """
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -399,11 +407,12 @@ def _grid_axes(node: NodeKernel, scheme: str):
     return None
 
 
-def _grid(node: NodeKernel, scheme: str, l1_budget: int):
+def _grid(node: NodeKernel, scheme: str):
     """One scheme's search grid: the _extents of _grid_axes, still
-    broadcasting, and the feasibility mask over the whole grid.  A point is
-    feasible when its L1 footprint fits the budget; a pooled epilogue also
-    needs a single-pass accumulation (n_ci == 1).  None when the scheme
+    broadcasting, each point's L1 footprint and the pool mask, both over the
+    whole grid.  A point is feasible under a budget when its footprint fits
+    it and the pool mask holds: a pooled epilogue needs a single-pass
+    accumulation (n_ci == 1), whatever the budget.  None when the scheme
     does not apply to the node kind."""
     axes = _grid_axes(node, scheme)
     if axes is None:
@@ -411,18 +420,10 @@ def _grid(node: NodeKernel, scheme: str, l1_budget: int):
     extents = _extents(node, scheme, *axes)
     footprint = sum(np.where(present, size * (1 + double), 0)
                     for _, size, double, present in _buffer_terms(node, scheme, *extents))
-    feasible = footprint <= l1_budget
-    if node.fused_pool:
-        feasible = feasible & (extents[4] == 1)
-    shape = np.broadcast_shapes(*(np.shape(a) for a in axes), feasible.shape)
-    return extents, np.broadcast_to(feasible, shape)
-
-
-def _grid_plans(node: NodeKernel, scheme: str, extents, shape, points) -> list[TilePlan]:
-    """The TilePlans at the given row-major indices of a grid of this shape."""
-    index = np.unravel_index(points, shape)
-    h, ci, co = (np.broadcast_to(a, shape)[index].tolist() for a in extents[:3])
-    return [TilePlan(node, scheme, *point) for point in zip(h, ci, co)]
+    shape = np.broadcast_shapes(*(np.shape(a) for a in axes), np.shape(footprint))
+    poolable = extents[4] == 1 if node.fused_pool else True
+    return (extents, np.broadcast_to(footprint, shape),
+            np.broadcast_to(poolable, shape))
 
 
 def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[TilePlan]:
@@ -431,12 +432,14 @@ def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[Til
     Raises InfeasibleError when even the smallest tile busts the budget (or
     the scheme does not apply to the node kind).
     """
-    grid = _grid(node, scheme, l1_budget)
+    grid = _grid(node, scheme)
     if grid is None:
         raise InfeasibleError(f"{node.name}: the {scheme} scheme does not apply "
                               f"to {node.kind} nodes")
-    extents, feasible = grid
-    plans = _grid_plans(node, scheme, extents, feasible.shape, np.flatnonzero(feasible))
+    extents, footprint, poolable = grid
+    feasible = poolable & (footprint <= l1_budget)
+    h, ci, co = (np.broadcast_to(a, feasible.shape)[feasible].tolist() for a in extents[:3])
+    plans = [TilePlan(node, scheme, *point) for point in zip(h, ci, co)]
     if not plans:
         raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
                               f"({scheme})")
@@ -492,6 +495,66 @@ def _loads(node: NodeKernel, scheme: str, h_tile, ci_tile, co_tile,
     return Loads(work, forks, descriptors)
 
 
+class Step(NamedTuple):
+    """A frontier step: from this footprint up to the next step's, the
+    node's best plan is this one."""
+
+    footprint: int
+    scheme: str
+    h_tile: int
+    ci_tile: int
+    co_tile: int
+    cycles: float
+
+
+def _front(footprint, cycles, n_tiles, h_tile):
+    """Indices of the points at which the best point changes, in ascending
+    footprint.  Best is least (cycles, n_tiles, -h_tile), then least index.
+
+    A point that is best at its footprint has the least cycles of the points
+    that fit there, so only those are ranked.  lexsort is stable, so ties
+    keep the points' order, and the lowest rank leads each run of equal
+    footprints, so each step's footprint is new.
+    """
+    order = np.argsort(footprint, kind="stable")
+    lead = np.sort(order[cycles[order] == np.minimum.accumulate(cycles[order])])
+    n = len(lead)
+    rank = np.empty(n, np.intp)
+    rank[np.lexsort((-h_tile[lead], n_tiles[lead], cycles[lead]))] = np.arange(n)
+    order = np.lexsort((rank, footprint[lead]))
+    best = np.minimum.accumulate(rank[order])
+    return lead[order[np.flatnonzero(np.diff(best, prepend=n))]]
+
+
+@functools.cache
+def frontier(node: NodeKernel, calib) -> tuple[Step, ...]:
+    """Every budget's best plan of a node, as the steps at which it changes.
+
+    A candidate's cycles do not depend on the budget; only the mask
+    footprint <= budget does.  So each scheme's grid is scored once, as
+    numpy arrays (cost.node_cycles of _loads, the formula a TilePlan's
+    cycles use), and reduced to its steps; the two schemes' steps, spatial
+    first, are reduced again to the node's.  Cached per node kernel and
+    calibration, both frozen; the steps are immutable.
+    """
+    from . import cost as cost_mod
+    columns = []
+    for scheme in (SPATIAL, FEATUREWISE):
+        grid = _grid(node, scheme)
+        if grid is None:
+            continue
+        extents, footprint, poolable = grid
+        h, ci, co, n_h, n_ci, n_co = extents
+        cycles = cost_mod.node_cycles(node, _loads(node, scheme, *extents), calib)
+        col = [np.broadcast_to(a, poolable.shape)[poolable]
+               for a in (footprint, cycles, n_h * n_ci * n_co, h, ci, co)]
+        keep = _front(*col[:4])
+        columns.append([np.full(len(keep), scheme)] + [a[keep] for a in col])
+    schemes, footprint, cycles, n_tiles, h, ci, co = (np.concatenate(c) for c in zip(*columns))
+    keep = _front(footprint, cycles, n_tiles, h)
+    return tuple(map(Step, *(a[keep].tolist() for a in (footprint, schemes, h, ci, co, cycles))))
+
+
 def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
                calib=None) -> TilePlan:
     """Min-cost feasible plan, equal to sorting every enumerate_tilings plan
@@ -500,35 +563,23 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
     before feature-wise, then h_tile or co_tile ascending, then ci_tile
     ascending, so among otherwise equal plans the smallest ci_tile wins.
 
-    Each scheme's whole grid is scored at once as numpy arrays (footprint
-    and cycles; DORY, Burrello et al. 2021, casts the same search as a small
-    constrained optimisation).  The cycles are cost.layer_cycles of each
-    candidate, from the same _loads and row formula a TilePlan uses, so the
-    candidates at the array minimum are exactly the exhaustive search's
-    cheapest plans, and only those become TilePlans for the tie-break.
+    The budget is looked up in frontier(node, calib): the plan is the last
+    step whose footprint fits, as a new TilePlan whose est_cycles is
+    cost.plan_cycles.  Below the first step nothing fits, and
+    InfeasibleError names the schemes that apply.  (DORY, Burrello et al.
+    2021, casts the same search as a small constrained optimisation.)
     """
     from . import cost as cost_mod
     calib = calib or cost_mod.DEFAULT_CALIB
-    scored = []
-    for scheme in (SPATIAL, FEATUREWISE):
-        grid = _grid(node, scheme, l1_budget)
-        if grid is None:
-            continue
-        extents, feasible = grid
-        cycles = cost_mod.node_cycles(node, _loads(node, scheme, *extents), calib)
-        scored.append((scheme, extents, feasible.shape,
-                       np.where(feasible, cycles, np.inf).ravel()))
-    best = min((cycles.min() for *_, cycles in scored), default=np.inf)
-    if not np.isfinite(best):
+    steps = frontier(node, calib)
+    i = bisect_right(steps, l1_budget, key=attrgetter("footprint"))
+    if i == 0:
+        schemes = [s for s in (SPATIAL, FEATUREWISE) if _grid_axes(node, s) is not None]
         raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
-                              f"({', '.join(scheme for scheme, *_ in scored)})")
-    candidates = []
-    for scheme, extents, shape, cycles in scored:
-        for plan in _grid_plans(node, scheme, extents, shape, np.flatnonzero(cycles == best)):
-            plan.est_cycles = cost_mod.plan_cycles(plan, calib)
-            candidates.append(plan)
-    return min(candidates, key=lambda p: (p.est_cycles, p.n_tiles, -p.h_tile,
-                                          0 if p.scheme == SPATIAL else 1))
+                              f"({', '.join(schemes)})")
+    plan = TilePlan(node, *steps[i - 1][1:5])
+    plan.est_cycles = cost_mod.plan_cycles(plan, calib)
+    return plan
 
 
 @dataclass

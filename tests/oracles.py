@@ -11,6 +11,7 @@ executor.audit_trace replaces with column reductions.
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -112,21 +113,53 @@ def feasible_plans(node, l1_budget, scheme):
             if p.footprint <= l1_budget and not (node.fused_pool and p.n_ci > 1)]
 
 
+def schemes(node):
+    """The schemes that apply to the node kind."""
+    return ((tiler.FEATUREWISE,) if node.kind == "fc"
+            else (tiler.SPATIAL, tiler.FEATUREWISE))
+
+
+def infeasible_text(node, l1_budget):
+    return f"{node.name}: infeasible under {l1_budget} byte budget ({', '.join(schemes(node))})"
+
+
+def _order(plan):
+    """The planner's order, before the enumeration order."""
+    return (plan.est_cycles, plan.n_tiles, -plan.h_tile,
+            0 if plan.scheme == tiler.SPATIAL else 1)
+
+
 def exhaustive_plan_layer(node, l1_budget, calib=cost.DEFAULT_CALIB):
     """Every feasible_plans plan of the schemes that apply to the node kind,
     scored and stable-sorted by (est_cycles, n_tiles, -h_tile, spatial
     first)."""
-    schemes = ((tiler.FEATUREWISE,) if node.kind == "fc"
-               else (tiler.SPATIAL, tiler.FEATUREWISE))
-    candidates = [p for scheme in schemes for p in feasible_plans(node, l1_budget, scheme)]
+    candidates = [p for scheme in schemes(node) for p in feasible_plans(node, l1_budget, scheme)]
     if not candidates:
-        raise tiler.InfeasibleError(f"{node.name}: infeasible under {l1_budget} "
-                                    f"byte budget ({', '.join(schemes)})")
+        raise tiler.InfeasibleError(infeasible_text(node, l1_budget))
     for p in candidates:
         p.est_cycles = cost.plan_cycles(p, calib)
-    candidates.sort(key=lambda p: (p.est_cycles, p.n_tiles, -p.h_tile,
-                                   0 if p.scheme == tiler.SPATIAL else 1))
+    candidates.sort(key=_order)
     return candidates[0]
+
+
+def loop_frontier(node, calib=cost.DEFAULT_CALIB):
+    """exhaustive_plan_layer at every budget from one scoring: every
+    feasible_plans plan under an unbounded budget, scored once and walked in
+    ascending footprint.  Returns the (footprint, plan) steps at which the
+    best plan so far changes."""
+    plans = [p for scheme in schemes(node) for p in feasible_plans(node, math.inf, scheme)]
+    for p in plans:
+        p.est_cycles = cost.plan_cycles(p, calib)
+    steps = []
+    best = None
+    for i in sorted(range(len(plans)), key=lambda i: plans[i].footprint):
+        key = (*_order(plans[i]), i)
+        if best is None or key < best:
+            best = key
+            if steps and steps[-1][0] == plans[i].footprint:
+                steps.pop()
+            steps.append((plans[i].footprint, plans[i]))
+    return steps
 
 
 def exhaustive_two_stack(graph):

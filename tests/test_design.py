@@ -13,9 +13,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nanotile"
 
 # settable values over src/nanotile: dataclass and NamedTuple init fields
 # plus function parameters with a default
-SETTABLE_VALUES = 209
+SETTABLE_VALUES = 215
 # non-blank lines over src/nanotile outside docstrings and comments
-CODE_LINES = 2320
+CODE_LINES = 2348
 
 
 def _name(node: ast.expr) -> str:

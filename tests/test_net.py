@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,19 @@ def test_bypass_edges_skip_two_conv_main_paths(graph):
         spec = graph.layer(join)
         assert spec.inputs == (main[1], byp)
         assert graph.layer(byp).inputs == graph.layer(main[0]).inputs
+
+
+@pytest.mark.parametrize("row, change", [
+    ("conv_5", {"h_in": 26, "w_in": 26}),   # reads relu_2, 32x25x25; still 13x13 out
+    ("relu_1", {"k_in": 16}),
+    ("add_2", {"h_in": 14}),
+    ("fully_1", {"k_in": 6271}),
+    ("fully_2", {"h_in": 7}),
+])
+def test_declared_input_extents_must_match_the_input(graph, row, change):
+    rows = [dataclasses.replace(r, **change) if r.name == row else r for r in graph.layers]
+    with pytest.raises(ValueError, match=f"^{row}: declares input"):
+        net._validate(net.NetworkGraph(rows))
 
 
 def test_mac_count(graph):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -132,6 +133,56 @@ def test_planner_equals_exhaustive_oracle(graph, budget):
         with pytest.raises(tiler.InfeasibleError) as got:
             tiler.plan_network(graph, budget)
         assert str(got.value) == first_error
+
+
+def test_planner_equals_loop_frontier(nodes):
+    # every step of the oracle's one-scoring walk, and one byte below it
+    for node in nodes.values():
+        want = oracles.loop_frontier(node)
+        steps = tiler.frontier(node, cost.DEFAULT_CALIB)
+        assert [s.footprint for s in steps] == [footprint for footprint, _ in want]
+        assert [s.cycles for s in steps] == [plan.est_cycles for _, plan in want]
+        for k, (footprint, plan) in enumerate(want):
+            assert tiler.plan_layer(node, footprint) == plan, (node.name, footprint)
+            if k:
+                assert tiler.plan_layer(node, footprint - 1) == want[k - 1][1]
+                continue
+            with pytest.raises(tiler.InfeasibleError) as got:
+                tiler.plan_layer(node, footprint - 1)
+            assert str(got.value) == oracles.infeasible_text(node, footprint - 1)
+
+
+def test_frontier_is_cached_per_calibration(graph, nodes):
+    # with the default calibration's frontiers warm, another calibration
+    # plans from its own
+    tiler.plan_network(graph)
+    calib = dataclasses.replace(cost.DEFAULT_CALIB,
+                                dispatch_cycles=10 * cost.DEFAULT_CALIB.dispatch_cycles)
+    moved = 0
+    for budget in ORACLE_BUDGETS:
+        for node in nodes.values():
+            try:
+                want = oracles.exhaustive_plan_layer(node, budget, calib)
+            except tiler.InfeasibleError as e:
+                with pytest.raises(tiler.InfeasibleError) as got:
+                    tiler.plan_layer(node, budget, calib)
+                assert str(got.value) == str(e)
+                continue
+            got = tiler.plan_layer(node, budget, calib)
+            assert got == want, (node.name, budget)
+            default = tiler.plan_layer(node, budget)
+            moved += (got.scheme, got.h_tile, got.ci_tile, got.co_tile) != (
+                default.scheme, default.h_tile, default.ci_tile, default.co_tile)
+    assert moved
+
+
+def test_plans_are_fresh_objects(graph):
+    a, b = tiler.plan_network(graph), tiler.plan_network(graph)
+    assert a.plans == b.plans
+    for p, q in zip(a.plans, b.plans):
+        assert p is not q
+        p.est_cycles = -1.0
+        assert q.est_cycles == cost.plan_cycles(q), q.node.name
 
 
 @pytest.mark.parametrize("entry", PLAN_TABLE, ids=lambda e: f"{e['budget'] // KB}k")
