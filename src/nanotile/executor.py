@@ -201,7 +201,7 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
 
     # frame ingress: the camera path lands the image in L2 over the uDMA
     l2_step(-1, "frame", "alloc")
-    ms.transfer(TAG_L3_L2, 2 * math.prod(net.INPUT_SHAPE), ("L3", "camera"),
+    ms.transfer(TAG_L3_L2, 2 * math.prod(graph.tensors[net.INPUT_TENSOR]), ("L3", "camera"),
                 ("L2", net.INPUT_TENSOR), "frame", stream="frame", overlap=True)
     for i, node in enumerate(life.nodes):
         plan = schedule.plan_for(node.name)
@@ -249,7 +249,7 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                      image: np.ndarray) -> ExecResult:
     """One frame: the compiled schedule's trace, and its arithmetic run
     node by node in the L2 plan's step order."""
-    kernels.check_image(image)
+    kernels.check_image(schedule.graph, image)
     ms = compile_schedule(schedule)
     # activations by tensor name, each its own array, as in infer_untiled
     acts = {net.INPUT_TENSOR: image}
@@ -266,7 +266,7 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
         addend = None if node.addend is None else acts[node.addend]
         acts[node.output] = kernels.conv2d(x, *store[body.name], body.stride, body.fused_relu,
                                            node.fused_pool, plan.h_ranges(), addend)
-    return ExecResult.from_tensors(acts, ms)
+    return ExecResult.from_tensors(schedule.graph, acts, ms)
 
 
 def first_difference(res: ExecResult, ref: kernels.InferResult):

@@ -222,10 +222,11 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def check_image(image: np.ndarray) -> None:
-    """Raise unless the image is the network's int16 input map."""
-    if image.shape != net.INPUT_SHAPE or image.dtype != np.int16:
-        raise ValueError(f"input must be int16 {net.INPUT_SHAPE}")
+def check_image(graph: net.NetworkGraph, image: np.ndarray) -> None:
+    """Raise unless the image is the graph's int16 input map."""
+    shape = graph.tensors[net.INPUT_TENSOR]
+    if image.shape != shape or image.dtype != np.int16:
+        raise ValueError(f"input must be int16 {shape}")
 
 
 @dataclass
@@ -237,10 +238,11 @@ class InferResult:
     tensors: dict[str, np.ndarray]
 
     @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], *more):
-        """The result whose raws are read from the head maps; more fills the
-        fields a subclass adds."""
-        return cls(*(int(tensors[head][0, 0, 0]) for head in ("fully_1", "fully_2")),
+    def from_tensors(cls, graph: net.NetworkGraph, tensors: dict[str, np.ndarray], *more):
+        """The result whose raws are read from the maps of the graph's two
+        outputs, in graph order; more fills the fields a subclass adds."""
+        steering, collision = graph.outputs
+        return cls(int(tensors[steering][0, 0, 0]), int(tensors[collision][0, 0, 0]),
                    tensors, *more)
 
     @property
@@ -257,7 +259,7 @@ class InferResult:
 def infer_untiled(graph: net.NetworkGraph, store: net.WeightStore,
                   image: np.ndarray) -> InferResult:
     """Run the graph in order, every layer's output kept under its name."""
-    check_image(image)
+    check_image(graph, image)
     acts: dict[str, np.ndarray] = {net.INPUT_TENSOR: image}
     for spec in graph.layers:
         src = acts[spec.inputs[0]]
@@ -273,4 +275,4 @@ def infer_untiled(graph: net.NetworkGraph, store: net.WeightStore,
         else:
             raise ValueError(f"unknown layer kind {spec.kind}")
         acts[spec.output] = out
-    return InferResult.from_tensors(acts)
+    return InferResult.from_tensors(graph, acts)

@@ -103,9 +103,8 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
             alloc_step[buf] = i
             last_use[buf] = i
             weights[i] = (weight_buffer(node), _align4(2 * node.body.n_params))
-    n = len(nodes)
-    for head in ("fully_1", "fully_2"):
-        last_use[head] = n                      # results handed over at mission end
+    for tensor in graph.outputs:
+        last_use[alias[tensor]] = len(nodes)    # results handed over at mission end
     return _Lifetimes(nodes, alias, buffers, sizes, alloc_step, last_use,
                       weights, consumes)
 

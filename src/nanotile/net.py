@@ -119,6 +119,8 @@ class NetworkGraph:
     layers: list[LayerSpec]
     # (k, h, w) of every row's output, and of the input as its first reader sees it
     tensors: dict[str, tuple[int, int, int]] = field(init=False)
+    # the tensors that no row reads, in graph order: the network's results
+    outputs: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         self.tensors = {}
@@ -126,6 +128,8 @@ class NetworkGraph:
             if INPUT_TENSOR in spec.inputs:
                 self.tensors.setdefault(INPUT_TENSOR, (spec.k_in, spec.h_in, spec.w_in))
             self.tensors[spec.output] = (spec.k_out, spec.h_out, spec.w_out)
+        read = {t for spec in self.layers for t in spec.inputs}
+        self.outputs = tuple(s.output for s in self.layers if s.output not in read)
 
     def layer(self, name: str) -> LayerSpec:
         for spec in self.layers:
@@ -183,6 +187,9 @@ def build_dronet() -> NetworkGraph:
 
     graph = NetworkGraph(layers)
     _validate(graph)
+    total = mac_count(graph)["conv_total"]
+    if not (40_000_000 <= total <= 42_000_000):
+        raise ValueError(f"conv MAC total {total} drifted out of [40M, 42M]")
     return graph
 
 
@@ -204,9 +211,6 @@ def _validate(graph: NetworkGraph) -> None:
             a, b = (graph.tensors[t] for t in spec.inputs)
             if a != b:
                 raise ValueError(f"{spec.name}: join operands {a} vs {b}")
-    total = sum(l.macs for l in graph.layers if l.kind == CONV)
-    if not (40_000_000 <= total <= 42_000_000):
-        raise ValueError(f"conv MAC total {total} drifted out of [40M, 42M]")
     longest = max(l.k_in * max(l.kh, 1) * max(l.kw, 1) for l in graph.param_layers())
     if longest > fxp.MAX_EXACT_DOT_LEN:
         raise ValueError("dot-product length breaks exact float64 accumulation")

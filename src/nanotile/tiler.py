@@ -111,7 +111,7 @@ class NodeKernel:
 
 
 def node_kernels(graph: net.NetworkGraph) -> list[NodeKernel]:
-    """Group the 18 graph rows into node kernels (13 for DroNet).
+    """Group the graph rows into node kernels (DroNet's 18 rows into 13).
 
     A residual join and the ReLU that follows it ride as epilogue of the
     bypass convolution, the join's second operand; a ReLU that follows
@@ -426,26 +426,6 @@ def _grid(node: NodeKernel, scheme: str):
             np.broadcast_to(poolable, shape))
 
 
-def enumerate_tilings(node: NodeKernel, l1_budget: int, scheme: str) -> list[TilePlan]:
-    """All feasible points of one scheme's grid, in its order.
-
-    Raises InfeasibleError when even the smallest tile busts the budget (or
-    the scheme does not apply to the node kind).
-    """
-    grid = _grid(node, scheme)
-    if grid is None:
-        raise InfeasibleError(f"{node.name}: the {scheme} scheme does not apply "
-                              f"to {node.kind} nodes")
-    extents, footprint, poolable = grid
-    feasible = poolable & (footprint <= l1_budget)
-    h, ci, co = (np.broadcast_to(a, feasible.shape)[feasible].tolist() for a in extents[:3])
-    plans = [TilePlan(node, scheme, *point) for point in zip(h, ci, co)]
-    if not plans:
-        raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
-                              f"({scheme})")
-    return plans
-
-
 def _chunk_sum(total: int, size, f):
     """Sum of f(chunk length) over _chunks(total, size), size an int or array."""
     n = _ceil_div(total, size)
@@ -557,11 +537,11 @@ def frontier(node: NodeKernel, calib) -> tuple[Step, ...]:
 
 def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
                calib=None) -> TilePlan:
-    """Min-cost feasible plan, equal to sorting every enumerate_tilings plan
-    of both schemes by (est_cycles, n_tiles, -h_tile, spatial first) with a
-    stable sort.  Past that key the enumeration order decides: spatial
-    before feature-wise, then h_tile or co_tile ascending, then ci_tile
-    ascending, so among otherwise equal plans the smallest ci_tile wins.
+    """Min-cost feasible plan, equal to sorting every feasible point of both
+    schemes' grids by (est_cycles, n_tiles, -h_tile, spatial first) with a
+    stable sort.  Past that key the grid order decides: spatial before
+    feature-wise, then h_tile or co_tile ascending, then ci_tile ascending,
+    so among otherwise equal plans the smallest ci_tile wins.
 
     The budget is looked up in frontier(node, calib): the plan is the last
     step whose footprint fits, as a new TilePlan whose est_cycles is

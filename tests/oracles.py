@@ -4,18 +4,21 @@ Deliberately structured differently from the engine: convolution is a
 shift-and-add over kernel offsets with int64 einsum (the engine uses
 im2col + float64 GEMM), and the graph walk below is its own loop.  The two
 planners are their exhaustive forms: every tile plan, from the oracle's own
-loops over the tile extents, scored and sorted, and every stack assignment
-simulated.  The trace audit is the event-by-event loop that
-executor.audit_trace replaces with column reductions.
+loops over the tile extents, scored once per node and calibration and
+searched per budget, and every stack assignment simulated.  The trace audit
+is the event-by-event loop that executor.audit_trace replaces with column
+reductions.
 """
 
 import dataclasses
+import functools
 import itertools
-import math
 
 import numpy as np
 
 from nanotile import cost, executor, fxp, l2plan, net, tiler
+
+DRONET = net.build_dronet()
 
 
 def naive_conv_acc(x, w, b, stride):
@@ -50,9 +53,9 @@ def naive_pool2(x):
 
 
 def naive_infer(graph, store, image):
-    """From-scratch fixed-point interpreter; returns (steer_raw, collision_raw)."""
+    """From-scratch fixed-point interpreter; returns every tensor by name,
+    the input included and each FC head as a (1, 1, 1) int16 map."""
     acts = {net.INPUT_TENSOR: image}
-    heads = {}
     for spec in graph.layers:
         x = acts[spec.inputs[0]]
         if spec.kind == net.CONV:
@@ -74,21 +77,34 @@ def naive_infer(graph, store, image):
             acc = int(sum(int(a) * int(c) for a, c in
                           zip(x.ravel().tolist(), w.ravel().tolist())))
             acc += int(b[0]) << fxp.FRAC_BITS
-            heads[spec.name] = max(min(acc >> fxp.FRAC_BITS, fxp.QMAX), fxp.QMIN)
-            continue
+            out = np.full((1, 1, 1), max(min(acc >> fxp.FRAC_BITS, fxp.QMAX), fxp.QMIN),
+                          np.int16)
         acts[spec.output] = out
-    return heads["fully_1"], heads["fully_2"]
+    return acts
 
 
-def random_image(seed):
+def tensor_mismatches(got, want):
+    """Names of the tensors in got, a name -> map dict, that want lacks or
+    whose map differs from want's in dtype, shape or any element.  The tiled
+    engine holds no map for a row it fuses into a node, so got may hold
+    fewer tensors than want."""
+    return [name for name, x in got.items()
+            if name not in want or x.dtype != want[name].dtype
+            or not np.array_equal(x, want[name])]
+
+
+def random_image(seed, graph=DRONET):
+    """A seeded uniform Q4.12 image in [0, 1), shaped as the graph's input."""
     rng = np.random.default_rng(seed ^ 0x5EED)
-    return fxp.quantize_array(rng.uniform(0.0, 1.0, net.INPUT_SHAPE))
+    return fxp.quantize_array(rng.uniform(0.0, 1.0, graph.tensors[net.INPUT_TENSOR]))
 
 
-def feasible_plans(node, l1_budget, scheme):
-    """Every feasible plan of one scheme in the planner's order, from explicit
-    loops over the tile extents and a check per plan: the footprint fits,
-    and a pooled epilogue accumulates in a single input-channel pass."""
+@functools.cache
+def _grid_plans(node, scheme):
+    """Every plan of one scheme that a pooled epilogue allows, in the
+    planner's order, from explicit loops over the tile extents, as a tuple
+    of (footprint, plan): a pooled epilogue accumulates in a single
+    input-channel pass."""
     body = node.body
     extents = []
     if node.kind == "conv" and scheme == tiler.SPATIAL:
@@ -109,8 +125,14 @@ def feasible_plans(node, l1_budget, scheme):
         for ci_tile in range(1, body.k_in + 1):
             extents.append((1, ci_tile, 1))
     plans = (tiler.TilePlan(node, scheme, *e) for e in extents)
-    return [p for p in plans
-            if p.footprint <= l1_budget and not (node.fused_pool and p.n_ci > 1)]
+    return tuple((p.footprint, p) for p in plans if not (node.fused_pool and p.n_ci > 1))
+
+
+def feasible_plans(node, l1_budget, scheme):
+    """Every feasible plan of one scheme in the planner's order: the plans
+    of _grid_plans whose footprint fits.  The plans are built once per node
+    and scheme and shared between calls, so a caller must not change them."""
+    return [p for footprint, p in _grid_plans(node, scheme) if footprint <= l1_budget]
 
 
 def schemes(node):
@@ -123,43 +145,49 @@ def infeasible_text(node, l1_budget):
     return f"{node.name}: infeasible under {l1_budget} byte budget ({', '.join(schemes(node))})"
 
 
-def _order(plan):
+@functools.cache
+def _scored(node, calib):
+    """Every feasible_plans plan of the schemes that apply to the node kind,
+    under an unbounded budget, scored once with cost.plan_cycles: a tuple of
+    (footprint, cycles, plan) in the schemes' order.  The shared plans keep
+    est_cycles None; the callers hand out scored copies."""
+    return tuple((footprint, cost.plan_cycles(p, calib), p)
+                 for scheme in schemes(node) for footprint, p in _grid_plans(node, scheme))
+
+
+def _order(cycles, plan):
     """The planner's order, before the enumeration order."""
-    return (plan.est_cycles, plan.n_tiles, -plan.h_tile,
-            0 if plan.scheme == tiler.SPATIAL else 1)
+    return cycles, plan.n_tiles, -plan.h_tile, 0 if plan.scheme == tiler.SPATIAL else 1
 
 
 def exhaustive_plan_layer(node, l1_budget, calib=cost.DEFAULT_CALIB):
-    """Every feasible_plans plan of the schemes that apply to the node kind,
-    scored and stable-sorted by (est_cycles, n_tiles, -h_tile, spatial
-    first)."""
-    candidates = [p for scheme in schemes(node) for p in feasible_plans(node, l1_budget, scheme)]
-    if not candidates:
+    """The first of the scored plans whose footprint fits the budget under
+    (est_cycles, n_tiles, -h_tile, spatial first), as a fresh copy."""
+    fits = [(cycles, p) for footprint, cycles, p in _scored(node, calib)
+            if footprint <= l1_budget]
+    if not fits:
         raise tiler.InfeasibleError(infeasible_text(node, l1_budget))
-    for p in candidates:
-        p.est_cycles = cost.plan_cycles(p, calib)
-    candidates.sort(key=_order)
-    return candidates[0]
+    cycles, plan = min(fits, key=lambda fit: _order(*fit))
+    return dataclasses.replace(plan, est_cycles=cycles)
 
 
 def loop_frontier(node, calib=cost.DEFAULT_CALIB):
-    """exhaustive_plan_layer at every budget from one scoring: every
-    feasible_plans plan under an unbounded budget, scored once and walked in
-    ascending footprint.  Returns the (footprint, plan) steps at which the
-    best plan so far changes."""
-    plans = [p for scheme in schemes(node) for p in feasible_plans(node, math.inf, scheme)]
-    for p in plans:
-        p.est_cycles = cost.plan_cycles(p, calib)
+    """exhaustive_plan_layer at every budget from one scoring: the scored
+    plans walked in ascending footprint.  Returns the (footprint, plan)
+    steps at which the best plan so far changes, each plan a scored copy."""
+    scored = _scored(node, calib)
     steps = []
     best = None
-    for i in sorted(range(len(plans)), key=lambda i: plans[i].footprint):
-        key = (*_order(plans[i]), i)
+    for i in sorted(range(len(scored)), key=lambda i: scored[i][0]):
+        footprint, cycles, plan = scored[i]
+        key = (*_order(cycles, plan), i)
         if best is None or key < best:
             best = key
-            if steps and steps[-1][0] == plans[i].footprint:
+            if steps and steps[-1][0] == footprint:
                 steps.pop()
-            steps.append((plans[i].footprint, plans[i]))
-    return steps
+            steps.append((footprint, cycles, plan))
+    return [(footprint, dataclasses.replace(plan, est_cycles=cycles))
+            for footprint, cycles, plan in steps]
 
 
 def exhaustive_two_stack(graph):

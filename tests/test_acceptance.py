@@ -48,8 +48,7 @@ def bitexact_runs(graph):
         ref = kernels.infer_untiled(graph, store, image)
         for budget, sched in schedules.items():
             res = executor.execute_schedule(sched, store, image)
-            if (res.raw_steering, res.raw_collision) != \
-                    (ref.raw_steering, ref.raw_collision):
+            if oracles.tensor_mismatches(res.tensors, ref.tensors):
                 mismatches.append((seed, budget))
             if seed == 0:
                 audits[budget] = executor.audit_trace(res.trace, res.memsim)
@@ -92,8 +91,9 @@ def test_criterion_3_bit_exactness(graph, bitexact_runs):
         image = oracles.random_image(seed)
         ref = kernels.infer_untiled(graph, store, image)
         naive = oracles.naive_infer(graph, store, image)
-        if (ref.raw_steering, ref.raw_collision) != naive:
-            failures.append(f"naive oracle mismatch at seed {seed}")
+        differ = oracles.tensor_mismatches(ref.tensors, naive)
+        if differ or ref.tensors.keys() != naive.keys():
+            failures.append(f"naive oracle mismatch at seed {seed} on {differ}")
     _report(3, f"bit-exactness ({N_SEEDS} seeds x {len(BUDGETS)} budgets, "
                f"{N_NAIVE_SEEDS} naive seeds)", failures)
 
@@ -112,11 +112,7 @@ def test_criterion_4_budget_safety(graph, bitexact_runs):
         chosen = tiler.plan_layer(node, 60 * KB)
         best = None
         for scheme in (tiler.SPATIAL, tiler.FEATUREWISE):
-            try:
-                plans = tiler.enumerate_tilings(node, 60 * KB, scheme)
-            except tiler.InfeasibleError:
-                continue
-            for p in plans:
+            for p in oracles.feasible_plans(node, 60 * KB, scheme):
                 c = cost.plan_cycles(p, cost.DEFAULT_CALIB)
                 best = c if best is None else min(best, c)
         if not (chosen.est_cycles == pytest.approx(best)):

@@ -72,6 +72,39 @@ def test_mac_count(graph):
     assert macs["per_layer"]["conv_9"] == 7_225_344
 
 
+def test_outputs_are_the_tensors_no_row_reads(graph):
+    assert graph.outputs == ("fully_1", "fully_2")
+    cut = [r.name for r in graph.layers].index("add_1") + 1
+    assert net.NetworkGraph(graph.layers[:cut]).outputs == ("add_1",)
+
+
+@pytest.mark.parametrize("k", [3, 7])
+def test_build_dronet_raises_on_a_mac_total_outside_the_band(monkeypatch, k):
+    # a 3x3 or a 7x7 stem keeps every shape and moves the conv MAC total
+    # from 41.1M to 36.0M or 48.8M
+    conv = net._conv
+
+    def stem(name, *args, **kwargs):
+        spec = conv(name, *args, **kwargs)
+        return dataclasses.replace(spec, kh=k, kw=k) if name == "conv_1" else spec
+
+    monkeypatch.setattr(net, "_conv", stem)
+    with pytest.raises(ValueError, match=r"^conv MAC total \d+ drifted out of \[40M, 42M\]$"):
+        net.build_dronet()
+
+
+def test_validate_accepts_a_graph_outside_dronets_mac_band():
+    # DroNet's stem, its ReLU and two heads: 8M conv MACs
+    stem = net._conv("conv_1", net.INPUT_TENSOR, 1, 32, 5, 5, 2, 200, 200, fused_pool=True)
+    relu = net.LayerSpec("relu_1", net.RELU, ("conv_1",), k_in=32, k_out=32, h_in=50, w_in=50)
+    heads = [net.LayerSpec(name, net.FC, ("relu_1",), k_in=32 * 50 * 50, k_out=1, kh=1, kw=1,
+                           h_in=1, w_in=1) for name in ("steer", "collide")]
+    graph = net.NetworkGraph([stem, relu, *heads])
+    net._validate(graph)
+    assert net.mac_count(graph)["conv_total"] == 8_000_000
+    assert graph.outputs == ("steer", "collide")
+
+
 def test_param_count(graph):
     params = net.param_count(graph)
     assert params["per_layer"]["conv_1"] == 32 * 25 + 32

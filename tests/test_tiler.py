@@ -51,7 +51,7 @@ def test_node_grouping(graph, nodes):
 
 
 def test_conv9_untiled_in_h_feasible_at_64k(nodes):
-    plans = tiler.enumerate_tilings(nodes["conv_9"], 64 * 1024, tiler.FEATUREWISE)
+    plans = oracles.feasible_plans(nodes["conv_9"], 64 * 1024, tiler.FEATUREWISE)
     assert plans and all(p.n_h == 1 for p in plans)
     assert all(p.footprint <= 64 * 1024 for p in plans)
     assert any(p.n_co > 1 for p in plans)       # weights stream in channel chunks
@@ -59,16 +59,14 @@ def test_conv9_untiled_in_h_feasible_at_64k(nodes):
 
 def test_conv1_must_tile_h(nodes):
     # the full 200x200 input map alone is 80 KB, over any 64 KB budget
-    with pytest.raises(tiler.InfeasibleError):
-        tiler.enumerate_tilings(nodes["conv_1+pool"], 64 * 1024, tiler.FEATUREWISE)
-    plans = tiler.enumerate_tilings(nodes["conv_1+pool"], 64 * 1024, tiler.SPATIAL)
+    assert not oracles.feasible_plans(nodes["conv_1+pool"], 64 * 1024, tiler.FEATUREWISE)
+    plans = oracles.feasible_plans(nodes["conv_1+pool"], 64 * 1024, tiler.SPATIAL)
     assert all(p.n_h > 1 for p in plans)
 
 
 def test_tiny_budget_infeasible(nodes):
+    assert not oracles.feasible_plans(nodes["conv_1+pool"], 1024, tiler.SPATIAL)
     with pytest.raises(tiler.InfeasibleError, match="infeasible"):
-        tiler.enumerate_tilings(nodes["conv_1+pool"], 1024, tiler.SPATIAL)
-    with pytest.raises(tiler.InfeasibleError):
         tiler.plan_layer(nodes["conv_1+pool"], 1024)
 
 
@@ -102,12 +100,9 @@ def test_planner_equals_enumeration_minimum(nodes):
         chosen = tiler.plan_layer(node, 60 * 1024)
         best = None
         for scheme in (tiler.SPATIAL, tiler.FEATUREWISE):
-            try:
-                for p in tiler.enumerate_tilings(node, 60 * 1024, scheme):
-                    c = cost.plan_cycles(p, cost.DEFAULT_CALIB)
-                    best = c if best is None else min(best, c)
-            except tiler.InfeasibleError:
-                pass
+            for p in oracles.feasible_plans(node, 60 * 1024, scheme):
+                c = cost.plan_cycles(p, cost.DEFAULT_CALIB)
+                best = c if best is None else min(best, c)
         assert chosen.est_cycles == pytest.approx(best)
 
 
@@ -223,13 +218,6 @@ def test_pooled_epilogue_accumulates_in_one_pass():
         for scheme in (tiler.SPATIAL, tiler.FEATUREWISE):
             want = oracles.feasible_plans(node, budget, scheme)
             assert all(p.n_ci == 1 for p in want)
-            if not want:
-                with pytest.raises(tiler.InfeasibleError):
-                    tiler.enumerate_tilings(node, budget, scheme)
-                continue
-            got = tiler.enumerate_tilings(node, budget, scheme)
-            assert all(p.n_ci == 1 for p in got)
-            assert got == want
         try:
             want = oracles.exhaustive_plan_layer(node, budget)
         except tiler.InfeasibleError as e:
@@ -237,7 +225,9 @@ def test_pooled_epilogue_accumulates_in_one_pass():
                 tiler.plan_layer(node, budget)
             assert str(got.value) == str(e)
             continue
-        assert tiler.plan_layer(node, budget) == want
+        got = tiler.plan_layer(node, budget)
+        assert got.n_ci == 1
+        assert got == want
 
 
 def test_network_feasibility_edges(graph):
@@ -255,13 +245,6 @@ def test_fc_head_infeasible_below_24_bytes(nodes):
     assert str(got.value) == "fully_1: infeasible under 23 byte budget (feature-wise)"
     plan = tiler.plan_layer(nodes["fully_1"], 24)
     assert plan.footprint == 24 and plan.ci_tile == 1
-
-
-def test_spatial_scheme_does_not_apply_to_fc(nodes):
-    for budget in (23, 60 * KB):
-        with pytest.raises(tiler.InfeasibleError) as got:
-            tiler.enumerate_tilings(nodes["fully_1"], budget, tiler.SPATIAL)
-        assert str(got.value) == "fully_1: the spatial scheme does not apply to fc nodes"
 
 
 def test_join_without_following_relu_raises_value_error(graph):
