@@ -27,19 +27,18 @@ BRAKE_DISTANCE_M = 0.7       # at the 4 m/s reference approach speed
 REFERENCE_SPEED = 4.0
 DEFAULT_DECEL = REFERENCE_SPEED ** 2 / (2 * BRAKE_DISTANCE_M)   # 11.43 m/s^2
 MIN_STOP_TIME_S = 0.4
+RAMP_S = 0.5                 # ramp_trace's confidence ramp
 # simulate_reaction keeps one history entry per frame up to the collision
 MAX_FRAMES = 10 ** 6
 
 _TRACE_CSV = Path(__file__).parent / "data" / "reaction_trace.csv"
 
 
-def filter_step(p_prev: float, c_k: float, alpha: float = ALPHA) -> float:
+def filter_step(p_prev: float, c_k: float) -> float:
     """One low-pass update: exact convex combination of state and sample."""
     if not (0.0 <= p_prev <= 1.0 and 0.0 <= c_k <= 1.0):
         raise ValueError(f"probabilities out of [0,1]: p={p_prev}, c={c_k}")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha out of (0,1]: {alpha}")
-    return (1.0 - alpha) * p_prev + alpha * c_k
+    return (1.0 - ALPHA) * p_prev + ALPHA * c_k
 
 
 def stop_decision(p_k: float) -> bool:
@@ -57,11 +56,11 @@ def yaw_command(theta_filtered: float, gain: float = 1.0) -> float:
     return gain * theta_filtered
 
 
-def braking_envelope(v: float, decel: float = DEFAULT_DECEL) -> tuple[float, float]:
-    """Constant-deceleration stop: (time, distance)."""
-    if v < 0 or decel <= 0:
-        raise ValueError("speed must be >= 0 and deceleration > 0")
-    return v / decel, v * v / (2.0 * decel)
+def braking_envelope(v: float) -> tuple[float, float]:
+    """Constant-deceleration stop at DEFAULT_DECEL: (time, distance)."""
+    if v < 0:
+        raise ValueError("speed must be >= 0")
+    return v / DEFAULT_DECEL, v * v / (2.0 * DEFAULT_DECEL)
 
 
 def stopping_distance(v: float) -> float:
@@ -101,16 +100,15 @@ def step_trace(t_appear: float, horizon: float = 20.0) -> CollisionTrace:
     return CollisionTrace([0.0, t_appear, horizon], [0.0, 1.0, 1.0])
 
 
-def ramp_trace(t_appear: float, ramp_s: float = 0.5,
-               horizon: float = 20.0) -> CollisionTrace:
-    """Detector confidence ramping linearly to 1 over ramp_s after
+def ramp_trace(t_appear: float, horizon: float = 20.0) -> CollisionTrace:
+    """Detector confidence ramping linearly to 1 over RAMP_S after
     appearance, sampled every millisecond."""
     dt = 1e-3
     times, values = [0.0], [0.0]
-    n = int(round(ramp_s / dt))
+    n = int(round(RAMP_S / dt))
     for i in range(1, n + 1):
         times.append(t_appear + i * dt)
-        values.append(min(1.0, i * dt / ramp_s))
+        values.append(min(1.0, i * dt / RAMP_S))
     times.append(horizon)
     values.append(1.0)
     return CollisionTrace(times, values)
@@ -179,8 +177,11 @@ class ReactionOutcome:
     stop_cmd_time: float | None
     distance_remaining: float      # to the obstacle when the stop command fires
     stop_distance: float           # conservative braking envelope
-    stopped_before_obstacle: bool
     p_history: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def stopped_before_obstacle(self) -> bool:
+        return self.stop_cmd_time is not None and self.distance_remaining >= self.stop_distance
 
     @property
     def margin(self) -> float:
@@ -211,11 +212,10 @@ def simulate_reaction(scenario: ReactionScenario,
             break
         k += 1
     if stop_cmd is None:
-        return ReactionOutcome(None, 0.0, d_stop, False, history)
+        return ReactionOutcome(None, 0.0, d_stop, history)
     travelled = scenario.v * (stop_cmd - scenario.t_appear)
     remaining = scenario.distance_free - travelled
-    return ReactionOutcome(stop_cmd, remaining, d_stop, remaining >= d_stop,
-                           history)
+    return ReactionOutcome(stop_cmd, remaining, d_stop, history)
 
 
 def step_stop_time(t_appear: float, fps: float, inference_s: float) -> float:

@@ -2,10 +2,11 @@
 
 The executor replays a TileSchedule and nothing else.  Memory traffic does
 not depend on the data, so compile_schedule replays it once per schedule
-and caches the frozen trace on it.  L2 buffers, weights included, come and
-go by replaying the attached two-stack allocation plan: at each step the
-step's allocations land, the layer's weights are staged from L3, the node
-runs, and the step's releases follow.  Each node then replays
+and L2 plan, and caches the frozen trace on the schedule for as long as
+that plan stays attached.  L2 buffers, weights included, come and go by
+replaying the attached allocation plan (two-stack by default): at each
+step the step's allocations land, the layer's weights are staged from L3,
+the node runs, and the step's releases follow.  Each node then replays
 TilePlan.tiles() in order through simulated L1 with logged DMA transfers:
 every byte count, MAC count, row and channel range, stripe padding and
 worker split comes from those tile records.  L1 capacity is the schedule's
@@ -24,9 +25,10 @@ cost.  Host accumulators are float64, exact by the dot-length bound, while
 the budget charges the 4-byte accumulator the target hardware would hold.
 An elementwise (ReLU) node writes a fresh array, so ExecResult.tensors
 holds every tensor's own map, although the L2 plan runs it in place.
-compile_schedule also encodes the frozen trace as integer-coded columns
-(TraceLog.columns), and audit_trace replays those columns on every frame
-with numpy reductions, so no frame walks the events one by one.
+A TraceLog is frozen when it is built, and encodes its events as
+integer-coded columns then (TraceLog.columns); audit_trace replays those
+columns on every frame with numpy reductions, so no frame walks the events
+one by one.
 """
 
 from __future__ import annotations
@@ -94,19 +96,12 @@ def _encode_trace(events) -> TraceColumns:
 
 
 class TraceLog:
-    def __init__(self):
-        self.events: list[Event] = []      # a tuple once compile_schedule ends
-        self._columns: tuple | None = None  # (events, their columns) for a frozen trace
+    """A frozen event trace: the events as a tuple, and their columns,
+    encoded once, here.  An edited trace is a new TraceLog."""
 
-    def columns(self) -> TraceColumns:
-        """The events as columns.  A frozen (tuple) trace is encoded once and
-        cached; a list is encoded on every call, so appending to it or
-        editing it never leaves stale columns."""
-        if not isinstance(self.events, tuple):
-            return _encode_trace(self.events)
-        if self._columns is None or self._columns[0] is not self.events:
-            self._columns = (self.events, _encode_trace(self.events))
-        return self._columns[1]
+    def __init__(self, events):
+        self.events: tuple[Event, ...] = tuple(events)
+        self.columns = _encode_trace(self.events)
 
     def to_csv(self) -> str:
         lines = ["kind,region,node,tile,name,bytes,macs,workers,overlap"]
@@ -118,14 +113,16 @@ class TraceLog:
 
 
 class MemSim:
-    """Capacity-checked allocation maps for the three memory levels."""
+    """Capacity-checked allocation maps for the three memory levels, and the
+    events they log, which compile_schedule freezes into its trace."""
 
     def __init__(self, l1_bytes: int):
         self.capacity = {"L1": l1_bytes, "L2": l2plan.L2_BYTES, "L3": None}
         self.live: dict[tuple[str, str], int] = {}
         self.used = {"L1": 0, "L2": 0, "L3": 0}
         self.peak = {"L1": 0, "L2": 0, "L3": 0}
-        self.trace = TraceLog()
+        self.events: list[Event] = []
+        self.trace: TraceLog | None = None     # set by compile_schedule
 
     def alloc(self, region: str, name: str, nbytes: int, node: str = ""):
         key = (region, name)
@@ -138,7 +135,7 @@ class MemSim:
         self.live[key] = nbytes
         self.used[region] += nbytes
         self.peak[region] = max(self.peak[region], self.used[region])
-        self.trace.events.append(Event("alloc", region, node, -1, name, nbytes))
+        self.events.append(Event("alloc", region, node, -1, name, nbytes))
 
     def free(self, region: str, name: str, node: str = ""):
         key = (region, name)
@@ -146,7 +143,7 @@ class MemSim:
             raise MemSimError(f"free of dead buffer {region}:{name}")
         nbytes = self.live.pop(key)
         self.used[region] -= nbytes
-        self.trace.events.append(Event("free", region, node, -1, name, nbytes))
+        self.events.append(Event("free", region, node, -1, name, nbytes))
 
     def transfer(self, tag: str, nbytes: int, src: tuple[str, str],
                  dst: tuple[str, str], node: str = "", tile: int = -1,
@@ -154,12 +151,10 @@ class MemSim:
         for region, name in (src, dst):
             if region != "L3" and (region, name) not in self.live:
                 raise MemSimError(f"touch of dead buffer {region}:{name}")
-        self.trace.events.append(Event("xfer", tag, node, tile, stream, nbytes,
-                                       overlap=overlap))
+        self.events.append(Event("xfer", tag, node, tile, stream, nbytes, overlap=overlap))
 
     def compute(self, node: str, tile: int, macs: int, workers):
-        self.trace.events.append(Event("compute", "", node, tile, "", 0, macs,
-                                       tuple(workers)))
+        self.events.append(Event("compute", "", node, tile, "", 0, macs, tuple(workers)))
 
 
 @dataclass
@@ -175,16 +170,18 @@ class ExecResult(kernels.InferResult):
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     """Check every plan's tiles (check_tiles raises ValueError), replay the
-    memory traffic through one MemSim, freeze its trace, encode its columns
-    and cache it on the schedule.  An allocation that breaks a budget raises
-    MemSimError; a failed check or replay caches nothing."""
-    if schedule._memsim is not None:
-        return schedule._memsim
-    for plan in schedule.plans:
-        check_tiles(plan)
+    memory traffic through one MemSim under the attached L2 plan (a
+    two-stack plan is attached when none is), freeze its trace and cache
+    it on the schedule.  The cache serves while that L2 plan stays
+    attached; another one is replayed afresh.  An allocation that breaks a
+    budget raises MemSimError; a failed check or replay caches nothing."""
     graph = schedule.graph
     if schedule.l2 is None:
         schedule.l2 = l2plan.plan_two_stack(graph)
+    if schedule._compiled is not None and schedule._compiled[0] is schedule.l2:
+        return schedule._compiled[1]
+    for plan in schedule.plans:
+        check_tiles(plan)
     ms = MemSim(schedule.l1_budget)
     life = l2plan._lifetimes(graph)
     l2_events: dict[tuple[int, str], list[l2plan.AllocEvent]] = {}
@@ -239,9 +236,8 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
             ms.free("L1", f"{node.name}:{bname}", node.name)
         l2_step(i, node.name, "free")
     l2_step(len(life.nodes), "end", "free")
-    ms.trace.events = tuple(ms.trace.events)
-    ms.trace.columns()
-    schedule._memsim = ms
+    ms.trace = TraceLog(ms.events)
+    schedule._compiled = (schedule.l2, ms)
     return ms
 
 
@@ -249,7 +245,7 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                      image: np.ndarray) -> ExecResult:
     """One frame: the compiled schedule's trace, and its arithmetic run
     node by node in the L2 plan's step order."""
-    kernels.check_image(schedule.graph, image)
+    kernels.check_frame(schedule.graph, image)
     ms = compile_schedule(schedule)
     # activations by tensor name, each its own array, as in infer_untiled
     acts = {net.INPUT_TENSOR: image}
@@ -283,8 +279,11 @@ def first_difference(res: ExecResult, ref: kernels.InferResult):
 
 
 def _check_tile(node: tiler.NodeKernel, t: tiler.Tile) -> None:
-    """Raise unless the tile's ranges lie inside the node's tensors: numpy
-    slicing would silently clip a range that runs past them."""
+    """Raise unless the tile's ranges lie inside the node's tensors and its
+    padding within the kernel's reach.  No tile range reaches the
+    arithmetic, which runs over the plan's row ranges, so a range past a
+    tensor would not fail a frame: it would log DMA bytes and MACs in the
+    trace that no tensor holds."""
     body = node.body
     r0, r1, pad_above, pad_below = t.in_rows
     for what, (lo, hi), n in (("ci", t.ci, body.k_in), ("co", t.co, body.k_out),
@@ -354,9 +353,7 @@ def check_tiles(plan: tiler.TilePlan) -> None:
 class AuditReport:
     peak_l1: int
     peak_l2: int
-    stream_bytes: dict[str, int]                    # by stream, all tags
-    tag_bytes: dict[str, int]                       # by transfer tag
-    tag_stream_bytes: dict[tuple[str, str], int]    # by (tag, stream)
+    tag_stream_bytes: dict[tuple[str, str], int]    # by (tag, stream), first appearance first
     node_stream: dict[tuple[str, str], tuple[int, int]]  # L2<->L1 (count, bytes)
     n_events: int
     violations: list[str] = field(default_factory=list)
@@ -364,6 +361,15 @@ class AuditReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    @property
+    def tag_bytes(self) -> dict[str, int]:
+        """Bytes by transfer tag, in order of first appearance: a tag's
+        first (tag, stream) pair is its first event."""
+        totals: dict[str, int] = {}
+        for (tag, _), nbytes in self.tag_stream_bytes.items():
+            totals[tag] = totals.get(tag, 0) + nbytes
+        return totals
 
 
 def _code(vocab: tuple, value) -> int:
@@ -397,7 +403,7 @@ def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
     differ from them is a violation.  Each region's peak is the largest
     running sum of its allocs and frees, in event order.  An alloc or free
     outside L1, L2 and L3 raises ValueError."""
-    c = trace.columns()
+    c = trace.columns
     alloc, free, xfer = (_code(c.kinds, k) for k in ("alloc", "free", "xfer"))
     n_names = np.int64(max(len(c.names), 1))   # pair keys, code * n_names + code, in int64
 
@@ -444,12 +450,6 @@ def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
     keys, _, sums = _totals(tag * n_names + name, nbytes)
     tag_stream = {(c.regions[k // n_names], c.names[k % n_names]): b
                   for k, b in zip(keys, sums)}
-    # a stream's or a tag's first (tag, stream) pair is its first event, so
-    # summing the pairs in order keeps first-appearance order
-    stream_bytes, tag_bytes = {}, {}
-    for (t, s), b in tag_stream.items():
-        stream_bytes[s] = stream_bytes.get(s, 0) + b
-        tag_bytes[t] = tag_bytes.get(t, 0) + b
     l2l1 = (tag == _code(c.regions, TAG_L2_L1)) | (tag == _code(c.regions, TAG_L1_L2))
     keys, counts, sums = _totals(c.node[x][l2l1] * n_names + name[l2l1], nbytes[l2l1])
     node_stream = {(c.nodes[k // n_names], c.names[k % n_names]): (n, b)
@@ -459,5 +459,5 @@ def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
             if peak[region] != memsim.peak[region]:
                 violations.append(f"{region} peak mismatch: replay {peak[region]} "
                                   f"vs memsim {memsim.peak[region]}")
-    return AuditReport(peak["L1"], peak["L2"], stream_bytes, tag_bytes,
-                       tag_stream, node_stream, len(trace.events), violations)
+    return AuditReport(peak["L1"], peak["L2"], tag_stream, node_stream, len(trace.events),
+                       violations)

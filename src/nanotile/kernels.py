@@ -222,8 +222,12 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def check_image(graph: net.NetworkGraph, image: np.ndarray) -> None:
-    """Raise unless the image is the graph's int16 input map."""
+def check_frame(graph: net.NetworkGraph, image: np.ndarray) -> None:
+    """Raise unless the graph has the two heads a result reads, steering
+    then collision, each one value, and the image is its int16 input map."""
+    if [graph.tensors[t] for t in graph.outputs] != [(1, 1, 1)] * 2:
+        raise ValueError(f"graph outputs {graph.outputs}: a frame needs two heads, "
+                         "steering and collision, of one value each")
     shape = graph.tensors[net.INPUT_TENSOR]
     if image.shape != shape or image.dtype != np.int16:
         raise ValueError(f"input must be int16 {shape}")
@@ -259,7 +263,7 @@ class InferResult:
 def infer_untiled(graph: net.NetworkGraph, store: net.WeightStore,
                   image: np.ndarray) -> InferResult:
     """Run the graph in order, every layer's output kept under its name."""
-    check_image(graph, image)
+    check_frame(graph, image)
     acts: dict[str, np.ndarray] = {net.INPUT_TENSOR: image}
     for spec in graph.layers:
         src = acts[spec.inputs[0]]

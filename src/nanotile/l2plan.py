@@ -41,12 +41,15 @@ class AllocEvent:
 
 @dataclass
 class L2AllocPlan:
-    n_stacks: int
     events: list[AllocEvent]
     step_names: list[str]
     assignment: dict[str, int]          # activation buffer -> stack
     peak_bytes: int
     stack_peaks: tuple[int, ...]
+
+    @property
+    def n_stacks(self) -> int:
+        return len(self.stack_peaks)
 
     @property
     def headroom(self) -> int:
@@ -190,7 +193,7 @@ def _simulate(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int,
 def _recorded_plan(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int) -> L2AllocPlan:
     """The plan of one stack assignment: its simulated events and peaks."""
     peak, peaks, events = _simulate(life, stack_of, n_stacks, record=True)
-    return L2AllocPlan(n_stacks, events, [n.name for n in life.nodes] + ["end"],
+    return L2AllocPlan(events, [n.name for n in life.nodes] + ["end"],
                        stack_of, peak, peaks)
 
 

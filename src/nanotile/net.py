@@ -287,7 +287,7 @@ def save_weights(store: WeightStore, graph: NetworkGraph, path: str) -> None:
         f.write(buf.getvalue())
 
 
-def load_weights(path: str, graph: NetworkGraph | None = None) -> WeightStore:
+def load_weights(path: str, graph: NetworkGraph) -> WeightStore:
     with open(path, "rb") as f:
         data = f.read()
     view = memoryview(data)
@@ -320,21 +320,19 @@ def load_weights(path: str, graph: NetworkGraph | None = None) -> WeightStore:
     if offset != len(data):
         raise ShapeMismatchError(f"{len(data) - offset} trailing bytes after "
                                  f"the last of {n_layers} records")
-    if graph is not None:
-        params = graph.param_layers()
-        if len(params) != len(records):
-            raise ShapeMismatchError(f"{len(records)} records for {len(params)} layers")
-        tensors = {}
-        for spec, rec in zip(params, records):
-            kind_code, k_in, k_out, kh, kw, stride, w, b = rec
-            expect = (_KIND_CODES[spec.kind], spec.k_in, spec.k_out,
-                      spec.kh, spec.kw, spec.stride)
-            if (kind_code, k_in, k_out, kh, kw, stride) != expect:
-                raise ShapeMismatchError(f"{spec.name}: file record {rec[:6]} does "
-                                         f"not match graph {expect}")
-            tensors[spec.name] = (w, b)
-        return WeightStore(tensors)
-    return WeightStore({f"layer_{i}": (r[6], r[7]) for i, r in enumerate(records)})
+    params = graph.param_layers()
+    if len(params) != len(records):
+        raise ShapeMismatchError(f"{len(records)} records for {len(params)} layers")
+    tensors = {}
+    for spec, rec in zip(params, records):
+        kind_code, k_in, k_out, kh, kw, stride, w, b = rec
+        expect = (_KIND_CODES[spec.kind], spec.k_in, spec.k_out,
+                  spec.kh, spec.kw, spec.stride)
+        if (kind_code, k_in, k_out, kh, kw, stride) != expect:
+            raise ShapeMismatchError(f"{spec.name}: file record {rec[:6]} does "
+                                     f"not match graph {expect}")
+        tensors[spec.name] = (w, b)
+    return WeightStore(tensors)
 
 
 def load_image(path: str) -> np.ndarray:

@@ -544,22 +544,19 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
     so among otherwise equal plans the smallest ci_tile wins.
 
     The budget is looked up in frontier(node, calib): the plan is the last
-    step whose footprint fits, as a new TilePlan whose est_cycles is
-    cost.plan_cycles.  Below the first step nothing fits, and
-    InfeasibleError names the schemes that apply.  (DORY, Burrello et al.
-    2021, casts the same search as a small constrained optimisation.)
+    step whose footprint fits, as a new TilePlan whose est_cycles is the
+    step's cycles.  Below the first step nothing fits, and InfeasibleError
+    names the schemes that apply.  (DORY, Burrello et al. 2021, casts the
+    same search as a small constrained optimisation.)
     """
     from . import cost as cost_mod
-    calib = calib or cost_mod.DEFAULT_CALIB
-    steps = frontier(node, calib)
+    steps = frontier(node, calib or cost_mod.DEFAULT_CALIB)
     i = bisect_right(steps, l1_budget, key=attrgetter("footprint"))
     if i == 0:
         schemes = [s for s in (SPATIAL, FEATUREWISE) if _grid_axes(node, s) is not None]
         raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
                               f"({', '.join(schemes)})")
-    plan = TilePlan(node, *steps[i - 1][1:5])
-    plan.est_cycles = cost_mod.plan_cycles(plan, calib)
-    return plan
+    return TilePlan(node, *steps[i - 1][1:])
 
 
 @dataclass
@@ -568,8 +565,8 @@ class TileSchedule:
     l1_budget: int
     plans: list[TilePlan]
     l2: object = None   # L2AllocPlan, attached by the caller or on first compile
-    # executor.compile_schedule's MemSim: the memory replay, trace and its columns included
-    _memsim: object = field(default=None, init=False, repr=False, compare=False)
+    # (the L2 plan replayed, executor.compile_schedule's MemSim with its frozen trace)
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def plan_for(self, node_name: str) -> TilePlan:
         for p in self.plans:

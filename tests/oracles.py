@@ -204,11 +204,28 @@ def exhaustive_two_stack(graph):
     return l2plan._recorded_plan(life, best[1], 2)
 
 
+@dataclasses.dataclass
+class LoopAudit:
+    """loop_audit's replay, its values named as executor.AuditReport names
+    them; tag_bytes is the loop's own per-event sum, where AuditReport
+    derives it from tag_stream_bytes."""
+    peak_l1: int
+    peak_l2: int
+    tag_bytes: dict[str, int]
+    tag_stream_bytes: dict[tuple[str, str], int]
+    node_stream: dict[tuple[str, str], tuple[int, int]]
+    n_events: int
+    violations: list[str]
+
+
 def audit_fields(report):
-    """An AuditReport's fields in order, each dict as its list of items, so
-    that comparing two reports also compares the order of their entries."""
+    """The values of an AuditReport or a LoopAudit, LoopAudit's fields in
+    order, each dict as its list of items, so that comparing two reports
+    also compares the order of their entries."""
+    names = [f.name for f in dataclasses.fields(LoopAudit)]
+    assert {f.name for f in dataclasses.fields(report)} <= set(names)
     return [list(v.items()) if isinstance(v, dict) else v
-            for v in (getattr(report, f.name) for f in dataclasses.fields(report))]
+            for v in (getattr(report, name) for name in names)]
 
 
 def loop_audit(trace, memsim=None):
@@ -217,7 +234,6 @@ def loop_audit(trace, memsim=None):
     used = {"L1": 0, "L2": 0, "L3": 0}
     peak = {"L1": 0, "L2": 0, "L3": 0}
     live: dict[tuple[str, str], int] = {}
-    stream_bytes: dict[str, int] = {}
     tag_bytes: dict[str, int] = {}
     tag_stream: dict[tuple[str, str], int] = {}
     node_stream: dict[tuple[str, str], tuple[int, int]] = {}
@@ -240,7 +256,6 @@ def loop_audit(trace, memsim=None):
                 violations.append(f"free of {key} gives back {nbytes} bytes, its alloc took {took}")
             used[region] -= took
         elif kind == "xfer":
-            stream_bytes[name] = stream_bytes.get(name, 0) + nbytes
             tag_bytes[region] = tag_bytes.get(region, 0) + nbytes
             tag_stream[(region, name)] = tag_stream.get((region, name), 0) + nbytes
             if region in (executor.TAG_L2_L1, executor.TAG_L1_L2):
@@ -251,5 +266,5 @@ def loop_audit(trace, memsim=None):
             if peak[region] != memsim.peak[region]:
                 violations.append(f"{region} peak mismatch: replay {peak[region]} "
                                   f"vs memsim {memsim.peak[region]}")
-    return executor.AuditReport(peak["L1"], peak["L2"], stream_bytes, tag_bytes,
-                                tag_stream, node_stream, len(trace.events), violations)
+    return LoopAudit(peak["L1"], peak["L2"], tag_bytes, tag_stream, node_stream,
+                     len(trace.events), violations)

@@ -9,7 +9,7 @@ probs = st.floats(0.0, 1.0)
 
 
 def test_filter_examples():
-    assert ctrl.filter_step(0.0, 1.0, 0.7) == pytest.approx(0.7)
+    assert ctrl.filter_step(0.0, 1.0) == pytest.approx(0.7)
     assert ctrl.filter_step(0.4, 0.4) == pytest.approx(0.4)   # fixed point
     p = ctrl.filter_step(ctrl.filter_step(0.0, 1.0), 1.0)
     assert p == pytest.approx(0.91)                           # 0.7 + 0.3*0.7
@@ -20,13 +20,11 @@ def test_filter_domain_errors():
         ctrl.filter_step(-0.1, 0.5)
     with pytest.raises(ValueError):
         ctrl.filter_step(0.5, 1.5)
-    with pytest.raises(ValueError):
-        ctrl.filter_step(0.5, 0.5, alpha=0.0)
 
 
-@given(probs, probs, st.floats(1e-9, 1.0))
-def test_filter_convex(p, c, alpha):
-    out = ctrl.filter_step(p, c, alpha)
+@given(probs, probs)
+def test_filter_convex(p, c):
+    out = ctrl.filter_step(p, c)
     assert min(p, c) - 1e-12 <= out <= max(p, c) + 1e-12
 
 
@@ -44,7 +42,7 @@ def test_velocity_command():
 
 
 def test_braking_envelope():
-    t, d = ctrl.braking_envelope(4.0, 11.43)
+    t, d = ctrl.braking_envelope(4.0)
     assert d == pytest.approx(0.6999, abs=1e-3)
     assert ctrl.braking_envelope(0.0) == (0.0, 0.0)
     # constant deceleration cannot satisfy both published constraints at once:
@@ -53,7 +51,7 @@ def test_braking_envelope():
     assert ctrl.stopping_distance(4.0) == pytest.approx(0.8)
     assert ctrl.stopping_distance(1.0) == pytest.approx(0.2)  # t_min binds
     with pytest.raises(ValueError):
-        ctrl.braking_envelope(1.0, 0.0)
+        ctrl.braking_envelope(-1.0)
 
 
 def test_trace_sampling():
@@ -146,12 +144,13 @@ def test_no_crossing_is_a_collision():
 
 
 def test_trace_round_trip(tmp_path):
-    tr = ctrl.ramp_trace(2.0, 0.3, horizon=5.0)
+    tr = ctrl.ramp_trace(2.0, horizon=5.0)
     p = tmp_path / "t.csv"
     ctrl.save_trace(tr, str(p))
     again = ctrl.load_trace(str(p))
     assert len(again.times) == len(tr.times)
-    assert again.sample(2.15) == pytest.approx(tr.sample(2.15), abs=1e-9)
+    mid = 2.0 + ctrl.RAMP_S / 2
+    assert again.sample(mid) == pytest.approx(tr.sample(mid), abs=1e-9)
 
 
 def test_load_trace_rejects_malformed_csv(tmp_path):

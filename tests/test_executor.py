@@ -53,6 +53,12 @@ def test_bit_exact_vs_untiled(graph, budget_kb):
                 assert fxp.QMIN < min(heads) and max(heads) < fxp.QMAX, f"seed {seed}"
 
 
+def _l2_events(trace):
+    """The trace's L2 allocs and frees as (kind, buffer, bytes)."""
+    return [(e.kind, e.name, e.bytes) for e in trace.events
+            if e.region == "L2" and e.kind in ("alloc", "free")]
+
+
 def test_l2_events_replay_the_l2_plan(graph):
     # weights included: the trace's L2 allocs and frees are the plan's,
     # one for one, in order and with their sizes
@@ -60,8 +66,7 @@ def test_l2_events_replay_the_l2_plan(graph):
         sched = tiler.plan_network(graph, budget_kb * 1024)
         res = executor.execute_schedule(sched, net.zero_store(graph),
                                         oracles.random_image(0))
-        got = [(e.kind, e.name, e.bytes) for e in res.trace.events
-               if e.region == "L2" and e.kind in ("alloc", "free")]
+        got = _l2_events(res.trace)
         want = [(ev.action, ev.buffer, ev.bytes) for ev in sched.l2.events]
         assert got == want
         assert any(name.startswith("w:") for _, name, _ in got)
@@ -235,8 +240,10 @@ def _with_tile(sched, node_name, index, **changes):
 
 
 def test_tile_geometry_drives_the_data(graph):
-    # a wrong tile record must change the heads or raise, not vanish in the
-    # grouping by window and row group
+    # the arithmetic runs over the plans' row ranges, so a wrong tile record
+    # can only show in the trace's byte, MAC and fork counts: check_tiles
+    # must raise on it (or, failing that, the heads must change) rather than
+    # let it pass in the grouping by window and row group
     sched = tiler.plan_network(graph, 16 * 1024)
     store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
     ref = kernels.infer_untiled(graph, store, image)
@@ -260,8 +267,9 @@ def test_tile_geometry_drives_the_data(graph):
 
 
 def test_tile_ranges_outside_the_tensors_raise(graph):
-    # numpy slicing would clip each range back inside the tensor and give
-    # the untiled heads; check_tiles names the node and the tile instead
+    # no tile range reaches the arithmetic, so a range past a tensor would
+    # still give the untiled heads while the trace logged bytes and MACs
+    # that no tensor holds; check_tiles names the node and the tile instead
     sched = tiler.plan_network(graph, 16 * 1024)
     conv_3 = sched.plan_for("conv_3").tiles()
     first, last = conv_3[0], conv_3[-1]
@@ -278,9 +286,9 @@ def test_tile_ranges_outside_the_tensors_raise(graph):
 
 
 def test_tiles_that_break_a_partition_raise(graph):
-    # the executor multiplies every window by every output channel and
-    # renorms whole row groups, so a tile set with a gap or an overlap would
-    # leave zeros or partial sums, or count a product twice
+    # the host computes each row group whole, so a tile set with a gap or an
+    # overlap would still give the untiled heads while the trace's bytes,
+    # MACs and forks missed a product or counted one twice
     sched = tiler.plan_network(graph, 16 * 1024)
     conv_3 = sched.plan_for("conv_3").tiles()
     reader, closing = conv_3[16], conv_3[31]
@@ -303,8 +311,9 @@ def test_tiles_that_break_a_partition_raise(graph):
 
 
 def test_elementwise_tiles_that_break_a_partition_raise(graph):
-    # a ReLU node runs over numpy slices of its tensor, which would clip a
-    # row range past the map or leave a dropped tile's pixels negative
+    # a ReLU node runs over its whole map, so a row range past the map or a
+    # dropped tile would only show as bytes the trace moves in excess or
+    # never moves
     store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
     spatial = tiler.plan_network(graph, 16 * 1024)
     relu = spatial.plan_for("relu_1")
@@ -500,15 +509,14 @@ def test_audit_matches_the_event_loop(graph, entry):
 
 
 def _mutated(events, i, *, insert=None, replace=None):
-    """A list-valued trace: events with one event inserted before position i
-    or the event at i replaced."""
-    trace = executor.TraceLog()
-    trace.events = list(events)
+    """A new trace: events with one event inserted before position i or the
+    event at i replaced."""
+    events = list(events)
     if insert is not None:
-        trace.events.insert(i, insert)
+        events.insert(i, insert)
     else:
-        trace.events[i] = replace
-    return trace
+        events[i] = replace
+    return executor.TraceLog(events)
 
 
 def test_audit_violations_match_the_event_loop(graph):
@@ -546,10 +554,9 @@ def test_audit_violations_match_the_event_loop(graph):
 
 
 def test_audit_flags_a_free_that_gives_back_other_bytes():
-    trace = executor.TraceLog()
-    trace.events = [executor.Event("alloc", "L1", "n0", -1, "a", 10),
-                    executor.Event("free", "L1", "n0", -1, "a", 0),
-                    executor.Event("alloc", "L1", "n0", -1, "b", 5)]
+    trace = executor.TraceLog([executor.Event("alloc", "L1", "n0", -1, "a", 10),
+                               executor.Event("free", "L1", "n0", -1, "a", 0),
+                               executor.Event("alloc", "L1", "n0", -1, "b", 5)])
     for audit in (executor.audit_trace(trace), oracles.loop_audit(trace)):
         assert audit.violations == ["free of ('L1', 'a') gives back 0 bytes, its alloc took 10"]
         assert audit.peak_l1 == 10
@@ -565,20 +572,20 @@ def test_trace_encoded_once_per_schedule(graph, monkeypatch):
         res = executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(seed))
         assert executor.audit_trace(res.trace, res.memsim).ok
     assert len(calls) == 1
-    # a list-valued trace is encoded on every audit, so an edit always shows
-    trace = executor.TraceLog()
-    trace.events = list(res.trace.events)
-    assert executor.audit_trace(trace).ok and len(calls) == 2
-    trace.events.append(trace.events[-1])
-    assert executor.audit_trace(trace).violations == [
-        f"free of dead {(trace.events[-1].region, trace.events[-1].name)}"]
-    assert len(calls) == 3
+    # an edited trace is a new TraceLog, encoded once when it is built
+    events = res.trace.events + res.trace.events[-1:]
+    trace = executor.TraceLog(events)
+    assert len(calls) == 2
+    for _ in range(2):
+        assert executor.audit_trace(trace).violations == [
+            f"free of dead {(events[-1].region, events[-1].name)}"]
+    assert len(calls) == 2
+    assert isinstance(trace.events, tuple)
 
 
 def test_audit_rejects_an_unknown_region():
-    trace = executor.TraceLog()
-    trace.events = [executor.Event("alloc", "L1", "n", -1, "a", 4),
-                    executor.Event("alloc", "L4", "n", -1, "b", 4)]
+    trace = executor.TraceLog([executor.Event("alloc", "L1", "n", -1, "a", 4),
+                               executor.Event("alloc", "L4", "n", -1, "b", 4)])
     with pytest.raises(KeyError):
         oracles.loop_audit(trace)
     with pytest.raises(ValueError, match=re.escape("event 1: alloc of 'b' in unknown region 'L4'")):
@@ -586,9 +593,9 @@ def test_audit_rejects_an_unknown_region():
 
 
 def test_empty_trace_audit():
-    report = executor.audit_trace(executor.TraceLog())
+    report = executor.audit_trace(executor.TraceLog(()))
     assert report.ok and report.peak_l1 == 0 and report.peak_l2 == 0
-    assert report.stream_bytes == {} and report.n_events == 0
+    assert report.tag_stream_bytes == {} and report.tag_bytes == {} and report.n_events == 0
 
 
 def test_trace_csv_shape(schedule, graph):
@@ -606,6 +613,51 @@ def test_schedule_l2_plan_attached(graph):
                                     oracles.random_image(0))
     assert sched.l2 is not None
     assert not l2plan.validate_plan(sched.l2, graph)
+
+
+def test_compiled_replay_follows_the_attached_l2_plan(graph):
+    # the cached replay serves only the L2 plan it replayed: the single-stack
+    # plan peaks past L2 (745,152 B), so a frame under it must raise, not
+    # reuse the two-stack trace; a failed compile caches nothing
+    sched = tiler.plan_network(graph, 60 * 1024)
+    store, image = net.zero_store(graph), oracles.random_image(0)
+    first = executor.execute_schedule(sched, store, image)
+    assert _l2_events(first.trace) == [(ev.action, ev.buffer, ev.bytes)
+                                       for ev in sched.l2.events]
+    sched.l2 = l2plan.plan_single_stack(graph)
+    assert sched.l2.peak_bytes > l2plan.L2_BYTES
+    for _ in range(2):
+        with pytest.raises(executor.MemSimError, match="L2 capacity exceeded"):
+            executor.execute_schedule(sched, store, image)
+    sched.l2 = l2plan.plan_two_stack(graph)
+    res = executor.execute_schedule(sched, store, image)
+    assert res.memsim is not first.memsim
+    assert _l2_events(res.trace) == [(ev.action, ev.buffer, ev.bytes) for ev in sched.l2.events]
+    assert executor.audit_trace(res.trace, res.memsim).ok
+    assert executor.execute_schedule(sched, store, image).memsim is res.memsim
+
+
+def test_a_graph_without_two_heads_raises_before_the_first_layer(graph, monkeypatch):
+    # a DroNet prefix that ends at relu_2 validates and plans, but a result
+    # reads two one-value heads: both engines name the graph's outputs
+    # before they run a layer, as they do for two heads that are 50x50 maps
+    cut = [r.name for r in graph.layers].index("relu_2") + 1
+    prefix = net.NetworkGraph(graph.layers[:cut])
+    maps = net.NetworkGraph(graph.layers[:2] + [
+        net.LayerSpec(name, net.CONV, ("relu_1",), k_in=32, k_out=1, kh=1, kw=1,
+                      h_in=50, w_in=50) for name in ("head_a", "head_b")])
+    calls = []
+    conv2d = kernels.conv2d
+    monkeypatch.setattr(kernels, "conv2d", lambda *a: calls.append(1) or conv2d(*a))
+    image = oracles.random_image(0)
+    for bad, outputs in ((prefix, "('relu_2',)"), (maps, "('head_a', 'head_b')")):
+        net._validate(bad)
+        sched, store = tiler.plan_network(bad, 60 * 1024), net.zero_store(bad)
+        for run in (lambda: kernels.infer_untiled(bad, store, image),
+                    lambda: executor.execute_schedule(sched, store, image)):
+            with pytest.raises(ValueError, match=re.escape(f"graph outputs {outputs}")):
+                run()
+    assert calls == []
 
 
 def test_bad_input_shape(schedule, graph):

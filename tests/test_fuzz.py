@@ -78,10 +78,9 @@ def parses_or_raises_typed(load, name: str, data: bytes, rest: dict | None = Non
 
 
 @FUZZ
-@given(mutations(WEIGHT_HEADERS), st.booleans())
-def test_load_weights_fuzz(edits, with_graph):
-    graph = GRAPH if with_graph else None
-    parses_or_raises_typed(lambda p: net.load_weights(str(p), graph), "w.bin",
+@given(mutations(WEIGHT_HEADERS))
+def test_load_weights_fuzz(edits):
+    parses_or_raises_typed(lambda p: net.load_weights(str(p), GRAPH), "w.bin",
                            mutate(WEIGHTS, edits))
 
 
@@ -125,16 +124,14 @@ def events():
 
 
 @FUZZ
-@given(events(), st.none() | st.tuples(st.integers(0, 1 << 21), st.integers(0, 1 << 21)),
-       st.booleans())
-@example([], None, True)
-@example([], (0, 1), False)
+@given(events(), st.none() | st.tuples(st.integers(0, 1 << 21), st.integers(0, 1 << 21)))
+@example([], None)
+@example([], (0, 1))
 @example([executor.Event("alloc", "L1", "n0", -1, "a", 10),     # a free that gives back
           executor.Event("free", "L1", "n0", -1, "a", 0),       # other bytes than its alloc's
-          executor.Event("alloc", "L1", "n0", -1, "b", 5)], (10, 0), True)
-def test_audit_trace_fuzz(trace_events, peaks, frozen):
-    trace = executor.TraceLog()
-    trace.events = tuple(trace_events) if frozen else trace_events
+          executor.Event("alloc", "L1", "n0", -1, "b", 5)], (10, 0))
+def test_audit_trace_fuzz(trace_events, peaks):
+    trace = executor.TraceLog(trace_events)
     memsim = None
     if peaks is not None:
         memsim = executor.MemSim(l1_bytes=1)
