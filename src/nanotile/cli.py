@@ -148,8 +148,8 @@ def _cmd_sweep(args) -> int:
     points, best = cost.sweep(sched)
     print(cost.sweep_csv(points))
     if not args.csv:
-        print(f"# min energy: {best.vdd:.1f} V, FC {best.f_fc / 1e6:.0f} MHz, "
-              f"CL {best.f_cl / 1e6:.0f} MHz "
+        print(f"# min energy: {best.op.vdd:.1f} V, FC {best.op.f_fc / 1e6:.0f} MHz, "
+              f"CL {best.op.f_cl / 1e6:.0f} MHz "
               f"({1e3 * best.energy_j:.2f} mJ/frame)")
     return 0
 

@@ -19,6 +19,10 @@ bytes per cluster cycle, the DMA time of a plan never exceeded its compute
 time on any of the 808,761 feasible tile plans at every budget from 8 to
 64 KB in 1 KB steps.  A max(compute, bytes / 8) pipeline bound would change
 no cost, so only the per-descriptor setup cost is modelled.
+
+There is one path from cycles to a frame's time, power and energy at an
+operating point, _at_op: frame_report, CostReport.at, the sweep and the
+power calibration all go through it, so a sweep point is a CostReport.
 """
 
 from __future__ import annotations
@@ -187,7 +191,7 @@ class RowCost:
 @dataclass
 class CostReport:
     op: OpPoint
-    rows: list[RowCost]
+    rows: tuple[RowCost, ...]
     exec_cycles: float
     l3l2_fcycles: float
     dma_l2l1_cycles: float       # descriptor overhead share of exec_cycles
@@ -203,6 +207,11 @@ class CostReport:
         """Breakdown total in equal-clock cycles (FC = CL)."""
         return self.exec_cycles + self.l3l2_fcycles
 
+    def at(self, op: OpPoint, power: PowerParams) -> CostReport:
+        """The same rows at another operating point and power pair."""
+        return _at_op(op, self.rows, self.exec_cycles, self.l3l2_fcycles,
+                      self.dma_l2l1_cycles, power)
+
     def to_csv(self) -> str:
         lines = ["layer,exec_ms,l3l2_ms"]
         for r in self.rows:
@@ -211,32 +220,30 @@ class CostReport:
         return "\n".join(lines)
 
 
-def frame_energy(exec_cycles: float, l3l2_fcycles: float, op: OpPoint,
-                 power: PowerParams) -> tuple[float, float, float]:
-    """(energy J, frame s, compute s): FC clocked all frame, cluster only
-    while computing, DRAM only while staging weights."""
+def _at_op(op: OpPoint, rows: tuple[RowCost, ...], exec_cycles: float,
+           l3l2_fcycles: float, dma_cycles: float, power: PowerParams) -> CostReport:
+    """The one path from cycles to a frame's time, power and energy at an
+    operating point: FC clocked all frame, cluster only while computing,
+    DRAM only while staging weights.  exec_cycles and l3l2_fcycles are the
+    rows' totals, which frame_report adds once, so that a sweep's reports
+    do not add them again at each point."""
     t_c = exec_cycles / op.f_cl
-    t_m = l3l2_fcycles / op.f_fc
-    t = t_c + t_m
-    v2 = op.vdd ** 2
-    energy = v2 * (power.k_fc * op.f_fc * t + power.k_cl * op.f_cl * t_c)
-    return energy, t, t_c
+    t = t_c + l3l2_fcycles / op.f_fc
+    energy = op.vdd ** 2 * (power.k_fc * op.f_fc * t + power.k_cl * op.f_cl * t_c)
+    p_avg = energy / t
+    board = p_avg + CAMERA_W + DRAM_W * (t - t_c) / t
+    return CostReport(op, rows, exec_cycles, l3l2_fcycles, dma_cycles, exec_cycles - dma_cycles,
+                      t, 1.0 / t, p_avg, board, energy)
 
 
 def frame_report(schedule: tiler.TileSchedule, op: OpPoint = EFFICIENT,
                  calib: CalibParams = DEFAULT_CALIB,
                  power: PowerParams = DEFAULT_POWER) -> CostReport:
     loads = _schedule_rows(schedule)
-    rows = [RowCost(r.name, r.exec_cycles(calib), r.w_bytes / calib.l3l2_bytes_per_fcycle)
-            for r in loads]
-    exec_cycles = sum(r.exec_cycles for r in rows)
-    l3l2 = sum(r.l3l2_fcycles for r in rows)
-    dma = calib.dma_setup_cycles * sum(r.transfers for r in loads)
-    energy, t, t_c = frame_energy(exec_cycles, l3l2, op, power)
-    p_avg = energy / t
-    board = p_avg + CAMERA_W + DRAM_W * (t - t_c) / t
-    return CostReport(op, rows, exec_cycles, l3l2, dma, exec_cycles - dma,
-                      t, 1.0 / t, p_avg, board, energy)
+    rows = tuple(RowCost(r.name, r.exec_cycles(calib), r.w_bytes / calib.l3l2_bytes_per_fcycle)
+                 for r in loads)
+    return _at_op(op, rows, sum(r.exec_cycles for r in rows), sum(r.l3l2_fcycles for r in rows),
+                  calib.dma_setup_cycles * sum(r.transfers for r in loads), power)
 
 
 def breakdown_mcycles(report: CostReport) -> tuple[float, float, float, float]:
@@ -350,13 +357,11 @@ def calibrate(schedule: tiler.TileSchedule,
     # when the cap binds, the two corner errors are equalized instead.
     # Frame energy is linear in (k_fc, k_cl): unit pairs give its coefficients
     report = frame_report(schedule, EFFICIENT, calib)
-    cycles = report.exec_cycles, report.l3l2_fcycles
     rows = []
     for pt in targets.power_points:
         op = OpPoint(pt["vdd_v"], pt["fc_mhz"] * 1e6, pt["cl_mhz"] * 1e6)
-        a, t, _ = frame_energy(*cycles, op, PowerParams(1, 0))
-        b, _, _ = frame_energy(*cycles, op, PowerParams(0, 1))
-        rows.append((a, b, 1e-3 * pt["avg_power_mw"] * t))
+        a, b = report.at(op, PowerParams(1, 0)), report.at(op, PowerParams(0, 1))
+        rows.append((a.energy_j, b.energy_j, 1e-3 * pt["avg_power_mw"] * a.frame_s))
     (a1, b1, e1), (a2, b2, e2) = rows
     det = a1 * b2 - a2 * b1
     if abs(det) < 1e-30:
@@ -389,46 +394,31 @@ def fit_residuals(schedule, calib, power, targets=None) -> dict:
     powers = {}
     for pt in targets.power_points:
         op = OpPoint(pt["vdd_v"], pt["fc_mhz"] * 1e6, pt["cl_mhz"] * 1e6)
-        r = frame_report(schedule, op, calib, power)
         powers[f"{op.vdd:.1f}V_{int(op.f_fc/1e6)}_{int(op.f_cl/1e6)}"] = \
-            r.power_w / (1e-3 * pt["avg_power_mw"]) - 1
+            report.at(op, power).power_w / (1e-3 * pt["avg_power_mw"]) - 1
     return {"rows": per_row, "breakdown": bd, "power": powers,
             "max_row_abs": max(abs(v) for v in per_row.values())}
 
 
 # -- operating-point sweep ----------------------------------------------------
 
-@dataclass
-class SweepPoint:
-    vdd: float
-    f_fc: float
-    f_cl: float
-    fps: float
-    power_w: float
-    energy_j: float
-
-
 def sweep(schedule: tiler.TileSchedule,
           calib: CalibParams = DEFAULT_CALIB,
-          power: PowerParams = DEFAULT_POWER) -> tuple[list[SweepPoint], SweepPoint]:
-    """Grid evaluation over the calibrated envelope; returns (points, min-energy)."""
+          power: PowerParams = DEFAULT_POWER) -> tuple[list[CostReport], CostReport]:
+    """The frame's report at every point of the calibrated envelope;
+    returns (reports, min-energy report)."""
     base = frame_report(schedule, EFFICIENT, calib, power)
-    points = []
-    for vdd, fmax in FMAX_HZ.items():
-        for f_fc in SWEEP_FREQS_HZ:
-            for f_cl in SWEEP_FREQS_HZ:
-                if f_fc > fmax or f_cl > fmax:
-                    continue
-                op = OpPoint(vdd, f_fc, f_cl)
-                e, t, t_c = frame_energy(base.exec_cycles, base.l3l2_fcycles, op, power)
-                points.append(SweepPoint(vdd, f_fc, f_cl, 1.0 / t, e / t, e))
+    points = [base.at(OpPoint(vdd, f_fc, f_cl), power)
+              for vdd, fmax in FMAX_HZ.items()
+              for f_fc in SWEEP_FREQS_HZ for f_cl in SWEEP_FREQS_HZ
+              if f_fc <= fmax and f_cl <= fmax]
     best = min(points, key=lambda p: p.energy_j)
     return points, best
 
 
-def sweep_csv(points: list[SweepPoint]) -> str:
+def sweep_csv(points: list[CostReport]) -> str:
     lines = ["vdd_v,fc_mhz,cl_mhz,fps,power_mw,energy_mj"]
     for p in points:
-        lines.append(f"{p.vdd:.1f},{int(p.f_fc / 1e6)},{int(p.f_cl / 1e6)},"
+        lines.append(f"{p.op.vdd:.1f},{int(p.op.f_fc / 1e6)},{int(p.op.f_cl / 1e6)},"
                      f"{p.fps:.3f},{1e3 * p.power_w:.2f},{1e3 * p.energy_j:.4f}")
     return "\n".join(lines)

@@ -230,13 +230,12 @@ def step_stop_time(t_appear: float, fps: float, inference_s: float) -> float:
     return first + (n - 1) * period + period + inference_s
 
 
-def fps_sweep(fps_list, trace: CollisionTrace, v: float = REFERENCE_SPEED,
-              t_appear: float = 4.0, distance_free: float = 4.0) -> list[dict]:
+def fps_sweep(fps_list, trace: CollisionTrace, **scenario) -> list[dict]:
+    """The reaction study at each frame rate: ReactionScenario(**scenario)
+    with its fps set, so an unnamed field keeps the scenario's default."""
     rows = []
     for fps in fps_list:
-        scen = ReactionScenario(v=v, t_appear=t_appear,
-                                distance_free=distance_free, fps=fps)
-        out = simulate_reaction(scen, trace)
+        out = simulate_reaction(ReactionScenario(**scenario, fps=fps), trace)
         rows.append({"fps": fps,
                      "stop_cmd_time": out.stop_cmd_time,
                      "distance_remaining": out.distance_remaining,

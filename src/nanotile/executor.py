@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -114,7 +114,8 @@ class TraceLog:
 
 class MemSim:
     """Capacity-checked allocation maps for the three memory levels, and the
-    events they log, which compile_schedule freezes into its trace."""
+    events they log, which compile_schedule freezes into its trace: after
+    that, events is the trace's tuple and a further event raises."""
 
     def __init__(self, l1_bytes: int):
         self.capacity = {"L1": l1_bytes, "L2": l2plan.L2_BYTES, "L3": None}
@@ -172,14 +173,19 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     """Check every plan's tiles (check_tiles raises ValueError), replay the
     memory traffic through one MemSim under the attached L2 plan (a
     two-stack plan is attached when none is), freeze its trace and cache
-    it on the schedule.  The cache serves while that L2 plan stays
-    attached; another one is replayed afresh.  An allocation that breaks a
-    budget raises MemSimError; a failed check or replay caches nothing."""
+    it on the schedule.  The cache serves while the schedule holds the L1
+    budget, the tile plans and the L2 plan it replayed (the same objects);
+    any other is replayed afresh.  An allocation that breaks a budget raises
+    MemSimError; a failed check or replay caches nothing."""
     graph = schedule.graph
     if schedule.l2 is None:
         schedule.l2 = l2plan.plan_two_stack(graph)
-    if schedule._compiled is not None and schedule._compiled[0] is schedule.l2:
-        return schedule._compiled[1]
+    key = (schedule.l2, *schedule.plans)
+    if schedule._compiled is not None:
+        budget, replayed, ms = schedule._compiled
+        if (budget == schedule.l1_budget and len(replayed) == len(key)
+                and all(map(is_, replayed, key))):
+            return ms
     for plan in schedule.plans:
         check_tiles(plan)
     ms = MemSim(schedule.l1_budget)
@@ -237,7 +243,8 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
         l2_step(i, node.name, "free")
     l2_step(len(life.nodes), "end", "free")
     ms.trace = TraceLog(ms.events)
-    schedule._compiled = (schedule.l2, ms)
+    ms.events = ms.trace.events
+    schedule._compiled = (schedule.l1_budget, key, ms)
     return ms
 
 

@@ -39,11 +39,10 @@ class AllocEvent:
     bytes: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class L2AllocPlan:
-    events: list[AllocEvent]
-    step_names: list[str]
-    assignment: dict[str, int]          # activation buffer -> stack
+    events: tuple[AllocEvent, ...]
+    step_names: tuple[str, ...]
     peak_bytes: int
     stack_peaks: tuple[int, ...]
 
@@ -193,8 +192,8 @@ def _simulate(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int,
 def _recorded_plan(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int) -> L2AllocPlan:
     """The plan of one stack assignment: its simulated events and peaks."""
     peak, peaks, events = _simulate(life, stack_of, n_stacks, record=True)
-    return L2AllocPlan(events, [n.name for n in life.nodes] + ["end"],
-                       stack_of, peak, peaks)
+    return L2AllocPlan(tuple(events), (*(n.name for n in life.nodes), "end"),
+                       peak, peaks)
 
 
 def _search_two_stack(life: _Lifetimes) -> dict[str, int]:

@@ -565,7 +565,8 @@ class TileSchedule:
     l1_budget: int
     plans: list[TilePlan]
     l2: object = None   # L2AllocPlan, attached by the caller or on first compile
-    # (the L2 plan replayed, executor.compile_schedule's MemSim with its frozen trace)
+    # (L1 budget, (L2 plan, *tile plans) replayed, executor.compile_schedule's
+    # MemSim with its frozen trace)
     _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def plan_for(self, node_name: str) -> TilePlan:

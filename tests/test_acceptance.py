@@ -180,9 +180,9 @@ def test_criterion_6_cost_model(graph, schedule):
 
     # (e) sweep minimum
     _, best = cost.sweep(schedule, calib, power)
-    if (best.vdd, best.f_fc, best.f_cl) != (1.0, 50e6, 100e6):
-        failures.append(f"min-energy point ({best.vdd}, {best.f_fc / 1e6:.0f}, "
-                        f"{best.f_cl / 1e6:.0f})")
+    if (best.op.vdd, best.op.f_fc, best.op.f_cl) != (1.0, 50e6, 100e6):
+        failures.append(f"min-energy point ({best.op.vdd}, {best.op.f_fc / 1e6:.0f}, "
+                        f"{best.op.f_cl / 1e6:.0f})")
 
     # (f) implied aggregate throughput
     macs = net.mac_count(graph)["conv_total"]

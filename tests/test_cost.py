@@ -117,26 +117,42 @@ def test_l3l2_share_of_cycles(schedule):
 
 def test_sweep_min_energy_point(schedule):
     points, best = cost.sweep(schedule)
-    assert (best.vdd, best.f_fc, best.f_cl) == (1.0, 50e6, 100e6)
+    assert best.op == cost.OpPoint(1.0, 50e6, 100e6)
     # the calibrated envelope keeps 1.0 V at or below 100 MHz
-    assert all(p.f_cl <= 100e6 and p.f_fc <= 100e6
-               for p in points if p.vdd == 1.0)
-    by_key = {(p.vdd, p.f_fc, p.f_cl): p for p in points}
+    assert all(p.op.f_cl <= 100e6 and p.op.f_fc <= 100e6
+               for p in points if p.op.vdd == 1.0)
+    by_key = {(p.op.vdd, p.op.f_fc, p.op.f_cl): p for p in points}
     # at matched frequencies the lower supply always wins on energy
     for p in points:
-        twin = by_key.get((1.2, p.f_fc, p.f_cl))
-        if p.vdd == 1.0 and twin:
+        twin = by_key.get((1.2, p.op.f_fc, p.op.f_cl))
+        if p.op.vdd == 1.0 and twin:
             assert p.energy_j < twin.energy_j
     # energy/frame non-increasing in the cluster clock at fixed everything else
     for vdd in (1.0, 1.2):
         for f_fc in (50e6,):
-            series = sorted((p.f_cl, p.energy_j) for p in points
-                            if p.vdd == vdd and p.f_fc == f_fc)
+            series = sorted((p.op.f_cl, p.energy_j) for p in points
+                            if p.op.vdd == vdd and p.op.f_fc == f_fc)
             assert all(a[1] >= b[1] for a, b in zip(series, series[1:]))
     # frame rate strictly increases with the cluster clock
-    series = sorted((p.f_cl, p.fps) for p in points
-                    if p.vdd == 1.2 and p.f_fc == 100e6)
+    series = sorted((p.op.f_cl, p.fps) for p in points
+                    if p.op.vdd == 1.2 and p.op.f_fc == 100e6)
     assert all(a[1] < b[1] for a, b in zip(series, series[1:]))
+
+
+@pytest.mark.parametrize("budget", [16 * 1024, 60 * 1024])
+def test_report_at_another_point_equals_a_fresh_report(graph, budget):
+    # at() reprices the same rows: every figure equals, with ==, the report
+    # computed from the schedule at that point
+    sched = tiler.plan_network(graph, budget)
+    base = cost.frame_report(sched)
+    points, _ = cost.sweep(sched)
+    calib, power = cost.DEFAULT_CALIB, cost.DEFAULT_POWER
+    for op in [p.op for p in points] + [cost.FAST]:
+        moved = base.at(op, power)
+        fresh = cost.frame_report(sched, op, calib, power)
+        for f in dataclasses.fields(cost.CostReport):
+            assert getattr(moved, f.name) == getattr(fresh, f.name), (op, f.name)
+        assert moved.rows is base.rows
 
 
 def test_sweep_csv_format(schedule):

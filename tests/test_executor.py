@@ -637,6 +637,42 @@ def test_compiled_replay_follows_the_attached_l2_plan(graph):
     assert executor.execute_schedule(sched, store, image).memsim is res.memsim
 
 
+def test_compiled_replay_follows_the_l1_budget(graph):
+    # the replay reads the L1 budget: lowering it in place after a frame
+    # must replay afresh and overflow, not serve the 60 KB trace
+    store, image = net.zero_store(graph), oracles.random_image(0)
+    sched = tiler.plan_network(graph, 60 * 1024)
+    executor.execute_schedule(sched, store, image)
+    sched.l1_budget = 8 * 1024
+    for _ in range(2):
+        with pytest.raises(executor.MemSimError, match="L1 capacity exceeded"):
+            executor.execute_schedule(sched, store, image)
+
+
+def test_compiled_replay_follows_the_tile_plans(graph):
+    # the replay reads the tile plans: swapping them in place after a frame
+    # must replay the new plans, not serve the old trace
+    store, image = net.zero_store(graph), oracles.random_image(0)
+    sched = tiler.plan_network(graph, 60 * 1024)
+    first = executor.execute_schedule(sched, store, image)
+    small = tiler.plan_network(graph, 16 * 1024)
+    sched.plans[:] = small.plans
+    res = executor.execute_schedule(sched, store, image)
+    fresh = executor.compile_schedule(small)
+    assert len(res.trace.events) == len(fresh.trace.events) == 6401
+    assert res.trace.events == fresh.trace.events != first.trace.events
+    assert executor.execute_schedule(sched, store, image).memsim is res.memsim
+
+
+def test_memsim_keeps_its_events_once(schedule):
+    ms = executor.compile_schedule(schedule)
+    assert ms.events is ms.trace.events
+    # the trace is frozen: an event logged after compiling raises instead of
+    # landing in a list the trace never sees
+    with pytest.raises(AttributeError):
+        ms.compute("late", 0, 0, ())
+
+
 def test_a_graph_without_two_heads_raises_before_the_first_layer(graph, monkeypatch):
     # a DroNet prefix that ends at relu_2 validates and plans, but a result
     # reads two one-value heads: both engines name the graph's outputs

@@ -139,12 +139,11 @@ def test_empty_graph():
     g = net.NetworkGraph([])
     plan = l2plan.plan_single_stack(g)
     assert plan.peak_bytes == 0
-    assert plan.events == []
+    assert plan.events == ()
 
 
 def test_determinism(graph, two):
     again = l2plan.plan_two_stack(graph)
-    assert again.assignment == two.assignment
     assert again.events == two.events
 
 
@@ -154,3 +153,12 @@ def test_summary_dump(two):
     csv = l2plan.plan_summary(two, csv=True)
     assert csv.splitlines()[0].startswith("step,stack0")
     assert len(csv.splitlines()) == 15          # 13 nodes + end + header
+
+
+def test_plan_is_frozen(two):
+    # the executor replays the attached plan; an edit in place would leave a
+    # cached replay behind it, so a changed plan is a new plan
+    with pytest.raises(TypeError):
+        two.events[:] = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        two.peak_bytes = 0

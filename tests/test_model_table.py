@@ -24,6 +24,13 @@ STOP_TIMES = ((4.0, 10.0, 0.1), (4.05, 6.0, 1 / 6), (1.0, 25.0, 0.0), (0.0, 5.0,
 SPEEDS = (0.0, 1.0, 2.0, 4.0, 8.0)
 
 
+def sweep_point(report: cost.CostReport) -> dict:
+    """A sweep point as the table records it."""
+    op = report.op
+    return {"vdd": op.vdd, "f_fc": op.f_fc, "f_cl": op.f_cl, "fps": report.fps,
+            "power_w": report.power_w, "energy_j": report.energy_j}
+
+
 def model_outputs() -> dict:
     """The table's content, as JSON would read it back."""
     graph = net.build_dronet()
@@ -35,8 +42,8 @@ def model_outputs() -> dict:
             "frame_report": {label: dataclasses.asdict(cost.frame_report(schedule, op))
                              for label, op in (("efficient", cost.EFFICIENT),
                                                ("fast", cost.FAST))},
-            "sweep": [dataclasses.asdict(p) for p in points],
-            "sweep_best": dataclasses.asdict(best),
+            "sweep": [sweep_point(p) for p in points],
+            "sweep_best": sweep_point(best),
         }
     out["fps_sweep"] = ctrl.fps_sweep([5, 10, 20, 25], ctrl.reference_trace())
     out["step_stop_time"] = [[*args, ctrl.step_stop_time(*args)] for args in STOP_TIMES]
