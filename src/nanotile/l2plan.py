@@ -17,6 +17,13 @@ reach the best found (peaks never fall, and a tie loses to the earlier
 assignment): the result is the one scoring every assignment would keep.
 plan_single_stack runs the same lifetime rules with one stack, which is what
 makes the two-stack layout worthwhile.
+
+One simulator serves the search and the recorded plans.  _lifetimes derives,
+once per graph, a per-step script (the index of the buffer a step allocates,
+its bytes, its weight bytes) and each buffer's size and last use; the
+simulator's state is the stacks as lists of buffer indices, the occupancy and
+peak per stack and the peak total, so a search branch copies a few short int
+lists, and events are built only when a plan is recorded.
 """
 
 from __future__ import annotations
@@ -65,25 +72,26 @@ class _Lifetimes:
     nodes: list[tiler.NodeKernel]
     alias: dict[str, str]               # tensor -> backing buffer
     buffers: list[str]                  # activation buffers in alloc order
-    sizes: dict[str, int]
-    alloc_step: dict[str, int]
-    last_use: dict[str, int]
-    weights: dict[int, tuple[str, int]] # step -> (weight buffer, bytes)
+    size: list[int]                     # buffer index -> bytes
+    last_use: list[int]                 # buffer index -> last step that reads it
+    # step -> (index of the buffer it allocates or None, its bytes, weight
+    # bytes); the step after the last node is the mission end
+    script: list[tuple[int | None, int, int]]
     consumes: dict[int, list[str]]      # step -> buffers read
 
 
 def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
     nodes = tiler.node_kernels(graph)
     if not nodes:       # nothing to execute, nothing to stage
-        return _Lifetimes([], {}, [], {}, {}, {}, {}, {})
+        return _Lifetimes([], {}, [], [], [], [(None, 0, 0)], {})
     tensors = graph.tensors
     alias = {net.INPUT_TENSOR: net.INPUT_TENSOR}
     buffers = [net.INPUT_TENSOR]
+    index = {net.INPUT_TENSOR: 0}
     k, h, w = tensors[net.INPUT_TENSOR]
-    sizes = {net.INPUT_TENSOR: _align4(2 * k * h * w)}
-    alloc_step = {net.INPUT_TENSOR: -1}
-    last_use: dict[str, int] = {net.INPUT_TENSOR: -1}
-    weights: dict[int, tuple[str, int]] = {}
+    size = [_align4(2 * k * h * w)]
+    last_use = [-1]
+    script: list[tuple[int | None, int, int]] = []
     consumes: dict[int, list[str]] = {}
 
     for i, node in enumerate(nodes):
@@ -92,45 +100,51 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
             reads.append(alias[node.addend])
         consumes[i] = reads
         for b in reads:
-            last_use[b] = i
+            last_use[index[b]] = i
         if node.kind == "ew":
             # in place: the output tensor shares its input's buffer
             alias[node.output] = alias[node.input]
+            script.append((None, 0, 0))
         else:
-            buf = node.output
             k, h, w = tensors[node.output]
-            sizes[buf] = _align4(2 * k * h * w)
-            alias[node.output] = buf
-            buffers.append(buf)
-            alloc_step[buf] = i
-            last_use[buf] = i
-            weights[i] = (weight_buffer(node), _align4(2 * node.body.n_params))
+            alias[node.output] = node.output
+            index[node.output] = len(buffers)
+            buffers.append(node.output)
+            size.append(_align4(2 * k * h * w))
+            last_use.append(i)
+            script.append((len(buffers) - 1, size[-1], _align4(2 * node.body.n_params)))
+    script.append((None, 0, 0))                 # the mission end allocates nothing
     for tensor in graph.outputs:
-        last_use[alias[tensor]] = len(nodes)    # results handed over at mission end
-    return _Lifetimes(nodes, alias, buffers, sizes, alloc_step, last_use,
-                      weights, consumes)
+        last_use[index[alias[tensor]]] = len(nodes)   # results handed over at mission end
+    return _Lifetimes(nodes, alias, buffers, size, last_use, script, consumes)
 
 
-class _StackSim:
-    """Stack occupancy while the node order executes, one step at a time."""
+class _Sim:
+    """Stack occupancy while the node order executes, one step at a time.
+    Each stack is a list of buffer indices; the input frame sits on stack 0
+    before the first node runs.  Events are built only when recording."""
+
+    __slots__ = ("life", "stacks", "occ", "peak", "peaks", "events")
 
     def __init__(self, life: _Lifetimes, n_stacks: int, record: bool):
         self.life = life
-        self.record = record
-        self.stacks: list[list[str]] = [[] for _ in range(n_stacks)]
+        self.stacks: list[list[int]] = [[] for _ in range(n_stacks)]
         self.occ = [0] * n_stacks
-        self.peak = 0
         self.peaks = [0] * n_stacks
-        self.events: list[AllocEvent] = []
+        self.peak = 0
+        self.events: list[AllocEvent] | None = [] if record else None
+        if life.buffers:
+            self.stacks[0].append(0)
+            self.occ[0] = self.peaks[0] = self.peak = life.size[0]
+            if record:
+                self.events.append(AllocEvent(-1, "alloc", life.buffers[0], 0, life.size[0]))
 
-    def fork(self) -> _StackSim:
-        """An independent copy, built field by field (copy.copy is slower in
-        the search's inner loop)."""
-        twin = _StackSim.__new__(_StackSim)
-        twin.life, twin.record, twin.peak = self.life, self.record, self.peak
-        twin.stacks = [list(s) for s in self.stacks]
-        twin.occ, twin.peaks = list(self.occ), list(self.peaks)
-        twin.events = list(self.events)
+    def fork(self) -> _Sim:
+        """An independent copy that records nothing."""
+        twin = _Sim.__new__(_Sim)
+        twin.life, twin.peak, twin.events = self.life, self.peak, None
+        twin.stacks = [s[:] for s in self.stacks]
+        twin.occ, twin.peaks = self.occ[:], self.peaks[:]
         return twin
 
     @property
@@ -138,67 +152,50 @@ class _StackSim:
         """(peak total, max stack peak): both only grow as steps run."""
         return self.peak, max(self.peaks)
 
-    def _bump(self):
-        self.peak = max(self.peak, sum(self.occ))
-        for s, o in enumerate(self.occ):
-            self.peaks[s] = max(self.peaks[s], o)
-
-    def alloc(self, step: int, name: str, size: int, stack: int):
-        self.stacks[stack].append(name)
-        self.occ[stack] += size
-        if self.record:
-            self.events.append(AllocEvent(step, "alloc", name, stack, size))
-        self._bump()
-
-    def _free_top(self, step: int, stack: int, size: int):
-        name = self.stacks[stack].pop()
-        self.occ[stack] -= size
-        if self.record:
-            self.events.append(AllocEvent(step, "free", name, stack, size))
-
-    def step(self, i: int, stack_of: dict[str, int]):
-        """Run node i (i == len(nodes) is the mission end): allocate its
-        output, stage and release its weights, then free what is dead."""
-        life = self.life
-        if i < len(life.nodes):
-            node = life.nodes[i]
-            if node.kind != "ew":
-                # elementwise nodes work in place and have no weights; the
-                # others stage theirs on top of their output
-                stack = stack_of[node.output]
-                self.alloc(i, node.output, life.sizes[node.output], stack)
-                wname, wsize = life.weights[i]
-                self.alloc(i, wname, wsize, stack)
-                # layer executes here; weights released right after
-                self._free_top(i, stack, wsize)
-        # release whatever is dead and exposed, most recent first
-        for s, stack in enumerate(self.stacks):
-            while stack and life.last_use[stack[-1]] <= i:
-                self._free_top(i, s, life.sizes[stack[-1]])
+    def step(self, i: int, stack_of: list[int]):
+        """Run step i: allocate its output on the stack stack_of gives the
+        buffer, stage and release its weights on top of it, then free the
+        dead buffers exposed on top, most recent first, stack 0 first."""
+        life, occ, events = self.life, self.occ, self.events
+        buf, size, wsize = life.script[i]
+        if buf is not None:
+            stack = stack_of[buf]
+            self.stacks[stack].append(buf)
+            # the weights sit on the output, so the peak with both covers
+            # the peak after the output alone
+            occ[stack] += size + wsize
+            if occ[stack] > self.peaks[stack]:
+                self.peaks[stack] = occ[stack]
+            total = sum(occ)
+            if total > self.peak:
+                self.peak = total
+            occ[stack] -= wsize     # layer executes here; weights released right after
+            if events is not None:
+                wname = weight_buffer(life.nodes[i])
+                events += (AllocEvent(i, "alloc", life.buffers[buf], stack, size),
+                           AllocEvent(i, "alloc", wname, stack, wsize),
+                           AllocEvent(i, "free", wname, stack, wsize))
+        last_use, sizes = life.last_use, life.size
+        for s, held in enumerate(self.stacks):
+            while held and last_use[held[-1]] <= i:
+                b = held.pop()
+                occ[s] -= sizes[b]
+                if events is not None:
+                    events.append(AllocEvent(i, "free", life.buffers[b], s, sizes[b]))
 
 
-def _simulate(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int,
-              record: bool) -> tuple[int, tuple[int, ...], list]:
-    sim = _StackSim(life, n_stacks, record)
-    # input frame sits in L2 before the first node runs
-    if life.buffers:
-        sim.alloc(-1, net.INPUT_TENSOR, life.sizes[net.INPUT_TENSOR],
-                  stack_of[net.INPUT_TENSOR])
-    for i in range(len(life.nodes) + 1):
-        sim.step(i, stack_of)
-    return sim.peak, tuple(sim.peaks), sim.events
-
-
-def _recorded_plan(life: _Lifetimes, stack_of: dict[str, int], n_stacks: int) -> L2AllocPlan:
+def _recorded_plan(life: _Lifetimes, stack_of: list[int], n_stacks: int) -> L2AllocPlan:
     """The plan of one stack assignment: its simulated events and peaks."""
-    peak, peaks, events = _simulate(life, stack_of, n_stacks, record=True)
-    return L2AllocPlan(tuple(events), (*(n.name for n in life.nodes), "end"),
-                       peak, peaks)
+    sim = _Sim(life, n_stacks, record=True)
+    for i in range(len(life.script)):
+        sim.step(i, stack_of)
+    return L2AllocPlan(tuple(sim.events), (*(n.name for n in life.nodes), "end"),
+                       sim.peak, tuple(sim.peaks))
 
 
-def _search_two_stack(life: _Lifetimes) -> dict[str, int]:
-    """Stack assignment minimising (peak, max stack peak, bits), where bits
-    lists each buffer's stack in allocation order.
+def _search_two_stack(life: _Lifetimes) -> list[int]:
+    """Stack of each buffer minimising (peak, max stack peak, bits), where
+    bits lists each buffer's stack in allocation order.
 
     Depth-first over the buffers in allocation order, 0 before 1, so leaves
     come in bits order; each prefix's steps are simulated once.  Swapping
@@ -208,33 +205,33 @@ def _search_two_stack(life: _Lifetimes) -> dict[str, int]:
     run, and a tie loses to the earlier leaf on bits.
     """
     if not life.buffers:
-        return {}
-    first, rest = life.buffers[0], life.buffers[1:]
+        return []
     # each buffer decides the steps from its allocation up to the next one's
-    ends = [life.alloc_step[b] for b in rest] + [len(life.nodes) + 1]
-    stack_of = {first: 0}
-    root = _StackSim(life, 2, record=False)
-    root.alloc(-1, first, life.sizes[first], 0)
-    for i in range(ends[0]):
-        root.step(i, stack_of)
+    starts = [i for i, (buf, _, _) in enumerate(life.script) if buf is not None]
+    bounds = [0, *starts, len(life.script)]
+    spans = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    bits = [0]
+    root = _Sim(life, 2, record=False)
+    for i in spans[0]:
+        root.step(i, bits)
     best_key, best = None, None
 
-    def descend(k: int, sim: _StackSim):
+    def descend(k: int, sim: _Sim):
         nonlocal best_key, best
-        if k == len(rest):
-            best_key, best = sim.key, dict(stack_of)
+        if k == len(spans):
+            best_key, best = sim.key, bits[:]
             return
-        buf = rest[k]
         for bit in (0, 1):
-            branch = sim.fork()
-            stack_of[buf] = bit
-            for i in range(life.alloc_step[buf], ends[k + 1]):
-                branch.step(i, stack_of)
+            # the last branch takes over the parent's state
+            branch = sim.fork() if bit == 0 else sim
+            bits.append(bit)
+            for i in spans[k]:
+                branch.step(i, bits)
             if best_key is None or branch.key < best_key:
                 descend(k + 1, branch)
-        del stack_of[buf]
+            bits.pop()
 
-    descend(0, root)
+    descend(1, root)
     return best
 
 
@@ -251,7 +248,7 @@ def plan_two_stack(graph: net.NetworkGraph) -> L2AllocPlan:
 def plan_single_stack(graph: net.NetworkGraph) -> L2AllocPlan:
     """Same lifetime rules collapsed onto one linear stack."""
     life = _lifetimes(graph)
-    return _recorded_plan(life, {b: 0 for b in life.buffers}, 1)
+    return _recorded_plan(life, [0] * len(life.buffers), 1)
 
 
 def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:
@@ -306,8 +303,8 @@ def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:
                                for e in plan.events)
                     what = "already freed" if ever else "never allocated"
                     violations.append(f"step {step}: consumed {b} {what}")
-            if step in life.weights:
-                wname = life.weights[step][0]
+            if life.nodes[step].kind != "ew":
+                wname = weight_buffer(life.nodes[step])
                 if wname not in live:
                     violations.append(f"step {step}: weights {wname} not staged")
         while i < len(step_events):

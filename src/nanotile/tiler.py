@@ -185,11 +185,12 @@ class Tile:
         return self.macs * _worker_slots(span) / span
 
 
-@dataclass
+@dataclass(frozen=True)
 class TilePlan:
     """One scheme's tile extents for a node.  The tile counts and the L1
     buffers follow from them, through the same _extents and _buffer_terms
-    that score the search grid."""
+    that score the search grid.  Frozen: the executor caches a schedule's
+    replay on its plans' identity, so a changed plan is a new plan."""
 
     node: NodeKernel
     scheme: str
@@ -206,10 +207,12 @@ class TilePlan:
 
     def __post_init__(self):
         extents = _extents(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile)
-        self.n_h, self.n_ci, self.n_co = extents[3:]
-        self.buffers = {stream: BufferSpec(int(size), bool(double))
-                        for stream, size, double, present
-                        in _buffer_terms(self.node, self.scheme, *extents) if present}
+        for name, n in zip(("n_h", "n_ci", "n_co"), extents[3:]):
+            object.__setattr__(self, name, n)
+        object.__setattr__(self, "buffers", {
+            stream: BufferSpec(int(size), bool(double))
+            for stream, size, double, present
+            in _buffer_terms(self.node, self.scheme, *extents) if present})
 
     @property
     def footprint(self) -> int:
@@ -255,7 +258,7 @@ class TilePlan:
     def tiles(self) -> list[Tile]:
         """Every tile in execution order; computed once per plan."""
         if self._tiles is None:
-            self._tiles = list(self._make_tiles())
+            object.__setattr__(self, "_tiles", list(self._make_tiles()))
         return self._tiles
 
     def _make_tiles(self):

@@ -191,17 +191,57 @@ def loop_frontier(node, calib=cost.DEFAULT_CALIB):
 
 
 def exhaustive_two_stack(graph):
-    """Simulate every stack assignment; keep the smallest
-    (peak, max stack peak, bits)."""
+    """Replay every stack assignment of the activation buffers, the input's
+    included; keep the smallest (peak, max stack peak, bits) and return its
+    plan."""
     life = l2plan._lifetimes(graph)
     best = None
     for bits in itertools.product((0, 1), repeat=len(life.buffers)):
-        stack_of = dict(zip(life.buffers, bits))
-        peak, peaks, _ = l2plan._simulate(life, stack_of, 2, record=False)
+        peak, peaks, events = replay_two_stack(life, bits)
         key = (peak, max(peaks), bits)
         if best is None or key < best[0]:
-            best = (key, stack_of)
-    return l2plan._recorded_plan(life, best[1], 2)
+            best = key, peak, peaks, events
+    _, peak, peaks, events = best
+    return l2plan.L2AllocPlan(tuple(l2plan.AllocEvent(*e) for e in events),
+                              (*(node.name for node in life.nodes), "end"),
+                              peak, tuple(peaks))
+
+
+def replay_two_stack(life, bits):
+    """(peak, stack peaks, events) of one assignment, bits[b] being buffer
+    b's stack.  The input is allocated before step 0.  Each step's events
+    come in the planner's documented order: the output alloc, the weight
+    alloc and the weight free, then the dead buffers on top of stack 0,
+    most recent first, then those of stack 1."""
+    stacks, occ, peaks = ([], []), [0, 0], [0, 0]
+    peak = 0
+    events = []
+
+    def alloc(step, name, nbytes, s):
+        nonlocal peak
+        occ[s] += nbytes
+        peak = max(peak, occ[0] + occ[1])
+        peaks[s] = max(peaks[s], occ[s])
+        events.append((step, "alloc", name, s, nbytes))
+
+    if life.buffers:
+        stacks[bits[0]].append(0)
+        alloc(-1, life.buffers[0], life.size[0], bits[0])
+    for i in range(len(life.nodes) + 1):
+        if i < len(life.nodes) and life.nodes[i].kind != "ew":
+            buf, nbytes, wbytes = life.script[i]
+            s, wname = bits[buf], l2plan.weight_buffer(life.nodes[i])
+            stacks[s].append(buf)
+            alloc(i, life.buffers[buf], nbytes, s)
+            alloc(i, wname, wbytes, s)
+            occ[s] -= wbytes
+            events.append((i, "free", wname, s, wbytes))
+        for s in (0, 1):
+            while stacks[s] and life.last_use[stacks[s][-1]] <= i:
+                buf = stacks[s].pop()
+                occ[s] -= life.size[buf]
+                events.append((i, "free", life.buffers[buf], s, life.size[buf]))
+    return peak, peaks, events
 
 
 @dataclasses.dataclass

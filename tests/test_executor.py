@@ -226,7 +226,7 @@ def _edit_tiles(sched, node_name, edit):
         if p.node.name == node_name:
             tiles = edit(list(p.tiles()))
             p = dataclasses.replace(p)
-            p._tiles = tiles
+            object.__setattr__(p, "_tiles", tiles)
         plans.append(p)
     return tiler.TileSchedule(sched.graph, sched.l1_budget, plans)
 

@@ -126,6 +126,26 @@ def test_search_equals_exhaustive_oracle(graph, two):
             prefix.layers[-1].name if prefix.layers else "empty"
 
 
+def test_search_size_guard(monkeypatch):
+    # the input and 20 chained convolutions: one buffer over the limit
+    rows, x = [], net.INPUT_TENSOR
+    for i in range(l2plan.MAX_SEARCH_BUFFERS):
+        rows.append(net._conv(f"conv_{i}", x, 1, 1, 3, 3, 1, 8, 8))
+        x = rows[-1].output
+    g = net.NetworkGraph(rows)
+    assert len(l2plan._lifetimes(g).buffers) == 21
+
+    def search(life):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(l2plan, "_search_two_stack", search)
+    with pytest.raises(ValueError, match="^21 buffers: assignment search too large$"):
+        l2plan.plan_two_stack(g)
+    # one conv fewer is searched
+    with pytest.raises(AssertionError, match="search ran"):
+        l2plan.plan_two_stack(net.NetworkGraph(rows[:-1]))
+
+
 def test_single_layer_graph_peak():
     # one conv: peak is input + output + weights, no stack interplay
     spec = net.LayerSpec("conv_1", net.CONV, (net.INPUT_TENSOR,), 1, 4, 3, 3, 1, 8, 8)

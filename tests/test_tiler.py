@@ -176,8 +176,19 @@ def test_plans_are_fresh_objects(graph):
     assert a.plans == b.plans
     for p, q in zip(a.plans, b.plans):
         assert p is not q
-        p.est_cycles = -1.0
+        object.__setattr__(p, "est_cycles", -1.0)
         assert q.est_cycles == cost.plan_cycles(q), q.node.name
+
+
+def test_plan_is_frozen(graph):
+    # the executor caches a schedule's replay on its plans' identity, so an
+    # extent edited in place would leave that replay stale
+    sched = tiler.plan_network(graph)
+    plan = sched.plan_for("conv_2")
+    extents = plan.co_tile, plan.n_co
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.co_tile = extents[0] * 2
+    assert (plan.co_tile, plan.n_co) == extents
 
 
 @pytest.mark.parametrize("entry", PLAN_TABLE, ids=lambda e: f"{e['budget'] // KB}k")
