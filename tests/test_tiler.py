@@ -180,7 +180,7 @@ def test_plans_are_fresh_objects(graph):
         assert q.est_cycles == cost.plan_cycles(q), q.node.name
 
 
-def test_plan_is_frozen(graph):
+def test_tile_plan_is_frozen(graph):
     # the executor caches a schedule's replay on its plans' identity, so an
     # extent edited in place would leave that replay stale
     sched = tiler.plan_network(graph)
