@@ -39,8 +39,6 @@ from . import csvtable, net, tiler
 DATA_ENV = "NANOTILE_DATA_DIR"
 _DATA_DIR = Path(__file__).parent / "data"
 
-KB = 1024
-
 
 @dataclass(frozen=True)
 class CalibParams:

@@ -11,17 +11,16 @@ TilePlan.tiles() in order through simulated L1 with logged DMA transfers:
 every byte count, MAC count, row and channel range, stripe padding and
 worker split comes from those tile records.  L1 capacity is the schedule's
 budget, so an allocation that breaks it raises.
-Tile geometry drives the trace and the cost, and compile_schedule checks it
-once per schedule (check_tiles): each row group's tiles must split one exact
-sum over whole channel ranges, read from TilePlan.input_rows.  Host blocks
-drive the arithmetic.  Each frame runs every conv node, its fused residual
-add and ReLU included, and each FC head as one call of the conv loop the
-untiled engine runs too, kernels.conv2d, with the plan's row ranges for
-its parts, so outputs are bit-identical to the untiled engine.  The FC
-heads run as 1x1 convolutions over their input viewed as (k_in, 1, 1).  The
-target keeps 32-bit partial sums in L1 across input-channel chunks; the
-host sums each block whole, and the chunks live on in the trace and the
-cost.  Host accumulators are float64, exact by the dot-length bound, while
+Tile geometry drives the trace and the cost.  TilePlan.tiles() makes it
+once, read-only, and the executor reads it without checking it again.
+Host blocks drive the arithmetic.  Each frame runs every conv node, its
+fused residual add and ReLU included, and each FC head as one call of the
+conv loop the untiled engine runs too, kernels.conv2d, with the plan's row
+ranges for its parts, so outputs are bit-identical to the untiled engine.
+The FC heads run as 1x1 convolutions over their input viewed as
+(k_in, 1, 1).  The target keeps 32-bit partial sums in L1 across
+input-channel chunks; the host sums each block whole, and the chunks live
+on in the trace and the cost.  Host accumulators are float64, exact by the dot-length bound, while
 the budget charges the 4-byte accumulator the target hardware would hold.
 An elementwise (ReLU) node writes a fresh array, so ExecResult.tensors
 holds every tensor's own map, although the L2 plan runs it in place.
@@ -170,13 +169,13 @@ class ExecResult(kernels.InferResult):
 
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
-    """Check every plan's tiles (check_tiles raises ValueError), replay the
-    memory traffic through one MemSim under the attached L2 plan (a
-    two-stack plan is attached when none is), freeze its trace and cache
-    it on the schedule.  The cache serves while the schedule holds the L1
-    budget, the tile plans and the L2 plan it replayed (the same objects);
-    any other is replayed afresh.  An allocation that breaks a budget raises
-    MemSimError; a failed check or replay caches nothing."""
+    """Replay the memory traffic of every plan's tiles through one MemSim
+    under the attached L2 plan (a two-stack plan is attached when none is),
+    freeze its trace and cache it on the schedule.  The cache serves while
+    the schedule holds the L1 budget, the tile plans and the L2 plan it
+    replayed (the same objects, all read-only); any other is replayed
+    afresh.  An allocation that breaks a budget raises MemSimError; a
+    failed replay caches nothing."""
     graph = schedule.graph
     if schedule.l2 is None:
         schedule.l2 = l2plan.plan_two_stack(graph)
@@ -186,8 +185,6 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
         if (budget == schedule.l1_budget and len(replayed) == len(key)
                 and all(map(is_, replayed, key))):
             return ms
-    for plan in schedule.plans:
-        check_tiles(plan)
     ms = MemSim(schedule.l1_budget)
     life = l2plan._lifetimes(graph)
     l2_events: dict[tuple[int, str], list[l2plan.AllocEvent]] = {}
@@ -260,8 +257,8 @@ def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
         plan = schedule.plan_for(name)
         node, body = plan.node, plan.node.body
         if node.kind == "ew":
-            # check_tiles has seen the tiles partition the map, so one
-            # ReLU over it is the tiles' work
+            # the tiles partition the map, so one ReLU over it is the
+            # tiles' work
             acts[node.output] = kernels.relu(acts[node.input])
             continue
         # the view is (k_in, 1, 1) for an FC head, a no-op for a convolution
@@ -283,77 +280,6 @@ def first_difference(res: ExecResult, ref: kernels.InferResult):
         if n:
             return name, n, expect.size
     return None
-
-
-def _check_tile(node: tiler.NodeKernel, t: tiler.Tile) -> None:
-    """Raise unless the tile's ranges lie inside the node's tensors and its
-    padding within the kernel's reach.  No tile range reaches the
-    arithmetic, which runs over the plan's row ranges, so a range past a
-    tensor would not fail a frame: it would log DMA bytes and MACs in the
-    trace that no tensor holds."""
-    body = node.body
-    r0, r1, pad_above, pad_below = t.in_rows
-    for what, (lo, hi), n in (("ci", t.ci, body.k_in), ("co", t.co, body.k_out),
-                              ("rows", t.rows, node.h_out), ("in_rows", (r0, r1), body.h_in)):
-        if not 0 <= lo <= hi <= n:
-            raise ValueError(f"{node.name} tile {t.index}: {what} {(lo, hi)} "
-                             f"outside [0, {n}]")
-    if not (0 <= pad_above <= body.kh // 2 and 0 <= pad_below <= body.kh // 2):
-        raise ValueError(f"{node.name} tile {t.index}: padding {(pad_above, pad_below)} "
-                         f"beyond kh // 2 = {body.kh // 2}")
-
-
-def _check_partition(node: tiler.NodeKernel, what: str, axis: str,
-                     tiles: list[tiler.Tile], n: int, last: tiler.Tile) -> None:
-    """Raise unless the tiles' `axis` ranges, sorted, cover [0, n) once each;
-    `last` is named when no tile reaches n."""
-    end = 0
-    for t in sorted(tiles, key=lambda t: getattr(t, axis)):
-        lo, hi = getattr(t, axis)
-        if lo != end:
-            raise ValueError(f"{node.name} tile {t.index}: {what} {axis} {(lo, hi)} "
-                             f"starts at {lo}, not {end}")
-        end, last = hi, t
-    if end != n:
-        raise ValueError(f"{node.name} tile {last.index}: {what} {axis} end at {end}, "
-                         f"not {n}")
-
-
-def check_tiles(plan: tiler.TilePlan) -> None:
-    """Raise ValueError, naming the node and a tile, unless a plan's tiles
-    are one exact computation of its output, as the host computes it.  Every
-    range must lie inside the node's tensors, and the tiles' rows, grouped,
-    must partition the output rows.  An elementwise node's tiles must
-    partition the channels within each row group.  The host sums a conv or
-    FC node's row groups whole and renorms them once, so each group's
-    windows (tiles by input channels) must partition the input channels,
-    each window's readers and each group's closing tiles the output
-    channels, and each tile's in_rows must be input_rows(*rows)."""
-    node, body = plan.node, plan.node.body
-    groups: dict[tuple, dict[tuple, list]] = {}
-    for t in plan.tiles():
-        _check_tile(node, t)
-        groups.setdefault(t.rows, {}).setdefault(t.ci, []).append(t)
-    firsts = [next(iter(g.values()))[0] for g in groups.values()]
-    _check_partition(node, "row groups", "rows", firsts, node.h_out, firsts[-1])
-    for rows, windows in groups.items():
-        tiles = [t for readers in windows.values() for t in readers]
-        if node.kind == "ew":
-            _check_partition(node, f"channels of rows {rows}", "ci", tiles,
-                             body.k_in, tiles[-1])
-            continue
-        _check_partition(node, f"windows of rows {rows}", "ci",
-                         [readers[0] for readers in windows.values()], body.k_in, tiles[-1])
-        for ci, readers in windows.items():
-            _check_partition(node, f"readers of window ci {ci}", "co", readers,
-                             body.k_out, readers[-1])
-        _check_partition(node, f"closing tiles of rows {rows}", "co",
-                         [t for t in tiles if t.closes], body.k_out, tiles[-1])
-    if node.kind != "ew":
-        for t in plan.tiles():
-            if t.in_rows != plan.input_rows(*t.rows):
-                raise ValueError(f"{node.name} tile {t.index}: in_rows {t.in_rows}, not "
-                                 f"the {plan.input_rows(*t.rows)} that rows {t.rows} read")
 
 
 @dataclass

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import io
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -114,22 +116,30 @@ class LayerSpec:
         return 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class NetworkGraph:
-    layers: list[LayerSpec]
-    # (k, h, w) of every row's output, and of the input as its first reader sees it
-    tensors: dict[str, tuple[int, int, int]] = field(init=False)
+    """The rows, a tuple, and what derives from them once, when the graph is
+    built.  Frozen and read-only, so a graph compares and hashes by its
+    rows."""
+
+    layers: tuple[LayerSpec, ...]
+    # (k, h, w) of every row's output, and of the input as its first reader
+    # sees it, read-only
+    tensors: Mapping[str, tuple[int, int, int]] = field(init=False, compare=False)
     # the tensors that no row reads, in graph order: the network's results
-    outputs: tuple[str, ...] = field(init=False)
+    outputs: tuple[str, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        self.tensors = {}
+        object.__setattr__(self, "layers", tuple(self.layers))
+        tensors = {}
         for spec in self.layers:
             if INPUT_TENSOR in spec.inputs:
-                self.tensors.setdefault(INPUT_TENSOR, (spec.k_in, spec.h_in, spec.w_in))
-            self.tensors[spec.output] = (spec.k_out, spec.h_out, spec.w_out)
+                tensors.setdefault(INPUT_TENSOR, (spec.k_in, spec.h_in, spec.w_in))
+            tensors[spec.output] = (spec.k_out, spec.h_out, spec.w_out)
+        object.__setattr__(self, "tensors", MappingProxyType(tensors))
         read = {t for spec in self.layers for t in spec.inputs}
-        self.outputs = tuple(s.output for s in self.layers if s.output not in read)
+        object.__setattr__(self, "outputs",
+                           tuple(s.output for s in self.layers if s.output not in read))
 
     def layer(self, name: str) -> LayerSpec:
         for spec in self.layers:

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -89,10 +91,6 @@ class NodeKernel:
         return self.rows[0]
 
     @property
-    def macs(self) -> int:
-        return sum(r.macs for r in self.rows)
-
-    @property
     def fused_pool(self) -> bool:
         return self.body.fused_pool
 
@@ -141,7 +139,7 @@ def node_kernels(graph: net.NetworkGraph) -> list[NodeKernel]:
     return nodes
 
 
-@dataclass
+@dataclass(frozen=True)
 class BufferSpec:
     bytes: int          # one copy, 4-byte aligned
     double: bool = False
@@ -165,18 +163,22 @@ class Loads(NamedTuple):
 class Tile:
     """One tile of a plan, in the order the executor replays them.  A tile
     that closes its accumulation also carries the output write-back (and
-    the addend) and the fork/join sections of its output tile."""
+    the addend) and the fork/join sections of its output tile.  Frozen, and
+    its bytes a read-only copy, like the plan that makes it."""
 
     index: int
     rows: tuple[int, int]                 # node-output rows
     in_rows: tuple[int, int, int, int]    # input rows read: first, last+1, pad above, below
     ci: tuple[int, int]                   # input-channel range
     co: tuple[int, int]                   # output-channel range
-    bytes: dict[str, int]                 # L2<->L1 bytes per stream this tile moves
+    bytes: Mapping[str, int]              # L2<->L1 bytes per stream this tile moves, read-only
     macs: int
     workers: tuple[tuple[int, int], ...]  # per-core split of the parallel span
     forks: int                            # fork/join sections charged to this tile
     closes: bool                          # last input-channel chunk: renorm and write back
+
+    def __post_init__(self):
+        object.__setattr__(self, "bytes", MappingProxyType(dict(self.bytes)))
 
     @property
     def work(self) -> float:
@@ -189,8 +191,10 @@ class Tile:
 class TilePlan:
     """One scheme's tile extents for a node.  The tile counts and the L1
     buffers follow from them, through the same _extents and _buffer_terms
-    that score the search grid.  Frozen: the executor caches a schedule's
-    replay on its plans' identity, so a changed plan is a new plan."""
+    that score the search grid.  Frozen, its buffers a read-only mapping of
+    frozen BufferSpecs and its tiles a tuple: the executor caches a
+    schedule's replay on its plans' identity, so a changed plan is a new
+    plan."""
 
     node: NodeKernel
     scheme: str
@@ -201,18 +205,18 @@ class TilePlan:
     n_h: int = field(init=False)
     n_ci: int = field(init=False)
     n_co: int = field(init=False)
-    buffers: dict[str, BufferSpec] = field(init=False)
-    # the trace's and the cost's geometry, checked once per schedule (executor.check_tiles)
-    _tiles: list | None = field(default=None, init=False, repr=False, compare=False)
+    buffers: Mapping[str, BufferSpec] = field(init=False)
+    # tiles() made once by _make_tiles: the geometry the trace and the cost read
+    _tiles: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         extents = _extents(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile)
         for name, n in zip(("n_h", "n_ci", "n_co"), extents[3:]):
             object.__setattr__(self, name, n)
-        object.__setattr__(self, "buffers", {
+        object.__setattr__(self, "buffers", MappingProxyType({
             stream: BufferSpec(int(size), bool(double))
             for stream, size, double, present
-            in _buffer_terms(self.node, self.scheme, *extents) if present})
+            in _buffer_terms(self.node, self.scheme, *extents) if present}))
 
     @property
     def footprint(self) -> int:
@@ -255,13 +259,20 @@ class TilePlan:
     def worker_ranges(self, span: int) -> list[tuple[int, int]]:
         return _chunks(span, _ceil_div(span, CORES))
 
-    def tiles(self) -> list[Tile]:
+    def tiles(self) -> tuple[Tile, ...]:
         """Every tile in execution order; computed once per plan."""
         if self._tiles is None:
-            object.__setattr__(self, "_tiles", list(self._make_tiles()))
+            object.__setattr__(self, "_tiles", tuple(self._make_tiles()))
         return self._tiles
 
     def _make_tiles(self):
+        """The tiles, as one exact computation of the node's output: every
+        range comes from _chunks and lies inside the node's tensors, the
+        rows partition the output rows, each row group covers every (input,
+        output) channel pair once (an elementwise node every channel once)
+        and its closing tiles every output channel once, and each conv or
+        FC tile reads input_rows(*rows).  The tests pin this for every plan
+        they build."""
         node, body = self.node, self.node.body
         if node.kind == "fc":
             cis = self.ci_ranges()

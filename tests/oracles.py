@@ -5,14 +5,13 @@ shift-and-add over kernel offsets with int64 einsum (the engine uses
 im2col + float64 GEMM), and the graph walk below is its own loop.  The two
 planners are their exhaustive forms: every tile plan, from the oracle's own
 loops over the tile extents, scored once per node and calibration and
-searched per budget, and every stack assignment simulated.  The trace audit
-is the event-by-event loop that executor.audit_trace replaces with column
-reductions.
+searched per budget, and every stack assignment scored in one numpy pass
+over stacks held as bitmasks.  The trace audit is the event-by-event loop
+that executor.audit_trace replaces with column reductions.
 """
 
 import dataclasses
 import functools
-import itertools
 
 import numpy as np
 
@@ -190,21 +189,88 @@ def loop_frontier(node, calib=cost.DEFAULT_CALIB):
             for footprint, cycles, plan in steps]
 
 
+def assert_tile_geometry(plan):
+    """Assert that a plan's tiles are one exact computation of its node's
+    output, as the host computes it: every range lies inside the node's
+    tensors, the rows partition [0, h_out), each tile reads input_rows(*rows)
+    (an elementwise tile its own rows, unpadded), and in each row group the
+    tiles cover every (input channel, output channel) pair once (an
+    elementwise node's every input channel once) and the closing tiles every
+    output channel once, each the last tile of its output-channel range."""
+    node, body = plan.node, plan.node.body
+    groups = {}
+    for t in plan.tiles():
+        for lo, hi, n in ((*t.rows, node.h_out), (*t.ci, body.k_in), (*t.co, body.k_out),
+                          (*t.in_rows[:2], body.h_in)):
+            assert 0 <= lo < hi <= n, (node.name, t.index)
+        reads = (*t.rows, 0, 0) if node.kind == "ew" else plan.input_rows(*t.rows)
+        assert t.in_rows == reads, (node.name, t.index)
+        groups.setdefault(t.rows, []).append(t)
+    rows = np.zeros(node.h_out, int)
+    for (h0, h1), tiles in groups.items():
+        rows[h0:h1] += 1
+        where = (node.name, (h0, h1))
+        if node.kind == "ew":
+            channels = np.zeros(body.k_in, int)
+            for t in tiles:
+                assert t.co == t.ci and t.closes, where
+                channels[t.ci[0]:t.ci[1]] += 1
+            assert (channels == 1).all(), where
+            continue
+        pairs, closed = np.zeros((body.k_in, body.k_out), int), np.zeros(body.k_out, int)
+        closes = {}
+        for t in tiles:
+            pairs[t.ci[0]:t.ci[1], t.co[0]:t.co[1]] += 1
+            closed[t.co[0]:t.co[1]] += t.closes
+            closes.setdefault(t.co, []).append(t.closes)
+        assert (pairs == 1).all() and (closed == 1).all(), where
+        assert all(c == [False] * (len(c) - 1) + [True] for c in closes.values()), where
+    assert (rows == 1).all(), node.name
+
+
 def exhaustive_two_stack(graph):
-    """Replay every stack assignment of the activation buffers, the input's
-    included; keep the smallest (peak, max stack peak, bits) and return its
-    plan."""
+    """Score every stack assignment of the activation buffers, the input's
+    included, in one numpy pass; keep the smallest (peak, max stack peak,
+    index in itertools.product order) and return its plan, with the events
+    replay_two_stack records for it.
+
+    Column a of the pass is the assignment whose bits, read as a binary
+    number with buffer 0 on top, are a.  Each stack is a bitmask of the
+    buffers it holds; buffers are allocated in index order, so the top of a
+    stack is its highest bit, and a step's frees pop every dead bit above
+    the highest live one."""
     life = l2plan._lifetimes(graph)
-    best = None
-    for bits in itertools.product((0, 1), repeat=len(life.buffers)):
-        peak, peaks, events = replay_two_stack(life, bits)
-        key = (peak, max(peaks), bits)
-        if best is None or key < best[0]:
-            best = key, peak, peaks, events
-    _, peak, peaks, events = best
+    n = len(life.buffers)
+    column = np.arange(2 ** n)
+    stack_of = [(column >> (n - 1 - b)) & 1 for b in range(n)]
+    # by bitmask: the bytes of its buffers, and every bit up to its highest
+    held_bytes, up_to_top = np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for b in range(n):
+        held_bytes = np.concatenate([held_bytes, held_bytes + life.size[b]])
+        up_to_top = np.concatenate([up_to_top, np.full(2 ** b, 2 ** (b + 1) - 1)])
+    masks = np.zeros((2, 2 ** n), np.int64)
+    peaks = np.zeros((2, 2 ** n), np.int64)
+
+    def alloc(b, weight_bytes):
+        masks[stack_of[b], column] |= 1 << b
+        held = held_bytes[masks]
+        held[stack_of[b], column] += weight_bytes     # staged on top, then freed
+        np.maximum(peaks, held, out=peaks)
+        return held.sum(0)
+
+    peak = alloc(0, 0) if n else np.zeros(1, np.int64)
+    for i, (buf, _, weight_bytes) in enumerate(life.script):
+        if buf is not None:
+            peak = np.maximum(peak, alloc(buf, weight_bytes))
+        live = sum(1 << b for b in range(n) if life.last_use[b] > i)
+        masks &= up_to_top[masks & live]
+    best = np.lexsort((peaks.max(0), peak))[0]
+    bits = tuple(int(s[best]) for s in stack_of)
+    got_peak, got_peaks, events = replay_two_stack(life, bits)
+    assert (got_peak, max(got_peaks)) == (peak[best], peaks[:, best].max())
     return l2plan.L2AllocPlan(tuple(l2plan.AllocEvent(*e) for e in events),
                               (*(node.name for node in life.nodes), "end"),
-                              peak, tuple(peaks))
+                              got_peak, tuple(got_peaks))
 
 
 def replay_two_stack(life, bits):

@@ -219,133 +219,11 @@ def test_compute_events_charge_their_tiles_forks(graph, budget_kb):
         assert (len(events["conv_2"]), sched.plan_for("conv_2").loads().forks) == (1024, 32)
 
 
-def _edit_tiles(sched, node_name, edit):
-    """The schedule with one plan's tile list replaced by edit(tiles)."""
-    plans = []
-    for p in sched.plans:
-        if p.node.name == node_name:
-            tiles = edit(list(p.tiles()))
-            p = dataclasses.replace(p)
-            object.__setattr__(p, "_tiles", tiles)
-        plans.append(p)
-    return tiler.TileSchedule(sched.graph, sched.l1_budget, plans)
-
-
-def _with_tile(sched, node_name, index, **changes):
-    """The schedule with one tile record of one plan edited."""
-    def edit(tiles):
-        tiles[index] = dataclasses.replace(tiles[index], **changes)
-        return tiles
-    return _edit_tiles(sched, node_name, edit)
-
-
-def test_tile_geometry_drives_the_data(graph):
-    # the arithmetic runs over the plans' row ranges, so a wrong tile record
-    # can only show in the trace's byte, MAC and fork counts: check_tiles
-    # must raise on it (or, failing that, the heads must change) rather than
-    # let it pass in the grouping by window and row group
-    sched = tiler.plan_network(graph, 16 * 1024)
-    store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
-    ref = kernels.infer_untiled(graph, store, image)
-    want = (ref.raw_steering, ref.raw_collision)
-    res = executor.execute_schedule(sched, store, image)
-    assert (res.raw_steering, res.raw_collision) == want
-    conv_3 = sched.plan_for("conv_3").tiles()
-    closing = [t for t in conv_3 if t.closes][5]
-    stripe = sched.plan_for("conv_4+add+relu").tiles()[12]
-    r0, r1, pad_above, pad_below = stripe.in_rows
-    assert r0 > 0 and not pad_above
-    for bad in (_with_tile(sched, "conv_3", closing.index,
-                           co=(closing.co[0], closing.co[1] - 1)),
-                _with_tile(sched, "conv_4+add+relu", stripe.index,
-                           in_rows=(r0 - 1, r1, pad_above, pad_below))):
-        try:
-            res = executor.execute_schedule(bad, store, image)
-        except ValueError:
-            continue
-        assert (res.raw_steering, res.raw_collision) != want
-
-
-def test_tile_ranges_outside_the_tensors_raise(graph):
-    # no tile range reaches the arithmetic, so a range past a tensor would
-    # still give the untiled heads while the trace logged bytes and MACs
-    # that no tensor holds; check_tiles names the node and the tile instead
-    sched = tiler.plan_network(graph, 16 * 1024)
-    conv_3 = sched.plan_for("conv_3").tiles()
-    first, last = conv_3[0], conv_3[-1]
-    assert (first.in_rows, last.ci, last.co) == ((0, 25, 1, 1), (30, 32), (30, 32))
-    store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
-    for tile, what, changes in ((first, "in_rows", {"in_rows": (0, 26, 1, 1)}),
-                                (last, "ci", {"ci": (30, 33)}),
-                                (last, "co", {"co": (30, 33)}),
-                                (first, "rows", {"rows": (0, 26)}),
-                                (first, "padding", {"in_rows": (0, 25, 2, 1)})):
-        bad = _with_tile(sched, "conv_3", tile.index, **changes)
-        with pytest.raises(ValueError, match=f"conv_3 tile {tile.index}: {what}"):
-            executor.execute_schedule(bad, store, image)
-
-
-def test_tiles_that_break_a_partition_raise(graph):
-    # the host computes each row group whole, so a tile set with a gap or an
-    # overlap would still give the untiled heads while the trace's bytes,
-    # MACs and forks missed a product or counted one twice
-    sched = tiler.plan_network(graph, 16 * 1024)
-    conv_3 = sched.plan_for("conv_3").tiles()
-    reader, closing = conv_3[16], conv_3[31]
-    assert (reader.ci, reader.co, reader.closes) == ((0, 2), (2, 4), False)
-    assert (closing.co, closing.closes, conv_3[47].co) == ((2, 4), True, (4, 6))
-    assert sched.plan_for("fully_1").tiles()[1].ci == (1568, 3136)
-    assert sched.plan_for("conv_1+pool").tiles()[49].rows == (49, 50)
-    assert sched.plan_for("conv_1+pool").tiles()[10].in_rows == (38, 45, 0, 0)
-    store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
-    for node, index, changes, named, what in (
-            ("conv_3", 16, {"co": (3, 4)}, 16, "readers of window ci (0, 2) co"),
-            ("conv_3", 16, {"co": (1, 4)}, 16, "readers of window ci (0, 2) co"),
-            ("conv_3", 31, {"closes": False}, 47, "closing tiles of rows (0, 25) co"),
-            ("fully_1", 1, {"ci": (1569, 3136)}, 1, "windows of rows (0, 1) ci"),
-            ("conv_1+pool", 49, {"rows": (49, 49)}, 49, "row groups rows"),
-            ("conv_1+pool", 10, {"in_rows": (38, 43, 0, 0)}, 10, "in_rows")):
-        bad = _with_tile(sched, node, index, **changes)
-        with pytest.raises(ValueError, match=re.escape(f"{node} tile {named}: {what}")):
-            executor.execute_schedule(bad, store, image)
-
-
-def test_elementwise_tiles_that_break_a_partition_raise(graph):
-    # a ReLU node runs over its whole map, so a row range past the map or a
-    # dropped tile would only show as bytes the trace moves in excess or
-    # never moves
-    store, image = net.random_store(graph, 0, 0.1), oracles.random_image(0)
-    spatial = tiler.plan_network(graph, 16 * 1024)
-    relu = spatial.plan_for("relu_1")
-    assert relu.scheme == tiler.SPATIAL
-    assert [t.rows for t in relu.tiles()[5:7]] == [(10, 12), (12, 14)]
-    assert relu.tiles()[24].rows == (48, 50)
-    featurewise = tiler.plan_network(graph, 60 * 1024)
-    assert featurewise.plan_for("relu_1").tiles()[3].ci == (18, 24)
-    for bad, what in (
-            (_edit_tiles(spatial, "relu_1", lambda ts: ts[:5] + ts[6:]),
-             "relu_1 tile 6: row groups rows (12, 14) starts at 12, not 10"),
-            (_with_tile(spatial, "relu_1", 24, rows=(48, 51)),
-             "relu_1 tile 24: rows (48, 51) outside [0, 50]"),
-            (_edit_tiles(featurewise, "relu_1", lambda ts: ts[:2] + ts[3:]),
-             "relu_1 tile 3: channels of rows (0, 50) ci (18, 24) starts at 18, not 12")):
-        with pytest.raises(ValueError, match=re.escape(what)):
-            executor.execute_schedule(bad, store, image)
-
-
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
-def test_row_groups_cover_the_output(graph, monkeypatch, budget_kb):
+def test_row_groups_cover_the_output(graph, budget_kb):
     # the tiles' rows partition the output and each row group multiplies
-    # every (input, output) channel pair once; check_tiles proves it once
-    # per schedule, not per frame
+    # every (input, output) channel pair once
     sched = tiler.plan_network(graph, budget_kb * 1024)
-    checked = []
-    check_tiles = executor.check_tiles
-    monkeypatch.setattr(executor, "check_tiles",
-                        lambda p: checked.append(p.node.name) or check_tiles(p))
-    for seed in (0, 1):
-        executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(seed))
-    assert checked == [p.node.name for p in sched.plans]
     for p in sched.plans:
         if p.node.kind == "ew":
             continue
@@ -664,6 +542,28 @@ def test_compiled_replay_follows_the_tile_plans(graph):
     assert executor.execute_schedule(sched, store, image).memsim is res.memsim
 
 
+def test_plans_reject_edits_after_a_frame(graph):
+    # the replay is cached on the plans' identity, so every part of a plan
+    # that it reads is read-only: an edit raises, where an edited buffer
+    # used to leave the next frame a stale trace of the old footprint
+    store, image = net.zero_store(graph), oracles.random_image(0)
+    sched = tiler.plan_network(graph, 60 * 1024)
+    first = executor.execute_schedule(sched, store, image)
+    plan = sched.plan_for("conv_2")
+    tiles = plan.tiles()
+    with pytest.raises(TypeError):
+        plan.buffers["out"] = tiler.BufferSpec(100_000)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.buffers["out"].bytes = 100_000
+    with pytest.raises(TypeError):
+        tiles[0] = tiles[1]
+    with pytest.raises(TypeError):
+        tiles[0].bytes["in"] = 0
+    res = executor.execute_schedule(sched, store, image)
+    assert oracles.audit_fields(executor.audit_trace(res.trace, res.memsim)) == \
+        oracles.audit_fields(executor.audit_trace(first.trace, first.memsim))
+
+
 def test_memsim_keeps_its_events_once(schedule):
     ms = executor.compile_schedule(schedule)
     assert ms.events is ms.trace.events
@@ -679,9 +579,9 @@ def test_a_graph_without_two_heads_raises_before_the_first_layer(graph, monkeypa
     # before they run a layer, as they do for two heads that are 50x50 maps
     cut = [r.name for r in graph.layers].index("relu_2") + 1
     prefix = net.NetworkGraph(graph.layers[:cut])
-    maps = net.NetworkGraph(graph.layers[:2] + [
+    maps = net.NetworkGraph(graph.layers[:2] + tuple(
         net.LayerSpec(name, net.CONV, ("relu_1",), k_in=32, k_out=1, kh=1, kw=1,
-                      h_in=50, w_in=50) for name in ("head_a", "head_b")])
+                      h_in=50, w_in=50) for name in ("head_a", "head_b")))
     calls = []
     conv2d = kernels.conv2d
     monkeypatch.setattr(kernels, "conv2d", lambda *a: calls.append(1) or conv2d(*a))

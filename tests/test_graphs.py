@@ -68,6 +68,8 @@ def test_random_graph_runs_the_whole_pipeline(graph, data):
     budget = max(edge, data.draw(st.sampled_from(footprints)) - data.draw(st.integers(0, 1)))
     schedule = tiler.plan_network(graph, budget)
     assert schedule.plans == [oracles.exhaustive_plan_layer(node, budget) for node in nodes]
+    for plan in schedule.plans:
+        oracles.assert_tile_geometry(plan)
 
     schedule.l2 = l2plan.plan_two_stack(graph)
     assert schedule.l2 == oracles.exhaustive_two_stack(graph)

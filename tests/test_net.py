@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,11 @@ def test_bypass_edges_skip_two_conv_main_paths(graph):
         assert graph.layer(byp).inputs == graph.layer(main[0]).inputs
 
 
+def _edited(graph, row, **change):
+    """DroNet's rows with one row's fields changed."""
+    return tuple(dataclasses.replace(r, **change) if r.name == row else r for r in graph.layers)
+
+
 @pytest.mark.parametrize("row, change", [
     ("conv_5", {"h_in": 26, "w_in": 26}),   # reads relu_2, 32x25x25; still 13x13 out
     ("relu_1", {"k_in": 16}),
@@ -55,9 +61,45 @@ def test_bypass_edges_skip_two_conv_main_paths(graph):
     ("fully_2", {"h_in": 7}),
 ])
 def test_declared_input_extents_must_match_the_input(graph, row, change):
-    rows = [dataclasses.replace(r, **change) if r.name == row else r for r in graph.layers]
     with pytest.raises(ValueError, match=f"^{row}: declares input"):
-        net._validate(net.NetworkGraph(rows))
+        net._validate(net.NetworkGraph(_edited(graph, row, **change)))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (lambda g: _edited(g, "conv_2", inputs=("conv_3",)),
+     "conv_2: input conv_3 has no earlier producer"),
+    (lambda g: g.layers + g.layers[-1:], "duplicate producer for fully_2"),
+    # relu_1 is 32x50x50, the join's first operand 32x25x25
+    (lambda g: _edited(g, "add_1", inputs=("conv_3", "relu_1")),
+     "add_1: join operands (32, 25, 25) vs (32, 50, 50)"),
+], ids=["producer", "duplicate", "join"])
+def test_validate_rejects_a_broken_graph(graph, rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        net._validate(net.NetworkGraph(rows(graph)))
+
+
+def test_validate_bounds_the_dot_length(graph, monkeypatch):
+    # the longest dot is a head's 6272 terms; the bound is inclusive
+    monkeypatch.setattr(fxp, "MAX_EXACT_DOT_LEN", 6272)
+    net._validate(graph)
+    monkeypatch.setattr(fxp, "MAX_EXACT_DOT_LEN", 6271)
+    with pytest.raises(ValueError, match="^dot-product length breaks exact float64"):
+        net._validate(graph)
+
+
+def test_graph_is_frozen_and_hashes_by_its_rows(graph):
+    # tensors and outputs derive from the rows once, so the rows cannot
+    # change under them
+    with pytest.raises(AttributeError):
+        graph.layers.append(graph.layers[-1])
+    with pytest.raises(TypeError):
+        graph.tensors["fully_1"] = (2, 1, 1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        graph.layers = ()
+    again = net.NetworkGraph(list(graph.layers))
+    assert again.layers == graph.layers and again == graph
+    assert hash(again) == hash(graph) == hash(net.build_dronet())
+    assert net.NetworkGraph(graph.layers[:-1]) != graph
 
 
 def test_mac_count(graph):

@@ -204,6 +204,7 @@ def test_plan_table(graph, entry):
             for p in plans] == entry["plans"]
     for p in plans:
         assert p.est_cycles == cost.layer_cycles(p).exec_cl, p.node.name
+        oracles.assert_tile_geometry(p)
         tiles = p.tiles()
         assert [t.index for t in tiles] == list(range(p.n_tiles))
         counts, sizes = {}, {}
