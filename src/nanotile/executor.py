@@ -170,12 +170,14 @@ class ExecResult(kernels.InferResult):
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     """Replay the memory traffic of every plan's tiles through one MemSim
-    under the attached L2 plan (a two-stack plan is attached when none is),
-    freeze its trace and cache it on the schedule.  The cache serves while
-    the schedule holds the L1 budget, the tile plans and the L2 plan it
-    replayed (the same objects, all read-only); any other is replayed
-    afresh.  An allocation that breaks a budget raises MemSimError; a
-    failed replay caches nothing."""
+    under the attached L2 plan (the graph's two-stack plan is attached when
+    none is), freeze its trace and cache it on the schedule.  The cache
+    serves while the schedule holds the L1 budget, the tile plans and the L2
+    plan it replayed (the same objects, all read-only); any other is
+    replayed afresh.  plan_two_stack and the lifetimes are computed once per
+    graph, so re-attaching plan_two_stack(graph) attaches the same object
+    and serves the cached replay.  An allocation that breaks a budget raises
+    MemSimError; a failed replay caches nothing."""
     graph = schedule.graph
     if schedule.l2 is None:
         schedule.l2 = l2plan.plan_two_stack(graph)

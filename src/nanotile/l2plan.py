@@ -18,17 +18,25 @@ assignment): the result is the one scoring every assignment would keep.
 plan_single_stack runs the same lifetime rules with one stack, which is what
 makes the two-stack layout worthwhile.
 
-One simulator serves the search and the recorded plans.  _lifetimes derives,
-once per graph, a per-step script (the index of the buffer a step allocates,
-its bytes, its weight bytes) and each buffer's size and last use; the
-simulator's state is the stacks as lists of buffer indices, the occupancy and
-peak per stack and the peak total, so a search branch copies a few short int
-lists, and events are built only when a plan is recorded.
+One simulator serves the search and the recorded plans.  _lifetimes derives
+a per-step script (the index of the buffer a step allocates, its bytes, its
+weight bytes) and each buffer's size and last use; the simulator's state is
+the stacks as lists of buffer indices, the occupancy and peak per stack and
+the peak total, so a search branch copies a few short int lists, and events
+are built only when a plan is recorded.
+
+All of this depends on the graph alone, and the graph is frozen, so
+_lifetimes and plan_two_stack are computed once per graph, in bounded caches
+(tiler.GRAPHS_CACHED graphs) that hand every caller the same read-only
+value.  validate_plan is the independent check and replays on every call.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import net, tiler
 from .tiler import _align4
@@ -67,23 +75,28 @@ def weight_buffer(node: tiler.NodeKernel) -> str:
     return f"w:{node.name}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Lifetimes:
-    nodes: list[tiler.NodeKernel]
-    alias: dict[str, str]               # tensor -> backing buffer
-    buffers: list[str]                  # activation buffers in alloc order
-    size: list[int]                     # buffer index -> bytes
-    last_use: list[int]                 # buffer index -> last step that reads it
+    """A graph's buffer lifetimes: shared by every caller through the cache
+    of _lifetimes, so tuples and read-only mappings throughout."""
+
+    nodes: tuple[tiler.NodeKernel, ...]
+    alias: Mapping[str, str]            # tensor -> backing buffer
+    buffers: tuple[str, ...]            # activation buffers in alloc order
+    size: tuple[int, ...]               # buffer index -> bytes
+    last_use: tuple[int, ...]           # buffer index -> last step that reads it
     # step -> (index of the buffer it allocates or None, its bytes, weight
     # bytes); the step after the last node is the mission end
-    script: list[tuple[int | None, int, int]]
-    consumes: dict[int, list[str]]      # step -> buffers read
+    script: tuple[tuple[int | None, int, int], ...]
+    consumes: Mapping[int, tuple[str, ...]]     # step -> buffers read
 
 
+@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
 def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
     nodes = tiler.node_kernels(graph)
     if not nodes:       # nothing to execute, nothing to stage
-        return _Lifetimes([], {}, [], [], [], [(None, 0, 0)], {})
+        return _Lifetimes((), MappingProxyType({}), (), (), (), ((None, 0, 0),),
+                          MappingProxyType({}))
     tensors = graph.tensors
     alias = {net.INPUT_TENSOR: net.INPUT_TENSOR}
     buffers = [net.INPUT_TENSOR]
@@ -92,13 +105,13 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
     size = [_align4(2 * k * h * w)]
     last_use = [-1]
     script: list[tuple[int | None, int, int]] = []
-    consumes: dict[int, list[str]] = {}
+    consumes: dict[int, tuple[str, ...]] = {}
 
     for i, node in enumerate(nodes):
         reads = [alias[node.input]]
         if node.addend:
             reads.append(alias[node.addend])
-        consumes[i] = reads
+        consumes[i] = tuple(reads)
         for b in reads:
             last_use[index[b]] = i
         if node.kind == "ew":
@@ -116,7 +129,8 @@ def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
     script.append((None, 0, 0))                 # the mission end allocates nothing
     for tensor in graph.outputs:
         last_use[index[alias[tensor]]] = len(nodes)   # results handed over at mission end
-    return _Lifetimes(nodes, alias, buffers, size, last_use, script, consumes)
+    return _Lifetimes(nodes, MappingProxyType(alias), tuple(buffers), tuple(size),
+                      tuple(last_use), tuple(script), MappingProxyType(consumes))
 
 
 class _Sim:
@@ -235,10 +249,13 @@ def _search_two_stack(life: _Lifetimes) -> list[int]:
     return best
 
 
+@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
 def plan_two_stack(graph: net.NetworkGraph) -> L2AllocPlan:
     """Stack assignment minimizing peak total occupancy, then the larger stack
     peak, then the assignment bits in allocation order; the pruned search in
-    _search_two_stack returns what scoring every assignment would."""
+    _search_two_stack returns what scoring every assignment would.  Searched
+    once per graph: later calls return the same frozen plan.  A graph too
+    large to search raises on every call."""
     life = _lifetimes(graph)
     if len(life.buffers) > MAX_SEARCH_BUFFERS:
         raise ValueError(f"{len(life.buffers)} buffers: assignment search too large")

@@ -45,6 +45,10 @@ from . import net
 from .net import _ceil_div
 
 DEFAULT_L1_BUDGET = 60 * 1024   # 4 KB of the 64 KB scratchpad reserved for runtime
+# bounds of the graph-keyed caches (here and in l2plan) and of frontier's,
+# which holds one entry per node kernel and calibration
+GRAPHS_CACHED = 32
+FRONTIERS_CACHED = 512
 SPATIAL = "spatial"
 FEATUREWISE = "feature-wise"
 CORES = 8
@@ -108,12 +112,14 @@ class NodeKernel:
         return self.body.w_out
 
 
-def node_kernels(graph: net.NetworkGraph) -> list[NodeKernel]:
+@functools.lru_cache(maxsize=GRAPHS_CACHED)
+def node_kernels(graph: net.NetworkGraph) -> tuple[NodeKernel, ...]:
     """Group the graph rows into node kernels (DroNet's 18 rows into 13).
 
     A residual join and the ReLU that follows it ride as epilogue of the
     bypass convolution, the join's second operand; a ReLU that follows
-    anything else is its own node.
+    anything else is its own node.  Computed once per graph (frozen, so it
+    keys the cache); the nodes are a tuple of frozen kernels.
     """
     rows = graph.layers
     nodes: list[NodeKernel] = []
@@ -136,11 +142,10 @@ def node_kernels(graph: net.NetworkGraph) -> list[NodeKernel]:
                 fused.append(relu_row)
         nodes.append(NodeKernel(tuple(fused)))
         consumed.update(r.name for r in fused)
-    return nodes
+    return tuple(nodes)
 
 
-@dataclass(frozen=True)
-class BufferSpec:
+class BufferSpec(NamedTuple):
     bytes: int          # one copy, 4-byte aligned
     double: bool = False
 
@@ -192,7 +197,7 @@ class TilePlan:
     """One scheme's tile extents for a node.  The tile counts and the L1
     buffers follow from them, through the same _extents and _buffer_terms
     that score the search grid.  Frozen, its buffers a read-only mapping of
-    frozen BufferSpecs and its tiles a tuple: the executor caches a
+    BufferSpec tuples and its tiles a tuple: the executor caches a
     schedule's replay on its plans' identity, so a changed plan is a new
     plan."""
 
@@ -520,7 +525,7 @@ def _front(footprint, cycles, n_tiles, h_tile):
     return lead[order[np.flatnonzero(np.diff(best, prepend=n))]]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=FRONTIERS_CACHED)
 def frontier(node: NodeKernel, calib) -> tuple[Step, ...]:
     """Every budget's best plan of a node, as the steps at which it changes.
 
@@ -529,7 +534,7 @@ def frontier(node: NodeKernel, calib) -> tuple[Step, ...]:
     numpy arrays (cost.node_cycles of _loads, the formula a TilePlan's
     cycles use), and reduced to its steps; the two schemes' steps, spatial
     first, are reduced again to the node's.  Cached per node kernel and
-    calibration, both frozen; the steps are immutable.
+    calibration, both frozen, in a bounded cache; the steps are immutable.
     """
     from . import cost as cost_mod
     columns = []

@@ -82,8 +82,11 @@ def test_lifo_violation_detected(graph, two):
             break
     assert i is not None, "expected a cascading free pair"
     events[i], events[j] = events[j], events[i]
-    tampered = dataclasses.replace(two, events=events)
-    assert any("free of" in v for v in l2plan.validate_plan(tampered, graph))
+    tampered = dataclasses.replace(two, events=tuple(events))
+    # validate_plan replays on every call, whichever plan it saw before
+    for _ in range(2):
+        assert any("free of" in v for v in l2plan.validate_plan(tampered, graph))
+        assert l2plan.validate_plan(two, graph) == []
 
 
 def test_early_free_of_bypass_tensor_detected(graph, two):
@@ -163,8 +166,33 @@ def test_empty_graph():
 
 
 def test_determinism(graph, two):
-    again = l2plan.plan_two_stack(graph)
-    assert again.events == two.events
+    # the uncached search, run again, finds the same plan
+    again = l2plan.plan_two_stack.__wrapped__(graph)
+    assert again is not two
+    assert again == two
+
+
+def test_plans_are_shared_per_graph():
+    # the graph-only derivations are computed once per graph: a separately
+    # built, equal graph gets the same objects, which are read-only
+    a, b = net.build_dronet(), net.build_dronet()
+    assert a is not b
+    assert l2plan.plan_two_stack(a) is l2plan.plan_two_stack(b)
+    assert tiler.node_kernels(a) is tiler.node_kernels(b)
+    assert isinstance(tiler.node_kernels(a), tuple)
+    life = l2plan._lifetimes(a)
+    assert life is l2plan._lifetimes(b)
+    with pytest.raises(TypeError):
+        life.script[0] = (None, 0, 0)
+    with pytest.raises(TypeError):
+        life.alias[net.INPUT_TENSOR] = "conv_1"
+    with pytest.raises(TypeError):
+        life.consumes[0] = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        life.size = ()
+    for cached in (l2plan.plan_two_stack, l2plan._lifetimes, tiler.node_kernels,
+                   tiler.frontier):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_summary_dump(two):
