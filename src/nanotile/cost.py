@@ -23,6 +23,13 @@ no cost, so only the per-descriptor setup cost is modelled.
 There is one path from cycles to a frame's time, power and energy at an
 operating point, _at_op: frame_report, CostReport.at, the sweep and the
 power calibration all go through it, so a sweep point is a CostReport.
+
+There is one set of rows per plan and calibration, plan_rows: a plan's
+RowLoads and RowCosts are computed once per calibration and the costs kept
+on the frozen plan, which the planner shares between every budget on one
+frontier step.  frame_report, layer_cycles and plan_cycles all read them;
+frame_report adds them in graph order.  The sweep's operating points are
+one module tuple, SWEEP_POINTS.
 """
 
 from __future__ import annotations
@@ -72,6 +79,10 @@ FAST = OpPoint(1.2, 250e6, 250e6)
 # calibrated operating envelope: corners validated per supply voltage
 FMAX_HZ = {1.0: 100e6, 1.2: 250e6}
 SWEEP_FREQS_HZ = (50e6, 100e6, 150e6, 200e6, 250e6)
+SWEEP_POINTS = tuple(OpPoint(vdd, f_fc, f_cl)
+                     for vdd, fmax in FMAX_HZ.items()
+                     for f_fc in SWEEP_FREQS_HZ for f_cl in SWEEP_FREQS_HZ
+                     if f_fc <= fmax and f_cl <= fmax)
 ETA_PEAK_PER_CORE = 0.64   # measured inner-kernel MAC/cycle/core peak, reference only
 CAMERA_W = 0.0045          # ULP camera draw
 DRAM_W = 0.008             # DRAM while L3-L2 transfers are active
@@ -139,8 +150,22 @@ def row_loads(node: tiler.NodeKernel, loads: tiler.Loads) -> list[RowLoad]:
 
 def node_cycles(node: tiler.NodeKernel, loads: tiler.Loads, calib: CalibParams):
     """Cluster cycles of one node kernel: its rows' cycles summed.  The
-    planner scores whole grids with it; layer_cycles reports one plan."""
+    planner scores whole grids with it; layer_cycles reports one plan with
+    the same sum over plan_rows."""
     return sum(row.exec_cycles(calib) for row in row_loads(node, loads))
+
+
+def plan_rows(plan: tiler.TilePlan, calib: CalibParams) -> tuple[tuple[RowCost, ...], int]:
+    """A plan's graph rows priced under calib, in node order, and the
+    L2<->L1 descriptors they set up.  Computed from row_loads once per plan
+    and calibration and kept on the plan for the last calibration priced,
+    so every report of a plan reads the same rows."""
+    if plan._rows is None or plan._rows[0] != calib:
+        loads = row_loads(plan.node, plan.loads())
+        object.__setattr__(plan, "_rows", (calib, tuple(
+            RowCost(r.name, r.exec_cycles(calib), r.w_bytes / calib.l3l2_bytes_per_fcycle)
+            for r in loads), sum(r.transfers for r in loads)))
+    return plan._rows[1:]
 
 
 def _schedule_rows(schedule: tiler.TileSchedule) -> list[RowLoad]:
@@ -161,11 +186,10 @@ class LayerCycles:
 
 def layer_cycles(plan: tiler.TilePlan,
                  calib: CalibParams = DEFAULT_CALIB) -> LayerCycles:
-    """Breakdown for one planned node kernel."""
-    loads = plan.loads()
-    rows = row_loads(plan.node, loads)
-    return LayerCycles(plan.node.name, node_cycles(plan.node, loads, calib),
-                       sum(r.w_bytes for r in rows) / calib.l3l2_bytes_per_fcycle)
+    """Breakdown for one planned node kernel, from its plan_rows."""
+    rows, _ = plan_rows(plan, calib)
+    return LayerCycles(plan.node.name, sum(r.exec_cycles for r in rows),
+                       sum(r.l3l2_fcycles for r in rows))
 
 
 def plan_cycles(plan: tiler.TilePlan, calib: CalibParams = DEFAULT_CALIB) -> float:
@@ -173,7 +197,7 @@ def plan_cycles(plan: tiler.TilePlan, calib: CalibParams = DEFAULT_CALIB) -> flo
     return layer_cycles(plan, calib).exec_cl
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RowCost:
     name: str
     exec_cycles: float
@@ -237,11 +261,14 @@ def _at_op(op: OpPoint, rows: tuple[RowCost, ...], exec_cycles: float,
 def frame_report(schedule: tiler.TileSchedule, op: OpPoint = EFFICIENT,
                  calib: CalibParams = DEFAULT_CALIB,
                  power: PowerParams = DEFAULT_POWER) -> CostReport:
-    loads = _schedule_rows(schedule)
-    rows = tuple(RowCost(r.name, r.exec_cycles(calib), r.w_bytes / calib.l3l2_bytes_per_fcycle)
-                 for r in loads)
+    by_name, transfers = {}, 0
+    for p in schedule.plans:
+        costs, n = plan_rows(p, calib)
+        by_name.update((r.name, r) for r in costs)
+        transfers += n
+    rows = tuple(by_name[spec.name] for spec in schedule.graph.layers)
     return _at_op(op, rows, sum(r.exec_cycles for r in rows), sum(r.l3l2_fcycles for r in rows),
-                  calib.dma_setup_cycles * sum(r.transfers for r in loads), power)
+                  calib.dma_setup_cycles * transfers, power)
 
 
 def breakdown_mcycles(report: CostReport) -> tuple[float, float, float, float]:
@@ -403,13 +430,10 @@ def fit_residuals(schedule, calib, power, targets=None) -> dict:
 def sweep(schedule: tiler.TileSchedule,
           calib: CalibParams = DEFAULT_CALIB,
           power: PowerParams = DEFAULT_POWER) -> tuple[list[CostReport], CostReport]:
-    """The frame's report at every point of the calibrated envelope;
-    returns (reports, min-energy report)."""
+    """The frame's report at every point of the calibrated envelope,
+    SWEEP_POINTS; returns (reports, min-energy report)."""
     base = frame_report(schedule, EFFICIENT, calib, power)
-    points = [base.at(OpPoint(vdd, f_fc, f_cl), power)
-              for vdd, fmax in FMAX_HZ.items()
-              for f_fc in SWEEP_FREQS_HZ for f_cl in SWEEP_FREQS_HZ
-              if f_fc <= fmax and f_cl <= fmax]
+    points = [base.at(op, power) for op in SWEEP_POINTS]
     best = min(points, key=lambda p: p.energy_j)
     return points, best
 

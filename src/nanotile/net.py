@@ -120,7 +120,7 @@ class LayerSpec:
 class NetworkGraph:
     """The rows, a tuple, and what derives from them once, when the graph is
     built.  Frozen and read-only, so a graph compares and hashes by its
-    rows."""
+    rows; the hash too is computed once, for the caches keyed on a graph."""
 
     layers: tuple[LayerSpec, ...]
     # (k, h, w) of every row's output, and of the input as its first reader
@@ -128,9 +128,11 @@ class NetworkGraph:
     tensors: Mapping[str, tuple[int, int, int]] = field(init=False, compare=False)
     # the tensors that no row reads, in graph order: the network's results
     outputs: tuple[str, ...] = field(init=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "_hash", hash((self.layers,)))
         tensors = {}
         for spec in self.layers:
             if INPUT_TENSOR in spec.inputs:
@@ -140,6 +142,9 @@ class NetworkGraph:
         read = {t for spec in self.layers for t in spec.inputs}
         object.__setattr__(self, "outputs",
                            tuple(s.output for s in self.layers if s.output not in read))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def layer(self, name: str) -> LayerSpec:
         for spec in self.layers:

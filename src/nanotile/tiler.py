@@ -26,7 +26,9 @@ in closed form, over ints for one plan or numpy arrays for a search grid.
 A candidate's footprint and cycles do not depend on the budget, so
 frontier() scores each node's grids once per calibration and keeps the
 footprints at which the best plan changes; plan_layer looks a budget up
-there.
+there.  Each step's TilePlan is built on first use and kept with its step,
+so every budget on one step shares one frozen plan, and with it the plan's
+loads, its tiles once the executor asks for them, and its cost rows.
 """
 
 from __future__ import annotations
@@ -46,7 +48,8 @@ from .net import _ceil_div
 
 DEFAULT_L1_BUDGET = 60 * 1024   # 4 KB of the 64 KB scratchpad reserved for runtime
 # bounds of the graph-keyed caches (here and in l2plan) and of frontier's,
-# which holds one entry per node kernel and calibration
+# which holds one entry per node kernel and calibration, with the step plans
+# built from it
 GRAPHS_CACHED = 32
 FRONTIERS_CACHED = 512
 SPATIAL = "spatial"
@@ -161,7 +164,7 @@ class Loads(NamedTuple):
 
     work: object
     forks: object
-    descriptors: dict
+    descriptors: Mapping[str, object]
 
 
 @dataclass(frozen=True)
@@ -192,14 +195,18 @@ class Tile:
         return self.macs * _worker_slots(span) / span
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TilePlan:
     """One scheme's tile extents for a node.  The tile counts and the L1
     buffers follow from them, through the same _extents and _buffer_terms
     that score the search grid.  Frozen, its buffers a read-only mapping of
     BufferSpec tuples and its tiles a tuple: the executor caches a
     schedule's replay on its plans' identity, so a changed plan is a new
-    plan."""
+    plan.  plan_layer builds a frontier step's plan on first use and hands
+    the same plan to every budget on that step, so its tiles(), its loads()
+    and its cost rows (cost.plan_rows, per calibration) are computed once
+    and shared by every schedule that holds it.  Slotted, so each of those
+    caches, filled after the plan is built, costs one slot."""
 
     node: NodeKernel
     scheme: str
@@ -213,6 +220,11 @@ class TilePlan:
     buffers: Mapping[str, BufferSpec] = field(init=False)
     # tiles() made once by _make_tiles: the geometry the trace and the cost read
     _tiles: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # loads() made once by _loads, its descriptor counts read-only
+    _sums: Loads | None = field(default=None, init=False, repr=False, compare=False)
+    # (calibration, row costs, descriptor count): cost.plan_rows keeps them
+    # here for the last calibration it priced
+    _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         extents = _extents(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile)
@@ -338,12 +350,19 @@ class TilePlan:
     # -- accounting ---------------------------------------------------------
 
     def loads(self) -> Loads:
-        return _loads(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile,
-                      self.n_h, self.n_ci, self.n_co)
+        """The cycle model's sums over tiles(); computed once per plan."""
+        if self._sums is None:
+            work, forks, descriptors = _loads(self.node, self.scheme, self.h_tile, self.ci_tile,
+                                              self.co_tile, self.n_h, self.n_ci, self.n_co)
+            object.__setattr__(self, "_sums", Loads(work, forks, MappingProxyType(descriptors)))
+        return self._sums
 
     def transfer_bytes(self) -> dict[str, int]:
+        """Bytes per stream over the tiles.  A sum keeps no tiles: a step
+        plan lives as long as its frontier, and holds tiles only once the
+        executor has asked for them."""
         totals: dict[str, int] = {}
-        for tile in self.tiles():
+        for tile in self._tiles or self._make_tiles():
             for stream, nbytes in tile.bytes.items():
                 totals[stream] = totals.get(stream, 0) + nbytes
         return totals
@@ -525,8 +544,23 @@ def _front(footprint, cycles, n_tiles, h_tile):
     return lead[order[np.flatnonzero(np.diff(best, prepend=n))]]
 
 
+class Frontier(tuple):
+    """A node's Steps in ascending footprint, a tuple, with each step's
+    TilePlan built on first use and kept here: every budget on a step gets
+    the same frozen plan, and the plans live as long as their frontier."""
+
+    def __init__(self, steps):
+        self._plans: list[TilePlan | None] = [None] * len(self)
+
+    def plan(self, node: NodeKernel, i: int) -> TilePlan:
+        """Step i's plan for the node, its est_cycles the step's cycles."""
+        if self._plans[i] is None:
+            self._plans[i] = TilePlan(node, *self[i][1:])
+        return self._plans[i]
+
+
 @functools.lru_cache(maxsize=FRONTIERS_CACHED)
-def frontier(node: NodeKernel, calib) -> tuple[Step, ...]:
+def frontier(node: NodeKernel, calib) -> Frontier:
     """Every budget's best plan of a node, as the steps at which it changes.
 
     A candidate's cycles do not depend on the budget; only the mask
@@ -534,7 +568,8 @@ def frontier(node: NodeKernel, calib) -> tuple[Step, ...]:
     numpy arrays (cost.node_cycles of _loads, the formula a TilePlan's
     cycles use), and reduced to its steps; the two schemes' steps, spatial
     first, are reduced again to the node's.  Cached per node kernel and
-    calibration, both frozen, in a bounded cache; the steps are immutable.
+    calibration, both frozen, in a bounded cache, which also bounds the step
+    plans the frontier keeps; the steps are immutable.
     """
     from . import cost as cost_mod
     columns = []
@@ -551,7 +586,7 @@ def frontier(node: NodeKernel, calib) -> tuple[Step, ...]:
         columns.append([np.full(len(keep), scheme)] + [a[keep] for a in col])
     schemes, footprint, cycles, n_tiles, h, ci, co = (np.concatenate(c) for c in zip(*columns))
     keep = _front(footprint, cycles, n_tiles, h)
-    return tuple(map(Step, *(a[keep].tolist() for a in (footprint, schemes, h, ci, co, cycles))))
+    return Frontier(map(Step, *(a[keep].tolist() for a in (footprint, schemes, h, ci, co, cycles))))
 
 
 def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
@@ -563,10 +598,11 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
     so among otherwise equal plans the smallest ci_tile wins.
 
     The budget is looked up in frontier(node, calib): the plan is the last
-    step whose footprint fits, as a new TilePlan whose est_cycles is the
-    step's cycles.  Below the first step nothing fits, and InfeasibleError
-    names the schemes that apply.  (DORY, Burrello et al. 2021, casts the
-    same search as a small constrained optimisation.)
+    step whose footprint fits, the step's TilePlan, whose est_cycles is the
+    step's cycles.  Every budget on one step gets the same frozen plan,
+    built on its first lookup.  Below the first step nothing fits, and
+    InfeasibleError names the schemes that apply.  (DORY, Burrello et al.
+    2021, casts the same search as a small constrained optimisation.)
     """
     from . import cost as cost_mod
     steps = frontier(node, calib or cost_mod.DEFAULT_CALIB)
@@ -575,7 +611,7 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
         schemes = [s for s in (SPATIAL, FEATUREWISE) if _grid_axes(node, s) is not None]
         raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
                               f"({', '.join(schemes)})")
-    return TilePlan(node, *steps[i - 1][1:])
+    return steps.plan(node, i - 1)
 
 
 @dataclass

@@ -182,6 +182,41 @@ def test_layer_cycles_breakdown(schedule):
     assert 0.2 <= 1e3 * relu.exec_cl / cost.EFFICIENT.f_cl <= 0.9
 
 
+def test_reports_follow_the_calibration(graph):
+    # rows are kept on each plan per calibration: after a default report, a
+    # report and a breakdown under another calibration equal, with ==, sums
+    # made from scratch from the plans' row loads, in graph order
+    sched = tiler.plan_network(graph, 24 * 1024)
+    cost.frame_report(sched)
+    calib = cost.CalibParams(*(1.25 * getattr(cost.DEFAULT_CALIB, f.name)
+                               for f in dataclasses.fields(cost.CalibParams)))
+    op, power = cost.FAST, cost.DEFAULT_POWER
+    for c in (calib, cost.DEFAULT_CALIB, calib):
+        report = cost.frame_report(sched, op, c, power)
+        by_name = {r.name: r for p in sched.plans for r in cost.row_loads(p.node, p.loads())}
+        loads = [by_name[spec.name] for spec in graph.layers]
+        exec_rows = [r.exec_cycles(c) for r in loads]
+        l3l2_rows = [r.w_bytes / c.l3l2_bytes_per_fcycle for r in loads]
+        assert [r.name for r in report.rows] == [spec.name for spec in graph.layers]
+        assert [r.exec_cycles for r in report.rows] == exec_rows
+        assert [r.l3l2_fcycles for r in report.rows] == l3l2_rows
+        exec_cycles, l3l2 = sum(exec_rows), sum(l3l2_rows)
+        dma = c.dma_setup_cycles * sum(r.transfers for r in loads)
+        assert (report.exec_cycles, report.l3l2_fcycles, report.dma_l2l1_cycles,
+                report.computation_cycles) == (exec_cycles, l3l2, dma, exec_cycles - dma)
+        t_c = exec_cycles / op.f_cl
+        t = t_c + l3l2 / op.f_fc
+        assert report.frame_s == t
+        assert report.energy_j == op.vdd ** 2 * (power.k_fc * op.f_fc * t
+                                                 + power.k_cl * op.f_cl * t_c)
+        for p in sched.plans:
+            rows = cost.row_loads(p.node, p.loads())
+            assert cost.layer_cycles(p, c) == cost.LayerCycles(
+                p.node.name, sum(r.exec_cycles(c) for r in rows),
+                sum(r.w_bytes for r in rows) / c.l3l2_bytes_per_fcycle), p.node.name
+            assert cost.plan_cycles(p, c) == cost.layer_cycles(p, c).exec_cl
+
+
 def test_targets_loader_env_override(tmp_path, monkeypatch):
     src = cost.data_dir()
     for f in src.iterdir():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from nanotile import fxp, net
+from nanotile import fxp, net, tiler
 
 EXPECTED_CONV_MACS = {
     # k_in * k_out * kh * kw * h_out * w_out, recomputed here by hand
@@ -100,6 +100,20 @@ def test_graph_is_frozen_and_hashes_by_its_rows(graph):
     assert again.layers == graph.layers and again == graph
     assert hash(again) == hash(graph) == hash(net.build_dronet())
     assert net.NetworkGraph(graph.layers[:-1]) != graph
+
+
+def test_graph_hash_is_computed_once(graph, monkeypatch):
+    # the graph-keyed caches hash the graph on every lookup; its rows are
+    # hashed once, when it is built
+    tiler.node_kernels(graph)
+    again = net.build_dronet()
+    rehashed = []
+    monkeypatch.setattr(net.LayerSpec, "__hash__", lambda spec: rehashed.append(spec) or 0)
+    assert again == graph and hash(again) == hash(graph)
+    hits = tiler.node_kernels.cache_info().hits
+    assert tiler.node_kernels(again) is tiler.node_kernels(graph)
+    assert tiler.node_kernels.cache_info().hits == hits + 2
+    assert rehashed == []
 
 
 def test_mac_count(graph):

@@ -171,13 +171,23 @@ def test_frontier_is_cached_per_calibration(graph, nodes):
     assert moved
 
 
-def test_plans_are_fresh_objects(graph):
+def test_plans_are_shared_per_frontier_step(graph, nodes):
+    # a frozen plan is built once per frontier step and handed to every
+    # budget on that step; each schedule still gets its own plans list
     a, b = tiler.plan_network(graph), tiler.plan_network(graph)
-    assert a.plans == b.plans
-    for p, q in zip(a.plans, b.plans):
-        assert p is not q
-        object.__setattr__(p, "est_cycles", -1.0)
-        assert q.est_cycles == cost.plan_cycles(q), q.node.name
+    assert a is not b and a.plans is not b.plans
+    assert all(p is q for p, q in zip(a.plans, b.plans))
+    for node in nodes.values():
+        steps = tiler.frontier(node, cost.DEFAULT_CALIB)
+        for k, step in enumerate(steps):
+            plan = tiler.plan_layer(node, step.footprint)
+            top = steps[k + 1].footprint - 1 if k + 1 < len(steps) else 2 * step.footprint
+            assert tiler.plan_layer(node, top) is plan, (node.name, k)
+            if k:
+                assert tiler.plan_layer(node, step.footprint - 1) is not plan
+            assert plan.est_cycles == step.cycles == cost.plan_cycles(plan), (node.name, k)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.est_cycles = -1.0
 
 
 def test_tile_plan_is_frozen(graph):
