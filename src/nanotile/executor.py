@@ -2,17 +2,19 @@
 
 The executor replays a TileSchedule and nothing else.  Memory traffic does
 not depend on the data, so compile_schedule replays it once per schedule
-and L2 plan, and caches the frozen trace on the schedule for as long as
-that plan stays attached.  L2 buffers, weights included, come and go by
-replaying the attached allocation plan (two-stack by default): at each
-step the step's allocations land, the layer's weights are staged from L3,
-the node runs, and the step's releases follow.  Each node then replays
+value (its graph, L1 budget, L2 plan and tile plans) and caches the frozen
+trace on that value, not on the schedule object.  L2 buffers, weights
+included, come and go by replaying the schedule's allocation plan
+(two-stack, as plan_network builds it): at each step the step's
+allocations land, the layer's weights are staged from L3, the node runs,
+and the step's releases follow.  Each node then replays
 TilePlan.tiles() in order through simulated L1 with logged DMA transfers:
 every byte count, MAC count, row and channel range, stripe padding and
 worker split comes from those tile records.  L1 capacity is the schedule's
 budget, so an allocation that breaks it raises.
-Tile geometry drives the trace and the cost.  TilePlan.tiles() makes it
-once, read-only, and the executor reads it without checking it again.
+Tile geometry drives the trace and the cost.  TilePlan.tiles() makes it,
+read-only, on a replay miss, and the executor reads it without checking it
+again.
 Host blocks drive the arithmetic.  Each frame runs every conv node, its
 fused residual add and ReLU included, and each FC head as one call of the
 conv loop the untiled engine runs too, kernels.conv2d, with the plan's row
@@ -32,10 +34,11 @@ one by one.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from operator import attrgetter, is_
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -169,28 +172,25 @@ class ExecResult(kernels.InferResult):
 
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
+    """The schedule's memory replay: _replay of its graph, L1 budget, L2
+    plan and tile plans, a pure function of those values.  It reads the
+    schedule and changes nothing on it; equal schedules share one replay,
+    and an edited budget, L2 plan or plans list is a new key."""
+    return _replay(schedule.graph, schedule.l1_budget, schedule.l2, tuple(schedule.plans))
+
+
+@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
+def _replay(graph: net.NetworkGraph, l1_budget: int, l2_plan: l2plan.L2AllocPlan,
+            plans: tuple[tiler.TilePlan, ...]) -> MemSim:
     """Replay the memory traffic of every plan's tiles through one MemSim
-    under the attached L2 plan (the graph's two-stack plan is attached when
-    none is), freeze its trace and cache it on the schedule.  The cache
-    serves while the schedule holds the L1 budget, the tile plans and the L2
-    plan it replayed (the same objects, all read-only); any other is
-    replayed afresh.  plan_two_stack and the lifetimes are computed once per
-    graph, so re-attaching plan_two_stack(graph) attaches the same object
-    and serves the cached replay.  An allocation that breaks a budget raises
+    under the L2 plan and freeze its trace.  Cached on the values, all
+    frozen, in a bounded cache.  An allocation that breaks a budget raises
     MemSimError; a failed replay caches nothing."""
-    graph = schedule.graph
-    if schedule.l2 is None:
-        schedule.l2 = l2plan.plan_two_stack(graph)
-    key = (schedule.l2, *schedule.plans)
-    if schedule._compiled is not None:
-        budget, replayed, ms = schedule._compiled
-        if (budget == schedule.l1_budget and len(replayed) == len(key)
-                and all(map(is_, replayed, key))):
-            return ms
-    ms = MemSim(schedule.l1_budget)
+    ms = MemSim(l1_budget)
     life = l2plan._lifetimes(graph)
+    by_name = {p.node.name: p for p in reversed(plans)}    # the first plan per node, as plan_for
     l2_events: dict[tuple[int, str], list[l2plan.AllocEvent]] = {}
-    for ev in schedule.l2.events:
+    for ev in l2_plan.events:
         l2_events.setdefault((ev.step, ev.action), []).append(ev)
 
     def l2_step(step: int, node_name: str, action: str):
@@ -206,7 +206,7 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     ms.transfer(TAG_L3_L2, 2 * math.prod(graph.tensors[net.INPUT_TENSOR]), ("L3", "camera"),
                 ("L2", net.INPUT_TENSOR), "frame", stream="frame", overlap=True)
     for i, node in enumerate(life.nodes):
-        plan = schedule.plan_for(node.name)
+        plan = by_name[node.name]
         l2_step(i, node.name, "alloc")
         l2 = {"in": life.alias[node.input], "out": life.alias[node.output]}
         if node.kind != "ew":
@@ -243,7 +243,6 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     l2_step(len(life.nodes), "end", "free")
     ms.trace = TraceLog(ms.events)
     ms.events = ms.trace.events
-    schedule._compiled = (schedule.l1_budget, key, ms)
     return ms
 
 

@@ -22,13 +22,16 @@ TilePlan.tiles() is the one tile geometry: rows, channel ranges, bytes per
 stream, MACs and worker split of every tile, which the executor replays and
 the transfer accounting sums.  _loads gives the sums the cycle model needs
 in closed form, over ints for one plan or numpy arrays for a search grid.
+Neither is kept on the plan: the executor replays a schedule once per
+distinct value, and the cost model keeps its priced rows per calibration.
 
 A candidate's footprint and cycles do not depend on the budget, so
 frontier() scores each node's grids once per calibration and keeps the
 footprints at which the best plan changes; plan_layer looks a budget up
 there.  Each step's TilePlan is built on first use and kept with its step,
 so every budget on one step shares one frozen plan, and with it the plan's
-loads, its tiles once the executor asks for them, and its cost rows.
+cost rows.  plan_network builds a TileSchedule with the graph's L2 plan, so
+a schedule is a whole value when it is planned.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import net
+from . import cost, net
 from .net import _ceil_div
 
 DEFAULT_L1_BUDGET = 60 * 1024   # 4 KB of the 64 KB scratchpad reserved for runtime
@@ -75,7 +78,9 @@ _NODE_KINDS = {net.CONV: "conv", net.RELU: "ew", net.FC: "fc"}
 @dataclass(frozen=True)
 class NodeKernel:
     """A tiling unit: one body op plus whatever the graph fuses around it.
-    Everything but the rows is derived from them when the node is built."""
+    Everything but the rows is derived from them when the node is built,
+    the hash too, so a frontier lookup or a replay key does not rehash the
+    rows."""
 
     rows: tuple[net.LayerSpec, ...] # graph rows this node covers, in order
     name: str = field(init=False)
@@ -83,8 +88,10 @@ class NodeKernel:
     input: str = field(init=False)  # main input tensor
     output: str = field(init=False) # output tensor (the last fused row's name)
     addend: str | None = field(init=False)  # residual-join operand DMA'd per tile
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.rows))
         body = self.rows[0]
         join = next((r for r in self.rows if r.kind == net.ADD), None)
         suffix = "+add+relu" if join else "+pool" if body.fused_pool else ""
@@ -92,6 +99,9 @@ class NodeKernel:
                             ("input", body.inputs[0]), ("output", self.rows[-1].output),
                             ("addend", join.inputs[0] if join else None)):
             object.__setattr__(self, attr, value)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def body(self) -> net.LayerSpec:
@@ -199,14 +209,15 @@ class Tile:
 class TilePlan:
     """One scheme's tile extents for a node.  The tile counts and the L1
     buffers follow from them, through the same _extents and _buffer_terms
-    that score the search grid.  Frozen, its buffers a read-only mapping of
-    BufferSpec tuples and its tiles a tuple: the executor caches a
-    schedule's replay on its plans' identity, so a changed plan is a new
-    plan.  plan_layer builds a frontier step's plan on first use and hands
-    the same plan to every budget on that step, so its tiles(), its loads()
-    and its cost rows (cost.plan_rows, per calibration) are computed once
-    and shared by every schedule that holds it.  Slotted, so each of those
-    caches, filled after the plan is built, costs one slot."""
+    that score the search grid, so equality and hash leave them out.
+    Frozen, its buffers a read-only mapping of BufferSpec tuples and its
+    tiles a tuple: a changed plan is a new plan, and a new key of the
+    executor's replay cache.  plan_layer hands every budget on one frontier
+    step the same plan.  It keeps no tiles and no loads: tiles() and
+    loads() make them on each call for their one reader each, a replay miss
+    and cost.plan_rows.  The one thing kept on it is cost.plan_rows's
+    priced rows, for the last calibration priced, in a slot filled after
+    the plan is built."""
 
     node: NodeKernel
     scheme: str
@@ -214,14 +225,10 @@ class TilePlan:
     ci_tile: int
     co_tile: int
     est_cycles: float | None = None
-    n_h: int = field(init=False)
-    n_ci: int = field(init=False)
-    n_co: int = field(init=False)
-    buffers: Mapping[str, BufferSpec] = field(init=False)
-    # tiles() made once by _make_tiles: the geometry the trace and the cost read
-    _tiles: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # loads() made once by _loads, its descriptor counts read-only
-    _sums: Loads | None = field(default=None, init=False, repr=False, compare=False)
+    n_h: int = field(init=False, compare=False)
+    n_ci: int = field(init=False, compare=False)
+    n_co: int = field(init=False, compare=False)
+    buffers: Mapping[str, BufferSpec] = field(init=False, compare=False)
     # (calibration, row costs, descriptor count): cost.plan_rows keeps them
     # here for the last calibration it priced
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -277,10 +284,8 @@ class TilePlan:
         return _chunks(span, _ceil_div(span, CORES))
 
     def tiles(self) -> tuple[Tile, ...]:
-        """Every tile in execution order; computed once per plan."""
-        if self._tiles is None:
-            object.__setattr__(self, "_tiles", tuple(self._make_tiles()))
-        return self._tiles
+        """Every tile in execution order, made afresh on each call."""
+        return tuple(self._make_tiles())
 
     def _make_tiles(self):
         """The tiles, as one exact computation of the node's output: every
@@ -350,19 +355,14 @@ class TilePlan:
     # -- accounting ---------------------------------------------------------
 
     def loads(self) -> Loads:
-        """The cycle model's sums over tiles(); computed once per plan."""
-        if self._sums is None:
-            work, forks, descriptors = _loads(self.node, self.scheme, self.h_tile, self.ci_tile,
-                                              self.co_tile, self.n_h, self.n_ci, self.n_co)
-            object.__setattr__(self, "_sums", Loads(work, forks, MappingProxyType(descriptors)))
-        return self._sums
+        """The cycle model's sums over tiles(), in closed form."""
+        return _loads(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile,
+                      self.n_h, self.n_ci, self.n_co)
 
     def transfer_bytes(self) -> dict[str, int]:
-        """Bytes per stream over the tiles.  A sum keeps no tiles: a step
-        plan lives as long as its frontier, and holds tiles only once the
-        executor has asked for them."""
+        """Bytes per stream over the tiles."""
         totals: dict[str, int] = {}
-        for tile in self._tiles or self._make_tiles():
+        for tile in self._make_tiles():
             for stream, nbytes in tile.bytes.items():
                 totals[stream] = totals.get(stream, 0) + nbytes
         return totals
@@ -571,7 +571,6 @@ def frontier(node: NodeKernel, calib) -> Frontier:
     calibration, both frozen, in a bounded cache, which also bounds the step
     plans the frontier keeps; the steps are immutable.
     """
-    from . import cost as cost_mod
     columns = []
     for scheme in (SPATIAL, FEATUREWISE):
         grid = _grid(node, scheme)
@@ -579,7 +578,7 @@ def frontier(node: NodeKernel, calib) -> Frontier:
             continue
         extents, footprint, poolable = grid
         h, ci, co, n_h, n_ci, n_co = extents
-        cycles = cost_mod.node_cycles(node, _loads(node, scheme, *extents), calib)
+        cycles = cost.node_cycles(node, _loads(node, scheme, *extents), calib)
         col = [np.broadcast_to(a, poolable.shape)[poolable]
                for a in (footprint, cycles, n_h * n_ci * n_co, h, ci, co)]
         keep = _front(*col[:4])
@@ -604,8 +603,7 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
     InfeasibleError names the schemes that apply.  (DORY, Burrello et al.
     2021, casts the same search as a small constrained optimisation.)
     """
-    from . import cost as cost_mod
-    steps = frontier(node, calib or cost_mod.DEFAULT_CALIB)
+    steps = frontier(node, calib or cost.DEFAULT_CALIB)
     i = bisect_right(steps, l1_budget, key=attrgetter("footprint"))
     if i == 0:
         schemes = [s for s in (SPATIAL, FEATUREWISE) if _grid_axes(node, s) is not None]
@@ -616,13 +614,14 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
 
 @dataclass
 class TileSchedule:
+    """A network's tile plans under one L1 budget, with its L2 plan: the
+    values the executor replays, and nothing else.  Equal schedules share
+    one replay (executor.compile_schedule)."""
+
     graph: net.NetworkGraph
     l1_budget: int
     plans: list[TilePlan]
-    l2: object = None   # L2AllocPlan, attached by the caller or on first compile
-    # (L1 budget, (L2 plan, *tile plans) replayed, executor.compile_schedule's
-    # MemSim with its frozen trace)
-    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    l2: object          # l2plan.L2AllocPlan
 
     def plan_for(self, node_name: str) -> TilePlan:
         for p in self.plans:
@@ -633,8 +632,11 @@ class TileSchedule:
 
 def plan_network(graph: net.NetworkGraph, l1_budget: int = DEFAULT_L1_BUDGET,
                  calib=None) -> TileSchedule:
+    """Every node's plan_layer, and the graph's two-stack L2 plan, which is
+    computed once per graph; a graph too large for its search raises here."""
+    from . import l2plan    # l2plan imports tiler
     plans = [plan_layer(node, l1_budget, calib) for node in node_kernels(graph)]
-    return TileSchedule(graph, l1_budget, plans)
+    return TileSchedule(graph, l1_budget, plans, l2plan.plan_two_stack(graph))
 
 
 def schedule_summary(schedule: TileSchedule, csv: bool = False) -> str:

@@ -12,6 +12,7 @@ that executor.audit_trace replaces with column reductions.
 
 import dataclasses
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,12 +99,11 @@ def random_image(seed, graph=DRONET):
     return fxp.quantize_array(rng.uniform(0.0, 1.0, graph.tensors[net.INPUT_TENSOR]))
 
 
-@functools.cache
 def _grid_plans(node, scheme):
     """Every plan of one scheme that a pooled epilogue allows, in the
-    planner's order, from explicit loops over the tile extents, as a tuple
-    of (footprint, plan): a pooled epilogue accumulates in a single
-    input-channel pass."""
+    planner's order, from explicit loops over the tile extents, built afresh
+    on each call: a pooled epilogue accumulates in a single input-channel
+    pass."""
     body = node.body
     extents = []
     if node.kind == "conv" and scheme == tiler.SPATIAL:
@@ -124,14 +124,13 @@ def _grid_plans(node, scheme):
         for ci_tile in range(1, body.k_in + 1):
             extents.append((1, ci_tile, 1))
     plans = (tiler.TilePlan(node, scheme, *e) for e in extents)
-    return tuple((p.footprint, p) for p in plans if not (node.fused_pool and p.n_ci > 1))
+    return [p for p in plans if not (node.fused_pool and p.n_ci > 1)]
 
 
 def feasible_plans(node, l1_budget, scheme):
     """Every feasible plan of one scheme in the planner's order: the plans
-    of _grid_plans whose footprint fits.  The plans are built once per node
-    and scheme and shared between calls, so a caller must not change them."""
-    return [p for footprint, p in _grid_plans(node, scheme) if footprint <= l1_budget]
+    of _grid_plans whose footprint fits."""
+    return [p for p in _grid_plans(node, scheme) if p.footprint <= l1_budget]
 
 
 def schemes(node):
@@ -144,49 +143,64 @@ def infeasible_text(node, l1_budget):
     return f"{node.name}: infeasible under {l1_budget} byte budget ({', '.join(schemes(node))})"
 
 
-@functools.cache
+class Scored(NamedTuple):
+    """One grid plan's footprint and cycles, and the fields that rebuild it."""
+
+    footprint: int
+    cycles: float
+    n_tiles: int
+    scheme: str
+    h_tile: int
+    ci_tile: int
+    co_tile: int
+
+
+@functools.lru_cache(maxsize=tiler.FRONTIERS_CACHED)
 def _scored(node, calib):
-    """Every feasible_plans plan of the schemes that apply to the node kind,
+    """Every _grid_plans plan of the schemes that apply to the node kind,
     under an unbounded budget, scored once with cost.plan_cycles: a tuple of
-    (footprint, cycles, plan) in the schemes' order.  The shared plans keep
-    est_cycles None; the callers hand out scored copies."""
-    return tuple((footprint, cost.plan_cycles(p, calib), p)
-                 for scheme in schemes(node) for footprint, p in _grid_plans(node, scheme))
+    Scored rows in the schemes' order.  The plans are not kept; the callers
+    build a scored plan from the row they pick."""
+    return tuple(Scored(p.footprint, cost.plan_cycles(p, calib), p.n_tiles, p.scheme,
+                        p.h_tile, p.ci_tile, p.co_tile)
+                 for scheme in schemes(node) for p in _grid_plans(node, scheme))
 
 
-def _order(cycles, plan):
+def _order(row):
     """The planner's order, before the enumeration order."""
-    return cycles, plan.n_tiles, -plan.h_tile, 0 if plan.scheme == tiler.SPATIAL else 1
+    return row.cycles, row.n_tiles, -row.h_tile, 0 if row.scheme == tiler.SPATIAL else 1
+
+
+def _plan(node, row):
+    return tiler.TilePlan(node, row.scheme, row.h_tile, row.ci_tile, row.co_tile,
+                          est_cycles=row.cycles)
 
 
 def exhaustive_plan_layer(node, l1_budget, calib=cost.DEFAULT_CALIB):
     """The first of the scored plans whose footprint fits the budget under
-    (est_cycles, n_tiles, -h_tile, spatial first), as a fresh copy."""
-    fits = [(cycles, p) for footprint, cycles, p in _scored(node, calib)
-            if footprint <= l1_budget]
+    (est_cycles, n_tiles, -h_tile, spatial first), as a fresh plan."""
+    fits = [row for row in _scored(node, calib) if row.footprint <= l1_budget]
     if not fits:
         raise tiler.InfeasibleError(infeasible_text(node, l1_budget))
-    cycles, plan = min(fits, key=lambda fit: _order(*fit))
-    return dataclasses.replace(plan, est_cycles=cycles)
+    return _plan(node, min(fits, key=_order))
 
 
 def loop_frontier(node, calib=cost.DEFAULT_CALIB):
     """exhaustive_plan_layer at every budget from one scoring: the scored
     plans walked in ascending footprint.  Returns the (footprint, plan)
-    steps at which the best plan so far changes, each plan a scored copy."""
+    steps at which the best plan so far changes, each plan a fresh one."""
     scored = _scored(node, calib)
     steps = []
     best = None
-    for i in sorted(range(len(scored)), key=lambda i: scored[i][0]):
-        footprint, cycles, plan = scored[i]
-        key = (*_order(cycles, plan), i)
+    for i in sorted(range(len(scored)), key=lambda i: scored[i].footprint):
+        row = scored[i]
+        key = (*_order(row), i)
         if best is None or key < best:
             best = key
-            if steps and steps[-1][0] == footprint:
+            if steps and steps[-1].footprint == row.footprint:
                 steps.pop()
-            steps.append((footprint, cycles, plan))
-    return [(footprint, dataclasses.replace(plan, est_cycles=cycles))
-            for footprint, cycles, plan in steps]
+            steps.append(row)
+    return [(row.footprint, _plan(node, row)) for row in steps]
 
 
 def assert_tile_geometry(plan):

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nanotile"
 # plus function parameters with a default
 SETTABLE_VALUES = 196
 # non-blank lines over src/nanotile outside docstrings and comments
-CODE_LINES = 2296
+CODE_LINES = 2287
 
 
 def _name(node: ast.expr) -> str:

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import oracles
-from nanotile import l2plan, net, tiler
+from nanotile import executor, l2plan, net, tiler
 
 KB = 1024
 
@@ -191,7 +191,7 @@ def test_plans_are_shared_per_graph():
     with pytest.raises(dataclasses.FrozenInstanceError):
         life.size = ()
     for cached in (l2plan.plan_two_stack, l2plan._lifetimes, tiler.node_kernels,
-                   tiler.frontier):
+                   tiler.frontier, executor._replay):
         assert cached.cache_info().maxsize is not None
 
 

@@ -190,9 +190,25 @@ def test_plans_are_shared_per_frontier_step(graph, nodes):
             plan.est_cycles = -1.0
 
 
+def test_node_kernel_hash_is_computed_once(nodes, monkeypatch):
+    # frontier's cache hashes the node kernel on every lookup; its rows are
+    # hashed once, when it is built
+    node = nodes["conv_2"]
+    steps = tiler.frontier(node, cost.DEFAULT_CALIB)
+    rebuilt = net.build_dronet()
+    again = tiler.NodeKernel(tuple(rebuilt.layer(row.name) for row in node.rows))
+    rehashed = []
+    monkeypatch.setattr(net.LayerSpec, "__hash__", lambda spec: rehashed.append(spec) or 0)
+    assert again is not node and again == node and hash(again) == hash(node)
+    hits = tiler.frontier.cache_info().hits
+    assert tiler.frontier(again, cost.DEFAULT_CALIB) is steps
+    assert tiler.frontier.cache_info().hits == hits + 1
+    assert rehashed == []
+
+
 def test_tile_plan_is_frozen(graph):
-    # the executor caches a schedule's replay on its plans' identity, so an
-    # extent edited in place would leave that replay stale
+    # the executor caches a schedule's replay on its plans' values, so an
+    # extent edited in place would leave that replay under a stale key
     sched = tiler.plan_network(graph)
     plan = sched.plan_for("conv_2")
     extents = plan.co_tile, plan.n_co
