@@ -1,17 +1,20 @@
-"""Tiled execution over a simulated L1/L2/L3 hierarchy with explicit DMA events.
+"""Tiled execution of a planned schedule, with its L1/L2/L3 traffic as DMA events.
 
 The executor replays a TileSchedule and nothing else.  Memory traffic does
-not depend on the data, so compile_schedule replays it once per schedule
+not depend on the data, so compile_schedule builds it once per schedule
 value (its graph, L1 budget, L2 plan and tile plans) and caches the frozen
-trace on that value, not on the schedule object.  L2 buffers, weights
-included, come and go by replaying the schedule's allocation plan
-(two-stack, as plan_network builds it): at each step the step's
+result, a MemSim, on that value, not on the schedule object.  Nothing is
+allocated at run time: the trace is written straight from the plans.  L2
+buffers, weights included, come and go as the schedule's allocation plan
+says (two-stack, as plan_network builds it): at each step the step's
 allocations land, the layer's weights are staged from L3, the node runs,
-and the step's releases follow.  Each node then replays
-TilePlan.tiles() in order through simulated L1 with logged DMA transfers:
-every byte count, MAC count, row and channel range, stripe padding and
-worker split comes from those tile records.  L1 capacity is the schedule's
-budget, so an allocation that breaks it raises.
+and the step's releases follow.  Each node holds its plan's L1 buffers
+while it replays TilePlan.tiles() in order as logged DMA transfers and
+compute events: every byte count, MAC count, row and channel range, stripe
+padding and worker split comes from those tile records.  The budgets are
+checked where they are known, on the plans: each node's footprint against
+the schedule's L1 budget, the L2 plan by l2plan.validate_plan and its peak
+against L2_BYTES.
 Tile geometry drives the trace and the cost.  TilePlan.tiles() makes it,
 read-only, on a replay miss, and the executor reads it without checking it
 again.
@@ -37,8 +40,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -114,50 +119,11 @@ class TraceLog:
         return "\n".join(lines)
 
 
-class MemSim:
-    """Capacity-checked allocation maps for the three memory levels, and the
-    events they log, which compile_schedule freezes into its trace: after
-    that, events is the trace's tuple and a further event raises."""
-
-    def __init__(self, l1_bytes: int):
-        self.capacity = {"L1": l1_bytes, "L2": l2plan.L2_BYTES, "L3": None}
-        self.live: dict[tuple[str, str], int] = {}
-        self.used = {"L1": 0, "L2": 0, "L3": 0}
-        self.peak = {"L1": 0, "L2": 0, "L3": 0}
-        self.events: list[Event] = []
-        self.trace: TraceLog | None = None     # set by compile_schedule
-
-    def alloc(self, region: str, name: str, nbytes: int, node: str = ""):
-        key = (region, name)
-        if key in self.live:
-            raise MemSimError(f"{region}:{name} already allocated")
-        cap = self.capacity[region]
-        if cap is not None and self.used[region] + nbytes > cap:
-            raise MemSimError(f"{region} capacity exceeded: {self.used[region]} + "
-                              f"{nbytes} > {cap} allocating {name}")
-        self.live[key] = nbytes
-        self.used[region] += nbytes
-        self.peak[region] = max(self.peak[region], self.used[region])
-        self.events.append(Event("alloc", region, node, -1, name, nbytes))
-
-    def free(self, region: str, name: str, node: str = ""):
-        key = (region, name)
-        if key not in self.live:
-            raise MemSimError(f"free of dead buffer {region}:{name}")
-        nbytes = self.live.pop(key)
-        self.used[region] -= nbytes
-        self.events.append(Event("free", region, node, -1, name, nbytes))
-
-    def transfer(self, tag: str, nbytes: int, src: tuple[str, str],
-                 dst: tuple[str, str], node: str = "", tile: int = -1,
-                 stream: str = "", overlap: bool = False):
-        for region, name in (src, dst):
-            if region != "L3" and (region, name) not in self.live:
-                raise MemSimError(f"touch of dead buffer {region}:{name}")
-        self.events.append(Event("xfer", tag, node, tile, stream, nbytes, overlap=overlap))
-
-    def compute(self, node: str, tile: int, macs: int, workers):
-        self.events.append(Event("compute", "", node, tile, "", 0, macs, tuple(workers)))
+class MemSim(NamedTuple):
+    """A compiled schedule's memory replay, a read-only value: its frozen
+    trace, and the peak bytes its plans hold in L1 and L2."""
+    trace: TraceLog
+    peak: Mapping[str, int]     # "L1" and "L2", read-only
 
 
 @dataclass
@@ -172,78 +138,79 @@ class ExecResult(kernels.InferResult):
 
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
-    """The schedule's memory replay: _replay of its graph, L1 budget, L2
-    plan and tile plans, a pure function of those values.  It reads the
-    schedule and changes nothing on it; equal schedules share one replay,
-    and an edited budget, L2 plan or plans list is a new key."""
+    """The schedule's memory replay, a read-only MemSim: _replay of its
+    graph, L1 budget, L2 plan and tile plans, a pure function of those
+    values.  It reads the schedule and changes nothing on it; equal
+    schedules share one replay, and an edited budget, L2 plan or plans list
+    is a new key.  A plan that breaks a budget or the L2 plan's own check
+    raises MemSimError before any frame runs."""
     return _replay(schedule.graph, schedule.l1_budget, schedule.l2, tuple(schedule.plans))
 
 
 @functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
 def _replay(graph: net.NetworkGraph, l1_budget: int, l2_plan: l2plan.L2AllocPlan,
             plans: tuple[tiler.TilePlan, ...]) -> MemSim:
-    """Replay the memory traffic of every plan's tiles through one MemSim
-    under the L2 plan and freeze its trace.  Cached on the values, all
-    frozen, in a bounded cache.  An allocation that breaks a budget raises
-    MemSimError; a failed replay caches nothing."""
-    ms = MemSim(l1_budget)
+    """The trace of every plan's tiles under the L2 plan, built straight
+    from the plans, and the peaks those plans hold.  The budgets are checked
+    where they are known, before any event is built: a node's footprint
+    against the L1 budget (each node allocates exactly its plan's buffers,
+    then frees them), the L2 plan by l2plan.validate_plan, and its peak
+    against L2_BYTES, which validate_plan leaves to two-stack plans.  A
+    failed check raises MemSimError, and a failed replay caches nothing.
+    Cached on the values, all frozen, in a bounded cache."""
     life = l2plan._lifetimes(graph)
     by_name = {p.node.name: p for p in reversed(plans)}    # the first plan per node, as plan_for
+    node_plans = [by_name[node.name] for node in life.nodes]
+    for plan in node_plans:
+        if plan.footprint > l1_budget:
+            raise MemSimError(f"L1 capacity exceeded: {plan.node.name} holds "
+                              f"{plan.footprint} > {l1_budget}")
+    violations = l2plan.validate_plan(l2_plan, graph)
+    if violations:
+        raise MemSimError(f"L2 plan: {violations[0]}")
+    if l2_plan.peak_bytes > l2plan.L2_BYTES:
+        raise MemSimError(f"L2 capacity exceeded: {l2_plan.peak_bytes} > {l2plan.L2_BYTES}")
     l2_events: dict[tuple[int, str], list[l2plan.AllocEvent]] = {}
     for ev in l2_plan.events:
         l2_events.setdefault((ev.step, ev.action), []).append(ev)
+    events: list[Event] = []
 
     def l2_step(step: int, node_name: str, action: str):
-        """Replay one step's allocations or its releases from the L2 plan."""
-        for ev in l2_events.get((step, action), []):
-            if action == "alloc":
-                ms.alloc("L2", ev.buffer, ev.bytes, node_name)
-            else:
-                ms.free("L2", ev.buffer, node_name)
+        """One step's allocations or its releases, from the L2 plan."""
+        events.extend(Event(action, "L2", node_name, -1, ev.buffer, ev.bytes)
+                      for ev in l2_events.get((step, action), ()))
 
     # frame ingress: the camera path lands the image in L2 over the uDMA
     l2_step(-1, "frame", "alloc")
-    ms.transfer(TAG_L3_L2, 2 * math.prod(graph.tensors[net.INPUT_TENSOR]), ("L3", "camera"),
-                ("L2", net.INPUT_TENSOR), "frame", stream="frame", overlap=True)
-    for i, node in enumerate(life.nodes):
-        plan = by_name[node.name]
-        l2_step(i, node.name, "alloc")
-        l2 = {"in": life.alias[node.input], "out": life.alias[node.output]}
+    events.append(Event("xfer", TAG_L3_L2, "frame", -1, "frame",
+                        2 * math.prod(graph.tensors[net.INPUT_TENSOR]), overlap=True))
+    for i, (node, plan) in enumerate(zip(life.nodes, node_plans)):
+        name = node.name
+        l2_step(i, name, "alloc")
         if node.kind != "ew":
-            l2["weights"] = l2plan.weight_buffer(node)
-            ms.transfer(TAG_L3_L2, 2 * node.body.n_params, ("L3", "weights"),
-                        ("L2", l2["weights"]), node.name, stream="weights")
-        if node.addend is not None:
-            l2["addend"] = life.alias[node.addend]
+            events.append(Event("xfer", TAG_L3_L2, name, -1, "weights", 2 * node.body.n_params))
         # the plan's L1 working set is held for the whole node; an
         # elementwise node streams in and out through one "io" buffer
-        for bname, bspec in plan.buffers.items():
-            ms.alloc("L1", f"{node.name}:{bname}", bspec.total, node.name)
-        l1 = {s: "io" if node.kind == "ew" else s for s in l2}
+        l1 = [(f"{name}:{b}", spec.total) for b, spec in plan.buffers.items()]
+        events.extend(Event("alloc", "L1", name, -1, b, n) for b, n in l1)
         for t in plan.tiles():
             for stream, nbytes in t.bytes.items():
                 if stream in ("in", "weights"):
                     # a double-buffered stream hides every fill after the
                     # first behind compute
-                    double = plan.buffers[l1[stream]].double
-                    ms.transfer(TAG_L2_L1, nbytes, ("L2", l2[stream]),
-                                ("L1", f"{node.name}:{l1[stream]}"), node.name, t.index,
-                                stream, overlap=double and t.index > 0)
-            ms.compute(node.name, t.index, t.macs, t.workers)
+                    double = plan.buffers["io" if node.kind == "ew" else stream].double
+                    events.append(Event("xfer", TAG_L2_L1, name, t.index, stream, nbytes,
+                                        overlap=double and t.index > 0))
+            events.append(Event("compute", "", name, t.index, "", 0, t.macs, t.workers))
             if "addend" in t.bytes:
-                ms.transfer(TAG_L2_L1, t.bytes["addend"], ("L2", l2["addend"]),
-                            ("L1", f"{node.name}:{l1['addend']}"), node.name, t.index,
-                            "addend")
+                events.append(Event("xfer", TAG_L2_L1, name, t.index, "addend", t.bytes["addend"]))
             if "out" in t.bytes:
-                ms.transfer(TAG_L1_L2, t.bytes["out"], ("L1", f"{node.name}:{l1['out']}"),
-                            ("L2", l2["out"]), node.name, t.index, "out")
-        for bname in plan.buffers:
-            ms.free("L1", f"{node.name}:{bname}", node.name)
-        l2_step(i, node.name, "free")
+                events.append(Event("xfer", TAG_L1_L2, name, t.index, "out", t.bytes["out"]))
+        events.extend(Event("free", "L1", name, -1, b, n) for b, n in l1)
+        l2_step(i, name, "free")
     l2_step(len(life.nodes), "end", "free")
-    ms.trace = TraceLog(ms.events)
-    ms.events = ms.trace.events
-    return ms
+    peak_l1 = max((plan.footprint for plan in node_plans), default=0)
+    return MemSim(TraceLog(events), MappingProxyType({"L1": peak_l1, "L2": l2_plan.peak_bytes}))
 
 
 def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
@@ -327,8 +294,9 @@ def _totals(keys: np.ndarray, nbytes: np.ndarray):
 
 def audit_trace(trace: TraceLog, memsim: MemSim | None = None) -> AuditReport:
     """Independent replay of the event log: recomputes peaks and byte totals
-    without trusting the executor's own counters.  It works on the trace's
-    columns and recomputes everything on every call.
+    from the events alone.  It works on the trace's columns and recomputes
+    everything on every call.  Given the MemSim, it also compares the
+    trace's peaks with the ones the plans hold.
 
     Allocs and frees are paired per (region, buffer) by a stable sort: an
     alloc that follows an alloc of its buffer is a double alloc, and a free

@@ -37,6 +37,7 @@ import functools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 from . import net, tiler
 from .tiler import _align4
@@ -45,8 +46,7 @@ L2_BYTES = 512 * 1024
 MAX_SEARCH_BUFFERS = 20
 
 
-@dataclass(frozen=True)
-class AllocEvent:
+class AllocEvent(NamedTuple):
     step: int
     action: str          # "alloc" | "free"
     buffer: str
@@ -269,7 +269,8 @@ def plan_single_stack(graph: net.NetworkGraph) -> L2AllocPlan:
 
 
 def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:
-    """Independent replay: LIFO order, dependency liveness, capacity, peaks."""
+    """Independent replay: LIFO order, dependency liveness (each node's
+    inputs, weights and output live while it runs), capacity, peaks."""
     life = _lifetimes(graph)
     violations: list[str] = []
     stacks: list[list[str]] = [[] for _ in range(plan.n_stacks)]
@@ -287,25 +288,26 @@ def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:
         step_events = by_step.get(step, [])
 
         def apply(ev):
-            if ev.action == "alloc":
-                stacks[ev.stack].append(ev.buffer)
-                sizes[ev.buffer] = ev.bytes
-                live.add(ev.buffer)
-                occ[ev.stack] += ev.bytes
+            _, action, buffer, s, nbytes = ev
+            held = stacks[s]
+            if action == "alloc":
+                held.append(buffer)
+                sizes[buffer] = nbytes
+                live.add(buffer)
+                occ[s] += nbytes
                 nonlocal peak
                 peak = max(peak, sum(occ))
-                peaks[ev.stack] = max(peaks[ev.stack], occ[ev.stack])
+                peaks[s] = max(peaks[s], occ[s])
             else:
-                if not stacks[ev.stack] or stacks[ev.stack][-1] != ev.buffer:
-                    top = stacks[ev.stack][-1] if stacks[ev.stack] else None
-                    violations.append(f"step {step}: free of {ev.buffer} but "
-                                      f"stack {ev.stack} top is {top}")
-                    if ev.buffer in stacks[ev.stack]:
-                        stacks[ev.stack].remove(ev.buffer)
+                if not held or held[-1] != buffer:
+                    top = held[-1] if held else None
+                    violations.append(f"step {step}: free of {buffer} but stack {s} top is {top}")
+                    if buffer in held:
+                        held.remove(buffer)
                 else:
-                    stacks[ev.stack].pop()
-                live.discard(ev.buffer)
-                occ[ev.stack] -= ev.bytes
+                    held.pop()
+                live.discard(buffer)
+                occ[s] -= nbytes
 
         # a step's event list is its allocations followed by its releases;
         # the node executes in between, so liveness is checked there
@@ -324,6 +326,9 @@ def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:
                 wname = weight_buffer(life.nodes[step])
                 if wname not in live:
                     violations.append(f"step {step}: weights {wname} not staged")
+                if life.nodes[step].output not in live:
+                    violations.append(f"step {step}: output {life.nodes[step].output} "
+                                      "not allocated")
         while i < len(step_events):
             apply(step_events[i])
             i += 1

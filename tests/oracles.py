@@ -210,7 +210,8 @@ def assert_tile_geometry(plan):
     (an elementwise tile its own rows, unpadded), and in each row group the
     tiles cover every (input channel, output channel) pair once (an
     elementwise node's every input channel once) and the closing tiles every
-    output channel once, each the last tile of its output-channel range."""
+    output channel once, each the last tile of its output-channel range,
+    whose input-channel chunks ascend from 0 with no gap."""
     node, body = plan.node, plan.node.body
     groups = {}
     for t in plan.tiles():
@@ -232,13 +233,15 @@ def assert_tile_geometry(plan):
             assert (channels == 1).all(), where
             continue
         pairs, closed = np.zeros((body.k_in, body.k_out), int), np.zeros(body.k_out, int)
-        closes = {}
+        by_co = {}
         for t in tiles:
             pairs[t.ci[0]:t.ci[1], t.co[0]:t.co[1]] += 1
             closed[t.co[0]:t.co[1]] += t.closes
-            closes.setdefault(t.co, []).append(t.closes)
+            by_co.setdefault(t.co, []).append(t)
         assert (pairs == 1).all() and (closed == 1).all(), where
-        assert all(c == [False] * (len(c) - 1) + [True] for c in closes.values()), where
+        for run in by_co.values():
+            assert [t.closes for t in run] == [False] * (len(run) - 1) + [True], where
+            assert [t.ci[0] for t in run] == [0, *(t.ci[1] for t in run[:-1])], where
     assert (rows == 1).all(), node.name
 
 
@@ -285,6 +288,29 @@ def exhaustive_two_stack(graph):
     return l2plan.L2AllocPlan(tuple(l2plan.AllocEvent(*e) for e in events),
                               (*(node.name for node in life.nodes), "end"),
                               got_peak, tuple(got_peaks))
+
+
+def tampered_l2_plans(plan):
+    """Edits of a two-stack L2 plan that validate_plan rejects, by name.
+    "lifo": two frees of one step on one stack swapped, so the first frees a
+    buried buffer.  "early free": the RES1 bypass operand conv_3 freed at
+    step 3, after that step's first alloc, before the join that reads it.
+    "no output": the steering head's output buffer never allocated."""
+    events = list(plan.events)
+    frees = [i for i, e in enumerate(events)
+             if e.action == "free" and not e.buffer.startswith("w:")]
+    i, j = next((a, b) for a in frees for b in frees
+                if a < b and events[a].stack == events[b].stack
+                and events[a].step == events[b].step)
+    events[i], events[j] = events[j], events[i]
+    lifo = dataclasses.replace(plan, events=tuple(events))
+    moved = next(e for e in plan.events if e.buffer == "conv_3" and e.action == "free")
+    events = [e for e in plan.events if e is not moved]
+    at = next(i for i, e in enumerate(events) if e.step == 3 and e.action == "alloc") + 1
+    events.insert(at, moved._replace(step=3))
+    return {"lifo": lifo, "early free": dataclasses.replace(plan, events=tuple(events)),
+            "no output": dataclasses.replace(plan, events=tuple(
+                e for e in plan.events if e.buffer != "fully_1"))}
 
 
 def replay_two_stack(life, bits):

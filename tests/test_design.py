@@ -13,9 +13,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nanotile"
 
 # settable values over src/nanotile: dataclass and NamedTuple init fields
 # plus function parameters with a default
-SETTABLE_VALUES = 196
+SETTABLE_VALUES = 192
 # non-blank lines over src/nanotile outside docstrings and comments
-CODE_LINES = 2287
+CODE_LINES = 2255
 
 
 def _name(node: ast.expr) -> str:

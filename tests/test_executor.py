@@ -336,21 +336,6 @@ def test_double_buffered_transfers_overlap_annotation(schedule, graph):
             assert all(e.overlap for e in evs[1:])
 
 
-def test_memsim_traps():
-    ms = executor.MemSim(l1_bytes=100)
-    ms.alloc("L1", "a", 60)
-    with pytest.raises(executor.MemSimError, match="capacity"):
-        ms.alloc("L1", "b", 60)
-    with pytest.raises(executor.MemSimError, match="already"):
-        ms.alloc("L1", "a", 10)
-    ms.free("L1", "a")
-    with pytest.raises(executor.MemSimError, match="dead"):
-        ms.free("L1", "a")
-    ms.alloc("L2", "x", 10)
-    with pytest.raises(executor.MemSimError, match="dead"):
-        ms.transfer(executor.TAG_L2_L1, 4, ("L2", "x"), ("L1", "gone"))
-
-
 @pytest.mark.parametrize("entry", TRACE_TABLE,
                          ids=lambda e: "{budget}-{seed}-{amplitude}".format(**e))
 def test_audit_matches_the_event_loop(graph, entry):
@@ -558,13 +543,34 @@ def test_plans_reject_edits_after_a_frame(graph):
         oracles.audit_fields(executor.audit_trace(first.trace, first.memsim))
 
 
-def test_memsim_keeps_its_events_once(schedule):
+def test_compiled_replay_is_read_only(schedule):
+    # equal schedules share one cached replay, so no frame may edit it
     ms = executor.compile_schedule(schedule)
-    assert ms.events is ms.trace.events
-    # the trace is frozen: an event logged after compiling raises instead of
-    # landing in a list the trace never sees
+    with pytest.raises(TypeError):
+        ms.peak["L1"] = 0
     with pytest.raises(AttributeError):
-        ms.compute("late", 0, 0, ())
+        ms.trace = executor.TraceLog(())
+    assert isinstance(ms.trace.events, tuple)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("lifo", "L2 plan: step 4: free of input but stack 0 top is conv_1"),
+    ("early free", "L2 plan: step 3: weights w:conv_3 not staged"),
+    ("no output", "L2 plan: step 11: output fully_1 not allocated")],
+    ids=("lifo", "early-free", "no-output"))
+def test_a_broken_l2_plan_raises_before_the_first_layer(graph, monkeypatch, fault, message):
+    # the replay runs validate_plan on the attached L2 plan: a plan that
+    # breaks stack order, frees a buffer before its last reader or never
+    # allocates a node's output raises before any layer runs, on every frame
+    calls = []
+    conv2d = kernels.conv2d
+    monkeypatch.setattr(kernels, "conv2d", lambda *a: calls.append(1) or conv2d(*a))
+    sched = tiler.plan_network(graph, 60 * 1024)
+    broken = dataclasses.replace(sched, l2=oracles.tampered_l2_plans(sched.l2)[fault])
+    for _ in range(2):
+        with pytest.raises(executor.MemSimError, match=re.escape(message)):
+            executor.execute_schedule(broken, net.zero_store(graph), oracles.random_image(0))
+    assert calls == []
 
 
 def test_a_graph_without_two_heads_raises_before_the_first_layer(graph, monkeypatch):

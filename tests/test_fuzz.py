@@ -134,7 +134,6 @@ def test_audit_trace_fuzz(trace_events, peaks):
     trace = executor.TraceLog(trace_events)
     memsim = None
     if peaks is not None:
-        memsim = executor.MemSim(l1_bytes=1)
-        memsim.peak.update(L1=peaks[0], L2=peaks[1])
+        memsim = executor.MemSim(trace, {"L1": peaks[0], "L2": peaks[1]})
     assert oracles.audit_fields(executor.audit_trace(trace, memsim)) == \
         oracles.audit_fields(oracles.loop_audit(trace, memsim))

@@ -68,21 +68,7 @@ def test_weights_live_only_around_their_layer(two):
 
 def test_lifo_violation_detected(graph, two):
     # swap two frees on the same stack so one targets a buried buffer
-    events = list(two.events)
-    frees = [i for i, e in enumerate(events)
-             if e.action == "free" and not e.buffer.startswith("w:")]
-    i, j = None, None
-    for a in frees:
-        for b in frees:
-            if (a < b and events[a].stack == events[b].stack
-                    and events[a].step == events[b].step):
-                i, j = a, b
-                break
-        if i is not None:
-            break
-    assert i is not None, "expected a cascading free pair"
-    events[i], events[j] = events[j], events[i]
-    tampered = dataclasses.replace(two, events=tuple(events))
+    tampered = oracles.tampered_l2_plans(two)["lifo"]
     # validate_plan replays on every call, whichever plan it saw before
     for _ in range(2):
         assert any("free of" in v for v in l2plan.validate_plan(tampered, graph))
@@ -91,25 +77,15 @@ def test_lifo_violation_detected(graph, two):
 
 def test_early_free_of_bypass_tensor_detected(graph, two):
     # freeing the RES1 bypass operand before its join step breaks liveness
-    events = []
-    moved = None
-    for ev in two.events:
-        if ev.buffer == "conv_3" and ev.action == "free":
-            moved = ev
-            continue
-        events.append(ev)
-    assert moved is not None
-    early = dataclasses.replace(moved, step=3)
-    out = []
-    inserted = False
-    for ev in events:
-        out.append(ev)
-        if not inserted and ev.step == 3 and ev.action == "alloc":
-            out.append(early)
-            inserted = True
-    tampered = dataclasses.replace(two, events=out)
+    tampered = oracles.tampered_l2_plans(two)["early free"]
     violations = l2plan.validate_plan(tampered, graph)
     assert any("conv_3" in v for v in violations)
+
+
+def test_unallocated_output_detected(graph, two):
+    # a head's output buffer that is never allocated is written while dead
+    tampered = oracles.tampered_l2_plans(two)["no output"]
+    assert l2plan.validate_plan(tampered, graph) == ["step 11: output fully_1 not allocated"]
 
 
 def node_boundary_prefixes(graph):
