@@ -13,8 +13,9 @@ while it replays TilePlan.tiles() in order as logged DMA transfers and
 compute events: every byte count, MAC count, row and channel range, stripe
 padding and worker split comes from those tile records.  The budgets are
 checked where they are known, on the plans: each node's footprint against
-the schedule's L1 budget, the L2 plan by l2plan.validate_plan and its peak
-against L2_BYTES.
+the schedule's L1 budget, the L2 plan by l2plan.validate_plan (whose
+verdict is computed once per plan and graph value, so a replay miss for a
+plan already checked reuses it) and its peak against L2_BYTES.
 Tile geometry drives the trace and the cost.  TilePlan.tiles() makes it,
 read-only, on a replay miss, and the executor reads it without checking it
 again.
@@ -155,9 +156,12 @@ def _replay(graph: net.NetworkGraph, l1_budget: int, l2_plan: l2plan.L2AllocPlan
     where they are known, before any event is built: a node's footprint
     against the L1 budget (each node allocates exactly its plan's buffers,
     then frees them), the L2 plan by l2plan.validate_plan, and its peak
-    against L2_BYTES, which validate_plan leaves to two-stack plans.  A
-    failed check raises MemSimError, and a failed replay caches nothing.
-    Cached on the values, all frozen, in a bounded cache."""
+    against L2_BYTES, which validate_plan leaves to two-stack plans.
+    validate_plan keeps its verdict per (plan, graph) value, so a miss here
+    for a new budget or new tile plans under an L2 plan already checked
+    replays none of its events.  A failed check raises MemSimError, and a
+    failed replay caches nothing.  Cached on the values, all frozen, in a
+    bounded cache."""
     life = l2plan._lifetimes(graph)
     by_name = {p.node.name: p for p in reversed(plans)}    # the first plan per node, as plan_for
     node_plans = [by_name[node.name] for node in life.nodes]

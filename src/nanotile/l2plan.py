@@ -28,14 +28,19 @@ are built only when a plan is recorded.
 All of this depends on the graph alone, and the graph is frozen, so
 _lifetimes and plan_two_stack are computed once per graph, in bounded caches
 (tiler.GRAPHS_CACHED graphs) that hand every caller the same read-only
-value.  validate_plan is the independent check and replays on every call.
+value.  validate_plan is the independent check: its own replay of the plan's
+events, in one pass, computed once per (plan, graph) value in a cache of
+the same bound (a plan is frozen and hashes once, when it is built), and
+handed to each caller as a fresh list, so no caller changes a cached
+verdict.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -56,10 +61,20 @@ class AllocEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class L2AllocPlan:
+    """A frozen plan that hashes once, when it is built, for the caches
+    keyed on it (validate_plan's verdict, the executor's replay)."""
+
     events: tuple[AllocEvent, ...]
     step_names: tuple[str, ...]
     peak_bytes: int
     stack_peaks: tuple[int, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self.events))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_stacks(self) -> int:
@@ -269,76 +284,81 @@ def plan_single_stack(graph: net.NetworkGraph) -> L2AllocPlan:
 
 
 def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:
-    """Independent replay: LIFO order, dependency liveness (each node's
-    inputs, weights and output live while it runs), capacity, peaks."""
+    """Independent replay: LIFO order, dependency liveness (the frame input
+    live once it lands, and each node's inputs, weights and output live
+    while it runs), capacity, peaks.  The verdict is computed once per
+    (plan, graph) value; each call gets its own copy of it."""
+    return list(_violations(plan, graph))
+
+
+@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
+def _violations(plan: L2AllocPlan, graph: net.NetworkGraph) -> tuple[str, ...]:
+    """validate_plan's verdict, in one pass over the events in step order
+    (a stable sort, so each step keeps its own order; steps outside -1..n
+    are not replayed).  A step's events are its allocations followed by its
+    releases, and the node runs in between, so each step's liveness check
+    runs before its first release, or before a later step's first event."""
     life = _lifetimes(graph)
+    nodes, consumes, n = life.nodes, life.consumes, len(life.nodes)
     violations: list[str] = []
     stacks: list[list[str]] = [[] for _ in range(plan.n_stacks)]
-    sizes: dict[str, int] = {}
     occ = [0] * plan.n_stacks
-    peak = 0
     peaks = [0] * plan.n_stacks
-    by_step: dict[int, list[AllocEvent]] = {}
-    for ev in plan.events:
-        by_step.setdefault(ev.step, []).append(ev)
-
+    total = peak = 0
     live: set[str] = set()
-    n = len(life.nodes)
-    for step in range(-1, n + 1):
-        step_events = by_step.get(step, [])
-
-        def apply(ev):
-            _, action, buffer, s, nbytes = ev
-            held = stacks[s]
-            if action == "alloc":
-                held.append(buffer)
-                sizes[buffer] = nbytes
-                live.add(buffer)
-                occ[s] += nbytes
-                nonlocal peak
-                peak = max(peak, sum(occ))
-                peaks[s] = max(peaks[s], occ[s])
+    allocated: set[str] | None = None      # every buffer the plan allocates, on first need
+    checked = -1                           # the next step whose liveness is checked
+    # a sentinel past the last step runs the checks of the steps left
+    for step, action, buffer, s, nbytes in (*sorted(plan.events, key=itemgetter(0)),
+                                            (n + 1, "", "", 0, 0)):
+        while checked < n and (checked < step or checked == step and action != "alloc"):
+            if checked < 0:
+                if life.buffers and life.buffers[0] not in live:
+                    violations.append(f"step -1: {life.buffers[0]} not allocated "
+                                      "before the frame lands")
             else:
-                if not held or held[-1] != buffer:
-                    top = held[-1] if held else None
-                    violations.append(f"step {step}: free of {buffer} but stack {s} top is {top}")
-                    if buffer in held:
-                        held.remove(buffer)
-                else:
-                    held.pop()
-                live.discard(buffer)
-                occ[s] -= nbytes
-
-        # a step's event list is its allocations followed by its releases;
-        # the node executes in between, so liveness is checked there
-        i = 0
-        while i < len(step_events) and step_events[i].action == "alloc":
-            apply(step_events[i])
-            i += 1
-        if 0 <= step < n:
-            for b in life.consumes[step]:
-                if b not in live:
-                    ever = any(e.buffer == b and e.action == "alloc"
-                               for e in plan.events)
-                    what = "already freed" if ever else "never allocated"
-                    violations.append(f"step {step}: consumed {b} {what}")
-            if life.nodes[step].kind != "ew":
-                wname = weight_buffer(life.nodes[step])
-                if wname not in live:
-                    violations.append(f"step {step}: weights {wname} not staged")
-                if life.nodes[step].output not in live:
-                    violations.append(f"step {step}: output {life.nodes[step].output} "
-                                      "not allocated")
-        while i < len(step_events):
-            apply(step_events[i])
-            i += 1
+                for b in consumes[checked]:
+                    if b not in live:
+                        if allocated is None:
+                            allocated = {e.buffer for e in plan.events if e.action == "alloc"}
+                        what = "already freed" if b in allocated else "never allocated"
+                        violations.append(f"step {checked}: consumed {b} {what}")
+                node = nodes[checked]
+                if node.kind != "ew":
+                    wname = weight_buffer(node)
+                    if wname not in live:
+                        violations.append(f"step {checked}: weights {wname} not staged")
+                    if node.output not in live:
+                        violations.append(f"step {checked}: output {node.output} not allocated")
+            checked += 1
+        if not -1 <= step <= n:
+            continue
+        held = stacks[s]
+        if action == "alloc":
+            held.append(buffer)
+            live.add(buffer)
+            occ[s] += nbytes
+            total += nbytes
+            peak = max(peak, total)
+            peaks[s] = max(peaks[s], occ[s])
+        else:
+            if not held or held[-1] != buffer:
+                top = held[-1] if held else None
+                violations.append(f"step {step}: free of {buffer} but stack {s} top is {top}")
+                if buffer in held:
+                    held.remove(buffer)
+            else:
+                held.pop()
+            live.discard(buffer)
+            occ[s] -= nbytes
+            total -= nbytes
     if peak != plan.peak_bytes:
         violations.append(f"recomputed peak {peak} != recorded {plan.peak_bytes}")
     if tuple(peaks) != tuple(plan.stack_peaks):
         violations.append(f"recomputed stack peaks {peaks} != {plan.stack_peaks}")
     if plan.n_stacks == 2 and peak > L2_BYTES:
         violations.append(f"peak {peak} exceeds L2 capacity {L2_BYTES}")
-    return violations
+    return tuple(violations)
 
 
 def plan_summary(plan: L2AllocPlan, csv: bool = False) -> str:

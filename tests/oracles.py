@@ -295,7 +295,9 @@ def tampered_l2_plans(plan):
     "lifo": two frees of one step on one stack swapped, so the first frees a
     buried buffer.  "early free": the RES1 bypass operand conv_3 freed at
     step 3, after that step's first alloc, before the join that reads it.
-    "no output": the steering head's output buffer never allocated."""
+    "no output": the steering head's output buffer never allocated.
+    "late input": the input allocated at step 0, first, so it is not live
+    when the frame lands at step -1."""
     events = list(plan.events)
     frees = [i for i, e in enumerate(events)
              if e.action == "free" and not e.buffer.startswith("w:")]
@@ -308,9 +310,77 @@ def tampered_l2_plans(plan):
     events = [e for e in plan.events if e is not moved]
     at = next(i for i, e in enumerate(events) if e.step == 3 and e.action == "alloc") + 1
     events.insert(at, moved._replace(step=3))
+    landing = next(e for e in plan.events if e.step == -1)
     return {"lifo": lifo, "early free": dataclasses.replace(plan, events=tuple(events)),
             "no output": dataclasses.replace(plan, events=tuple(
-                e for e in plan.events if e.buffer != "fully_1"))}
+                e for e in plan.events if e.buffer != "fully_1")),
+            "late input": dataclasses.replace(plan, events=(
+                landing._replace(step=0), *(e for e in plan.events if e is not landing)))}
+
+
+def replay_l2_verdict(plan, graph):
+    """validate_plan's verdict from a replay of its own, step by step: each
+    step's events grouped, its leading allocations applied, its liveness
+    checked (at step -1, the input's), then its other events applied; a
+    buried free is named and its buffer pulled out of the stack."""
+    life = l2plan._lifetimes(graph)
+    n, n_stacks = len(life.nodes), len(plan.stack_peaks)
+    violations = []
+    stacks = [[] for _ in range(n_stacks)]
+    occ, peaks, peak, live = [0] * n_stacks, [0] * n_stacks, 0, set()
+    by_step = {}
+    for ev in plan.events:
+        by_step.setdefault(ev.step, []).append(ev)
+
+    def apply(step, ev):
+        nonlocal peak
+        held = stacks[ev.stack]
+        if ev.action == "alloc":
+            held.append(ev.buffer)
+            live.add(ev.buffer)
+            occ[ev.stack] += ev.bytes
+            peak = max(peak, sum(occ))
+            peaks[ev.stack] = max(peaks[ev.stack], occ[ev.stack])
+            return
+        if held[-1:] != [ev.buffer]:
+            violations.append(f"step {step}: free of {ev.buffer} but stack {ev.stack} "
+                              f"top is {held[-1] if held else None}")
+            if ev.buffer in held:
+                held.remove(ev.buffer)
+        else:
+            held.pop()
+        live.discard(ev.buffer)
+        occ[ev.stack] -= ev.bytes
+
+    for step in range(-1, n + 1):
+        evs = by_step.get(step, [])
+        lead = next((k for k, ev in enumerate(evs) if ev.action != "alloc"), len(evs))
+        for ev in evs[:lead]:
+            apply(step, ev)
+        if step == -1 and life.buffers and life.buffers[0] not in live:
+            violations.append(f"step -1: {life.buffers[0]} not allocated before the frame lands")
+        if 0 <= step < n:
+            node = life.nodes[step]
+            for b in life.consumes[step]:
+                if b not in live:
+                    ever = any(e.buffer == b and e.action == "alloc" for e in plan.events)
+                    violations.append(f"step {step}: consumed {b} "
+                                      f"{'already freed' if ever else 'never allocated'}")
+            if node.kind != "ew":
+                if l2plan.weight_buffer(node) not in live:
+                    violations.append(f"step {step}: weights {l2plan.weight_buffer(node)} "
+                                      "not staged")
+                if node.output not in live:
+                    violations.append(f"step {step}: output {node.output} not allocated")
+        for ev in evs[lead:]:
+            apply(step, ev)
+    if peak != plan.peak_bytes:
+        violations.append(f"recomputed peak {peak} != recorded {plan.peak_bytes}")
+    if tuple(peaks) != tuple(plan.stack_peaks):
+        violations.append(f"recomputed stack peaks {peaks} != {plan.stack_peaks}")
+    if n_stacks == 2 and peak > l2plan.L2_BYTES:
+        violations.append(f"peak {peak} exceeds L2 capacity {l2plan.L2_BYTES}")
+    return violations
 
 
 def replay_two_stack(life, bits):

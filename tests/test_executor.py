@@ -556,12 +556,14 @@ def test_compiled_replay_is_read_only(schedule):
 @pytest.mark.parametrize("fault, message", [
     ("lifo", "L2 plan: step 4: free of input but stack 0 top is conv_1"),
     ("early free", "L2 plan: step 3: weights w:conv_3 not staged"),
-    ("no output", "L2 plan: step 11: output fully_1 not allocated")],
-    ids=("lifo", "early-free", "no-output"))
+    ("no output", "L2 plan: step 11: output fully_1 not allocated"),
+    ("late input", "L2 plan: step -1: input not allocated before the frame lands")],
+    ids=("lifo", "early-free", "no-output", "late-input"))
 def test_a_broken_l2_plan_raises_before_the_first_layer(graph, monkeypatch, fault, message):
     # the replay runs validate_plan on the attached L2 plan: a plan that
-    # breaks stack order, frees a buffer before its last reader or never
-    # allocates a node's output raises before any layer runs, on every frame
+    # breaks stack order, frees a buffer before its last reader, never
+    # allocates a node's output or allocates the input only after the frame
+    # lands raises before any layer runs, on every frame
     calls = []
     conv2d = kernels.conv2d
     monkeypatch.setattr(kernels, "conv2d", lambda *a: calls.append(1) or conv2d(*a))

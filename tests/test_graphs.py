@@ -10,6 +10,7 @@ against its oracle or replay.  Every distinct node stays in
 tiler.frontier's cache, so the example count is kept small.
 """
 
+import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
@@ -74,6 +75,19 @@ def test_random_graph_runs_the_whole_pipeline(graph, data):
     schedule.l2 = l2plan.plan_two_stack(graph)
     assert schedule.l2 == oracles.exhaustive_two_stack(graph)
     assert l2plan.validate_plan(schedule.l2, graph) == []
+    # the cold one-pass verdict is the step-by-step replay's, on the plans
+    # and on a swap, a drop and a step shift of the two-stack plan's events
+    events = list(schedule.l2.events)
+    i, j = (data.draw(st.integers(0, len(events) - 1)) for _ in range(2))
+    swapped = events[:]
+    swapped[i], swapped[j] = events[j], events[i]
+    shifted = events[:]
+    shifted[i] = events[i]._replace(step=events[i].step + data.draw(st.sampled_from((-1, 1))))
+    for plan in (schedule.l2, l2plan.plan_single_stack(graph),
+                 *(dataclasses.replace(schedule.l2, events=tuple(edit))
+                   for edit in (swapped, events[:i] + events[i + 1:], shifted))):
+        assert list(l2plan._violations.__wrapped__(plan, graph)) == \
+            oracles.replay_l2_verdict(plan, graph)
     frees = {ev.buffer: ev.step for ev in schedule.l2.events if ev.action == "free"}
     assert [frees[t] for t in graph.outputs] == [len(nodes)] * 2   # live to the mission end
 

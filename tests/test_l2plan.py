@@ -69,7 +69,8 @@ def test_weights_live_only_around_their_layer(two):
 def test_lifo_violation_detected(graph, two):
     # swap two frees on the same stack so one targets a buried buffer
     tampered = oracles.tampered_l2_plans(two)["lifo"]
-    # validate_plan replays on every call, whichever plan it saw before
+    # each verdict is cached on its own (plan, graph) value: a tampered plan
+    # still fails after the good one passed, and the good one still passes
     for _ in range(2):
         assert any("free of" in v for v in l2plan.validate_plan(tampered, graph))
         assert l2plan.validate_plan(two, graph) == []
@@ -86,6 +87,55 @@ def test_unallocated_output_detected(graph, two):
     # a head's output buffer that is never allocated is written while dead
     tampered = oracles.tampered_l2_plans(two)["no output"]
     assert l2plan.validate_plan(tampered, graph) == ["step 11: output fully_1 not allocated"]
+
+
+def test_late_input_detected(graph, two):
+    # an input allocated only at step 0 is not live when the frame lands
+    tampered = oracles.tampered_l2_plans(two)["late input"]
+    assert l2plan.validate_plan(tampered, graph) == [
+        "step -1: input not allocated before the frame lands"]
+    sched = dataclasses.replace(tiler.plan_network(graph, 60 * KB), l2=tampered)
+    with pytest.raises(executor.MemSimError, match="^L2 plan: step -1: input not allocated"):
+        executor.compile_schedule(sched)
+
+
+def test_one_pass_verdicts_equal_the_step_replay(graph, two, one):
+    # the cold verdict, on the good plans and on every tampered one
+    plans = [two, one, *oracles.tampered_l2_plans(two).values()]
+    for plan in plans:
+        assert list(l2plan._violations.__wrapped__(plan, graph)) == \
+            oracles.replay_l2_verdict(plan, graph)
+
+
+def test_verdict_is_computed_once_per_value(graph, two):
+    # equal plans recorded apart share one verdict
+    life = l2plan._lifetimes(graph)
+    stack = {ev.buffer: ev.stack for ev in two.events if ev.action == "alloc"}
+    bits = [stack[b] for b in life.buffers]
+    a, b = (l2plan._recorded_plan(life, bits, 2) for _ in range(2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert l2plan.validate_plan(a, graph) == []
+    hits = l2plan._violations.cache_info().hits
+    assert l2plan.validate_plan(b, graph) == []
+    assert l2plan._violations.cache_info().hits == hits + 1
+    # equal tampered plans built apart share one verdict, and no caller
+    # can change it through the list it gets
+    first = oracles.tampered_l2_plans(two)["early free"]
+    again = oracles.tampered_l2_plans(two)["early free"]
+    assert first is not again
+    assert l2plan._violations(first, graph) is l2plan._violations(again, graph)
+    verdict = l2plan.validate_plan(first, graph)
+    expected = list(verdict)
+    verdict.clear()
+    assert l2plan.validate_plan(again, graph) == expected != []
+    assert l2plan._violations.cache_info().maxsize == tiler.GRAPHS_CACHED
+
+
+def test_plan_hashes_once(two):
+    # the hash is computed when the plan is built, from its events
+    assert two._hash == hash(two.events)
+    assert hash(two) == two._hash
+    assert "_hash" not in repr(two)
 
 
 def node_boundary_prefixes(graph):
@@ -166,8 +216,8 @@ def test_plans_are_shared_per_graph():
         life.consumes[0] = ()
     with pytest.raises(dataclasses.FrozenInstanceError):
         life.size = ()
-    for cached in (l2plan.plan_two_stack, l2plan._lifetimes, tiler.node_kernels,
-                   tiler.frontier, executor._replay):
+    for cached in (l2plan.plan_two_stack, l2plan._lifetimes, l2plan._violations,
+                   tiler.node_kernels, tiler.frontier, executor._replay):
         assert cached.cache_info().maxsize is not None
 
 
