@@ -113,7 +113,7 @@ def _cmd_mem(args) -> int:
     graph = net.build_dronet()
     plan = (l2plan.plan_single_stack if args.single
             else l2plan.plan_two_stack)(graph)
-    print(l2plan.plan_summary(plan, csv=args.csv))
+    print(l2plan.plan_summary(plan, graph, csv=args.csv))
     if not args.csv:
         kind = "single-stack" if args.single else "two-stack"
         print(f"{kind} peak {plan.peak_bytes / 1024:.1f} KB, "

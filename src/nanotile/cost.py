@@ -159,8 +159,9 @@ def plan_rows(plan: tiler.TilePlan, calib: CalibParams) -> tuple[tuple[RowCost, 
     """A plan's graph rows priced under calib, in node order, and the
     L2<->L1 descriptors they set up.  Computed from row_loads once per plan
     and calibration and kept on the plan for the last calibration priced,
-    so every report of a plan reads the same rows."""
-    if plan._rows is None or plan._rows[0] != calib:
+    so every report of a plan reads the same rows.  The calibration is
+    checked by identity first: the same object needs no field compare."""
+    if plan._rows is None or plan._rows[0] is not calib and plan._rows[0] != calib:
         loads = row_loads(plan.node, plan.loads())
         object.__setattr__(plan, "_rows", (calib, tuple(
             RowCost(r.name, r.exec_cycles(calib), r.w_bytes / calib.l3l2_bytes_per_fcycle)

@@ -4,7 +4,8 @@ The executor replays a TileSchedule and nothing else.  Memory traffic does
 not depend on the data, so compile_schedule builds it once per schedule
 value (its graph, L1 budget, L2 plan and tile plans) and caches the frozen
 result, a MemSim, on that value, not on the schedule object.  Nothing is
-allocated at run time: the trace is written straight from the plans.  L2
+allocated at run time: the trace is written straight from the plans, one
+per node in the graph's node order, which the replay checks once.  L2
 buffers, weights included, come and go as the schedule's allocation plan
 says (two-stack, as plan_network builds it): at each step the step's
 allocations land, the layer's weights are staged from L3, the node runs,
@@ -140,32 +141,35 @@ class ExecResult(kernels.InferResult):
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     """The schedule's memory replay, a read-only MemSim: _replay of its
-    graph, L1 budget, L2 plan and tile plans, a pure function of those
-    values.  It reads the schedule and changes nothing on it; equal
-    schedules share one replay, and an edited budget, L2 plan or plans list
-    is a new key.  A plan that breaks a budget or the L2 plan's own check
-    raises MemSimError before any frame runs."""
-    return _replay(schedule.graph, schedule.l1_budget, schedule.l2, tuple(schedule.plans))
+    graph, L1 budget, L2 plan and tile plans tuple, as they stand, a pure
+    function of those values.  It reads the schedule and changes nothing on
+    it; equal schedules share one replay, and an edited budget, L2 plan or
+    plans tuple is a new key.  Plans out of the graph's node order, or a
+    plan that breaks a budget or the L2 plan's own check, raise MemSimError
+    before any frame runs."""
+    return _replay(schedule.graph, schedule.l1_budget, schedule.l2, schedule.plans)
 
 
 @functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
 def _replay(graph: net.NetworkGraph, l1_budget: int, l2_plan: l2plan.L2AllocPlan,
             plans: tuple[tiler.TilePlan, ...]) -> MemSim:
     """The trace of every plan's tiles under the L2 plan, built straight
-    from the plans, and the peaks those plans hold.  The budgets are checked
-    where they are known, before any event is built: a node's footprint
-    against the L1 budget (each node allocates exactly its plan's buffers,
-    then frees them), the L2 plan by l2plan.validate_plan, and its peak
-    against L2_BYTES, which validate_plan leaves to two-stack plans.
-    validate_plan keeps its verdict per (plan, graph) value, so a miss here
-    for a new budget or new tile plans under an L2 plan already checked
-    replays none of its events.  A failed check raises MemSimError, and a
-    failed replay caches nothing.  Cached on the values, all frozen, in a
-    bounded cache."""
+    from the plans, and the peaks those plans hold.  Before any event is
+    built, the plans' nodes are checked to be the graph's nodes in order,
+    one plan each, and the budgets are checked where they are known: a
+    node's footprint against the L1 budget (each node allocates exactly its
+    plan's buffers, then frees them), the L2 plan by l2plan.validate_plan,
+    and its peak against L2_BYTES, which validate_plan leaves to two-stack
+    plans.  validate_plan keeps its verdict per (plan, graph) value, so a
+    miss here for a new budget or new tile plans under an L2 plan already
+    checked replays none of its events.  A failed check raises MemSimError,
+    and a failed replay caches nothing.  Cached on the values, all frozen,
+    in a bounded cache."""
     life = l2plan._lifetimes(graph)
-    by_name = {p.node.name: p for p in reversed(plans)}    # the first plan per node, as plan_for
-    node_plans = [by_name[node.name] for node in life.nodes]
-    for plan in node_plans:
+    if tuple(p.node for p in plans) != life.nodes:
+        raise MemSimError(f"plans run nodes {tuple(p.node.name for p in plans)}, "
+                          f"the graph's nodes are {tuple(n.name for n in life.nodes)}")
+    for plan in plans:
         if plan.footprint > l1_budget:
             raise MemSimError(f"L1 capacity exceeded: {plan.node.name} holds "
                               f"{plan.footprint} > {l1_budget}")
@@ -188,7 +192,7 @@ def _replay(graph: net.NetworkGraph, l1_budget: int, l2_plan: l2plan.L2AllocPlan
     l2_step(-1, "frame", "alloc")
     events.append(Event("xfer", TAG_L3_L2, "frame", -1, "frame",
                         2 * math.prod(graph.tensors[net.INPUT_TENSOR]), overlap=True))
-    for i, (node, plan) in enumerate(zip(life.nodes, node_plans)):
+    for i, (node, plan) in enumerate(zip(life.nodes, plans)):
         name = node.name
         l2_step(i, name, "alloc")
         if node.kind != "ew":
@@ -213,20 +217,19 @@ def _replay(graph: net.NetworkGraph, l1_budget: int, l2_plan: l2plan.L2AllocPlan
         events.extend(Event("free", "L1", name, -1, b, n) for b, n in l1)
         l2_step(i, name, "free")
     l2_step(len(life.nodes), "end", "free")
-    peak_l1 = max((plan.footprint for plan in node_plans), default=0)
+    peak_l1 = max((plan.footprint for plan in plans), default=0)
     return MemSim(TraceLog(events), MappingProxyType({"L1": peak_l1, "L2": l2_plan.peak_bytes}))
 
 
 def execute_schedule(schedule: tiler.TileSchedule, store: net.WeightStore,
                      image: np.ndarray) -> ExecResult:
     """One frame: the compiled schedule's trace, and its arithmetic run
-    node by node in the L2 plan's step order."""
+    node by node in the schedule's node order, which the replay checks."""
     kernels.check_frame(schedule.graph, image)
     ms = compile_schedule(schedule)
     # activations by tensor name, each its own array, as in infer_untiled
     acts = {net.INPUT_TENSOR: image}
-    for name in schedule.l2.step_names[:-1]:
-        plan = schedule.plan_for(name)
+    for plan in schedule.plans:
         node, body = plan.node, plan.node.body
         if node.kind == "ew":
             # the tiles partition the map, so one ReLU over it is the

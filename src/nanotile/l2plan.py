@@ -65,7 +65,6 @@ class L2AllocPlan:
     keyed on it (validate_plan's verdict, the executor's replay)."""
 
     events: tuple[AllocEvent, ...]
-    step_names: tuple[str, ...]
     peak_bytes: int
     stack_peaks: tuple[int, ...]
     _hash: int = field(init=False, repr=False, compare=False)
@@ -218,8 +217,7 @@ def _recorded_plan(life: _Lifetimes, stack_of: list[int], n_stacks: int) -> L2Al
     sim = _Sim(life, n_stacks, record=True)
     for i in range(len(life.script)):
         sim.step(i, stack_of)
-    return L2AllocPlan(tuple(sim.events), (*(n.name for n in life.nodes), "end"),
-                       sim.peak, tuple(sim.peaks))
+    return L2AllocPlan(tuple(sim.events), sim.peak, tuple(sim.peaks))
 
 
 def _search_two_stack(life: _Lifetimes) -> list[int]:
@@ -293,23 +291,32 @@ def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:
 
 @functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
 def _violations(plan: L2AllocPlan, graph: net.NetworkGraph) -> tuple[str, ...]:
-    """validate_plan's verdict, in one pass over the events in step order
-    (a stable sort, so each step keeps its own order; steps outside -1..n
-    are not replayed).  A step's events are its allocations followed by its
-    releases, and the node runs in between, so each step's liveness check
-    runs before its first release, or before a later step's first event."""
+    """validate_plan's verdict.  An event whose step is outside -1..n or
+    whose stack the plan does not have is reported first, in event order,
+    and not replayed.  The rest are replayed in one pass in step order (a
+    stable sort, so each step keeps its own order).  A step's events are its
+    allocations followed by its releases, and the node runs in between, so
+    each step's liveness check runs before its first release, or before a
+    later step's first event."""
     life = _lifetimes(graph)
-    nodes, consumes, n = life.nodes, life.consumes, len(life.nodes)
+    nodes, consumes, n, n_stacks = life.nodes, life.consumes, len(life.nodes), plan.n_stacks
     violations: list[str] = []
-    stacks: list[list[str]] = [[] for _ in range(plan.n_stacks)]
-    occ = [0] * plan.n_stacks
-    peaks = [0] * plan.n_stacks
+    replayed: list[AllocEvent] = []
+    for ev in plan.events:
+        if -1 <= ev.step <= n and 0 <= ev.stack < n_stacks:
+            replayed.append(ev)
+        else:
+            violations.append(f"step {ev.step}: {ev.action} of {ev.buffer} on stack {ev.stack} "
+                              f"outside steps -1..{n} and stacks 0..{n_stacks - 1}")
+    stacks: list[list[str]] = [[] for _ in range(n_stacks)]
+    occ = [0] * n_stacks
+    peaks = [0] * n_stacks
     total = peak = 0
     live: set[str] = set()
-    allocated: set[str] | None = None      # every buffer the plan allocates, on first need
+    allocated: set[str] | None = None      # every buffer replayed allocating, on first need
     checked = -1                           # the next step whose liveness is checked
     # a sentinel past the last step runs the checks of the steps left
-    for step, action, buffer, s, nbytes in (*sorted(plan.events, key=itemgetter(0)),
+    for step, action, buffer, s, nbytes in (*sorted(replayed, key=itemgetter(0)),
                                             (n + 1, "", "", 0, 0)):
         while checked < n and (checked < step or checked == step and action != "alloc"):
             if checked < 0:
@@ -320,7 +327,7 @@ def _violations(plan: L2AllocPlan, graph: net.NetworkGraph) -> tuple[str, ...]:
                 for b in consumes[checked]:
                     if b not in live:
                         if allocated is None:
-                            allocated = {e.buffer for e in plan.events if e.action == "alloc"}
+                            allocated = {e.buffer for e in replayed if e.action == "alloc"}
                         what = "already freed" if b in allocated else "never allocated"
                         violations.append(f"step {checked}: consumed {b} {what}")
                 node = nodes[checked]
@@ -331,8 +338,8 @@ def _violations(plan: L2AllocPlan, graph: net.NetworkGraph) -> tuple[str, ...]:
                     if node.output not in live:
                         violations.append(f"step {checked}: output {node.output} not allocated")
             checked += 1
-        if not -1 <= step <= n:
-            continue
+        if step > n:
+            break
         held = stacks[s]
         if action == "alloc":
             held.append(buffer)
@@ -356,28 +363,30 @@ def _violations(plan: L2AllocPlan, graph: net.NetworkGraph) -> tuple[str, ...]:
         violations.append(f"recomputed peak {peak} != recorded {plan.peak_bytes}")
     if tuple(peaks) != tuple(plan.stack_peaks):
         violations.append(f"recomputed stack peaks {peaks} != {plan.stack_peaks}")
-    if plan.n_stacks == 2 and peak > L2_BYTES:
+    if n_stacks == 2 and peak > L2_BYTES:
         violations.append(f"peak {peak} exceeds L2 capacity {L2_BYTES}")
     return tuple(violations)
 
 
-def plan_summary(plan: L2AllocPlan, csv: bool = False) -> str:
-    """Per-step table of live buffers per stack, mirroring the allocation sequence."""
+def plan_summary(plan: L2AllocPlan, graph: net.NetworkGraph, csv: bool = False) -> str:
+    """Per-step table of live buffers per stack, mirroring the allocation
+    sequence: a row per node of the graph, in order, and one for the mission
+    end."""
+    step_names = (*(node.name for node in _lifetimes(graph).nodes), "end")
     life_rows = []
     stacks: list[list[AllocEvent]] = [[] for _ in range(plan.n_stacks)]
     by_step: dict[int, list[AllocEvent]] = {}
     for ev in plan.events:
         by_step.setdefault(ev.step, []).append(ev)
-    n_steps = len(plan.step_names)
-    for step in range(-1, n_steps):
+    for step in range(-1, len(step_names)):
         for ev in by_step.get(step, []):
             if ev.action == "alloc":
                 stacks[ev.stack].append(ev)
             else:
                 stacks[ev.stack] = [e for e in stacks[ev.stack] if e.buffer != ev.buffer]
-        if step < 0 or step >= n_steps:
+        if step < 0:
             continue
-        row = [plan.step_names[step]]
+        row = [step_names[step]]
         for s in range(plan.n_stacks):
             row.append(" ".join(e.buffer for e in stacks[s]))
             row.append(sum(e.bytes for e in stacks[s]))
@@ -386,16 +395,12 @@ def plan_summary(plan: L2AllocPlan, csv: bool = False) -> str:
         head = ["step"]
         for s in range(plan.n_stacks):
             head += [f"stack{s}", f"stack{s}_bytes"]
-        lines = [",".join(head)]
-        for row in life_rows:
-            lines.append(",".join(f'"{c}"' if isinstance(c, str) and " " in c else str(c)
-                                  for c in row))
-        return "\n".join(lines)
-    lines = []
-    for row in life_rows:
-        lines.append(f"{row[0]:<18}" + "  ".join(
-            f"S{s}[{row[1 + 2 * s]:<48}] {row[2 + 2 * s]:>7}"
-            for s in range(plan.n_stacks)))
+        return "\n".join([",".join(head)] + [
+            ",".join(f'"{c}"' if isinstance(c, str) and " " in c else str(c) for c in row)
+            for row in life_rows])
+    lines = [f"{row[0]:<18}" + "  ".join(f"S{s}[{row[1 + 2 * s]:<48}] {row[2 + 2 * s]:>7}"
+                                         for s in range(plan.n_stacks))
+             for row in life_rows]
     lines.append(f"peak {plan.peak_bytes} bytes "
                  f"({plan.peak_bytes / 1024:.1f} KB), "
                  f"headroom {plan.headroom} bytes")

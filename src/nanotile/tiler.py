@@ -42,12 +42,15 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import cost, net
 from .net import _ceil_div
+
+if TYPE_CHECKING:
+    from . import l2plan    # l2plan imports tiler
 
 DEFAULT_L1_BUDGET = 60 * 1024   # 4 KB of the 64 KB scratchpad reserved for runtime
 # bounds of the graph-keyed caches (here and in l2plan) and of frontier's,
@@ -615,19 +618,19 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
 @dataclass
 class TileSchedule:
     """A network's tile plans under one L1 budget, with its L2 plan: the
-    values the executor replays, and nothing else.  Equal schedules share
-    one replay (executor.compile_schedule)."""
+    values the executor replays, and nothing else.  plans is a tuple of one
+    plan per node, in the order of node_kernels(graph); the executor checks
+    that order once, when it compiles the schedule, and each frame runs it
+    as it stands.  Equal schedules share one replay
+    (executor.compile_schedule)."""
 
     graph: net.NetworkGraph
     l1_budget: int
-    plans: list[TilePlan]
-    l2: object          # l2plan.L2AllocPlan
+    plans: tuple[TilePlan, ...]
+    l2: l2plan.L2AllocPlan
 
     def plan_for(self, node_name: str) -> TilePlan:
-        for p in self.plans:
-            if p.node.name == node_name:
-                return p
-        raise KeyError(node_name)
+        return {p.node.name: p for p in self.plans}[node_name]
 
 
 def plan_network(graph: net.NetworkGraph, l1_budget: int = DEFAULT_L1_BUDGET,
@@ -635,7 +638,7 @@ def plan_network(graph: net.NetworkGraph, l1_budget: int = DEFAULT_L1_BUDGET,
     """Every node's plan_layer, and the graph's two-stack L2 plan, which is
     computed once per graph; a graph too large for its search raises here."""
     from . import l2plan    # l2plan imports tiler
-    plans = [plan_layer(node, l1_budget, calib) for node in node_kernels(graph)]
+    plans = tuple(plan_layer(node, l1_budget, calib) for node in node_kernels(graph))
     return TileSchedule(graph, l1_budget, plans, l2plan.plan_two_stack(graph))
 
 

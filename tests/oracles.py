@@ -286,7 +286,6 @@ def exhaustive_two_stack(graph):
     got_peak, got_peaks, events = replay_two_stack(life, bits)
     assert (got_peak, max(got_peaks)) == (peak[best], peaks[:, best].max())
     return l2plan.L2AllocPlan(tuple(l2plan.AllocEvent(*e) for e in events),
-                              (*(node.name for node in life.nodes), "end"),
                               got_peak, tuple(got_peaks))
 
 
@@ -297,7 +296,11 @@ def tampered_l2_plans(plan):
     step 3, after that step's first alloc, before the join that reads it.
     "no output": the steering head's output buffer never allocated.
     "late input": the input allocated at step 0, first, so it is not live
-    when the frame lands at step -1."""
+    when the frame lands at step -1.  Four edits put events where the plan
+    has no step or stack: "stack -1" and "stack 2" move conv_9's output and
+    weight events off the two stacks, "step -2" lands the input a step
+    before the frame, and "step n+1" moves the last free past the mission
+    end."""
     events = list(plan.events)
     frees = [i for i, e in enumerate(events)
              if e.action == "free" and not e.buffer.startswith("w:")]
@@ -311,25 +314,46 @@ def tampered_l2_plans(plan):
     at = next(i for i, e in enumerate(events) if e.step == 3 and e.action == "alloc") + 1
     events.insert(at, moved._replace(step=3))
     landing = next(e for e in plan.events if e.step == -1)
+
+    def edited(pick, **change):
+        return dataclasses.replace(plan, events=tuple(
+            e._replace(**change) if pick(e) else e for e in plan.events))
+
+    def conv_9(e):
+        return e.buffer in ("conv_9", "w:conv_9")
+
     return {"lifo": lifo, "early free": dataclasses.replace(plan, events=tuple(events)),
             "no output": dataclasses.replace(plan, events=tuple(
                 e for e in plan.events if e.buffer != "fully_1")),
             "late input": dataclasses.replace(plan, events=(
-                landing._replace(step=0), *(e for e in plan.events if e is not landing)))}
+                landing._replace(step=0), *(e for e in plan.events if e is not landing))),
+            "stack -1": edited(conv_9, stack=-1),
+            "stack 2": edited(conv_9, stack=2),
+            "step -2": edited(lambda e: e is landing, step=-2),
+            "step n+1": edited(lambda e: e is plan.events[-1], step=plan.events[-1].step + 1)}
 
 
 def replay_l2_verdict(plan, graph):
-    """validate_plan's verdict from a replay of its own, step by step: each
-    step's events grouped, its leading allocations applied, its liveness
-    checked (at step -1, the input's), then its other events applied; a
-    buried free is named and its buffer pulled out of the stack."""
+    """validate_plan's verdict from a replay of its own, step by step.  An
+    event on a step or stack the plan has not got is named first and left
+    out.  Then each step's events are grouped, its leading allocations
+    applied, its liveness checked (at step -1, the input's), then its other
+    events applied; a buried free is named and its buffer pulled out of the
+    stack."""
     life = l2plan._lifetimes(graph)
     n, n_stacks = len(life.nodes), len(plan.stack_peaks)
     violations = []
+    kept = []
+    for ev in plan.events:
+        if ev.step in range(-1, n + 1) and ev.stack in range(n_stacks):
+            kept.append(ev)
+        else:
+            violations.append(f"step {ev.step}: {ev.action} of {ev.buffer} on stack "
+                              f"{ev.stack} outside steps -1..{n} and stacks 0..{n_stacks - 1}")
     stacks = [[] for _ in range(n_stacks)]
     occ, peaks, peak, live = [0] * n_stacks, [0] * n_stacks, 0, set()
     by_step = {}
-    for ev in plan.events:
+    for ev in kept:
         by_step.setdefault(ev.step, []).append(ev)
 
     def apply(step, ev):
@@ -363,7 +387,7 @@ def replay_l2_verdict(plan, graph):
             node = life.nodes[step]
             for b in life.consumes[step]:
                 if b not in live:
-                    ever = any(e.buffer == b and e.action == "alloc" for e in plan.events)
+                    ever = any(e.buffer == b and e.action == "alloc" for e in kept)
                     violations.append(f"step {step}: consumed {b} "
                                       f"{'already freed' if ever else 'never allocated'}")
             if node.kind != "ew":

@@ -513,7 +513,7 @@ def test_compiled_replay_follows_the_tile_plans(graph):
     sched = tiler.plan_network(graph, 60 * 1024)
     first = executor.execute_schedule(sched, store, image)
     small = tiler.plan_network(graph, 16 * 1024)
-    sched.plans[:] = small.plans
+    sched.plans = small.plans
     res = executor.execute_schedule(sched, store, image)
     fresh = executor.compile_schedule(small)
     assert len(res.trace.events) == len(fresh.trace.events) == 6401
@@ -557,13 +557,16 @@ def test_compiled_replay_is_read_only(schedule):
     ("lifo", "L2 plan: step 4: free of input but stack 0 top is conv_1"),
     ("early free", "L2 plan: step 3: weights w:conv_3 not staged"),
     ("no output", "L2 plan: step 11: output fully_1 not allocated"),
-    ("late input", "L2 plan: step -1: input not allocated before the frame lands")],
-    ids=("lifo", "early-free", "no-output", "late-input"))
+    ("late input", "L2 plan: step -1: input not allocated before the frame lands"),
+    ("stack 2", "L2 plan: step 9: alloc of conv_9 on stack 2 outside steps -1..13 "
+                "and stacks 0..1")],
+    ids=("lifo", "early-free", "no-output", "late-input", "stack-2"))
 def test_a_broken_l2_plan_raises_before_the_first_layer(graph, monkeypatch, fault, message):
     # the replay runs validate_plan on the attached L2 plan: a plan that
     # breaks stack order, frees a buffer before its last reader, never
-    # allocates a node's output or allocates the input only after the frame
-    # lands raises before any layer runs, on every frame
+    # allocates a node's output, allocates the input only after the frame
+    # lands or puts a buffer on a stack it has not got raises before any
+    # layer runs, on every frame
     calls = []
     conv2d = kernels.conv2d
     monkeypatch.setattr(kernels, "conv2d", lambda *a: calls.append(1) or conv2d(*a))
@@ -595,6 +598,33 @@ def test_a_graph_without_two_heads_raises_before_the_first_layer(graph, monkeypa
                     lambda: executor.execute_schedule(sched, store, image)):
             with pytest.raises(ValueError, match=re.escape(f"graph outputs {outputs}")):
                 run()
+    assert calls == []
+
+
+def test_plans_out_of_the_graphs_node_order_raise_before_the_first_layer(graph, monkeypatch):
+    # a schedule holds one plan per node, in the graph's node order, and a
+    # frame runs them as they stand: plans reversed, without the last node,
+    # with one plan too many, or planned for another graph's nodes (the
+    # DroNet prefix that ends at relu_2) raise on every frame before any
+    # layer runs, and the failed replay caches nothing
+    calls = []
+    conv2d = kernels.conv2d
+    monkeypatch.setattr(kernels, "conv2d", lambda *a: calls.append(1) or conv2d(*a))
+    sched = tiler.plan_network(graph, 60 * 1024)
+    cut = [r.name for r in graph.layers].index("relu_2") + 1
+    prefix = tiler.plan_network(net.NetworkGraph(graph.layers[:cut]), 60 * 1024)
+    nodes = tuple(p.node.name for p in sched.plans)
+    store, image = net.zero_store(graph), oracles.random_image(0)
+    for plans in (sched.plans[::-1], sched.plans[:-1], sched.plans + sched.plans[-1:],
+                  prefix.plans):
+        bad = dataclasses.replace(sched, plans=plans)
+        message = (f"plans run nodes {tuple(p.node.name for p in plans)}, "
+                   f"the graph's nodes are {nodes}")
+        hits = executor._replay.cache_info().hits
+        for _ in range(2):
+            with pytest.raises(executor.MemSimError, match=f"^{re.escape(message)}$"):
+                executor.execute_schedule(bad, store, image)
+        assert executor._replay.cache_info().hits == hits
     assert calls == []
 
 

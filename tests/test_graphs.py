@@ -68,7 +68,7 @@ def test_random_graph_runs_the_whole_pipeline(graph, data):
     # a step of some node's frontier, or one byte below it
     budget = max(edge, data.draw(st.sampled_from(footprints)) - data.draw(st.integers(0, 1)))
     schedule = tiler.plan_network(graph, budget)
-    assert schedule.plans == [oracles.exhaustive_plan_layer(node, budget) for node in nodes]
+    assert schedule.plans == tuple(oracles.exhaustive_plan_layer(node, budget) for node in nodes)
     for plan in schedule.plans:
         oracles.assert_tile_geometry(plan)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -96,6 +97,36 @@ def test_late_input_detected(graph, two):
         "step -1: input not allocated before the frame lands"]
     sched = dataclasses.replace(tiler.plan_network(graph, 60 * KB), l2=tampered)
     with pytest.raises(executor.MemSimError, match="^L2 plan: step -1: input not allocated"):
+        executor.compile_schedule(sched)
+
+
+def _outside(step, action, buffer, stack):
+    return (f"step {step}: {action} of {buffer} on stack {stack} "
+            "outside steps -1..13 and stacks 0..1")
+
+
+@pytest.mark.parametrize("fault, outside", [
+    ("stack -1", [_outside(9, "alloc", "conv_9", -1), _outside(9, "alloc", "w:conv_9", -1),
+                  _outside(9, "free", "w:conv_9", -1), _outside(10, "free", "conv_9", -1)]),
+    ("stack 2", [_outside(9, "alloc", "conv_9", 2), _outside(9, "alloc", "w:conv_9", 2),
+                 _outside(9, "free", "w:conv_9", 2), _outside(10, "free", "conv_9", 2)]),
+    ("step -2", [_outside(-2, "alloc", "input", 0)]),
+    ("step n+1", [_outside(14, "free", "relu_3", 0)])],
+    ids=("stack-minus-1", "stack-2", "step-minus-2", "step-past-end"))
+def test_events_off_the_plans_steps_and_stacks_are_reported_first(graph, two, fault, outside):
+    # an event on a stack the plan has not got, before the frame lands or
+    # after the mission end is named first, in event order, and not
+    # replayed: stack -1 would alias stack 1 and pass, stack 2 would index
+    # past the stacks, the input landed at step -2 would read "already
+    # freed" when step 0 reads it, and a free past the mission end would be
+    # dropped unreported
+    tampered = oracles.tampered_l2_plans(two)[fault]
+    verdict = l2plan.validate_plan(tampered, graph)
+    kept = dataclasses.replace(tampered, events=tuple(
+        e for e in tampered.events if -1 <= e.step <= 13 and e.stack in (0, 1)))
+    assert verdict == outside + l2plan.validate_plan(kept, graph)
+    sched = dataclasses.replace(tiler.plan_network(graph, 60 * KB), l2=tampered)
+    with pytest.raises(executor.MemSimError, match=f"^L2 plan: {re.escape(outside[0])}$"):
         executor.compile_schedule(sched)
 
 
@@ -221,10 +252,10 @@ def test_plans_are_shared_per_graph():
         assert cached.cache_info().maxsize is not None
 
 
-def test_summary_dump(two):
-    text = l2plan.plan_summary(two)
+def test_summary_dump(graph, two):
+    text = l2plan.plan_summary(two, graph)
     assert "peak 341888 bytes" in text
-    csv = l2plan.plan_summary(two, csv=True)
+    csv = l2plan.plan_summary(two, graph, csv=True)
     assert csv.splitlines()[0].startswith("step,stack0")
     assert len(csv.splitlines()) == 15          # 13 nodes + end + header
 

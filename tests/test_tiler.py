@@ -122,7 +122,7 @@ def test_planner_equals_exhaustive_oracle(graph, budget):
         assert got.footprint == want.footprint
         plans.append(want)
     if first_error is None:
-        assert tiler.plan_network(graph, budget).plans == plans
+        assert tiler.plan_network(graph, budget).plans == tuple(plans)
     else:
         with pytest.raises(tiler.InfeasibleError) as got:
             tiler.plan_network(graph, budget)
@@ -172,7 +172,7 @@ def test_frontier_is_cached_per_calibration(graph, nodes):
 
 def test_plans_are_shared_per_frontier_step(graph, nodes):
     # a frozen plan is built once per frontier step and handed to every
-    # budget on that step; each schedule still gets its own plans list
+    # budget on that step; each schedule still gets its own plans tuple
     a, b = tiler.plan_network(graph), tiler.plan_network(graph)
     assert a is not b and a.plans is not b.plans
     assert all(p is q for p, q in zip(a.plans, b.plans))
