@@ -14,7 +14,7 @@ end: columns are (K*kh*kw, pixels) and the weights multiply from the left,
 so the accumulator comes out as a C-contiguous (K_out, H, W) array.
 
 conv2d is the one conv loop of both engines.  It pads the input once,
-scales the weights by 2**-12 once and runs conv_block once per block that
+casts the weights to float64 once and runs conv_block once per block that
 row_blocks merges from its parts (output row ranges: one-row ranges for
 the untiled engine, a plan's row ranges for the executor), each block on
 the stripe of padded input rows its convolution rows read.  The FC heads
@@ -23,18 +23,20 @@ conv_block turns a padded input stripe into int16 output rows and keeps
 the accumulator in float64 from the GEMM to the one int16 cast; each step
 of its epilogue gives the bits of the integer chain (renorm_array,
 maxpool2, relu, add):
-- the weights times 2**-12, a power of two, make every product and partial
-  sum the integer one times 2**-12, exact within the same dot-length bound,
-  so the accumulator is in Q4.12 units;
-- the max-pool runs on the accumulator: floor, bias, clip and the cast are
-  all monotone, so the maximum commutes with them (odd edges pad with -inf);
+- the GEMM gives the exact integer accumulator at scale 2**-24;
+- the max-pool runs on the accumulator: the scale, floor, bias, clip and
+  the cast are all monotone, so the maximum commutes with them (odd edges
+  pad with -inf), and it leaves a quarter of the elements to scale;
+- the accumulator times 2**-12, a power of two, is exact for an integer
+  below 2**53, so it comes out in Q4.12 units;
 - floor, then add the integer bias: floor(a) + b == floor(a + b);
 - one in-place clip saturates, with 0 for its lower bound where a ReLU is
   fused, as relu(clip(a)) == clip(a, 0, QMAX);
 - a residual adds the int16 addend to the saturated sum in float, exactly,
   and a second clip saturates it with 0 for its lower bound: a fused join
   is always followed by a ReLU (tiler.node_kernels rejects one that is not).
-No temporary of either engine grows with the map.
+No temporary of either engine grows with the map: ROW_BLOCK_BYTES bounds a
+block's float64 columns plus its accumulator.
 conv_accumulate casts the same GEMM, over the int16 weights, to the int64
 accumulator at scale 2**-24.
 """
@@ -57,10 +59,10 @@ def _check3(x: np.ndarray) -> None:
 def conv_acc(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     """Exact accumulator of weights (K_out, K, kh, kw) over an already padded
     input (K, Hp, Wp), no bias: a fresh C-contiguous (K_out, h_out, w_out)
-    float64 array, at scale 2**-24 for int16 weights and 2**-12 for weights
-    scaled by 2**-12.  The windows are a strided view, one row per weight
-    tap and one column per output pixel; the dot length is checked before
-    any of them is copied."""
+    float64 array of integers at scale 2**-24, from int16 weights or the
+    same weights cast to float64.  The windows are a strided view, one row
+    per weight tap and one column per output pixel; the dot length is
+    checked before any of them is copied."""
     k_out, _, kh, kw = w.shape
     k = xp.shape[0]
     if k * kh * kw > fxp.MAX_EXACT_DOT_LEN:
@@ -83,18 +85,20 @@ def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return xp
 
 
-# Byte budget for the float64 columns of one block of output rows.
-# Whole-map temporaries (columns, product, accumulator, renorm) of conv_1 run
-# to megabytes, which the allocator hands back to the system and faults in
-# afresh on every frame; blocks this size are reused.
-ROW_BLOCK_BYTES = 256 * 1024
+# Byte budget for the float64 columns plus the float64 accumulator of one
+# block of output rows.  Whole-map temporaries of conv_1 run to megabytes,
+# which the allocator hands back to the system and faults in afresh on every
+# frame; blocks this size are reused.  A layer whose weights outweigh its
+# columns fits in one block, so its weights are packed for one GEMM only.
+ROW_BLOCK_BYTES = 1024 * 1024
 
 
 def row_blocks(parts, rows: int, row_bytes: int) -> list[tuple[int, int]]:
-    """Consecutive (h0, h1) row ranges merged while a block's float64 columns,
-    row_bytes per row, fit ROW_BLOCK_BYTES; a range alone larger stays whole.
-    The parts must cover [0, rows) in order, once each: conv2d writes the
-    blocks into an uninitialised map, so a gap would leave garbage rows."""
+    """Consecutive (h0, h1) row ranges merged while a block's float64 columns
+    and accumulator, row_bytes per row, fit ROW_BLOCK_BYTES; a range alone
+    larger stays whole.  The parts must cover [0, rows) in order, once each:
+    conv2d writes the blocks into an uninitialised map, so a gap would leave
+    garbage rows."""
     blocks = []
     end = 0
     for h0, h1 in parts:
@@ -119,14 +123,15 @@ def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
 
 def conv_block(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
                pool: bool, relu: bool, addend: np.ndarray | None) -> np.ndarray:
-    """Q4.12 output rows over a padded input stripe, from the weights times
-    2**-12 and the bias shaped (K_out, 1, 1), both float64: conv_acc, then
-    the optional 2x2 max-pool, floor, bias, saturation (ReLU when relu), and
-    the optional saturating add of an int16 addend with the ReLU after it;
-    int16 (K_out, rows, cols)."""
+    """Q4.12 output rows over a padded input stripe, from the weights and the
+    bias shaped (K_out, 1, 1), both float64: conv_acc, then the optional 2x2
+    max-pool, the scale by 2**-12, floor, bias, saturation (ReLU when relu),
+    and the optional saturating add of an int16 addend with the ReLU after
+    it; int16 (K_out, rows, cols)."""
     acc = conv_acc(xp, w, stride)
     if pool:
         acc = maxpool2(acc)
+    acc *= 1 / fxp.SCALE
     np.floor(acc, out=acc)
     acc += bias
     np.clip(acc, 0 if relu else fxp.QMIN, fxp.QMAX, out=acc)
@@ -161,7 +166,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     k_out, k_in, kh, kw = w.shape
     xp = pad_same(x, kh, kw)
     h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-    wq, bias = w / fxp.SCALE, b.astype(np.float64)[:, None, None]
+    wf, bias = w.astype(np.float64), b.astype(np.float64)[:, None, None]
     pooled = 2 if fused_pool else 1          # convolution rows per output row
     rows = -(-h_out // pooled)
     out = np.empty((k_out, rows, -(-w_out // pooled)), np.int16)
@@ -169,9 +174,9 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
         raise ValueError(f"addend shape {addend.shape}, expected {out.shape}")
     if parts is None:
         parts = [(h, h + 1) for h in range(rows)]
-    for h0, h1 in row_blocks(parts, rows, 8 * k_in * kh * kw * w_out * pooled):
+    for h0, h1 in row_blocks(parts, rows, 8 * (k_in * kh * kw + k_out) * w_out * pooled):
         c0, c1 = h0 * pooled, min(h1 * pooled, h_out)
-        out[:, h0:h1] = conv_block(xp[:, c0 * stride:(c1 - 1) * stride + kh], wq, bias,
+        out[:, h0:h1] = conv_block(xp[:, c0 * stride:(c1 - 1) * stride + kh], wf, bias,
                                    stride, fused_pool, fused_relu,
                                    None if addend is None else addend[:, h0:h1])
     return out

@@ -350,11 +350,16 @@ def load_weights(path: str, graph: NetworkGraph) -> WeightStore:
     return WeightStore(tensors)
 
 
+# Q4.12 value of each 8-bit pixel p, quantize_array(p / 255)
+_PIXEL_Q = fxp.quantize_array(np.arange(256) / 255.0)
+
+
 def load_image(path: str) -> np.ndarray:
     """8-bit grayscale PGM (P5) to a Q4.12 input tensor (1, 200, 200).
 
-    Larger frames are center-cropped square then nearest-neighbor resized;
-    pixel p maps to p/255.
+    Frames of another size are center-cropped square then nearest-neighbor
+    resized, by row then by column; pixel p maps to quantize_array(p / 255),
+    looked up in a 256-entry table, as only 256 pixel values exist.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -399,8 +404,8 @@ def load_image(path: str) -> np.ndarray:
     target = INPUT_SHAPE[1]
     if side != target:
         idx = (np.arange(target) * side) // target
-        img = img[np.ix_(idx, idx)]
-    return fxp.quantize_array(img.astype(np.float64) / 255.0)[np.newaxis, :, :]
+        img = img[idx][:, idx]
+    return _PIXEL_Q[img][np.newaxis, :, :]
 
 
 def graph_summary(graph: NetworkGraph, csv: bool = False) -> str:

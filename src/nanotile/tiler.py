@@ -212,10 +212,11 @@ class Tile:
 class TilePlan:
     """One scheme's tile extents for a node.  The tile counts and the L1
     buffers follow from them, through the same _extents and _buffer_terms
-    that score the search grid, so equality and hash leave them out.
-    Frozen, its buffers a read-only mapping of BufferSpec tuples and its
-    tiles a tuple: a changed plan is a new plan, and a new key of the
-    executor's replay cache.  plan_layer hands every budget on one frontier
+    that score the search grid, so equality and hash leave them out; the
+    hash is taken once, when the plan is built, so a replay lookup does not
+    rehash the plans.  Frozen, its buffers a read-only mapping of
+    BufferSpec tuples and its tiles a tuple: a changed plan is a new plan,
+    and a new key of the executor's replay cache.  plan_layer hands every budget on one frontier
     step the same plan.  It keeps no tiles and no loads: tiles() and
     loads() make them on each call for their one reader each, a replay miss
     and cost.plan_rows.  The one thing kept on it is cost.plan_rows's
@@ -235,8 +236,11 @@ class TilePlan:
     # (calibration, row costs, descriptor count): cost.plan_rows keeps them
     # here for the last calibration it priced
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.node, self.scheme, self.h_tile,
+                                                self.ci_tile, self.co_tile, self.est_cycles)))
         extents = _extents(self.node, self.scheme, self.h_tile, self.ci_tile, self.co_tile)
         for name, n in zip(("n_h", "n_ci", "n_co"), extents[3:]):
             object.__setattr__(self, name, n)
@@ -244,6 +248,9 @@ class TilePlan:
             stream: BufferSpec(int(size), bool(double))
             for stream, size, double, present
             in _buffer_terms(self.node, self.scheme, *extents) if present}))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def footprint(self) -> int:
@@ -619,15 +626,19 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
 class TileSchedule:
     """A network's tile plans under one L1 budget, with its L2 plan: the
     values the executor replays, and nothing else.  plans is a tuple of one
-    plan per node, in the order of node_kernels(graph); the executor checks
-    that order once, when it compiles the schedule, and each frame runs it
-    as it stands.  Equal schedules share one replay
+    plan per node, in the order of node_kernels(graph), stored as a tuple
+    when it is given as another sequence; the executor checks that order
+    once, when it compiles the schedule, and each frame runs it as it
+    stands.  Equal schedules share one replay
     (executor.compile_schedule)."""
 
     graph: net.NetworkGraph
     l1_budget: int
     plans: tuple[TilePlan, ...]
     l2: l2plan.L2AllocPlan
+
+    def __post_init__(self):
+        self.plans = tuple(self.plans)
 
     def plan_for(self, node_name: str) -> TilePlan:
         return {p.node.name: p for p in self.plans}[node_name]

@@ -7,7 +7,9 @@ planners are their exhaustive forms: every tile plan, from the oracle's own
 loops over the tile extents, scored once per node and calibration and
 searched per budget, and every stack assignment scored in one numpy pass
 over stacks held as bitmasks.  The trace audit is the event-by-event loop
-that executor.audit_trace replaces with column reductions.
+that executor.audit_trace replaces with column reductions.  A frame's
+input tensor is quantized pixel by pixel in float64, where net.load_image
+looks each pixel up in a table.
 """
 
 import dataclasses
@@ -91,6 +93,22 @@ def tensor_mismatches(got, want):
     return [name for name, x in got.items()
             if name not in want or x.dtype != want[name].dtype
             or not np.array_equal(x, want[name])]
+
+
+def load_image_pixels(img):
+    """The input tensor of a uint8 (height, width) frame by the float
+    formula: the centred square crop, resized to the input side by np.ix_
+    nearest-neighbour indexing, then quantize_array(p / 255) over every
+    pixel."""
+    h, w = img.shape
+    side = min(h, w)
+    top, left = (h - side) // 2, (w - side) // 2
+    img = img[top:top + side, left:left + side]
+    target = net.INPUT_SHAPE[1]
+    if side != target:
+        idx = (np.arange(target) * side) // target
+        img = img[np.ix_(idx, idx)]
+    return fxp.quantize_array(img.astype(np.float64) / 255.0)[np.newaxis, :, :]
 
 
 def random_image(seed, graph=DRONET):

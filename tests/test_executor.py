@@ -116,26 +116,28 @@ def test_trace_table(graph, entry):
 
 
 def _host_gemms(sched):
-    """GEMMs per frame, counted here from the plans: consecutive row ranges
-    of a conv or FC plan share one GEMM while their float64 columns fit
-    kernels.ROW_BLOCK_BYTES; a range is never split."""
-    gemms = 0
+    """GEMMs per frame by node, counted here from the plans: consecutive row
+    ranges of a conv or FC plan share one GEMM while their float64 columns
+    and float64 accumulator fit kernels.ROW_BLOCK_BYTES; a range is never
+    split."""
+    gemms = {}
     for p in sched.plans:
         if p.node.kind == "ew":
             continue
         body = p.node.body
-        row_bytes = 8 * body.k_in * body.kh * body.kw * body.conv_w_out
+        row_bytes = 8 * (body.k_in * body.kh * body.kw + body.k_out) * body.conv_w_out
         if p.node.fused_pool:
             row_bytes *= 2
-        start = None
+        start, n = None, 0
         for h0, h1 in p.h_ranges():
             if start is None or (h1 - start) * row_bytes > kernels.ROW_BLOCK_BYTES:
-                gemms, start = gemms + 1, h0
+                n, start = n + 1, h0
+        gemms[body.name] = n
     return gemms
 
 
 # (budget, tile row groups, host GEMMs per frame); the ids keep the row groups
-GEMM_COUNTS = [pytest.param(16, 97, 20, id="16-97"), pytest.param(60, 25, 21, id="60-25")]
+GEMM_COUNTS = [pytest.param(16, 97, 16, id="16-97"), pytest.param(60, 25, 16, id="60-25")]
 
 
 @pytest.mark.parametrize("budget_kb,groups,gemms", GEMM_COUNTS)
@@ -143,7 +145,7 @@ def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, group
     # conv_acc builds a host block's columns from one strided view of the
     # padded map: one view per block of each node, per frame
     sched = tiler.plan_network(graph, budget_kb * 1024)
-    assert _host_gemms(sched) == gemms
+    assert sum(_host_gemms(sched).values()) == gemms
     calls = []
     as_strided = np.lib.stride_tricks.as_strided
     monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
@@ -156,13 +158,13 @@ def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, group
 def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups, gemms):
     # the tiles' row groups only split one exact sum, so the host merges
     # them into blocks within ROW_BLOCK_BYTES, one conv_acc GEMM each per
-    # frame: at 16 KB conv_1+pool's 50 one-row groups take 9 GEMMs, and
+    # frame: at 16 KB conv_1+pool's 50 one-row groups take 5 GEMMs, and
     # conv_2's 1024 tiles one
     sched = tiler.plan_network(graph, budget_kb * 1024)
     distinct = sum(len({t.rows for t in p.tiles()})
                    for p in sched.plans if p.node.kind != "ew")
     assert distinct == groups
-    assert _host_gemms(sched) == gemms
+    assert sum(_host_gemms(sched).values()) == gemms
     calls = []
     conv_acc = kernels.conv_acc
     monkeypatch.setattr(kernels, "conv_acc", lambda *a: calls.append(1) or conv_acc(*a))
@@ -172,9 +174,10 @@ def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups, gemms):
 
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
 def test_tiled_conv_temporaries_fit_the_row_block_budget(graph, monkeypatch, budget_kb):
-    # every conv_acc call of execute_schedule builds float64 columns within
-    # ROW_BLOCK_BYTES, unless its block is one of the plan's row ranges; a
-    # block's node-output rows are its conv rows, halved when pooled
+    # every conv_acc call of execute_schedule builds float64 columns and a
+    # float64 accumulator within ROW_BLOCK_BYTES, unless its block is one of
+    # the plan's row ranges; a block's node-output rows are its conv rows,
+    # halved when pooled
     sched = tiler.plan_network(graph, budget_kb * 1024)
     store = net.random_store(graph, 0)
     calls = []
@@ -187,16 +190,39 @@ def test_tiled_conv_temporaries_fit_the_row_block_budget(graph, monkeypatch, bud
         if p.node.kind == "ew":
             continue
         h0 = 0
-        # a node's GEMMs take its weights scaled to the output's 2**-12
-        scaled = store[p.node.body.name][0] / fxp.SCALE
-        for xp, w, stride in (c for c in calls if np.array_equal(c[1], scaled)):
-            _, k, kh, kw = w.shape
+        # a node's GEMMs take its integer weights cast to float64, unscaled
+        weights = store[p.node.body.name][0]
+        for xp, w, stride in (c for c in calls if c[1].dtype == np.float64
+                              and np.array_equal(c[1], weights)):
+            k_out, k, kh, kw = w.shape
             h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
             h1 = h0 + (-(-h_out // 2) if p.node.fused_pool else h_out)
-            if 8 * k * kh * kw * h_out * w_out > kernels.ROW_BLOCK_BYTES:
+            if 8 * (k * kh * kw + k_out) * h_out * w_out > kernels.ROW_BLOCK_BYTES:
                 assert (h0, h1) in p.h_ranges(), p.node.name
             h0 = h1
         assert h0 == p.node.h_out, p.node.name
+
+
+def test_weight_heavy_layers_take_one_gemm_per_frame(graph, monkeypatch):
+    # conv_5, conv_6 and conv_9 hold more weights than columns; their whole
+    # map's columns and accumulator fit one block, so both engines pack
+    # their weights for one GEMM per frame, at every budget
+    heavy = ("conv_5", "conv_6", "conv_9")
+    store, image = net.random_store(graph, 0), oracles.random_image(0)
+    calls = []
+    conv_acc = kernels.conv_acc
+    monkeypatch.setattr(kernels, "conv_acc",
+                        lambda xp, w, stride: calls.append(w) or conv_acc(xp, w, stride))
+    runs = [lambda: kernels.infer_untiled(graph, store, image)]
+    for budget_kb in (16, 32, 60):
+        sched = tiler.plan_network(graph, budget_kb * 1024)
+        assert [_host_gemms(sched)[name] for name in heavy] == [1, 1, 1]
+        runs.append(lambda sched=sched: executor.execute_schedule(sched, store, image))
+    for run in runs:
+        calls.clear()
+        run()
+        assert [sum(np.array_equal(w, store[name][0]) for w in calls) for name in heavy] \
+            == [1, 1, 1]
 
 
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
@@ -626,6 +652,23 @@ def test_plans_out_of_the_graphs_node_order_raise_before_the_first_layer(graph, 
                 executor.execute_schedule(bad, store, image)
         assert executor._replay.cache_info().hits == hits
     assert calls == []
+
+
+def test_a_plans_list_replays_as_its_tuple(graph):
+    # the replay is cached on the plans' values, so a schedule built or
+    # edited with a plans list holds them as a tuple: it compiles to the
+    # tuple schedule's replay, and out of order raises the order check
+    sched = tiler.plan_network(graph, 60 * 1024)
+    memsim = executor.compile_schedule(sched)
+    for listed in (dataclasses.replace(sched, plans=list(sched.plans)),
+                   tiler.TileSchedule(graph, sched.l1_budget, list(sched.plans), sched.l2)):
+        assert type(listed.plans) is tuple and listed == sched
+        assert executor.compile_schedule(listed) is memsim
+    plans = sched.plans[::-1]
+    message = (f"plans run nodes {tuple(p.node.name for p in plans)}, "
+               f"the graph's nodes are {tuple(p.node.name for p in sched.plans)}")
+    with pytest.raises(executor.MemSimError, match=f"^{re.escape(message)}$"):
+        executor.compile_schedule(dataclasses.replace(sched, plans=list(plans)))
 
 
 def test_bad_input_shape(schedule, graph):

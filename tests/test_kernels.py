@@ -100,8 +100,8 @@ def test_conv_block_matches_the_integer_epilogue(k_in, k_out, h, w, k, stride, p
     if pool:
         rows, cols = -(-rows // 2), -(-cols // 2)
     addend = data.draw(_int16s(k_out, rows, cols)) if residual else None
-    wq, bias = wt / fxp.SCALE, b.astype(np.float64)[:, None, None]
-    got = kernels.conv_block(kernels.pad_same(x, k, k), wq, bias, stride, pool, relu,
+    wf, bias = wt.astype(np.float64), b.astype(np.float64)[:, None, None]
+    got = kernels.conv_block(kernels.pad_same(x, k, k), wf, bias, stride, pool, relu,
                              addend)
     assert got.dtype == np.int16
     assert np.array_equal(got, _integer_epilogue(acc, pool, relu, addend))
@@ -130,9 +130,12 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
                                                    pool, relu, residual, data):
     # a map tall enough for two to four blocks of output rows, every height
     # parity; values over the full int16 range with -32768 sprinkled in; the
-    # output rows cut into random parts, which the blocks merge whole
-    block = max(1, kernels.ROW_BLOCK_BYTES // (8 * k_in * k * k * w_out))
-    h_out = data.draw(st.integers(block + 1, 4 * block))
+    # output rows cut into random parts, which the blocks merge whole.  A
+    # block holds the float64 columns and accumulator of its output rows,
+    # two convolution rows each when pooled
+    pooled = 2 if pool else 1
+    block = max(1, kernels.ROW_BLOCK_BYTES // (8 * (k_in * k * k + k_out) * w_out * pooled))
+    h_out = data.draw(st.integers(pooled * block + 1, pooled * 4 * block))
     h = data.draw(st.sampled_from(sorted({stride * (h_out - 1) + 1, stride * h_out})))
     width = data.draw(st.sampled_from(sorted({stride * (w_out - 1) + 1, stride * w_out})))
     rng = np.random.default_rng(seed)
@@ -176,21 +179,23 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
 
 
 def test_untiled_conv_temporaries_fit_the_row_block_budget():
-    # every conv_acc call of infer_untiled builds float64 columns within
-    # ROW_BLOCK_BYTES, unless one output row alone is larger; conv_1's
-    # 100 x 100 outputs over 25 taps (2 MB of columns) take several blocks
+    # every conv_acc call of infer_untiled builds float64 columns and a
+    # float64 accumulator within ROW_BLOCK_BYTES, unless one output row alone
+    # is larger; conv_1's 100 x 100 outputs over 25 taps into 32 channels
+    # (4.6 MB of columns and accumulator) take several blocks
     graph = net.build_dronet()
     store = net.random_store(graph, 0)
     calls, patch = _conv_acc_calls()
     with patch:
         kernels.infer_untiled(graph, store, oracles.random_image(0))
     for xp, w, stride in calls:
-        _, k, kh, kw = w.shape
+        k_out, k, kh, kw = w.shape
         h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-        row_bytes = 8 * k * kh * kw * w_out
+        row_bytes = 8 * (k * kh * kw + k_out) * w_out
         assert h_out * row_bytes <= max(kernels.ROW_BLOCK_BYTES, row_bytes)
-    # the GEMMs take conv_1's weights scaled to the output's 2**-12
-    assert sum(np.array_equal(w, store["conv_1"][0] / fxp.SCALE) for _, w, _ in calls) >= 2
+    # the GEMMs take conv_1's integer weights cast to float64, unscaled
+    assert sum(w.dtype == np.float64 and np.array_equal(w, store["conv_1"][0])
+               for _, w, _ in calls) >= 2
 
 
 ROW_BYTES = st.one_of(st.integers(1, 2 * kernels.ROW_BLOCK_BYTES),

@@ -3,7 +3,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+import oracles
 from nanotile import fxp, net, tiler
 
 EXPECTED_CONV_MACS = {
@@ -251,6 +253,39 @@ def test_load_image_crop_maps_center(tmp_path):
     idx = (np.arange(200) * 240) // 200           # nearest-neighbor index map
     expect = fxp.quantize_array(crop[np.ix_(idx, idx)] / 255.0)
     assert np.array_equal(t[0], expect)
+
+
+SIDES = st.integers(1, 400) | st.sampled_from([199, 200, 201])
+
+
+@given(SIDES, SIDES, st.integers(0, 2 ** 32 - 1))
+@example(200, 200, 0)           # every pixel value, no resize
+@example(100, 300, 1)           # tall
+@example(300, 100, 2)           # wide
+@example(1, 400, 3)             # one column
+@example(400, 199, 4)           # a crop just below the input side
+@example(201, 400, 5)           # a crop just above it
+def test_load_image_matches_the_float_oracle(tmp_path_factory, width, height, seed):
+    # the 256-entry pixel table and the row-then-column resize against
+    # quantize_array(p / 255) after the np.ix_ resize, on frames below, at
+    # and above the input side, square and not; the 200 x 200 frame holds
+    # every pixel value
+    rng = np.random.default_rng(seed)
+    if (width, height) == (200, 200):
+        img = rng.permutation(np.arange(200 * 200) % 256).reshape(200, 200)
+    else:
+        img = rng.integers(0, 256, (height, width))
+    p = tmp_path_factory.mktemp("pgm") / "frame.pgm"
+    _write_pgm(p, img)
+    got = net.load_image(str(p))
+    assert got.dtype == np.int16 and got.shape == net.INPUT_SHAPE
+    assert np.array_equal(got, oracles.load_image_pixels(img.astype(np.uint8)))
+
+
+def test_pixel_table_is_the_quantized_pixel():
+    assert net._PIXEL_Q.dtype == np.int16 and net._PIXEL_Q.shape == (256,)
+    assert [int(q) for q in net._PIXEL_Q] == \
+        [int(fxp.quantize_array(np.float64(p / 255))) for p in range(256)]
 
 
 def test_load_image_errors(tmp_path):

@@ -205,6 +205,26 @@ def test_node_kernel_hash_is_computed_once(nodes, monkeypatch):
     assert rehashed == []
 
 
+def test_tile_plan_hash_is_computed_once(graph, monkeypatch):
+    # the replay cache hashes a schedule's plans on every frame; each plan
+    # hashes its compared fields once, when it is built, and keeps that
+    # hash when cost.plan_rows fills its priced rows
+    a, b = tiler.plan_network(net.build_dronet()), tiler.plan_network(net.build_dronet())
+    assert [hash(p) for p in a.plans] == [hash(q) for q in b.plans]
+    fresh = [dataclasses.replace(p) for p in a.plans]
+    rehashed = []
+    monkeypatch.setattr(tiler.NodeKernel, "__hash__",
+                        lambda node: rehashed.append(node) or 0)
+    for plan, again in zip(a.plans, fresh):
+        assert again is not plan and again == plan and again._rows is None
+        before = hash(again)
+        assert before == hash(plan)
+        cost.plan_rows(again, cost.DEFAULT_CALIB)
+        assert again._rows is not None and hash(again) == before
+    assert hash(a.plans) == hash(tuple(fresh))
+    assert rehashed == []
+
+
 def test_tile_plan_is_frozen(graph):
     # the executor caches a schedule's replay on its plans' values, so an
     # extent edited in place would leave that replay under a stale key
