@@ -27,8 +27,10 @@ ranges for its parts, so outputs are bit-identical to the untiled engine.
 The FC heads run as 1x1 convolutions over their input viewed as
 (k_in, 1, 1).  The target keeps 32-bit partial sums in L1 across
 input-channel chunks; the host sums each block whole, and the chunks live
-on in the trace and the cost.  Host accumulators are float64, exact by the dot-length bound, while
-the budget charges the 4-byte accumulator the target hardware would hold.
+on in the trace and the cost.  A host block's GEMM returns the biased
+integer accumulator the target's int32 register holds, in float64, exact by
+the dot-length bound, while the budget charges the 4-byte accumulator the
+target hardware would hold.
 An elementwise (ReLU) node writes a fresh array, so ExecResult.tensors
 holds every tensor's own map, although the L2 plan runs it in place.
 A TraceLog is frozen when it is built, and encodes its events as

@@ -18,8 +18,9 @@ INT32_MIN = -(1 << 31)
 INT32_MAX = (1 << 31) - 1
 
 # Longest dot product whose worst-case |partial sum| stays exactly
-# representable in float64 (|term| <= 2**30, need len * 2**30 <= 2**53).
-MAX_EXACT_DOT_LEN = 1 << 23
+# representable in float64: |term| <= 2**30 and the bias term, b * 2**12,
+# is at most 2**27, so len * 2**30 + 2**27 <= 2**53 needs len <= 2**23 - 1.
+MAX_EXACT_DOT_LEN = (1 << 23) - 1
 
 
 def quantize_array(x: np.ndarray) -> np.ndarray:

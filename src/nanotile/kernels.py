@@ -6,39 +6,46 @@ kernel//2) with ceil output sizing, accumulate products exactly and
 renormalize once per output element.
 
 The integer accumulation is routed through float64 GEMM: every partial sum is
-bounded by len * 2**30 <= 2**53 for len <= fxp.MAX_EXACT_DOT_LEN, so the
-float path is bit-exact and an order of magnitude faster than integer matmul.
-conv_acc is the one exact accumulation, for the untiled kernels, the FC
-heads and the tiled executor alike.  Its layout is channel-major end to
-end: columns are (K*kh*kw, pixels) and the weights multiply from the left,
-so the accumulator comes out as a C-contiguous (K_out, H, W) array.
+bounded by len * 2**30 + 2**27 <= 2**53 for len <= fxp.MAX_EXACT_DOT_LEN,
+bias included, so the float path is bit-exact and an order of magnitude
+faster than integer matmul.  conv_acc is the one exact accumulation, for the
+untiled kernels, the FC heads and the tiled executor alike.  Its layout is
+channel-major end to end: the weights, packed by pack_weights with the bias
+times 2**12 as their last column, multiply from the left columns of
+(K*kh*kw + 1, pixels) whose last row is ones, so the GEMM returns the biased
+accumulator the target's int32 register holds, as a C-contiguous
+(K_out, H, W) array, or phase-major for a fused pool.
 
-conv2d is the one conv loop of both engines.  It pads the input once,
-casts the weights to float64 once and runs conv_block once per block that
-row_blocks merges from its parts (output row ranges: one-row ranges for
-the untiled engine, a plan's row ranges for the executor), each block on
-the stripe of padded input rows its convolution rows read.  The FC heads
-run through it as 1x1 convolutions over their input viewed as (k, 1, 1).
-conv_block turns a padded input stripe into int16 output rows and keeps
-the accumulator in float64 from the GEMM to the one int16 cast; each step
-of its epilogue gives the bits of the integer chain (renorm_array,
-maxpool2, relu, add):
-- the GEMM gives the exact integer accumulator at scale 2**-24;
-- the max-pool runs on the accumulator: the scale, floor, bias, clip and
-  the cast are all monotone, so the maximum commutes with them (odd edges
-  pad with -inf), and it leaves a quarter of the elements to scale;
+conv2d is the one conv loop of both engines.  It pads the input once
+(a 1x1 kernel reads it as it is), packs the weights once and runs
+conv_block once per block that row_blocks merges from its parts (output
+row ranges: one-row ranges for the untiled engine, a plan's row ranges for
+the executor), each block on the stripe of padded input rows its
+convolution rows read, writing into the block's rows of one int16 map.
+The FC heads run through it as 1x1 convolutions over their input viewed as
+(k, 1, 1).  conv_block keeps the accumulator in float64 from the GEMM to
+the one int16 cast; each step of its epilogue gives the bits of the
+integer chain (renorm_array, maxpool2, relu, add):
+- the GEMM gives the exact biased integer accumulator at scale 2**-24;
+- the max-pool runs on the accumulator, one maximum over its four phase
+  slabs: the scale, floor, clip and the cast are all monotone, so the
+  maximum commutes with them (the slots past an odd edge hold -inf), and
+  it leaves a quarter of the elements to scale;
 - the accumulator times 2**-12, a power of two, is exact for an integer
-  below 2**53, so it comes out in Q4.12 units;
-- floor, then add the integer bias: floor(a) + b == floor(a + b);
+  below 2**53, so it comes out in Q4.12 units, bias included;
 - one in-place clip saturates, with 0 for its lower bound where a ReLU is
   fused, as relu(clip(a)) == clip(a, 0, QMAX);
 - a residual adds the int16 addend to the saturated sum in float, exactly,
   and a second clip saturates it with 0 for its lower bound: a fused join
-  is always followed by a ReLU (tiler.node_kernels rejects one that is not).
+  is always followed by a ReLU (tiler.node_kernels rejects one that is not);
+- the last clip casts into the output rows.  Clipping to integer bounds
+  and adding an integer commute with the floor, so the floor is taken
+  only where the last clip's lower bound is below 0; above 0 the cast's
+  truncation is the floor.
 No temporary of either engine grows with the map: ROW_BLOCK_BYTES bounds a
 block's float64 columns plus its accumulator.
-conv_accumulate casts the same GEMM, over the int16 weights, to the int64
-accumulator at scale 2**-24.
+conv_accumulate casts the same GEMM to the int64 accumulator at scale
+2**-24.
 """
 
 from __future__ import annotations
@@ -56,30 +63,56 @@ def _check3(x: np.ndarray) -> None:
         raise ValueError(f"tensor: expected (K, H, W), got shape {x.shape}")
 
 
-def conv_acc(xp: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Exact accumulator of weights (K_out, K, kh, kw) over an already padded
-    input (K, Hp, Wp), no bias: a fresh C-contiguous (K_out, h_out, w_out)
-    float64 array of integers at scale 2**-24, from int16 weights or the
-    same weights cast to float64.  The windows are a strided view, one row
-    per weight tap and one column per output pixel; the dot length is
-    checked before any of them is copied."""
-    k_out, _, kh, kw = w.shape
+def conv_acc(xp: np.ndarray, wb: np.ndarray, kh: int, kw: int, stride: int,
+             pool: bool) -> np.ndarray:
+    """Exact biased accumulator of packed weights wb (pack_weights: K_out
+    rows of K*kh*kw taps and the bias times 2**12) over an already padded
+    input (K, Hp, Wp): a fresh C-contiguous float64 array of integers at
+    scale 2**-24, the value the target's int32 register holds.  The windows
+    are one strided view, copied into float64 columns, one row per weight
+    tap, a row of ones for the bias, and one column per output pixel; the
+    dot length is checked before any of them is copied.  Unpooled it is
+    (K_out, h_out, w_out).  For a fused 2x2 pool the columns are phase-major:
+    (K_out, 2, 2, ceil(h_out/2), ceil(w_out/2)), [:, dy, dx, i, j] holding
+    convolution pixel (2i+dy, 2j+dx), so the pool is one maximum over four
+    contiguous slabs.  Odd extents pad the stripe with zeros for the
+    rounded-up grid and set the slots past the map to -inf."""
     k = xp.shape[0]
     if k * kh * kw > fxp.MAX_EXACT_DOT_LEN:
         raise ValueError("dot length too long for exact float64 accumulation")
     h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+    ph, pw = -(-h_out // 2), -(-w_out // 2)
+    if pool and (h_out % 2 or w_out % 2):
+        # the rounded-up grid reads at most stride rows and columns more
+        xp = np.pad(xp, ((0, 0), (0, stride), (0, stride)))
     s0, s1, s2 = xp.strides
+    dy, dx = s1 * stride, s2 * stride
+    grid, steps = ((2, 2, ph, pw), (dy, dx, 2 * dy, 2 * dx)) if pool else \
+        ((h_out, w_out), (dy, dx))
     windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(k, kh, kw, h_out, w_out),
-        strides=(s0, s1, s2, s1 * stride, s2 * stride), writeable=False)
-    cols = windows.reshape(k * kh * kw, h_out * w_out).astype(np.float64)
-    acc = w.reshape(k_out, -1).astype(np.float64, copy=False) @ cols
-    return acc.reshape(k_out, h_out, w_out)
+        xp, shape=(k, kh, kw, *grid), strides=(s0, s1, s2, *steps), writeable=False)
+    cols = np.empty((k * kh * kw + 1, math.prod(grid)))
+    cols[:-1] = windows.reshape(-1, cols.shape[1])
+    cols[-1] = 1
+    acc = (wb @ cols).reshape(-1, *grid)
+    if pool:
+        acc[:, 1, :, h_out // 2:] = -np.inf        # dy = 1 past the last row
+        acc[:, :, 1, :, w_out // 2:] = -np.inf     # dx = 1 past the last column
+    return acc
+
+
+def pack_weights(w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Weights (K_out, K, kh, kw) and bias (K_out,) as the float64 GEMM
+    matrix (K_out, K*kh*kw + 1) whose last column is the bias times 2**12."""
+    return np.concatenate((w.reshape(len(w), -1), b[:, None] * float(fxp.SCALE)), axis=1)
 
 
 def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-pad kh//2 rows and kw//2 columns on each side."""
+    """Zero-pad kh//2 rows and kw//2 columns on each side; a 1x1 kernel
+    reads its input as it is."""
     ph, pw = kh // 2, kw // 2
+    if ph == pw == 0:
+        return x
     xp = np.zeros((x.shape[0], x.shape[1] + 2 * ph, x.shape[2] + 2 * pw), x.dtype)
     xp[:, ph:ph + x.shape[1], pw:pw + x.shape[2]] = x
     return xp
@@ -95,10 +128,11 @@ ROW_BLOCK_BYTES = 1024 * 1024
 
 def row_blocks(parts, rows: int, row_bytes: int) -> list[tuple[int, int]]:
     """Consecutive (h0, h1) row ranges merged while a block's float64 columns
-    and accumulator, row_bytes per row, fit ROW_BLOCK_BYTES; a range alone
-    larger stays whole.  The parts must cover [0, rows) in order, once each:
-    conv2d writes the blocks into an uninitialised map, so a gap would leave
-    garbage rows."""
+    (the ones row included) and accumulator, row_bytes per output row (a
+    pooled row's four phases over the width rounded up to even), fit
+    ROW_BLOCK_BYTES; a range alone larger stays whole.  The parts must cover
+    [0, rows) in order, once each: conv2d writes the blocks into an
+    uninitialised map, so a gap would leave garbage rows."""
     blocks = []
     end = 0
     for h0, h1 in parts:
@@ -121,34 +155,36 @@ def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"bias shape {b.shape}, expected {w.shape[:1]}")
 
 
-def conv_block(xp: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
-               pool: bool, relu: bool, addend: np.ndarray | None) -> np.ndarray:
-    """Q4.12 output rows over a padded input stripe, from the weights and the
-    bias shaped (K_out, 1, 1), both float64: conv_acc, then the optional 2x2
-    max-pool, the scale by 2**-12, floor, bias, saturation (ReLU when relu),
-    and the optional saturating add of an int16 addend with the ReLU after
-    it; int16 (K_out, rows, cols)."""
-    acc = conv_acc(xp, w, stride)
+def conv_block(xp: np.ndarray, wb: np.ndarray, kh: int, kw: int, stride: int,
+               pool: bool, relu: bool, addend: np.ndarray | None, out: np.ndarray) -> None:
+    """Q4.12 output rows over a padded input stripe, written into out, the
+    int16 (K_out, rows, cols) rows of the map: conv_acc with the packed
+    weights, then the optional 2x2 max-pool over its four phase slabs, the
+    scale by 2**-12, saturation (ReLU when relu), and the optional saturating
+    add of an int16 addend with the ReLU after it.  The floor is taken only
+    where the last clip's lower bound is below 0; above it the cast's
+    truncation is the floor."""
+    acc = conv_acc(xp, wb, kh, kw, stride, pool)
     if pool:
-        acc = maxpool2(acc)
+        acc = acc.max(axis=(1, 2))
     acc *= 1 / fxp.SCALE
-    np.floor(acc, out=acc)
-    acc += bias
-    np.clip(acc, 0 if relu else fxp.QMIN, fxp.QMAX, out=acc)
+    low = 0 if relu else fxp.QMIN
     if addend is not None:
+        np.clip(acc, low, fxp.QMAX, out=acc)
         acc += addend
-        np.clip(acc, 0, fxp.QMAX, out=acc)
-    return acc.astype(np.int16)
+        low = 0
+    if low < 0:
+        np.floor(acc, out=acc)
+    np.clip(acc, low, fxp.QMAX, out=out, casting="unsafe")
 
 
 def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                     stride: int) -> np.ndarray:
     """Exact int64 conv accumulator at scale 2**-24, same-zero padding, bias
-    included."""
+    included: conv_acc's GEMM cast to int64."""
     _check_conv(x, w, b)
-    acc = conv_acc(pad_same(x, w.shape[2], w.shape[3]), w, stride).astype(np.int64)
-    acc += (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None]
-    return acc
+    return conv_acc(pad_same(x, *w.shape[2:]), pack_weights(w, b), *w.shape[2:], stride,
+                    False).astype(np.int64)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
@@ -166,30 +202,30 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     k_out, k_in, kh, kw = w.shape
     xp = pad_same(x, kh, kw)
     h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-    wf, bias = w.astype(np.float64), b.astype(np.float64)[:, None, None]
+    wb = pack_weights(w, b)
     pooled = 2 if fused_pool else 1          # convolution rows per output row
-    rows = -(-h_out // pooled)
-    out = np.empty((k_out, rows, -(-w_out // pooled)), np.int16)
+    rows, cols = -(-h_out // pooled), -(-w_out // pooled)
+    out = np.empty((k_out, rows, cols), np.int16)
     if addend is not None and addend.shape != out.shape:
         raise ValueError(f"addend shape {addend.shape}, expected {out.shape}")
     if parts is None:
         parts = [(h, h + 1) for h in range(rows)]
-    for h0, h1 in row_blocks(parts, rows, 8 * (k_in * kh * kw + k_out) * w_out * pooled):
+    # a block's columns, the ones row included, and accumulator per output row
+    for h0, h1 in row_blocks(parts, rows, 8 * (wb.shape[1] + k_out) * cols * pooled ** 2):
         c0, c1 = h0 * pooled, min(h1 * pooled, h_out)
-        out[:, h0:h1] = conv_block(xp[:, c0 * stride:(c1 - 1) * stride + kh], wf, bias,
-                                   stride, fused_pool, fused_relu,
-                                   None if addend is None else addend[:, h0:h1])
+        conv_block(xp[:, c0 * stride:(c1 - 1) * stride + kh], wb, kh, kw, stride,
+                   fused_pool, fused_relu, None if addend is None else addend[:, h0:h1],
+                   out[:, h0:h1])
     return out
 
 
 def maxpool2(x: np.ndarray) -> np.ndarray:
-    """2x2/s2 max-pool of an integer map or a float accumulator; odd
-    trailing rows/cols pool over what is in range."""
+    """2x2/s2 max-pool of an integer map; odd trailing rows/cols pool over
+    what is in range."""
     _check3(x)
     k, h, w = x.shape
     if h % 2 or w % 2:
-        low = -np.inf if x.dtype.kind == "f" else np.iinfo(x.dtype).min
-        padded = np.full((k, h + h % 2, w + w % 2), low, x.dtype)
+        padded = np.full((k, h + h % 2, w + w % 2), np.iinfo(x.dtype).min, x.dtype)
         padded[:, :h, :w] = x
         x = padded
     out = np.maximum(x[:, 0::2, 0::2], x[:, 0::2, 1::2])

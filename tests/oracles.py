@@ -221,22 +221,40 @@ def loop_frontier(node, calib=cost.DEFAULT_CALIB):
     return [(row.footprint, _plan(node, row)) for row in steps]
 
 
+def stripe_reads(body, rows):
+    """(first, last+1, pad_above, pad_below) of the input rows that a conv
+    or FC tile over node-output rows reads, from the layer row alone: node
+    row h is convolution row h, or rows 2h and 2h+1 of the ceil(h_in /
+    stride) there are when a pool is fused; convolution row c reads input
+    rows c * stride - kh//2 + dy for dy < kh, and the rows of that span
+    above row 0 or below h_in are zero padding."""
+    h0, h1 = rows
+    if body.fused_pool:
+        h0, h1 = 2 * h0, min(2 * h1, -(-body.h_in // body.stride))
+    read = [c * body.stride - body.kh // 2 + dy for c in range(h0, h1) for dy in range(body.kh)]
+    span = range(min(read), max(read) + 1)
+    inside = [r for r in span if 0 <= r < body.h_in]
+    return (inside[0], inside[-1] + 1, sum(r < 0 for r in span),
+            sum(r >= body.h_in for r in span))
+
+
 def assert_tile_geometry(plan):
     """Assert that a plan's tiles are one exact computation of its node's
     output, as the host computes it: every range lies inside the node's
-    tensors, the rows partition [0, h_out), each tile reads input_rows(*rows)
-    (an elementwise tile its own rows, unpadded), and in each row group the
-    tiles cover every (input channel, output channel) pair once (an
-    elementwise node's every input channel once) and the closing tiles every
-    output channel once, each the last tile of its output-channel range,
-    whose input-channel chunks ascend from 0 with no gap."""
+    tensors, the rows partition [0, h_out), each tile reads the rows
+    stripe_reads derives from the layer row (an elementwise tile its own
+    rows, unpadded), and in each row group the tiles cover every (input
+    channel, output channel) pair once (an elementwise node's every input
+    channel once) and the closing tiles every output channel once, each the
+    last tile of its output-channel range, whose input-channel chunks ascend
+    from 0 with no gap."""
     node, body = plan.node, plan.node.body
     groups = {}
     for t in plan.tiles():
         for lo, hi, n in ((*t.rows, node.h_out), (*t.ci, body.k_in), (*t.co, body.k_out),
                           (*t.in_rows[:2], body.h_in)):
             assert 0 <= lo < hi <= n, (node.name, t.index)
-        reads = (*t.rows, 0, 0) if node.kind == "ew" else plan.input_rows(*t.rows)
+        reads = (*t.rows, 0, 0) if node.kind == "ew" else stripe_reads(body, t.rows)
         assert t.in_rows == reads, (node.name, t.index)
         groups.setdefault(t.rows, []).append(t)
     rows = np.zeros(node.h_out, int)

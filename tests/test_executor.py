@@ -117,17 +117,17 @@ def test_trace_table(graph, entry):
 
 def _host_gemms(sched):
     """GEMMs per frame by node, counted here from the plans: consecutive row
-    ranges of a conv or FC plan share one GEMM while their float64 columns
-    and float64 accumulator fit kernels.ROW_BLOCK_BYTES; a range is never
-    split."""
+    ranges of a conv or FC plan share one GEMM while their float64 columns,
+    the bias's ones row included, and float64 accumulator fit
+    kernels.ROW_BLOCK_BYTES; a range is never split."""
     gemms = {}
     for p in sched.plans:
         if p.node.kind == "ew":
             continue
         body = p.node.body
-        row_bytes = 8 * (body.k_in * body.kh * body.kw + body.k_out) * body.conv_w_out
+        row_bytes = 8 * (body.k_in * body.kh * body.kw + 1 + body.k_out) * p.node.w_out
         if p.node.fused_pool:
-            row_bytes *= 2
+            row_bytes *= 4
         start, n = None, 0
         for h0, h1 in p.h_ranges():
             if start is None or (h1 - start) * row_bytes > kernels.ROW_BLOCK_BYTES:
@@ -174,17 +174,16 @@ def test_one_gemm_per_window(graph, monkeypatch, budget_kb, groups, gemms):
 
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])
 def test_tiled_conv_temporaries_fit_the_row_block_budget(graph, monkeypatch, budget_kb):
-    # every conv_acc call of execute_schedule builds float64 columns and a
-    # float64 accumulator within ROW_BLOCK_BYTES, unless its block is one of
-    # the plan's row ranges; a block's node-output rows are its conv rows,
-    # halved when pooled
+    # every conv_acc call of execute_schedule builds float64 columns, their
+    # ones row included, and a float64 accumulator within ROW_BLOCK_BYTES,
+    # unless its block is one of the plan's row ranges; a block's
+    # node-output rows are its conv rows, halved when pooled, and a pooled
+    # block's columns span the width rounded up to even
     sched = tiler.plan_network(graph, budget_kb * 1024)
     store = net.random_store(graph, 0)
     calls = []
     conv_acc = kernels.conv_acc
-    monkeypatch.setattr(kernels, "conv_acc",
-                        lambda xp, w, stride: calls.append((xp, w, stride))
-                        or conv_acc(xp, w, stride))
+    monkeypatch.setattr(kernels, "conv_acc", lambda *args: calls.append(args) or conv_acc(*args))
     executor.execute_schedule(sched, store, oracles.random_image(0))
     for p in sched.plans:
         if p.node.kind == "ew":
@@ -192,12 +191,15 @@ def test_tiled_conv_temporaries_fit_the_row_block_budget(graph, monkeypatch, bud
         h0 = 0
         # a node's GEMMs take its integer weights cast to float64, unscaled
         weights = store[p.node.body.name][0]
-        for xp, w, stride in (c for c in calls if c[1].dtype == np.float64
-                              and np.array_equal(c[1], weights)):
-            k_out, k, kh, kw = w.shape
+        weights = weights.reshape(len(weights), -1)
+        for xp, wb, kh, kw, stride, pool in (c for c in calls if c[1].dtype == np.float64
+                                             and np.array_equal(c[1][:, :-1], weights)):
+            assert pool == p.node.fused_pool
             h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-            h1 = h0 + (-(-h_out // 2) if p.node.fused_pool else h_out)
-            if 8 * (k * kh * kw + k_out) * h_out * w_out > kernels.ROW_BLOCK_BYTES:
+            if pool:
+                h_out, w_out = -(-h_out // 2), 4 * -(-w_out // 2)
+            h1 = h0 + h_out
+            if 8 * sum(wb.shape) * h_out * w_out > kernels.ROW_BLOCK_BYTES:
                 assert (h0, h1) in p.h_ranges(), p.node.name
             h0 = h1
         assert h0 == p.node.h_out, p.node.name
@@ -212,7 +214,7 @@ def test_weight_heavy_layers_take_one_gemm_per_frame(graph, monkeypatch):
     calls = []
     conv_acc = kernels.conv_acc
     monkeypatch.setattr(kernels, "conv_acc",
-                        lambda xp, w, stride: calls.append(w) or conv_acc(xp, w, stride))
+                        lambda *args: calls.append(args[1]) or conv_acc(*args))
     runs = [lambda: kernels.infer_untiled(graph, store, image)]
     for budget_kb in (16, 32, 60):
         sched = tiler.plan_network(graph, budget_kb * 1024)
@@ -221,8 +223,8 @@ def test_weight_heavy_layers_take_one_gemm_per_frame(graph, monkeypatch):
     for run in runs:
         calls.clear()
         run()
-        assert [sum(np.array_equal(w, store[name][0]) for w in calls) for name in heavy] \
-            == [1, 1, 1]
+        assert [sum(np.array_equal(wb[:, :-1], store[name][0].reshape(len(wb), -1))
+                    for wb in calls) for name in heavy] == [1, 1, 1]
 
 
 @pytest.mark.parametrize("budget_kb", [16, 32, 60])

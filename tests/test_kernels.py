@@ -62,10 +62,46 @@ def test_conv_matches_oracle_on_any_shape(k_in, k_out, h, w, k, stride, data):
     assert np.array_equal(kernels.conv_accumulate(x, wt, b, stride), acc)
     got = kernels.conv2d(x, wt, b, stride)
     assert got.dtype == np.int16 and np.array_equal(got, oracles.naive_renorm(acc))
-    # the primitive: no bias, a fresh C-contiguous float64 (K_out, h_out, w_out)
-    part = kernels.conv_acc(kernels.pad_same(x, k, k), wt, stride)
-    assert part.dtype == np.float64 and part.flags.c_contiguous
-    assert np.array_equal(part, acc - (b.astype(np.int64) << fxp.FRAC_BITS)[:, None, None])
+
+
+def _phase_order(acc, rows, cols):
+    """conv_acc's pooled accumulator (K_out, 2, 2, ph, pw), [:, dy, dx, i, j]
+    holding convolution pixel (2i+dy, 2j+dx), back in row order over the
+    rows x cols map, and the slots past the map."""
+    k_out, _, _, ph, pw = acc.shape
+    grid = acc.transpose(0, 3, 1, 4, 2).reshape(k_out, 2 * ph, 2 * pw)
+    outside = np.ones(grid.shape, bool)
+    outside[:, :rows, :cols] = False
+    return grid[:, :rows, :cols], grid[outside]
+
+
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+       st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.booleans(), st.data())
+def test_conv_acc_is_the_biased_integer_accumulator(k_in, k_out, h, w, k, stride, pool,
+                                                    data):
+    # the GEMM returns the exact accumulator, bias included, over the full
+    # int16 range as a fresh C-contiguous float64 array; a pooled block is
+    # laid out phase-major, every extent parity, and its slots past an odd
+    # map hold -inf
+    x = data.draw(_int16s(k_in, h, w))
+    wt = data.draw(_int16s(k_out, k_in, k, k))
+    b = data.draw(_int16s(k_out))
+    expect = oracles.naive_conv_acc(x, wt, b, stride)
+    acc = kernels.conv_acc(kernels.pad_same(x, k, k), kernels.pack_weights(wt, b), k, k,
+                           stride, pool)
+    assert acc.dtype == np.float64 and acc.flags.c_contiguous
+    if pool:
+        rows, cols = expect.shape[1:]
+        assert acc.shape == (k_out, 2, 2, -(-rows // 2), -(-cols // 2))
+        acc, outside = _phase_order(acc, rows, cols)
+        assert (outside == -np.inf).all()
+    assert np.array_equal(acc, expect)
+
+
+def test_pad_same_reads_a_1x1_kernel_input_as_it_is():
+    x = np.arange(12, dtype=np.int16).reshape(1, 3, 4)
+    assert kernels.pad_same(x, 1, 1) is x
+    assert kernels.pad_same(x, 3, 1).shape == (1, 5, 4)
 
 
 def _integer_epilogue(acc, pool, relu, addend):
@@ -87,11 +123,13 @@ def _integer_epilogue(acc, pool, relu, addend):
        st.booleans(), st.integers(0, 15), st.data())
 def test_conv_block_matches_the_integer_epilogue(k_in, k_out, h, w, k, stride, pool, relu,
                                                  residual, shift, data):
-    # the float64 epilogue (pool, floor, bias, clip with the ReLU as its
-    # bound, add, clip with the ReLU after the join as its bound) against renorm_array, maxpool2, relu and
-    # sat_add_array on the exact int64 accumulator; inputs span the int16
-    # range with -32768 sprinkled in, and are also shifted down so that
-    # sums land inside it unsaturated, rounding at every sign
+    # the float64 epilogue (pool, scale, clip with the ReLU as its bound,
+    # add, clip with the ReLU after the join as its bound, a floor only
+    # where the last bound is below 0, the cast into the rows) against
+    # renorm_array, maxpool2, relu and sat_add_array on the exact int64
+    # accumulator; inputs span the int16 range with -32768 sprinkled in, and
+    # are also shifted down so that sums land inside it unsaturated,
+    # rounding at every sign
     x = data.draw(_int16s(k_in, h, w)) >> shift
     wt = data.draw(_int16s(k_out, k_in, k, k))
     b = data.draw(_int16s(k_out)) >> shift
@@ -100,10 +138,9 @@ def test_conv_block_matches_the_integer_epilogue(k_in, k_out, h, w, k, stride, p
     if pool:
         rows, cols = -(-rows // 2), -(-cols // 2)
     addend = data.draw(_int16s(k_out, rows, cols)) if residual else None
-    wf, bias = wt.astype(np.float64), b.astype(np.float64)[:, None, None]
-    got = kernels.conv_block(kernels.pad_same(x, k, k), wf, bias, stride, pool, relu,
-                             addend)
-    assert got.dtype == np.int16
+    got = np.empty((k_out, rows, cols), np.int16)
+    kernels.conv_block(kernels.pad_same(x, k, k), kernels.pack_weights(wt, b), k, k, stride,
+                       pool, relu, addend, got)
     assert np.array_equal(got, _integer_epilogue(acc, pool, relu, addend))
 
 
@@ -112,8 +149,7 @@ def _conv_acc_calls():
     calls = []
     conv_acc = kernels.conv_acc
     return calls, mock.patch.object(
-        kernels, "conv_acc", lambda xp, w, stride: calls.append((xp, w, stride))
-        or conv_acc(xp, w, stride))
+        kernels, "conv_acc", lambda *args: calls.append(args) or conv_acc(*args))
 
 
 def _partition(data, rows):
@@ -132,9 +168,10 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
     # parity; values over the full int16 range with -32768 sprinkled in; the
     # output rows cut into random parts, which the blocks merge whole.  A
     # block holds the float64 columns and accumulator of its output rows,
-    # two convolution rows each when pooled
+    # two convolution rows each when pooled, and the ones row of the bias
     pooled = 2 if pool else 1
-    block = max(1, kernels.ROW_BLOCK_BYTES // (8 * (k_in * k * k + k_out) * w_out * pooled))
+    row_bytes = 8 * (k_in * k * k + 1 + k_out) * -(-w_out // pooled) * pooled * pooled
+    block = max(1, kernels.ROW_BLOCK_BYTES // row_bytes)
     h_out = data.draw(st.integers(pooled * block + 1, pooled * 4 * block))
     h = data.draw(st.sampled_from(sorted({stride * (h_out - 1) + 1, stride * h_out})))
     width = data.draw(st.sampled_from(sorted({stride * (w_out - 1) + 1, stride * w_out})))
@@ -164,7 +201,7 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
     # each GEMM's output rows, two convolution rows each when pooled, are a
     # union of whole parts, and the GEMMs cover the map in order
     bounds, h0 = [0] + [h1 for _, h1 in parts], 0
-    for xp, _, _ in calls:
+    for xp, *_ in calls:
         conv = (xp.shape[1] - k) // stride + 1
         h0 += -(-conv // 2) if pool else conv
         assert h0 in bounds
@@ -179,23 +216,36 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
 
 
 def test_untiled_conv_temporaries_fit_the_row_block_budget():
-    # every conv_acc call of infer_untiled builds float64 columns and a
-    # float64 accumulator within ROW_BLOCK_BYTES, unless one output row alone
-    # is larger; conv_1's 100 x 100 outputs over 25 taps into 32 channels
-    # (4.6 MB of columns and accumulator) take several blocks
+    # every conv_acc call of infer_untiled builds float64 columns, their
+    # ones row included, and a float64 accumulator within ROW_BLOCK_BYTES,
+    # unless one output row alone is larger; conv_1's 100 x 100 outputs over
+    # 25 taps into 32 channels (4.6 MB of columns and accumulator) take
+    # several blocks
     graph = net.build_dronet()
     store = net.random_store(graph, 0)
     calls, patch = _conv_acc_calls()
     with patch:
         kernels.infer_untiled(graph, store, oracles.random_image(0))
-    for xp, w, stride in calls:
-        k_out, k, kh, kw = w.shape
-        h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
-        row_bytes = 8 * (k * kh * kw + k_out) * w_out
-        assert h_out * row_bytes <= max(kernels.ROW_BLOCK_BYTES, row_bytes)
-    # the GEMMs take conv_1's integer weights cast to float64, unscaled
-    assert sum(w.dtype == np.float64 and np.array_equal(w, store["conv_1"][0])
-               for _, w, _ in calls) >= 2
+    for xp, wb, kh, kw, stride, pool in calls:
+        rows, cols = _gemm_grid(xp, kh, kw, stride, pool)
+        row_bytes = 8 * sum(wb.shape) * cols
+        assert rows * row_bytes <= max(kernels.ROW_BLOCK_BYTES, row_bytes)
+    # the GEMMs take conv_1's integer weights cast to float64, unscaled,
+    # and its bias times 2**12
+    w, b = store["conv_1"]
+    assert sum(wb.dtype == np.float64 and np.array_equal(wb[:, :-1], w.reshape(len(w), -1))
+               and np.array_equal(wb[:, -1], b.astype(np.int64) << fxp.FRAC_BITS)
+               for _, wb, *_ in calls) >= 2
+
+
+def _gemm_grid(xp, kh, kw, stride, pool):
+    """Output rows of a conv_acc call and its GEMM's columns per output
+    row: a pooled row takes two convolution rows over the rounded-up
+    width."""
+    h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+    if pool:
+        return -(-h_out // 2), 4 * -(-w_out // 2)
+    return h_out, w_out
 
 
 ROW_BYTES = st.one_of(st.integers(1, 2 * kernels.ROW_BLOCK_BYTES),
