@@ -16,12 +16,15 @@ times 2**12 as their last column, multiply from the left columns of
 accumulator the target's int32 register holds, as a C-contiguous
 (K_out, H, W) array, or phase-major for a fused pool.
 
-conv2d is the one conv loop of both engines.  It pads the input once
-(a 1x1 kernel reads it as it is), packs the weights once and runs
-conv_block once per block that row_blocks merges from its parts (output
-row ranges: one-row ranges for the untiled engine, a plan's row ranges for
-the executor), each block on the stripe of padded input rows its
-convolution rows read, writing into the block's rows of one int16 map.
+conv2d is the one conv loop of both engines.  It pads the input once into
+one C-contiguous map (a 1x1 kernel reads a contiguous input as it is),
+packs the weights once and runs conv_block once per block that row_blocks
+merges from its parts (output row ranges: one-row ranges for the untiled
+engine, a plan's row ranges for the executor), writing into the block's
+rows of one int16 map.  A block passes the padded map and the padded rows
+[r0, r1) its convolution rows read; conv_acc reads them through one
+bounds-checked view into the map's buffer, so no stripe is sliced and a
+row range past the map raises instead of reading past it.
 The FC heads run through it as 1x1 convolutions over their input viewed as
 (k, 1, 1).  conv_block keeps the accumulator in float64 from the GEMM to
 the one int16 cast; each step of its epilogue gives the bits of the
@@ -63,39 +66,48 @@ def _check3(x: np.ndarray) -> None:
         raise ValueError(f"tensor: expected (K, H, W), got shape {x.shape}")
 
 
-def conv_acc(xp: np.ndarray, wb: np.ndarray, kh: int, kw: int, stride: int,
-             pool: bool) -> np.ndarray:
+def conv_acc(xp: np.ndarray, r0: int, r1: int, wb: np.ndarray, kh: int, kw: int,
+             stride: int, pool: bool) -> np.ndarray:
     """Exact biased accumulator of packed weights wb (pack_weights: K_out
-    rows of K*kh*kw taps and the bias times 2**12) over an already padded
-    input (K, Hp, Wp): a fresh C-contiguous float64 array of integers at
-    scale 2**-24, the value the target's int32 register holds.  The windows
-    are one strided view, copied into float64 columns, one row per weight
-    tap, a row of ones for the bias, and one column per output pixel; the
-    dot length is checked before any of them is copied.  Unpooled it is
-    (K_out, h_out, w_out).  For a fused 2x2 pool the columns are phase-major:
+    rows of K*kh*kw taps and the bias times 2**12) over the stripe of rows
+    [r0, r1) of the C-contiguous padded map xp (K, Hp, Wp): a fresh
+    C-contiguous float64 array of integers at scale 2**-24, the value the
+    target's int32 register holds.  The windows are one view into xp's
+    buffer at the stripe's byte offset, which numpy checks against the
+    buffer, so a row range past the map raises ValueError; they are copied
+    into float64 columns, one row per weight tap, a row of ones for the
+    bias, and one column per output pixel; the dot length is checked before
+    any of them is copied.  Unpooled it is (K_out, h_out, w_out).  For a
+    fused 2x2 pool the columns are phase-major:
     (K_out, 2, 2, ceil(h_out/2), ceil(w_out/2)), [:, dy, dx, i, j] holding
     convolution pixel (2i+dy, 2j+dx), so the pool is one maximum over four
-    contiguous slabs.  Odd extents pad the stripe with zeros for the
-    rounded-up grid and set the slots past the map to -inf."""
+    contiguous slabs.  Only a pooled grid with an odd extent pads the
+    stripe, a copy of it read through a checked view of the same kind, with
+    zeros for the rounded-up grid, and sets the slots past the map to -inf;
+    an even grid has no such slots."""
     k = xp.shape[0]
     if k * kh * kw > fxp.MAX_EXACT_DOT_LEN:
         raise ValueError("dot length too long for exact float64 accumulation")
-    h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+    h_out, w_out = (r1 - r0 - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
     ph, pw = -(-h_out // 2), -(-w_out // 2)
-    if pool and (h_out % 2 or w_out % 2):
-        # the rounded-up grid reads at most stride rows and columns more
-        xp = np.pad(xp, ((0, 0), (0, stride), (0, stride)))
+    odd = pool and (h_out % 2 or w_out % 2)
+    if odd:
+        # the rounded-up grid reads at most stride rows and columns more;
+        # the stripe is a checked view, as a slice would silently cut a
+        # range that runs past the map
+        stripe = np.ndarray((k, r1 - r0, xp.shape[2]), xp.dtype, xp, r0 * xp.strides[1],
+                            xp.strides)
+        xp, r0 = np.pad(stripe, ((0, 0), (0, stride), (0, stride))), 0
     s0, s1, s2 = xp.strides
     dy, dx = s1 * stride, s2 * stride
     grid, steps = ((2, 2, ph, pw), (dy, dx, 2 * dy, 2 * dx)) if pool else \
         ((h_out, w_out), (dy, dx))
-    windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(k, kh, kw, *grid), strides=(s0, s1, s2, *steps), writeable=False)
+    windows = np.ndarray((k, kh, kw, *grid), xp.dtype, xp, r0 * s1, (s0, s1, s2, *steps))
     cols = np.empty((k * kh * kw + 1, math.prod(grid)))
     cols[:-1] = windows.reshape(-1, cols.shape[1])
     cols[-1] = 1
     acc = (wb @ cols).reshape(-1, *grid)
-    if pool:
+    if odd:
         acc[:, 1, :, h_out // 2:] = -np.inf        # dy = 1 past the last row
         acc[:, :, 1, :, w_out // 2:] = -np.inf     # dx = 1 past the last column
     return acc
@@ -108,11 +120,12 @@ def pack_weights(w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Zero-pad kh//2 rows and kw//2 columns on each side; a 1x1 kernel
-    reads its input as it is."""
+    """Zero-pad kh//2 rows and kw//2 columns on each side into a fresh
+    C-contiguous map; a 1x1 kernel reads its input as it is when it is
+    C-contiguous, else a C-contiguous copy of it."""
     ph, pw = kh // 2, kw // 2
     if ph == pw == 0:
-        return x
+        return np.ascontiguousarray(x)
     xp = np.zeros((x.shape[0], x.shape[1] + 2 * ph, x.shape[2] + 2 * pw), x.dtype)
     xp[:, ph:ph + x.shape[1], pw:pw + x.shape[2]] = x
     return xp
@@ -155,27 +168,30 @@ def _check_conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> None:
         raise ValueError(f"bias shape {b.shape}, expected {w.shape[:1]}")
 
 
-def conv_block(xp: np.ndarray, wb: np.ndarray, kh: int, kw: int, stride: int,
-               pool: bool, relu: bool, addend: np.ndarray | None, out: np.ndarray) -> None:
-    """Q4.12 output rows over a padded input stripe, written into out, the
-    int16 (K_out, rows, cols) rows of the map: conv_acc with the packed
-    weights, then the optional 2x2 max-pool over its four phase slabs, the
-    scale by 2**-12, saturation (ReLU when relu), and the optional saturating
-    add of an int16 addend with the ReLU after it.  The floor is taken only
+def conv_block(xp: np.ndarray, r0: int, r1: int, wb: np.ndarray, kh: int, kw: int,
+               stride: int, pool: bool, relu: bool, addend: np.ndarray | None,
+               out: np.ndarray) -> None:
+    """Q4.12 output rows over the stripe of rows [r0, r1) of the
+    C-contiguous padded map xp, written into out, the int16
+    (K_out, rows, cols) rows of the map: conv_acc with the packed weights,
+    then the optional 2x2 max-pool over its four phase slabs, the scale by
+    2**-12, saturation (ReLU when relu), and the optional saturating add of
+    an int16 addend with the ReLU after it.  Both clips are the ndarray
+    method, which skips np.clip's wrapper layers.  The floor is taken only
     where the last clip's lower bound is below 0; above it the cast's
     truncation is the floor."""
-    acc = conv_acc(xp, wb, kh, kw, stride, pool)
+    acc = conv_acc(xp, r0, r1, wb, kh, kw, stride, pool)
     if pool:
         acc = acc.max(axis=(1, 2))
     acc *= 1 / fxp.SCALE
     low = 0 if relu else fxp.QMIN
     if addend is not None:
-        np.clip(acc, low, fxp.QMAX, out=acc)
+        acc.clip(low, fxp.QMAX, out=acc)
         acc += addend
         low = 0
     if low < 0:
         np.floor(acc, out=acc)
-    np.clip(acc, low, fxp.QMAX, out=out, casting="unsafe")
+    acc.clip(low, fxp.QMAX, out=out, casting="unsafe")
 
 
 def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -183,7 +199,8 @@ def conv_accumulate(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     """Exact int64 conv accumulator at scale 2**-24, same-zero padding, bias
     included: conv_acc's GEMM cast to int64."""
     _check_conv(x, w, b)
-    return conv_acc(pad_same(x, *w.shape[2:]), pack_weights(w, b), *w.shape[2:], stride,
+    xp = pad_same(x, *w.shape[2:])
+    return conv_acc(xp, 0, xp.shape[1], pack_weights(w, b), *w.shape[2:], stride,
                     False).astype(np.int64)
 
 
@@ -213,9 +230,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int,
     # a block's columns, the ones row included, and accumulator per output row
     for h0, h1 in row_blocks(parts, rows, 8 * (wb.shape[1] + k_out) * cols * pooled ** 2):
         c0, c1 = h0 * pooled, min(h1 * pooled, h_out)
-        conv_block(xp[:, c0 * stride:(c1 - 1) * stride + kh], wb, kh, kw, stride,
-                   fused_pool, fused_relu, None if addend is None else addend[:, h0:h1],
-                   out[:, h0:h1])
+        conv_block(xp, c0 * stride, (c1 - 1) * stride + kh, wb, kh, kw, stride, fused_pool,
+                   fused_relu, None if addend is None else addend[:, h0:h1], out[:, h0:h1])
     return out
 
 

@@ -142,16 +142,29 @@ GEMM_COUNTS = [pytest.param(16, 97, 16, id="16-97"), pytest.param(60, 25, 16, id
 
 @pytest.mark.parametrize("budget_kb,groups,gemms", GEMM_COUNTS)
 def test_window_columns_built_once_per_node(graph, monkeypatch, budget_kb, groups, gemms):
-    # conv_acc builds a host block's columns from one strided view of the
-    # padded map: one view per block of each node, per frame
+    # conv_acc builds a host block's columns from one bounds-checked view
+    # into the node's padded map: each node pads its input once, and its
+    # blocks' stripes of that one map step through its convolution rows in
+    # order, one view per block, per frame
     sched = tiler.plan_network(graph, budget_kb * 1024)
     assert sum(_host_gemms(sched).values()) == gemms
     calls = []
-    as_strided = np.lib.stride_tricks.as_strided
-    monkeypatch.setattr(np.lib.stride_tricks, "as_strided",
-                        lambda *a, **kw: calls.append(1) or as_strided(*a, **kw))
+    conv_acc = kernels.conv_acc
+    monkeypatch.setattr(kernels, "conv_acc", lambda *args: calls.append(args) or conv_acc(*args))
     executor.execute_schedule(sched, net.zero_store(graph), oracles.random_image(0))
     assert len(calls) == gemms
+    for p in sched.plans:
+        if p.node.kind == "ew":
+            continue
+        body, xp, conv = p.node.body, calls[0][0], 0
+        assert xp.shape == (body.k_in, body.h_in + body.kh // 2 * 2,
+                            body.w_in + body.kw // 2 * 2), p.node.name
+        while calls and calls[0][0] is xp:
+            _, r0, r1, _, kh, _, stride, _ = calls.pop(0)
+            assert r0 == conv * stride, p.node.name
+            conv += (r1 - r0 - kh) // stride + 1
+        assert conv == (xp.shape[1] - body.kh) // body.stride + 1, p.node.name
+    assert not calls
 
 
 @pytest.mark.parametrize("budget_kb,groups,gemms", GEMM_COUNTS)
@@ -192,10 +205,11 @@ def test_tiled_conv_temporaries_fit_the_row_block_budget(graph, monkeypatch, bud
         # a node's GEMMs take its integer weights cast to float64, unscaled
         weights = store[p.node.body.name][0]
         weights = weights.reshape(len(weights), -1)
-        for xp, wb, kh, kw, stride, pool in (c for c in calls if c[1].dtype == np.float64
-                                             and np.array_equal(c[1][:, :-1], weights)):
+        for xp, r0, r1, wb, kh, kw, stride, pool in (
+                c for c in calls
+                if c[3].dtype == np.float64 and np.array_equal(c[3][:, :-1], weights)):
             assert pool == p.node.fused_pool
-            h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+            h_out, w_out = (r1 - r0 - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
             if pool:
                 h_out, w_out = -(-h_out // 2), 4 * -(-w_out // 2)
             h1 = h0 + h_out
@@ -214,7 +228,7 @@ def test_weight_heavy_layers_take_one_gemm_per_frame(graph, monkeypatch):
     calls = []
     conv_acc = kernels.conv_acc
     monkeypatch.setattr(kernels, "conv_acc",
-                        lambda *args: calls.append(args[1]) or conv_acc(*args))
+                        lambda *args: calls.append(args[3]) or conv_acc(*args))
     runs = [lambda: kernels.infer_untiled(graph, store, image)]
     for budget_kb in (16, 32, 60):
         sched = tiler.plan_network(graph, budget_kb * 1024)

@@ -87,8 +87,8 @@ def test_conv_acc_is_the_biased_integer_accumulator(k_in, k_out, h, w, k, stride
     wt = data.draw(_int16s(k_out, k_in, k, k))
     b = data.draw(_int16s(k_out))
     expect = oracles.naive_conv_acc(x, wt, b, stride)
-    acc = kernels.conv_acc(kernels.pad_same(x, k, k), kernels.pack_weights(wt, b), k, k,
-                           stride, pool)
+    xp = kernels.pad_same(x, k, k)
+    acc = kernels.conv_acc(xp, 0, xp.shape[1], kernels.pack_weights(wt, b), k, k, stride, pool)
     assert acc.dtype == np.float64 and acc.flags.c_contiguous
     if pool:
         rows, cols = expect.shape[1:]
@@ -98,10 +98,56 @@ def test_conv_acc_is_the_biased_integer_accumulator(k_in, k_out, h, w, k, stride
     assert np.array_equal(acc, expect)
 
 
+@pytest.mark.parametrize("k,stride,pool", [(1, 1, False), (3, 1, False), (3, 2, False),
+                                           (3, 1, True), (5, 2, True)])
+def test_conv_acc_rejects_a_row_range_past_the_padded_map(k, stride, pool):
+    # the windows are one view into the padded map's buffer, which numpy
+    # checks: a stripe whose rows run past the map raises instead of
+    # reading the memory after it; odd extents (7 columns) pad a copy of
+    # the stripe, which is checked the same way
+    x = np.arange(2 * 6 * 7, dtype=np.int16).reshape(2, 6, 7)
+    xp = kernels.pad_same(x, k, k)
+    wb = kernels.pack_weights(np.ones((3, 2, k, k), np.int16), np.zeros(3, np.int16))
+    hp = xp.shape[1]
+    assert kernels.conv_acc(xp, hp - k - stride, hp, wb, k, k, stride, pool).shape[0] == 3
+    for r0, r1 in ((hp - k - stride + 1, hp + 1), (0, hp + stride), (-1, hp - 1)):
+        with pytest.raises(ValueError):
+            kernels.conv_acc(xp, r0, r1, wb, k, k, stride, pool)
+
+
+def _strided(x):
+    """x as a view that is not C-contiguous: every other column of a map
+    twice as wide, or the transposed view of its transposed copy."""
+    wide = np.zeros((*x.shape[:2], 2 * x.shape[2]), x.dtype)
+    wide[:, :, ::2] = x
+    return [wide[:, :, ::2], x.transpose(0, 2, 1).copy().transpose(0, 2, 1)]
+
+
+@pytest.mark.parametrize("k,stride,pool", [(1, 1, False), (1, 2, False), (3, 1, False),
+                                           (3, 2, False), (3, 1, True), (1, 2, True)])
+def test_conv_on_a_strided_input_matches_the_oracle(k, stride, pool):
+    rng = np.random.default_rng(10 * k + stride)
+    x = rng.integers(fxp.QMIN, fxp.QMAX + 1, (3, 7, 9)).astype(np.int16)
+    w = rng.integers(fxp.QMIN, fxp.QMAX + 1, (4, 3, k, k)).astype(np.int16)
+    b = rng.integers(fxp.QMIN, fxp.QMAX + 1, 4).astype(np.int16)
+    acc = oracles.naive_conv_acc(x, w, b, stride)
+    expect = oracles.naive_renorm(acc)
+    if pool:
+        expect = oracles.naive_pool2(expect)
+    for view in _strided(x):
+        assert not view.flags.c_contiguous and np.array_equal(view, x)
+        assert np.array_equal(kernels.conv_accumulate(view, w, b, stride), acc)
+        assert np.array_equal(kernels.conv2d(view, w, b, stride, fused_pool=pool), expect)
+
+
 def test_pad_same_reads_a_1x1_kernel_input_as_it_is():
     x = np.arange(12, dtype=np.int16).reshape(1, 3, 4)
     assert kernels.pad_same(x, 1, 1) is x
     assert kernels.pad_same(x, 3, 1).shape == (1, 5, 4)
+    # a strided input is copied into the C-contiguous map the windows view
+    for view in _strided(x):
+        xp = kernels.pad_same(view, 1, 1)
+        assert xp.flags.c_contiguous and np.array_equal(xp, x)
 
 
 def _integer_epilogue(acc, pool, relu, addend):
@@ -139,8 +185,9 @@ def test_conv_block_matches_the_integer_epilogue(k_in, k_out, h, w, k, stride, p
         rows, cols = -(-rows // 2), -(-cols // 2)
     addend = data.draw(_int16s(k_out, rows, cols)) if residual else None
     got = np.empty((k_out, rows, cols), np.int16)
-    kernels.conv_block(kernels.pad_same(x, k, k), kernels.pack_weights(wt, b), k, k, stride,
-                       pool, relu, addend, got)
+    xp = kernels.pad_same(x, k, k)
+    kernels.conv_block(xp, 0, xp.shape[1], kernels.pack_weights(wt, b), k, k, stride, pool,
+                       relu, addend, got)
     assert np.array_equal(got, _integer_epilogue(acc, pool, relu, addend))
 
 
@@ -199,10 +246,12 @@ def test_conv_spanning_row_blocks_matches_one_gemm(k_in, k_out, k, stride, w_out
     assert len(calls) >= 2
     assert got.dtype == np.int16 and np.array_equal(got, expect)
     # each GEMM's output rows, two convolution rows each when pooled, are a
-    # union of whole parts, and the GEMMs cover the map in order
+    # union of whole parts, and the GEMMs' stripes of the one padded map
+    # cover it in order
     bounds, h0 = [0] + [h1 for _, h1 in parts], 0
-    for xp, *_ in calls:
-        conv = (xp.shape[1] - k) // stride + 1
+    for xp, r0, r1, *_ in calls:
+        assert xp is calls[0][0] and r0 == h0 * pooled * stride
+        conv = (r1 - r0 - k) // stride + 1
         h0 += -(-conv // 2) if pool else conv
         assert h0 in bounds
     assert h0 == rows
@@ -226,8 +275,8 @@ def test_untiled_conv_temporaries_fit_the_row_block_budget():
     calls, patch = _conv_acc_calls()
     with patch:
         kernels.infer_untiled(graph, store, oracles.random_image(0))
-    for xp, wb, kh, kw, stride, pool in calls:
-        rows, cols = _gemm_grid(xp, kh, kw, stride, pool)
+    for xp, r0, r1, wb, kh, kw, stride, pool in calls:
+        rows, cols = _gemm_grid(xp, r0, r1, kh, kw, stride, pool)
         row_bytes = 8 * sum(wb.shape) * cols
         assert rows * row_bytes <= max(kernels.ROW_BLOCK_BYTES, row_bytes)
     # the GEMMs take conv_1's integer weights cast to float64, unscaled,
@@ -235,14 +284,14 @@ def test_untiled_conv_temporaries_fit_the_row_block_budget():
     w, b = store["conv_1"]
     assert sum(wb.dtype == np.float64 and np.array_equal(wb[:, :-1], w.reshape(len(w), -1))
                and np.array_equal(wb[:, -1], b.astype(np.int64) << fxp.FRAC_BITS)
-               for _, wb, *_ in calls) >= 2
+               for _, _, _, wb, *_ in calls) >= 2
 
 
-def _gemm_grid(xp, kh, kw, stride, pool):
-    """Output rows of a conv_acc call and its GEMM's columns per output
-    row: a pooled row takes two convolution rows over the rounded-up
-    width."""
-    h_out, w_out = (xp.shape[1] - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
+def _gemm_grid(xp, r0, r1, kh, kw, stride, pool):
+    """Output rows of a conv_acc call over the stripe [r0, r1) of xp and
+    its GEMM's columns per output row: a pooled row takes two convolution
+    rows over the rounded-up width."""
+    h_out, w_out = (r1 - r0 - kh) // stride + 1, (xp.shape[2] - kw) // stride + 1
     if pool:
         return -(-h_out // 2), 4 * -(-w_out // 2)
     return h_out, w_out
