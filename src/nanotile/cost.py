@@ -27,13 +27,18 @@ power calibration all go through it, so a sweep point is a CostReport.
 There is one set of rows per plan and calibration, plan_rows: a plan's
 RowLoads and RowCosts are computed once per calibration and the costs kept
 on the frozen plan, which the planner shares between every budget on one
-frontier step.  frame_report, layer_cycles and plan_cycles all read them;
-frame_report adds them in graph order.  The sweep's operating points are
-one module tuple, SWEEP_POINTS.
+frontier step.  layer_cycles and plan_cycles read them.  There is one
+priced schedule per value, _priced: the rows of a (graph, plans,
+calibration) value in graph order, their two cycle totals and the DMA
+cycles, computed once in a bounded cache, so frame_report, sweep,
+calibrate and fit_residuals read the same priced rows, and a design
+point's report and its sweep price the schedule once.  The sweep's
+operating points are one module tuple, SWEEP_POINTS.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -169,11 +174,23 @@ def plan_rows(plan: tiler.TilePlan, calib: CalibParams) -> tuple[tuple[RowCost, 
     return plan._rows[1:]
 
 
-def _schedule_rows(schedule: tiler.TileSchedule) -> list[RowLoad]:
-    """Every graph row's load, in graph order."""
-    by_name = {row.name: row for p in schedule.plans
-               for row in row_loads(p.node, p.loads())}
-    return [by_name[spec.name] for spec in schedule.graph.layers]
+def _graph_order(graph: net.NetworkGraph, rows) -> tuple:
+    """Named rows, given node by node, in the graph's row order."""
+    by_name = {row.name: row for row in rows}
+    return tuple(by_name[spec.name] for spec in graph.layers)
+
+
+@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
+def _priced(graph: net.NetworkGraph, plans: tuple[tiler.TilePlan, ...], calib: CalibParams):
+    """A schedule's plan_rows in graph order, a tuple, their exec and L3->L2
+    cycle totals (added in graph order) and the descriptors' DMA cycles:
+    what _at_op takes besides the operating point and the power pair.
+    Cached on the values, all frozen, in a bounded cache, so equal plans
+    under one calibration share one rows tuple, whatever the budget."""
+    priced = [plan_rows(p, calib) for p in plans]
+    rows = _graph_order(graph, (r for costs, _ in priced for r in costs))
+    return (rows, sum(r.exec_cycles for r in rows), sum(r.l3l2_fcycles for r in rows),
+            calib.dma_setup_cycles * sum(n for _, n in priced))
 
 
 @dataclass
@@ -248,8 +265,8 @@ def _at_op(op: OpPoint, rows: tuple[RowCost, ...], exec_cycles: float,
     """The one path from cycles to a frame's time, power and energy at an
     operating point: FC clocked all frame, cluster only while computing,
     DRAM only while staging weights.  exec_cycles and l3l2_fcycles are the
-    rows' totals, which frame_report adds once, so that a sweep's reports
-    do not add them again at each point."""
+    rows' totals, which _priced adds once per schedule value, so that a
+    sweep's reports do not add them again at each point."""
     t_c = exec_cycles / op.f_cl
     t = t_c + l3l2_fcycles / op.f_fc
     energy = op.vdd ** 2 * (power.k_fc * op.f_fc * t + power.k_cl * op.f_cl * t_c)
@@ -262,14 +279,9 @@ def _at_op(op: OpPoint, rows: tuple[RowCost, ...], exec_cycles: float,
 def frame_report(schedule: tiler.TileSchedule, op: OpPoint = EFFICIENT,
                  calib: CalibParams = DEFAULT_CALIB,
                  power: PowerParams = DEFAULT_POWER) -> CostReport:
-    by_name, transfers = {}, 0
-    for p in schedule.plans:
-        costs, n = plan_rows(p, calib)
-        by_name.update((r.name, r) for r in costs)
-        transfers += n
-    rows = tuple(by_name[spec.name] for spec in schedule.graph.layers)
-    return _at_op(op, rows, sum(r.exec_cycles for r in rows), sum(r.l3l2_fcycles for r in rows),
-                  calib.dma_setup_cycles * transfers, power)
+    """The schedule's priced rows at an operating point.  The plans are
+    keyed as a tuple, which a plans tuple already is."""
+    return _at_op(op, *_priced(schedule.graph, tuple(schedule.plans), calib), power)
 
 
 def breakdown_mcycles(report: CostReport) -> tuple[float, float, float, float]:
@@ -358,7 +370,9 @@ def calibrate(schedule: tiler.TileSchedule,
         raise ValueError(f"{targets.directory / POWER_TABLE}: "
                          f"{len(targets.power_points)} operating corners, the power "
                          "fit needs 2")
-    feats = _schedule_rows(schedule)
+    # every graph row's load, in graph order
+    feats = _graph_order(schedule.graph, (row for p in schedule.plans
+                                          for row in row_loads(p.node, p.loads())))
     # target exec times measured at CL 100 MHz: ms -> CL cycles
     t_cycles = np.array([targets.row_ms(f.name) * 1e5 for f in feats])
 

@@ -143,13 +143,15 @@ class ExecResult(kernels.InferResult):
 
 def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     """The schedule's memory replay, a read-only MemSim: _replay of its
-    graph, L1 budget, L2 plan and tile plans tuple, as they stand, a pure
+    graph, L1 budget, L2 plan and tile plans, as they stand, a pure
     function of those values.  It reads the schedule and changes nothing on
     it; equal schedules share one replay, and an edited budget, L2 plan or
-    plans tuple is a new key.  Plans out of the graph's node order, or a
-    plan that breaks a budget or the L2 plan's own check, raise MemSimError
-    before any frame runs."""
-    return _replay(schedule.graph, schedule.l1_budget, schedule.l2, schedule.plans)
+    plans tuple is a new key.  The plans are keyed as a tuple, which a
+    plans tuple already is, so a plans list assigned after construction
+    replays too.  Plans out of the graph's node order, or a plan that
+    breaks a budget or the L2 plan's own check, raise MemSimError before
+    any frame runs."""
+    return _replay(schedule.graph, schedule.l1_budget, schedule.l2, tuple(schedule.plans))
 
 
 @functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)

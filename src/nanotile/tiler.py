@@ -27,11 +27,13 @@ distinct value, and the cost model keeps its priced rows per calibration.
 
 A candidate's footprint and cycles do not depend on the budget, so
 frontier() scores each node's grids once per calibration and keeps the
-footprints at which the best plan changes; plan_layer looks a budget up
-there.  Each step's TilePlan is built on first use and kept with its step,
-so every budget on one step shares one frozen plan, and with it the plan's
-cost rows.  plan_network builds a TileSchedule with the graph's L2 plan, so
-a schedule is a whole value when it is planned.
+footprints at which the best plan changes; plan_layer and plan_network
+look a budget up there by one step rule, and plan_network finds the
+graph's frontiers once per graph and calibration.  Each step's TilePlan is
+built on first use and kept with its step, so every budget on one step
+shares one frozen plan, and with it the plan's cost rows.  plan_network
+builds a TileSchedule with the graph's L2 plan, so a schedule is a whole
+value when it is planned.
 """
 
 from __future__ import annotations
@@ -214,14 +216,17 @@ class TilePlan:
     buffers follow from them, through the same _extents and _buffer_terms
     that score the search grid, so equality and hash leave them out; the
     hash is taken once, when the plan is built, so a replay lookup does not
-    rehash the plans.  Frozen, its buffers a read-only mapping of
-    BufferSpec tuples and its tiles a tuple: a changed plan is a new plan,
-    and a new key of the executor's replay cache.  plan_layer hands every budget on one frontier
-    step the same plan.  It keeps no tiles and no loads: tiles() and
-    loads() make them on each call for their one reader each, a replay miss
-    and cost.plan_rows.  The one thing kept on it is cost.plan_rows's
-    priced rows, for the last calibration priced, in a slot filled after
-    the plan is built."""
+    rehash the plans.  The footprint, the sum of the buffers' totals, is
+    stored with them, so its readers (the replay's budget check and peak,
+    the schedule summary) do not sum the buffers again.  Frozen, its
+    buffers a read-only mapping of BufferSpec tuples and its tiles a tuple:
+    a changed plan is a new plan, and a new key of the executor's replay
+    cache and of the cost model's priced schedules.  plan_layer hands every
+    budget on one frontier step the same plan.  It keeps no tiles and no
+    loads: tiles() and loads() make them on each call for their one reader
+    each, a replay miss and cost.plan_rows.  The one thing kept on it is
+    cost.plan_rows's priced rows, for the last calibration priced, in a slot
+    filled after the plan is built."""
 
     node: NodeKernel
     scheme: str
@@ -233,6 +238,7 @@ class TilePlan:
     n_ci: int = field(init=False, compare=False)
     n_co: int = field(init=False, compare=False)
     buffers: Mapping[str, BufferSpec] = field(init=False, compare=False)
+    footprint: int = field(init=False, compare=False)   # L1 bytes, the buffers' totals
     # (calibration, row costs, descriptor count): cost.plan_rows keeps them
     # here for the last calibration it priced
     _rows: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -248,13 +254,10 @@ class TilePlan:
             stream: BufferSpec(int(size), bool(double))
             for stream, size, double, present
             in _buffer_terms(self.node, self.scheme, *extents) if present}))
+        object.__setattr__(self, "footprint", sum(b.total for b in self.buffers.values()))
 
     def __hash__(self) -> int:
         return self._hash
-
-    @property
-    def footprint(self) -> int:
-        return sum(b.total for b in self.buffers.values())
 
     @property
     def n_tiles(self) -> int:
@@ -606,14 +609,19 @@ def plan_layer(node: NodeKernel, l1_budget: int = DEFAULT_L1_BUDGET,
     feature-wise, then h_tile or co_tile ascending, then ci_tile ascending,
     so among otherwise equal plans the smallest ci_tile wins.
 
-    The budget is looked up in frontier(node, calib): the plan is the last
-    step whose footprint fits, the step's TilePlan, whose est_cycles is the
-    step's cycles.  Every budget on one step gets the same frozen plan,
-    built on its first lookup.  Below the first step nothing fits, and
-    InfeasibleError names the schemes that apply.  (DORY, Burrello et al.
-    2021, casts the same search as a small constrained optimisation.)
+    The budget is looked up in frontier(node, calib) by _step_plan, the one
+    step rule that plan_network shares.  (DORY, Burrello et al. 2021, casts
+    the same search as a small constrained optimisation.)
     """
-    steps = frontier(node, calib or cost.DEFAULT_CALIB)
+    return _step_plan(node, frontier(node, calib or cost.DEFAULT_CALIB), l1_budget)
+
+
+def _step_plan(node: NodeKernel, steps: Frontier, l1_budget: int) -> TilePlan:
+    """The plan of the last step whose footprint fits the budget, the
+    step's TilePlan, whose est_cycles is the step's cycles.  Every budget on
+    one step gets the same frozen plan, built on its first lookup.  Below
+    the first step nothing fits, and InfeasibleError names the schemes that
+    apply."""
     i = bisect_right(steps, l1_budget, key=attrgetter("footprint"))
     if i == 0:
         schemes = [s for s in (SPATIAL, FEATUREWISE) if _grid_axes(node, s) is not None]
@@ -644,12 +652,24 @@ class TileSchedule:
         return {p.node.name: p for p in self.plans}[node_name]
 
 
+@functools.lru_cache(maxsize=GRAPHS_CACHED)
+def _frontiers(graph: net.NetworkGraph, calib) -> tuple[tuple[NodeKernel, Frontier], ...]:
+    """Each node of the graph with its frontier under calib, in node order.
+    Looked up once per graph and calibration, both frozen, in a bounded
+    cache, so a new budget costs one step lookup per node; the frontiers,
+    and the step plans they keep, live as long as their entry here or in
+    frontier's cache."""
+    return tuple((node, frontier(node, calib)) for node in node_kernels(graph))
+
+
 def plan_network(graph: net.NetworkGraph, l1_budget: int = DEFAULT_L1_BUDGET,
                  calib=None) -> TileSchedule:
-    """Every node's plan_layer, and the graph's two-stack L2 plan, which is
-    computed once per graph; a graph too large for its search raises here."""
+    """Every node's plan_layer, by the same step rule, over the graph's
+    frontiers, and the graph's two-stack L2 plan, which is computed once per
+    graph; a graph too large for its search raises here."""
     from . import l2plan    # l2plan imports tiler
-    plans = tuple(plan_layer(node, l1_budget, calib) for node in node_kernels(graph))
+    plans = tuple(_step_plan(node, steps, l1_budget)
+                  for node, steps in _frontiers(graph, calib or cost.DEFAULT_CALIB))
     return TileSchedule(graph, l1_budget, plans, l2plan.plan_two_stack(graph))
 
 

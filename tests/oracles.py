@@ -17,6 +17,7 @@ import functools
 from typing import NamedTuple
 
 import numpy as np
+import pytest
 
 from nanotile import cost, executor, fxp, l2plan, net, tiler
 
@@ -279,6 +280,19 @@ def assert_tile_geometry(plan):
             assert [t.closes for t in run] == [False] * (len(run) - 1) + [True], where
             assert [t.ci[0] for t in run] == [0, *(t.ci[1] for t in run[:-1])], where
     assert (rows == 1).all(), node.name
+
+
+def assert_stored_footprints(node, steps):
+    """Assert that every step's plan stores the step's footprint, which is
+    the sum of the plan's buffers' totals, and that the frozen plan refuses
+    another."""
+    for i, step in enumerate(steps):
+        plan = steps.plan(node, i)
+        assert plan.footprint == step.footprint, (node.name, i)
+        assert plan.footprint == sum(b.total for b in plan.buffers.values()), (node.name, i)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.footprint = 0
+        assert plan.footprint == step.footprint, (node.name, i)
 
 
 def exhaustive_two_stack(graph):

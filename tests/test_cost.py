@@ -182,39 +182,88 @@ def test_layer_cycles_breakdown(schedule):
     assert 0.2 <= 1e3 * relu.exec_cl / cost.EFFICIENT.f_cl <= 0.9
 
 
+def scaled_calib(factor: float) -> cost.CalibParams:
+    return cost.CalibParams(*(factor * getattr(cost.DEFAULT_CALIB, f.name)
+                              for f in dataclasses.fields(cost.CalibParams)))
+
+
+def assert_priced_from_row_loads(report, sched, c, op, power):
+    """The report equals, with ==, sums made afresh from the plans'
+    row loads, in graph order."""
+    graph = sched.graph
+    by_name = {r.name: r for p in sched.plans for r in cost.row_loads(p.node, p.loads())}
+    loads = [by_name[spec.name] for spec in graph.layers]
+    exec_rows = [r.exec_cycles(c) for r in loads]
+    l3l2_rows = [r.w_bytes / c.l3l2_bytes_per_fcycle for r in loads]
+    assert [r.name for r in report.rows] == [spec.name for spec in graph.layers]
+    assert [r.exec_cycles for r in report.rows] == exec_rows
+    assert [r.l3l2_fcycles for r in report.rows] == l3l2_rows
+    exec_cycles, l3l2 = sum(exec_rows), sum(l3l2_rows)
+    dma = c.dma_setup_cycles * sum(r.transfers for r in loads)
+    assert (report.exec_cycles, report.l3l2_fcycles, report.dma_l2l1_cycles,
+            report.computation_cycles) == (exec_cycles, l3l2, dma, exec_cycles - dma)
+    t_c = exec_cycles / op.f_cl
+    t = t_c + l3l2 / op.f_fc
+    assert report.frame_s == t
+    assert report.energy_j == op.vdd ** 2 * (power.k_fc * op.f_fc * t
+                                             + power.k_cl * op.f_cl * t_c)
+
+
 def test_reports_follow_the_calibration(graph):
     # rows are kept on each plan per calibration: after a default report, a
     # report and a breakdown under another calibration equal, with ==, sums
     # made from scratch from the plans' row loads, in graph order
     sched = tiler.plan_network(graph, 24 * 1024)
     cost.frame_report(sched)
-    calib = cost.CalibParams(*(1.25 * getattr(cost.DEFAULT_CALIB, f.name)
-                               for f in dataclasses.fields(cost.CalibParams)))
+    calib = scaled_calib(1.25)
     op, power = cost.FAST, cost.DEFAULT_POWER
     for c in (calib, cost.DEFAULT_CALIB, calib):
-        report = cost.frame_report(sched, op, c, power)
-        by_name = {r.name: r for p in sched.plans for r in cost.row_loads(p.node, p.loads())}
-        loads = [by_name[spec.name] for spec in graph.layers]
-        exec_rows = [r.exec_cycles(c) for r in loads]
-        l3l2_rows = [r.w_bytes / c.l3l2_bytes_per_fcycle for r in loads]
-        assert [r.name for r in report.rows] == [spec.name for spec in graph.layers]
-        assert [r.exec_cycles for r in report.rows] == exec_rows
-        assert [r.l3l2_fcycles for r in report.rows] == l3l2_rows
-        exec_cycles, l3l2 = sum(exec_rows), sum(l3l2_rows)
-        dma = c.dma_setup_cycles * sum(r.transfers for r in loads)
-        assert (report.exec_cycles, report.l3l2_fcycles, report.dma_l2l1_cycles,
-                report.computation_cycles) == (exec_cycles, l3l2, dma, exec_cycles - dma)
-        t_c = exec_cycles / op.f_cl
-        t = t_c + l3l2 / op.f_fc
-        assert report.frame_s == t
-        assert report.energy_j == op.vdd ** 2 * (power.k_fc * op.f_fc * t
-                                                 + power.k_cl * op.f_cl * t_c)
+        assert_priced_from_row_loads(cost.frame_report(sched, op, c, power), sched, c, op, power)
         for p in sched.plans:
             rows = cost.row_loads(p.node, p.loads())
             assert cost.layer_cycles(p, c) == cost.LayerCycles(
                 p.node.name, sum(r.exec_cycles(c) for r in rows),
                 sum(r.w_bytes for r in rows) / c.l3l2_bytes_per_fcycle), p.node.name
             assert cost.plan_cycles(p, c) == cost.layer_cycles(p, c).exec_cl
+
+
+def test_equal_plans_share_one_priced_schedule(graph):
+    # a schedule is priced once per (graph, plans, calibration) value:
+    # schedules planned apart with equal plans, at one budget or at two
+    # budgets that keep every node on the same frontier step, share one
+    # rows tuple in their reports and their sweeps
+    assert cost._priced.cache_info().maxsize == tiler.GRAPHS_CACHED
+    a = tiler.plan_network(graph, 60 * 1024)
+    edge = max(p.footprint for p in a.plans)     # the lowest budget on the same steps
+    assert edge < 60 * 1024
+    rows = cost.frame_report(a).rows
+    for budget in (60 * 1024, edge):
+        b = tiler.plan_network(graph, budget)
+        assert b is not a and all(p is q for p, q in zip(a.plans, b.plans))
+        assert cost.frame_report(b, cost.FAST).rows is rows
+        assert all(point.rows is rows for point in cost.sweep(b)[0])
+    assert cost.frame_report(tiler.plan_network(graph, edge - 1)).rows is not rows
+
+
+def test_another_calibration_or_plan_prices_fresh_rows(graph):
+    # a new calibration, or a plan swapped in with dataclasses.replace, is a
+    # new value: its rows are priced afresh and equal sums made from the row loads
+    sched = tiler.plan_network(graph, 32 * 1024)
+    op, power = cost.EFFICIENT, cost.DEFAULT_POWER
+    rows = cost.frame_report(sched, op).rows
+    calib = scaled_calib(0.75)
+    report = cost.frame_report(sched, op, calib, power)
+    assert report.rows is not rows
+    assert_priced_from_row_loads(report, sched, calib, op, power)
+    i, plan = next((i, p) for i, p in enumerate(sched.plans)
+                   if p.node.kind == "conv" and p.ci_tile > 1)
+    swapped = dataclasses.replace(
+        sched, plans=sched.plans[:i] + (dataclasses.replace(plan, ci_tile=1),)
+        + sched.plans[i + 1:])
+    for c in (cost.DEFAULT_CALIB, calib):
+        report = cost.frame_report(swapped, op, c, power)
+        assert report.rows != cost.frame_report(sched, op, c, power).rows
+        assert_priced_from_row_loads(report, swapped, c, op, power)
 
 
 def test_targets_loader_env_override(tmp_path, monkeypatch):

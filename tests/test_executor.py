@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from nanotile import executor, fxp, kernels, l2plan, net, tiler
+from nanotile import cost, executor, fxp, kernels, l2plan, net, tiler
 
 
 # heads, event count and trace CSV sha256 at 16/32/60 KB for random_store
@@ -671,20 +671,28 @@ def test_plans_out_of_the_graphs_node_order_raise_before_the_first_layer(graph, 
 
 
 def test_a_plans_list_replays_as_its_tuple(graph):
-    # the replay is cached on the plans' values, so a schedule built or
-    # edited with a plans list holds them as a tuple: it compiles to the
-    # tuple schedule's replay, and out of order raises the order check
+    # the replay and the priced schedule are cached on the plans' values, so
+    # a schedule built or edited with a plans list holds them as a tuple, and
+    # a list assigned to a built schedule (TileSchedule is not frozen) is
+    # keyed as its tuple: each compiles to the tuple schedule's replay and
+    # prices its rows, and out of order raises the order check
     sched = tiler.plan_network(graph, 60 * 1024)
-    memsim = executor.compile_schedule(sched)
+    memsim, rows = executor.compile_schedule(sched), cost.frame_report(sched).rows
     for listed in (dataclasses.replace(sched, plans=list(sched.plans)),
                    tiler.TileSchedule(graph, sched.l1_budget, list(sched.plans), sched.l2)):
         assert type(listed.plans) is tuple and listed == sched
         assert executor.compile_schedule(listed) is memsim
+    assigned = tiler.plan_network(graph, 60 * 1024)
+    assigned.plans = list(assigned.plans)
+    assert executor.compile_schedule(assigned) is memsim
+    assert cost.frame_report(assigned).rows is rows
     plans = sched.plans[::-1]
     message = (f"plans run nodes {tuple(p.node.name for p in plans)}, "
                f"the graph's nodes are {tuple(p.node.name for p in sched.plans)}")
-    with pytest.raises(executor.MemSimError, match=f"^{re.escape(message)}$"):
-        executor.compile_schedule(dataclasses.replace(sched, plans=list(plans)))
+    assigned.plans = list(plans)
+    for bad in (dataclasses.replace(sched, plans=list(plans)), assigned):
+        with pytest.raises(executor.MemSimError, match=f"^{re.escape(message)}$"):
+            executor.compile_schedule(bad)
 
 
 def test_bad_input_shape(schedule, graph):

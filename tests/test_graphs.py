@@ -62,6 +62,8 @@ def test_random_graph_runs_the_whole_pipeline(graph, data):
     net._validate(graph)
     nodes = tiler.node_kernels(graph)
     steps = [tiler.frontier(node, cost.DEFAULT_CALIB) for node in nodes]
+    for node, node_steps in zip(nodes, steps):
+        oracles.assert_stored_footprints(node, node_steps)
     edge = max(node_steps[0].footprint for node_steps in steps)   # the graph's edge
     footprints = sorted({s.footprint for node_steps in steps for s in node_steps
                          if s.footprint > edge} | {edge})

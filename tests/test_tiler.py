@@ -176,6 +176,10 @@ def test_plans_are_shared_per_frontier_step(graph, nodes):
     a, b = tiler.plan_network(graph), tiler.plan_network(graph)
     assert a is not b and a.plans is not b.plans
     assert all(p is q for p, q in zip(a.plans, b.plans))
+    # plan_network looks the graph's frontiers up once per graph and
+    # calibration, and picks each plan by plan_layer's step rule
+    assert tiler._frontiers.cache_info().maxsize == tiler.GRAPHS_CACHED
+    assert all(p is tiler.plan_layer(p.node) for p in a.plans)
     for node in nodes.values():
         steps = tiler.frontier(node, cost.DEFAULT_CALIB)
         for k, step in enumerate(steps):
@@ -187,6 +191,13 @@ def test_plans_are_shared_per_frontier_step(graph, nodes):
             assert plan.est_cycles == step.cycles == cost.plan_cycles(plan), (node.name, k)
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.est_cycles = -1.0
+
+
+def test_plans_store_their_footprint(nodes):
+    # a plan's footprint is stored when it is built, from its buffers: on
+    # every frontier step of every DroNet node it is the step's footprint
+    for node in nodes.values():
+        oracles.assert_stored_footprints(node, tiler.frontier(node, cost.DEFAULT_CALIB))
 
 
 def test_node_kernel_hash_is_computed_once(nodes, monkeypatch):
