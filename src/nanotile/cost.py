@@ -180,7 +180,7 @@ def _graph_order(graph: net.NetworkGraph, rows) -> tuple:
     return tuple(by_name[spec.name] for spec in graph.layers)
 
 
-@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
+@functools.lru_cache(maxsize=net.GRAPHS_CACHED)
 def _priced(graph: net.NetworkGraph, plans: tuple[tiler.TilePlan, ...], calib: CalibParams):
     """A schedule's plan_rows in graph order, a tuple, their exec and L3->L2
     cycle totals (added in graph order) and the descriptors' DMA cycles:

@@ -154,7 +154,7 @@ def compile_schedule(schedule: tiler.TileSchedule) -> MemSim:
     return _replay(schedule.graph, schedule.l1_budget, schedule.l2, tuple(schedule.plans))
 
 
-@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
+@functools.lru_cache(maxsize=net.GRAPHS_CACHED)
 def _replay(graph: net.NetworkGraph, l1_budget: int, l2_plan: l2plan.L2AllocPlan,
             plans: tuple[tiler.TilePlan, ...]) -> MemSim:
     """The trace of every plan's tiles under the L2 plan, built straight

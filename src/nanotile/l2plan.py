@@ -27,7 +27,7 @@ are built only when a plan is recorded.
 
 All of this depends on the graph alone, and the graph is frozen, so
 _lifetimes and plan_two_stack are computed once per graph, in bounded caches
-(tiler.GRAPHS_CACHED graphs) that hand every caller the same read-only
+(net.GRAPHS_CACHED graphs) that hand every caller the same read-only
 value.  validate_plan is the independent check: its own replay of the plan's
 events, in one pass, computed once per (plan, graph) value in a cache of
 the same bound (a plan is frozen and hashes once, when it is built), and
@@ -105,7 +105,7 @@ class _Lifetimes:
     consumes: Mapping[int, tuple[str, ...]]     # step -> buffers read
 
 
-@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
+@functools.lru_cache(maxsize=net.GRAPHS_CACHED)
 def _lifetimes(graph: net.NetworkGraph) -> _Lifetimes:
     nodes = tiler.node_kernels(graph)
     if not nodes:       # nothing to execute, nothing to stage
@@ -262,7 +262,7 @@ def _search_two_stack(life: _Lifetimes) -> list[int]:
     return best
 
 
-@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
+@functools.lru_cache(maxsize=net.GRAPHS_CACHED)
 def plan_two_stack(graph: net.NetworkGraph) -> L2AllocPlan:
     """Stack assignment minimizing peak total occupancy, then the larger stack
     peak, then the assignment bits in allocation order; the pruned search in
@@ -289,7 +289,7 @@ def validate_plan(plan: L2AllocPlan, graph: net.NetworkGraph) -> list[str]:
     return list(_violations(plan, graph))
 
 
-@functools.lru_cache(maxsize=tiler.GRAPHS_CACHED)
+@functools.lru_cache(maxsize=net.GRAPHS_CACHED)
 def _violations(plan: L2AllocPlan, graph: net.NetworkGraph) -> tuple[str, ...]:
     """validate_plan's verdict.  An event whose step is outside -1..n or
     whose stack the plan does not have is reported first, in event order,

@@ -27,6 +27,10 @@ ADD = "add"
 INPUT_TENSOR = "input"
 INPUT_SHAPE = (1, 200, 200)
 
+# bound of every cache keyed on a graph (in tiler, l2plan, cost and
+# executor); kept here, below all of them, so each reads it at import time
+GRAPHS_CACHED = 32
+
 _MAGIC = b"PDRN"
 _VERSION = 1
 _KIND_CODES = {CONV: 1, FC: 2}

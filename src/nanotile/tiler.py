@@ -27,11 +27,14 @@ distinct value, and the cost model keeps its priced rows per calibration.
 
 A candidate's footprint and cycles do not depend on the budget, so
 frontier() scores each node's grids once per calibration and keeps the
-footprints at which the best plan changes; plan_layer and plan_network
-look a budget up there by one step rule, and plan_network finds the
-graph's frontiers once per graph and calibration.  Each step's TilePlan is
-built on first use and kept with its step, so every budget on one step
-shares one frozen plan, and with it the plan's cost rows.  plan_network
+footprints at which the best plan changes; plan_layer looks a budget up
+there by one step rule.  Each step's TilePlan is built on first use and
+kept with its step, so every budget on one step shares one frozen plan,
+and with it the plan's cost rows.  The graph's design curve, built once per
+graph and calibration, holds every node's frontier and the budgets at
+which some node changes step, from the graph's edge up; plan_network is
+one lookup there, and every budget between two such breaks shares one
+plans tuple, built by the same step rule on first use.  plan_network
 builds a TileSchedule with the graph's L2 plan, so a schedule is a whole
 value when it is planned.
 """
@@ -42,23 +45,20 @@ import functools
 from bisect import bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import attrgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from . import cost, net
-from .net import _ceil_div
+from .net import GRAPHS_CACHED, _ceil_div
 
 if TYPE_CHECKING:
     from . import l2plan    # l2plan imports tiler
 
 DEFAULT_L1_BUDGET = 60 * 1024   # 4 KB of the 64 KB scratchpad reserved for runtime
-# bounds of the graph-keyed caches (here and in l2plan) and of frontier's,
-# which holds one entry per node kernel and calibration, with the step plans
-# built from it
-GRAPHS_CACHED = 32
+# bound of frontier's cache, which holds one entry per node kernel and
+# calibration, with the step plans built from it
 FRONTIERS_CACHED = 512
 SPATIAL = "spatial"
 FEATUREWISE = "feature-wise"
@@ -560,9 +560,12 @@ def _front(footprint, cycles, n_tiles, h_tile):
 class Frontier(tuple):
     """A node's Steps in ascending footprint, a tuple, with each step's
     TilePlan built on first use and kept here: every budget on a step gets
-    the same frozen plan, and the plans live as long as their frontier."""
+    the same frozen plan, and the plans live as long as their frontier.
+    The steps' footprints are kept as a tuple too, the key that a budget is
+    bisected on."""
 
     def __init__(self, steps):
+        self.footprints = tuple(step.footprint for step in self)
         self._plans: list[TilePlan | None] = [None] * len(self)
 
     def plan(self, node: NodeKernel, i: int) -> TilePlan:
@@ -622,7 +625,7 @@ def _step_plan(node: NodeKernel, steps: Frontier, l1_budget: int) -> TilePlan:
     one step gets the same frozen plan, built on its first lookup.  Below
     the first step nothing fits, and InfeasibleError names the schemes that
     apply."""
-    i = bisect_right(steps, l1_budget, key=attrgetter("footprint"))
+    i = bisect_right(steps.footprints, l1_budget)
     if i == 0:
         schemes = [s for s in (SPATIAL, FEATUREWISE) if _grid_axes(node, s) is not None]
         raise InfeasibleError(f"{node.name}: infeasible under {l1_budget} byte budget "
@@ -652,24 +655,53 @@ class TileSchedule:
         return {p.node.name: p for p in self.plans}[node_name]
 
 
+class DesignCurve:
+    """A graph's L1 design curve under one calibration: each node with its
+    frontier, and the budgets at which the network's schedule changes.
+    breaks are the distinct step footprints from the graph's edge up, the
+    edge being the largest first step, the least budget every node fits.
+    Between two breaks no node changes step, so each interval's plans
+    tuple is built on first use, from its break by the one step rule, and
+    kept here: every budget on an interval gets the same frozen tuple."""
+
+    def __init__(self, frontiers: tuple[tuple[NodeKernel, Frontier], ...]):
+        self.frontiers = frontiers
+        edge = max(steps.footprints[0] for _, steps in frontiers)
+        self.breaks = tuple(sorted({f for _, steps in frontiers
+                                    for f in steps.footprints if f >= edge}))
+        self._plans: list[tuple[TilePlan, ...] | None] = [None] * len(self.breaks)
+
+    def _step_plans(self, l1_budget: int) -> tuple[TilePlan, ...]:
+        return tuple(_step_plan(node, steps, l1_budget) for node, steps in self.frontiers)
+
+    def plans(self, l1_budget: int) -> tuple[TilePlan, ...]:
+        """Every node's plan under the budget, in node order.  Below the
+        edge the nodes are looked up one by one, so the first node that
+        does not fit raises its InfeasibleError."""
+        i = bisect_right(self.breaks, l1_budget) - 1
+        if i < 0:
+            return self._step_plans(l1_budget)
+        if self._plans[i] is None:
+            self._plans[i] = self._step_plans(self.breaks[i])
+        return self._plans[i]
+
+
 @functools.lru_cache(maxsize=GRAPHS_CACHED)
-def _frontiers(graph: net.NetworkGraph, calib) -> tuple[tuple[NodeKernel, Frontier], ...]:
-    """Each node of the graph with its frontier under calib, in node order.
-    Looked up once per graph and calibration, both frozen, in a bounded
-    cache, so a new budget costs one step lookup per node; the frontiers,
-    and the step plans they keep, live as long as their entry here or in
+def design_curve(graph: net.NetworkGraph, calib) -> DesignCurve:
+    """The graph's design curve under calib, built once per graph and
+    calibration, both frozen, in a bounded cache; the frontiers, and the
+    plans built from them, live as long as their entry here or in
     frontier's cache."""
-    return tuple((node, frontier(node, calib)) for node in node_kernels(graph))
+    return DesignCurve(tuple((node, frontier(node, calib)) for node in node_kernels(graph)))
 
 
 def plan_network(graph: net.NetworkGraph, l1_budget: int = DEFAULT_L1_BUDGET,
                  calib=None) -> TileSchedule:
-    """Every node's plan_layer, by the same step rule, over the graph's
-    frontiers, and the graph's two-stack L2 plan, which is computed once per
-    graph; a graph too large for its search raises here."""
+    """Every node's plan_layer, read off the graph's design curve, and the
+    graph's two-stack L2 plan, which is computed once per graph; a graph
+    too large for its search raises here."""
     from . import l2plan    # l2plan imports tiler
-    plans = tuple(_step_plan(node, steps, l1_budget)
-                  for node, steps in _frontiers(graph, calib or cost.DEFAULT_CALIB))
+    plans = design_curve(graph, calib or cost.DEFAULT_CALIB).plans(l1_budget)
     return TileSchedule(graph, l1_budget, plans, l2plan.plan_two_stack(graph))
 
 

@@ -222,6 +222,31 @@ def loop_frontier(node, calib=cost.DEFAULT_CALIB):
     return [(row.footprint, _plan(node, row)) for row in steps]
 
 
+def assert_design_curve(graph, calib=cost.DEFAULT_CALIB):
+    """Assert that the graph's design curve breaks where some node's
+    loop_frontier steps, from the edge (the largest first step) up, and that
+    plan_network at each break, one byte below it and one byte above it
+    picks every node's loop_frontier plan, as plan_layer's own object.
+    Below the edge it must raise the first unfit node's InfeasibleError.
+    Returns the breaks."""
+    nodes = tiler.node_kernels(graph)
+    steps = [loop_frontier(node, calib) for node in nodes]
+    edge = max(node_steps[0][0] for node_steps in steps)
+    breaks = sorted({f for node_steps in steps for f, _ in node_steps if f >= edge})
+    assert tiler.design_curve(graph, calib).breaks == tuple(breaks)
+    for budget in sorted({b + d for b in breaks for d in (-1, 0, 1)}):
+        if budget < edge:
+            with pytest.raises(tiler.InfeasibleError) as got:
+                tiler.plan_network(graph, budget, calib)
+            first = next(n for n, s in zip(nodes, steps) if s[0][0] > budget)
+            assert str(got.value) == infeasible_text(first, budget)
+            continue
+        plans = tiler.plan_network(graph, budget, calib).plans
+        assert plans == tuple([p for f, p in s if f <= budget][-1] for s in steps), budget
+        assert all(p is tiler.plan_layer(n, budget, calib) for n, p in zip(nodes, plans))
+    return breaks
+
+
 def stripe_reads(body, rows):
     """(first, last+1, pad_above, pad_below) of the input rows that a conv
     or FC tile over node-output rows reads, from the layer row alone: node

@@ -15,7 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "nanotile"
 # plus function parameters with a default
 SETTABLE_VALUES = 191
 # non-blank lines over src/nanotile outside docstrings and comments
-CODE_LINES = 2290
+CODE_LINES = 2305
 
 
 def _name(node: ast.expr) -> str:

@@ -64,11 +64,9 @@ def test_random_graph_runs_the_whole_pipeline(graph, data):
     steps = [tiler.frontier(node, cost.DEFAULT_CALIB) for node in nodes]
     for node, node_steps in zip(nodes, steps):
         oracles.assert_stored_footprints(node, node_steps)
-    edge = max(node_steps[0].footprint for node_steps in steps)   # the graph's edge
-    footprints = sorted({s.footprint for node_steps in steps for s in node_steps
-                         if s.footprint > edge} | {edge})
-    # a step of some node's frontier, or one byte below it
-    budget = max(edge, data.draw(st.sampled_from(footprints)) - data.draw(st.integers(0, 1)))
+    breaks = oracles.assert_design_curve(graph)
+    # a break of the graph's design curve, or one byte below it
+    budget = max(breaks[0], data.draw(st.sampled_from(breaks)) - data.draw(st.integers(0, 1)))
     schedule = tiler.plan_network(graph, budget)
     assert schedule.plans == tuple(oracles.exhaustive_plan_layer(node, budget) for node in nodes)
     for plan in schedule.plans:

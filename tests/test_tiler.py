@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from bisect import bisect_right
 from pathlib import Path
 
 import pytest
@@ -172,13 +173,17 @@ def test_frontier_is_cached_per_calibration(graph, nodes):
 
 def test_plans_are_shared_per_frontier_step(graph, nodes):
     # a frozen plan is built once per frontier step and handed to every
-    # budget on that step; each schedule still gets its own plans tuple
-    a, b = tiler.plan_network(graph), tiler.plan_network(graph)
-    assert a is not b and a.plans is not b.plans
-    assert all(p is q for p, q in zip(a.plans, b.plans))
-    # plan_network looks the graph's frontiers up once per graph and
-    # calibration, and picks each plan by plan_layer's step rule
-    assert tiler._frontiers.cache_info().maxsize == tiler.GRAPHS_CACHED
+    # budget on that step, and a plans tuple once per interval of the
+    # graph's design curve and handed to every budget on that interval
+    curve = tiler.design_curve(graph, cost.DEFAULT_CALIB)
+    i = bisect_right(curve.breaks, tiler.DEFAULT_L1_BUDGET)
+    a, b = tiler.plan_network(graph), tiler.plan_network(graph, curve.breaks[i] - 1)
+    assert a is not b and a.plans is b.plans
+    c = tiler.plan_network(graph, curve.breaks[i])
+    assert c.plans is not a.plans and c.plans != a.plans
+    # plan_network reads the curve, built once per graph and calibration,
+    # which picks each plan by plan_layer's step rule
+    assert tiler.design_curve.cache_info().maxsize == tiler.GRAPHS_CACHED
     assert all(p is tiler.plan_layer(p.node) for p in a.plans)
     for node in nodes.values():
         steps = tiler.frontier(node, cost.DEFAULT_CALIB)
@@ -191,6 +196,14 @@ def test_plans_are_shared_per_frontier_step(graph, nodes):
             assert plan.est_cycles == step.cycles == cost.plan_cycles(plan), (node.name, k)
         with pytest.raises(dataclasses.FrozenInstanceError):
             plan.est_cycles = -1.0
+
+
+def test_design_curve_equals_the_node_frontiers(graph):
+    # DroNet's schedule changes at 198 budgets from its edge, set by conv_2,
+    # to the 64 KB scratchpad
+    breaks = oracles.assert_design_curve(graph)
+    assert breaks[0] == 15860
+    assert len([b for b in breaks if b <= 64 * KB]) == 198
 
 
 def test_plans_store_their_footprint(nodes):
